@@ -14,10 +14,9 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .certify import closed_loop
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
                     appendix_a_matrices, assemble_global, augmented_dgu,
-                    controllability_matrix)
+                    closed_loop, controllability_matrix)
 from .synthesis import Denied, SynthesisConfig, synthesize
 
 LQR = "lqr"
@@ -268,11 +267,8 @@ def destabilization_demo(method: str = LQR) -> DestabilizationReport:
         decoupled.append(np.sort_complex(np.linalg.eigvals(a + b @ k[None, :])))
 
     top = MicrogridTopology({1: DEMO_DGUS[0], 2: DEMO_DGUS[1]}, (DEMO_LINE,))
-    system = assemble_global(top)
-    k_big = np.zeros((2, 6))
-    k_big[0, 0:3] = gains[0]
-    k_big[1, 3:6] = gains[1]
-    coupled = np.linalg.eigvals(system.a_hat + system.b_hat @ k_big)
+    coupled = np.linalg.eigvals(
+        closed_loop(assemble_global(top), dict(zip(top.ids, gains))))
 
     unstable = sorted((z for z in coupled if z.real > 0.0 and z.imag != 0.0),
                       key=lambda z: z.imag)

@@ -31,7 +31,6 @@ from .certify import (
     check_global,
     check_lasalle_kernel,
     check_theorem1,
-    closed_loop,
 )
 from .model import (
     DguParams,
@@ -40,6 +39,7 @@ from .model import (
     MicrogridTopology,
     assemble_global,
     augmented_dgu,
+    closed_loop,
 )
 from .simulate import (
     LoadStep,
@@ -257,14 +257,9 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _synthesize_for(scenario: Scenario,
-                    sigma_bar: Optional[float]) -> Tuple[SynthesisConfig,
-                                                         dict, dict]:
-    cfg_kwargs = {"sigma_bar": scenario.sigma_bar if sigma_bar is None
-                  else sigma_bar}
-    if scenario.alphas is not None:
-        cfg_kwargs["alphas"] = scenario.alphas
-    cfg = SynthesisConfig(**cfg_kwargs)
+def _synthesize_for(scenario: Scenario) -> Tuple[SynthesisConfig, dict,
+                                                  dict]:
+    cfg = scenario.synthesis_config()
     results = synthesize_all(scenario.initial_topology, cfg)
     denied = {i: r.reason for i, r in results.items()
               if isinstance(r, Denied)}
@@ -275,7 +270,9 @@ def _synthesize_for(scenario: Scenario,
 
 def cmd_synth(args) -> int:
     scenario = load_scenario(args.scenario)
-    cfg, granted, denied = _synthesize_for(scenario, args.sigma_bar)
+    if args.sigma_bar is not None:
+        scenario = dataclasses.replace(scenario, sigma_bar=args.sigma_bar)
+    cfg, granted, denied = _synthesize_for(scenario)
     if denied:
         for dgu_id in sorted(denied):
             print(f"denied: dgu {dgu_id}: {denied[dgu_id]}", file=sys.stderr)
@@ -295,9 +292,8 @@ def cmd_certify(args) -> int:
         # gain-only bundle: the closed-loop spectrum is still decisive
         # in one direction (an eigenvalue in the right half plane refutes
         # stability), but no certificate can be granted without P.
-        gains = {i: getattr(c, "k", c) for i, c in controllers.items()}
-        system = assemble_global(topology)
-        spectrum = np.linalg.eigvals(closed_loop(system, gains))
+        spectrum = np.linalg.eigvals(
+            closed_loop(assemble_global(topology), controllers))
         abscissa = float(np.max(spectrum.real))
         print(f"theorem1: fail, abscissa ≈ {abscissa:.3g}")
         return EXIT_DENIED
@@ -329,7 +325,7 @@ def cmd_simulate(args) -> int:
         overrides["line_model"] = args.line_model
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
-    _, granted, denied = _synthesize_for(scenario, None)
+    _, granted, denied = _synthesize_for(scenario)
     if denied:
         for dgu_id in sorted(denied):
             print(f"denied: dgu {dgu_id}: {denied[dgu_id]}", file=sys.stderr)
@@ -441,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dt", type=float, default=None)
     sim.add_argument("--sigma-bar", type=float, default=None)
     sim.add_argument("--line-model", choices=("qsl", "rl"), default=None)
-    sim.add_argument("--seed", type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
 
     app = sub.add_parser("appendix-a", help="reproduce the centralized "
@@ -458,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar=("LO", "HI"))
     swp.add_argument("--c-t", type=float, nargs=2, default=None,
                      metavar=("LO", "HI"))
-    swp.add_argument("--seed", type=int, default=None)
     swp.add_argument("--out", default=None, help="directory for "
                      "sweep.csv and summary.json")
     swp.set_defaults(func=cmd_sweep)
@@ -467,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        np.random.seed(args.seed)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

@@ -12,7 +12,7 @@ state adds the tracking integrator v, with v' = v_ref - V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -258,9 +258,6 @@ class GlobalSystem:
         for name in ("a_hat", "b_hat", "m_hat", "h_hat", "a_d", "a_xi", "a_c"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    def index_of(self, dgu_id: int) -> int:
-        return self.ids.index(dgu_id)
-
 
 def build_dgu_matrices(params: DguParams,
                        incident_lines: Sequence[LineParams] = (),
@@ -349,6 +346,21 @@ def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
             a_xi[3 * k, 3 * k] -= block[0, 0]
             a_c[s, slice(3 * pos[other], 3 * pos[other] + 3)] = block
     return GlobalSystem(ids, a_d + a_xi + a_c, b_hat, m_hat, h_hat, a_d, a_xi, a_c)
+
+
+def closed_loop(system: GlobalSystem,
+                controllers: Mapping[int, object]) -> np.ndarray:
+    """F = a_hat + b_hat K, K the block-diagonal stack of the gain rows.
+
+    A controller is anything carrying a gain row `k`, or the bare row
+    itself, so baseline designs can be inspected like synthesized ones.
+    """
+    n = len(system.ids)
+    k_global = np.zeros((n, 3 * n))
+    for idx, dgu_id in enumerate(system.ids):
+        ctrl = controllers[dgu_id]
+        k_global[idx, 3 * idx:3 * idx + 3] = getattr(ctrl, "k", ctrl)
+    return system.a_hat + system.b_hat @ k_global
 
 
 def appendix_a_matrices(params: DguParams, line: LineParams) -> np.ndarray:

@@ -20,7 +20,8 @@ from typing import (ClassVar, Dict, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
-                    TopologyError, augmented_dgu)
+                    TopologyError, assemble_global, augmented_dgu,
+                    closed_loop)
 from .synthesis import (Denied, LocalController, SynthesisConfig, synthesize,
                         synthesize_all)
 
@@ -185,43 +186,40 @@ def _build_ode(top: MicrogridTopology, controllers: Mapping[int, Gain],
                line_model: str) -> Tuple[np.ndarray, np.ndarray]:
     """Assemble x' = Ax + c for the closed loop over the whole grid.
 
-    Resistive loads fold into the voltage diagonal; current loads and
-    voltage references enter the constant term.  QSL treats lines as
-    algebraic resistors, RL appends one current state per line.
+    The unit blocks come from the one closed-loop assembly.  Resistive
+    loads fold into the voltage diagonal; current loads and voltage
+    references enter the constant term through m_hat.  QSL keeps the
+    assembled line conductances, RL replaces them with one current state
+    per line.
     """
-    ids = top.ids
-    base = 3 * len(ids)
-    dim = base + (len(top.lines) if line_model == RL else 0)
-    a = np.zeros((dim, dim))
-    c = np.zeros(dim)
-    start = {dgu_id: 3 * k for k, dgu_id in enumerate(ids)}
-    for dgu_id in ids:
+    system = assemble_global(top)
+    a = closed_loop(system, controllers)
+    n_lines = 0
+    if line_model == RL:
+        # a_d, a_xi and a_c have disjoint supports: this is a_d + b_hat K
+        a = a - system.a_xi - system.a_c
+        n_lines = len(top.lines)
+    disturbance = np.zeros(2 * len(top.ids))
+    for k, dgu_id in enumerate(top.ids):
         p = top.dgus[dgu_id]
-        hat = augmented_dgu(p)
-        s = start[dgu_id]
-        a[s:s + 3, s:s + 3] = hat.a_hat_ii + np.outer(
-            hat.b_hat[:, 0], _gain(controllers[dgu_id]))
-        c[s + 2] = p.v_ref
         if p.load.kind == "resistance":
-            a[s, s] -= 1.0 / (p.load.value * p.c_t)
+            a[3 * k, 3 * k] -= 1.0 / (p.load.value * p.c_t)
         else:
-            c[s] -= p.load.value / p.c_t
-    for m, ln in enumerate(top.lines):
-        si, sj = start[ln.i], start[ln.j]
-        ci, cj = top.dgus[ln.i].c_t, top.dgus[ln.j].c_t
-        if line_model == QSL:
-            a[si, si] -= 1.0 / (ln.r * ci)
-            a[si, sj] += 1.0 / (ln.r * ci)
-            a[sj, sj] -= 1.0 / (ln.r * cj)
-            a[sj, si] += 1.0 / (ln.r * cj)
-        else:
-            row = base + m
+            disturbance[2 * k] = p.load.value
+        disturbance[2 * k + 1] = p.v_ref
+    base = a.shape[0]
+    a = np.pad(a, (0, n_lines))
+    c = np.pad(system.m_hat @ disturbance, (0, n_lines))
+    if line_model == RL:
+        start = {dgu_id: 3 * k for k, dgu_id in enumerate(top.ids)}
+        for m, ln in enumerate(top.lines):
+            si, sj, row = start[ln.i], start[ln.j], base + m
             # line current is oriented from ln.i to ln.j
             a[row, si] = 1.0 / ln.l
             a[row, sj] = -1.0 / ln.l
             a[row, row] = -ln.r / ln.l
-            a[si, row] -= 1.0 / ci
-            a[sj, row] += 1.0 / cj
+            a[si, row] -= 1.0 / top.dgus[ln.i].c_t
+            a[sj, row] += 1.0 / top.dgus[ln.j].c_t
     return a, c
 
 
@@ -405,48 +403,28 @@ def _initial_controllers(top, controllers, cfg):
 
 
 def _default_state(scenario, top, controllers):
-    dim = 3 * len(top.ids)
-    if scenario.line_model == RL:
-        dim += len(top.lines)
-    state = np.zeros(dim)
-    # each unit starts pre-charged at its own isolated operating point
-    for k, dgu_id in enumerate(top.ids):
-        state[3 * k:3 * k + 3] = _isolated_steady(top.dgus[dgu_id],
-                                                  controllers[dgu_id])
-    return state
+    # a remap from the empty grid: each unit starts pre-charged at its own
+    # isolated operating point, each RL line current at zero
+    fresh = {i: _isolated_steady(top.dgus[i], controllers[i]) for i in top.ids}
+    return _remap_state(np.zeros(0), MicrogridTopology({}, ()), top,
+                        scenario.line_model, fresh)
 
 
-def _expand_state(state, old_top, new_top, new_id, newcomer, line_model):
-    pos = {i: 3 * k for k, i in enumerate(old_top.ids)}
-    new_ids = new_top.ids
-    dim = 3 * len(new_ids) + (len(new_top.lines) if line_model == RL else 0)
-    out = np.zeros(dim)
-    for k, i in enumerate(new_ids):
-        out[3 * k:3 * k + 3] = newcomer if i == new_id else state[pos[i]:pos[i] + 3]
+def _remap_state(state, old_top, new_top, line_model, fresh=None):
+    """Carry a state vector from old_top's layout to new_top's.
+
+    Units keep their entries by id and RL line currents by line key; a
+    unit new to the grid takes fresh[id], a new line starts at zero.
+    """
+    units = {i: state[3 * k:3 * k + 3] for k, i in enumerate(old_top.ids)}
+    units.update(fresh or {})
+    parts = [units[i] for i in new_top.ids]
     if line_model == RL:
-        old_base = 3 * len(old_top.ids)
-        old_index = {ln.key: old_base + m for m, ln in enumerate(old_top.lines)}
-        new_base = 3 * len(new_ids)
-        for m, ln in enumerate(new_top.lines):
-            src = old_index.get(ln.key)
-            out[new_base + m] = state[src] if src is not None else 0.0
-    return out
-
-
-def _shrink_state(state, old_top, new_top, line_model):
-    pos = {i: 3 * k for k, i in enumerate(old_top.ids)}
-    new_ids = new_top.ids
-    dim = 3 * len(new_ids) + (len(new_top.lines) if line_model == RL else 0)
-    out = np.zeros(dim)
-    for k, i in enumerate(new_ids):
-        out[3 * k:3 * k + 3] = state[pos[i]:pos[i] + 3]
-    if line_model == RL:
-        old_base = 3 * len(old_top.ids)
-        old_index = {ln.key: old_base + m for m, ln in enumerate(old_top.lines)}
-        new_base = 3 * len(new_ids)
-        for m, ln in enumerate(new_top.lines):
-            out[new_base + m] = state[old_index[ln.key]]
-    return out
+        base = 3 * len(old_top.ids)
+        currents = {ln.key: state[base + m]
+                    for m, ln in enumerate(old_top.lines)}
+        parts.append([currents.get(ln.key, 0.0) for ln in new_top.lines])
+    return np.concatenate(parts)
 
 
 def _apply_event(ev, t, top, controllers, state, line_model, cfg, records):
@@ -464,8 +442,8 @@ def _apply_event(ev, t, top, controllers, state, line_model, cfg, records):
                                    " controller")
         new_top = top.with_dgu(ev.dgu_id, ev.params, ev.lines)
         controllers[ev.dgu_id] = result
-        state = _expand_state(state, top, new_top, ev.dgu_id,
-                              _isolated_steady(ev.params, result), line_model)
+        state = _remap_state(state, top, new_top, line_model,
+                             {ev.dgu_id: _isolated_steady(ev.params, result)})
         records.append(EventRecord(t, name, ACCEPTED))
         return state, new_top, True
     if isinstance(ev, Unplug):
@@ -477,7 +455,7 @@ def _apply_event(ev, t, top, controllers, state, line_model, cfg, records):
         if isinstance(result, Denied):
             records.append(EventRecord(t, name, f"denied: {result.reason}"))
             return state, top, False
-        state = _shrink_state(state, top, result, line_model)
+        state = _remap_state(state, top, result, line_model)
         controllers.pop(ev.dgu_id)
         records.append(EventRecord(t, name, ACCEPTED))
         return state, result, True

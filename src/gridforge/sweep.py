@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .certify import check_local_structure
-from .lmi import SolverOptions
 from .model import DguParams, LoadModel, augmented_dgu
 from .synthesis import (
     DEFAULT_ALPHAS,
@@ -140,15 +139,13 @@ def _solve_point(r_t: float, l_t: float, c_t: float,
 
 
 def run_sweep(grid: SweepGrid = GREEN_BOX, sigma_bar: float = 10.0,
-              alphas: Tuple[float, ...] = DEFAULT_ALPHAS,
-              options: Optional[SolverOptions] = None) -> SweepResult:
+              alphas: Tuple[float, ...] = DEFAULT_ALPHAS) -> SweepResult:
     """Synthesize over every grid point and tabulate the outcomes.
 
     The table is deterministic and follows the r_t-major, c_t-minor
     product of the axes.
     """
-    cfg = SynthesisConfig(sigma_bar=sigma_bar, alphas=tuple(alphas),
-                          solver_options=options or SolverOptions())
+    cfg = SynthesisConfig(sigma_bar=sigma_bar, alphas=tuple(alphas))
     coords = itertools.product(*(ax.tolist() for ax in grid.axes()))
     table = tuple(_solve_point(*coord, cfg) for coord in coords)
     return SweepResult(grid, float(sigma_bar), tuple(alphas), table)

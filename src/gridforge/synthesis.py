@@ -12,7 +12,7 @@ happens to be attached to, which is what makes plug-in decisions local.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -25,7 +25,6 @@ from .lmi import (
     LmiBlock,
     LmiProgram,
     LmiSolution,
-    SolverOptions,
     solve,
     sym_eig,
 )
@@ -52,7 +51,6 @@ class NumericalFailure(RuntimeError):
 class SynthesisConfig:
     sigma_bar: float
     alphas: Tuple[float, float, float, float, float] = DEFAULT_ALPHAS
-    solver_options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma_bar) and self.sigma_bar > 0):
@@ -258,7 +256,7 @@ def synthesize(dgu: AugmentedDgu, params: DguParams,
     recheck.
     """
     program = assemble_problem(dgu, params, cfg)
-    sol = solve(program, cfg.solver_options)
+    sol = solve(program)
     if sol.status == INFEASIBLE:
         return Denied("local LMI infeasible")
     if sol.status == NUMERICAL_FAILURE:

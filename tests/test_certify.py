@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import gridforge.certify as certify
 from gridforge.certify import (
     FAIL,
     HYPOTHESIS_UNMET,
@@ -160,6 +163,91 @@ class TestGlobal:
         top, ctrls = pair
         with pytest.raises(ValueError, match="cover exactly"):
             check_global({1: ctrls[1]}, top, 10.0)
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    """Six units of three types on a ring with two chords."""
+    types = [dgu(0.1, 1.8e-3, 2.2e-3), dgu(0.2, 1.7e-3, 2.0e-3),
+             dgu(0.3, 2.5e-3, 1.9e-3)]
+    designs = [synthesize(augmented_dgu(p), p, CFG) for p in types]
+    ids = range(1, 7)
+    lines = [LineParams(i, i % 6 + 1, 0.03 + 0.01 * i, 2e-6) for i in ids]
+    lines += [LineParams(4, 1, 0.08, 2e-6), LineParams(2, 5, 0.06, 2e-6)]
+    top = MicrogridTopology({i: types[i % 3] for i in ids}, lines)
+    return top, {i: designs[i % 3] for i in ids}
+
+
+def all_pairs_formula_error(cert, system, ctrls):
+    """The per-block B/C formula cross-check over every block pair."""
+    ids = sorted(ctrls)
+    blk = [slice(3 * k, 3 * k + 3) for k in range(len(ids))]
+    err = 0.0
+    for a, i in enumerate(ids):
+        b_blk = 2.0 * system.a_xi[blk[a], blk[a]] @ ctrls[i].p
+        err = max(err, np.max(np.abs(cert.block_bc[blk[a], blk[a]] - b_blk)))
+        for b, j in enumerate(ids):
+            if a != b:
+                c_blk = (ctrls[i].p @ system.a_c[blk[a], blk[b]]
+                         + system.a_c[blk[b], blk[a]].T @ ctrls[j].p)
+                err = max(err, np.max(np.abs(cert.block_bc[blk[a], blk[b]]
+                                             - c_blk)))
+    return err
+
+
+def with_stray_self_term(monkeypatch, row, col):
+    """Make certify see a_xi with one stray off-diagonal entry."""
+    def doctored(top):
+        system = assemble_global(top)
+        a_xi = system.a_xi.copy()
+        a_xi[row, col] = 1.0
+        return dataclasses.replace(system, a_xi=a_xi)
+
+    monkeypatch.setattr(certify, "assemble_global", doctored)
+    return doctored
+
+
+class TestLineSparseChecks:
+    # blocks are 3x3 in id order: unit i's voltage row is 3 * (i - 1)
+    @pytest.mark.parametrize("stray", [None, (3, 0), (0, 4)],
+                             ids=["exact", "line-2-1", "line-1-2"])
+    def test_cross_check_equals_all_pairs_reference(self, mesh, stray,
+                                                    monkeypatch):
+        top, ctrls = mesh
+        build = assemble_global
+        if stray is not None:
+            build = with_stray_self_term(monkeypatch, *stray)
+        cert = check_global(ctrls, top, 10.0)
+        ref = all_pairs_formula_error(cert, build(top), ctrls)
+        assert cert.checks["b_c_formula_error"] == ref
+        assert (ref > 0.0) == (stray is not None)
+
+    @pytest.mark.parametrize("stray, check", [
+        ((0, 6), "laplacian_expansion_error"),
+        ((1, 6), "coupling_nonvoltage_rows"),
+        ((0, 7), "coupling_nonvoltage_rows"),
+    ])
+    def test_off_line_blocks_covered_entrywise(self, mesh, stray, check,
+                                               monkeypatch):
+        # units 1 and 3 share no line: the cross-check skips their block,
+        # and the entrywise checks must see the stray term instead
+        top, ctrls = mesh
+        with_stray_self_term(monkeypatch, *stray)
+        cert = check_global(ctrls, top, 10.0)
+        assert cert.checks["b_c_formula_error"] == 0.0
+        assert cert.checks[check] > 1e-6
+
+    def test_certify_assembles_the_grid_once(self, mesh, monkeypatch):
+        top, ctrls = mesh
+        calls = []
+        original = certify.assemble_global
+        monkeypatch.setattr(certify, "assemble_global",
+                            lambda t: calls.append(t) or original(t))
+        cert = check_global(ctrls, top, 10.0)
+        assert check_theorem1(cert, ctrls, top).verdict == PASS
+        assert len(calls) == 1
+        f = closed_loop(original(top), ctrls)
+        assert cert.checks["closed_loop_norm"] == np.linalg.norm(f)
 
 
 class TestTheorem1:

@@ -119,6 +119,17 @@ class TestSynth:
         assert code == 1
         assert "r_t must be positive" in capsys.readouterr().err
 
+    def test_sigma_bar_flag_keeps_scenario_alphas(self, small_file,
+                                                  tmp_path):
+        bundle = tmp_path / "b100.json"
+        assert cli.main(["synth", small_file, "--sigma-bar", "100",
+                         "--out", str(bundle)]) == 0
+        payload = json.loads(bundle.read_text())
+        assert payload["sigma_bar"] == 100.0
+        assert payload["alphas"] == SMALL["alphas"]
+        c_t = SMALL["dgus"][0]["c_t"]
+        assert payload["controllers"][0]["eta"] == pytest.approx(100.0 * c_t)
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert cli.main(["synth", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -251,6 +262,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for name in SUBCOMMANDS:
             assert name in proc.stdout
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_no_seed_flag(self, command, capsys):
+        # nothing draws random numbers, so there is nothing to seed
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--out" in out and "--seed" not in out
 
     def test_declared_script_target_runs(self, capsys):
         # the half of the console script that the repo itself declares

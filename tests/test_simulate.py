@@ -8,7 +8,8 @@ from scipy.linalg import block_diag
 from gridforge.model import (DguParams, LineParams, LoadModel,
                              MicrogridTopology, TopologyError)
 from gridforge.simulate import (QSL, RL, DivergedAt, LoadStep, PlugIn,
-                                RefStep, Scenario, Unplug, attempt_plug_in,
+                                RefStep, Scenario, Unplug, _build_ode,
+                                _remap_state, attempt_plug_in,
                                 attempt_unplug, event_log_lines, simulate,
                                 steady_state, trajectory_to_csv)
 from gridforge.synthesis import Denied, SynthesisConfig, synthesize_all
@@ -311,3 +312,87 @@ class TestArtifacts:
         parsed = [json.loads(line) for line in lines]
         assert parsed[0] == {"t": 0.05, "event": "load_step dgu=2",
                              "outcome": "applied"}
+
+
+def stamped_ode(top, gains, line_model):
+    """x' = Ax + c stamped from the circuit equations, unit by unit and
+    line by line, independently of the global assembly."""
+    ids = top.ids
+    base = 3 * len(ids)
+    dim = base + (len(top.lines) if line_model == RL else 0)
+    a = np.zeros((dim, dim))
+    c = np.zeros(dim)
+    start = {dgu_id: 3 * k for k, dgu_id in enumerate(ids)}
+    for dgu_id in ids:
+        p = top.dgus[dgu_id]
+        s = start[dgu_id]
+        # C V' = I_t - I_L (+ lines), L I_t' = -R I_t + u - V, v' = v_ref - V
+        local = np.array([[0.0, 1.0 / p.c_t, 0.0],
+                          [-1.0 / p.l_t, -p.r_t / p.l_t, 0.0],
+                          [-1.0, 0.0, 0.0]])
+        b = np.array([0.0, 1.0 / p.l_t, 0.0])
+        a[s:s + 3, s:s + 3] = local + np.outer(b, gains[dgu_id])
+        c[s + 2] = p.v_ref
+        if p.load.kind == "resistance":
+            a[s, s] -= 1.0 / (p.load.value * p.c_t)
+        else:
+            c[s] -= p.load.value / p.c_t
+    for m, ln in enumerate(top.lines):
+        si, sj = start[ln.i], start[ln.j]
+        ci, cj = top.dgus[ln.i].c_t, top.dgus[ln.j].c_t
+        if line_model == QSL:
+            a[si, si] -= 1.0 / (ln.r * ci)
+            a[si, sj] += 1.0 / (ln.r * ci)
+            a[sj, sj] -= 1.0 / (ln.r * cj)
+            a[sj, si] += 1.0 / (ln.r * cj)
+        else:
+            row = base + m
+            a[row, si] = 1.0 / ln.l
+            a[row, sj] = -1.0 / ln.l
+            a[row, row] = -ln.r / ln.l
+            a[si, row] -= 1.0 / ci
+            a[sj, row] += 1.0 / cj
+    return a, c
+
+
+class TestAssembly:
+    RING = MicrogridTopology(
+        {1: dgu(0.1, 1.8e-3, 2.2e-3, 47.9, 10.0),
+         2: DguParams(0.2, 1.7e-3, 2.0e-3, LoadModel.constant_current(3.5),
+                      48.06),
+         3: dgu(0.15, 2.1e-3, 1.9e-3, 48.2, 6.0)},
+        # the closing line is given against the ring's direction
+        (LineParams(1, 2, 0.05, 2.1e-6), LineParams(2, 3, 0.07, 1.8e-6),
+         LineParams(3, 1, 0.04, 2.4e-6)),
+    )
+    GAINS = {1: np.array([-2.5, -0.7, 11.0]),
+             2: np.array([-1.1, -0.4, 9.0]),
+             3: np.array([-3.2, -0.9, 14.0])}
+
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_matches_stamped_circuit_equations(self, line_model):
+        a, c = _build_ode(self.RING, self.GAINS, line_model)
+        a_ref, c_ref = stamped_ode(self.RING, self.GAINS, line_model)
+        assert a.shape == a_ref.shape and c.shape == c_ref.shape
+        assert np.max(np.abs(a - a_ref)) <= 1e-12 * np.max(np.abs(a_ref))
+        assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+
+
+class TestStateRemap:
+    def test_rl_plug_in_then_unplug(self):
+        line13 = LineParams(3, 1, 0.05, 2e-6)
+        old = MicrogridTopology({1: dgu(), 3: dgu()}, (line13,))
+        grown = old.with_dgu(2, dgu(), (LineParams(1, 2, 0.06, 2e-6),
+                                        LineParams(2, 3, 0.07, 2e-6)))
+        state = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 9.0, -4.5])
+        fresh = np.array([4.0, 5.0, 6.0])
+        out = _remap_state(state, old, grown, RL, {2: fresh})
+        # units in id order, the newcomer in the middle; lines in
+        # topology order with the surviving (1, 3) current kept
+        np.testing.assert_array_equal(
+            out, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
+                  -4.5, 0.0, 0.0])
+        out[-2:] = [0.25, 0.5]
+        shrunk = _remap_state(out, grown, grown.without_dgu(1), RL)
+        np.testing.assert_array_equal(shrunk, [4.0, 5.0, 6.0, 7.0, 8.0,
+                                               9.0, 0.5])

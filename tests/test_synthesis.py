@@ -138,7 +138,7 @@ class TestSynthesize:
         # a solution crafted so g·Y^-1 has zero third entry trips the gate
         x = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 4.0, 10.0])
         fake = LmiSolution("Optimal", x, 0.0, np.ones(8))
-        monkeypatch.setattr(synth, "solve", lambda prog, opts: fake)
+        monkeypatch.setattr(synth, "solve", lambda prog: fake)
         p = dgu()
         out = synthesize(augmented_dgu(p), p, CFG)
         assert isinstance(out, Denied)
@@ -146,7 +146,7 @@ class TestSynthesize:
 
     def test_solver_breakdown_raises(self, monkeypatch):
         fake = LmiSolution("NumericalFailure", None, None, None)
-        monkeypatch.setattr(synth, "solve", lambda prog, opts: fake)
+        monkeypatch.setattr(synth, "solve", lambda prog: fake)
         p = dgu()
         with pytest.raises(NumericalFailure):
             synthesize(augmented_dgu(p), p, CFG)
