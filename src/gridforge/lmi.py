@@ -355,11 +355,12 @@ def solve(program: LmiProgram, options: Optional[SolverOptions] = None) -> LmiSo
     relaxed problem is infeasible.  Phase II then follows the central path
     to a duality gap below tol_gap.
 
-    Statuses: Optimal (gap reached), Feasible (interior point found but
-    iteration budget ran out before the gap target), Infeasible (phase I
-    certificate), NumericalFailure (breakdown or exhausted budget with no
-    verdict).  Margins are minimum eigenvalues of the scaled, unshifted
-    slacks, NSD blocks negated.
+    Statuses: Optimal (gap reached), Feasible (interior point found, gap
+    target not reached: phase II stops either when the iteration budget
+    runs out or when its barrier parameter t passes 1e18 with budget
+    left), Infeasible (phase I certificate), NumericalFailure (breakdown
+    or exhausted budget with no verdict).  Margins are minimum eigenvalues
+    of the scaled, unshifted slacks, NSD blocks negated.
     """
     options = options or SolverOptions()
     cones = [_Cone(b, options.epsilon_strict) for b in program.blocks]

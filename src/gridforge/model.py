@@ -333,9 +333,14 @@ def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
     b_hat = np.zeros((3 * n, n))
     m_hat = np.zeros((3 * n, 2 * n))
     h_hat = np.zeros((n, 3 * n))
+    # each unit's lines in topology order, as incident_lines gives them
+    incident = {dgu_id: [] for dgu_id in ids}
+    for ln in topology.lines:
+        incident[ln.i].append(ln)
+        incident[ln.j].append(ln)
     for dgu_id in ids:
         params = topology.dgus[dgu_id]
-        hat = augmented_dgu(params, topology.incident_lines(dgu_id), dgu_id)
+        hat = augmented_dgu(params, incident[dgu_id], dgu_id)
         k = pos[dgu_id]
         s = slice(3 * k, 3 * k + 3)
         a_d[s, s] = hat.a_hat_ii

@@ -5,12 +5,13 @@ RK4 update collapses to an affine map x -> Rx + w with R and w assembled
 once per segment from the fourth-order Taylor truncation of exp(hA).
 Steps between recorded samples are composed into a single affine map,
 which keeps long runs cheap.  Event timestamps never drift: the step
-straddling an event is split so the boundary is hit exactly.
+straddling an event is split so the boundary is hit exactly.  Recording
+keeps the state rows only, tests them for divergence a stretch at a time
+and computes u per segment when the trajectory is assembled.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -32,6 +33,7 @@ ACCEPTED = "accepted"
 APPLIED = "applied"
 
 DIVERGENCE_LIMIT = 1e9
+CHECK_ROWS = 1024  # samples recorded between two divergence checks
 
 #: Controllers may be full synthesis results or bare gain rows; the
 #: simulator only needs u = k x_hat.
@@ -252,16 +254,20 @@ def _repeat(step: Tuple[np.ndarray, np.ndarray], count: int) -> Tuple[np.ndarray
 
 
 class _Segment:
-    """One constant-topology stretch compiled to reusable step maps."""
+    """One constant-topology stretch: reusable step maps and its samples."""
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
                  line_model: str, dt: float):
         self.ids = top.ids
+        self.line_keys = tuple(ln.key for ln in top.lines) if line_model == RL else ()
         self.dt = dt
         self.a, self.c = _build_ode(top, controllers, line_model)
         self.step = _step_map(self.a, self.c, dt)
         self._chunks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {1: self.step}
         self.gains = np.vstack([_gain(controllers[i]) for i in self.ids])
+        self.times: List[float] = []
+        self.rows: List[np.ndarray] = []  # 2-D stretches check() passed
+        self.pending: List[np.ndarray] = []
 
     def advance(self, state: np.ndarray, steps: int) -> np.ndarray:
         chunk = self._chunks.get(steps)
@@ -269,67 +275,67 @@ class _Segment:
             chunk = self._chunks[steps] = _repeat(self.step, steps)
         return chunk[0] @ state + chunk[1]
 
-    def partial(self, state: np.ndarray, h: float) -> np.ndarray:
-        r, w = _step_map(self.a, self.c, h)
-        return r @ state + w
+    def add(self, t: float, state: np.ndarray):
+        """Record one sample; every CHECK_ROWS samples, return check()."""
+        self.times.append(t)
+        self.pending.append(state)
+        return self.check() if len(self.pending) >= CHECK_ROWS else None
 
-    def u(self, state: np.ndarray) -> np.ndarray:
-        xs = state[:3 * len(self.ids)].reshape(len(self.ids), 3)
-        return np.einsum("ij,ij->i", self.gains, xs)
+    def check(self) -> Optional[Tuple[np.ndarray, DivergedAt]]:
+        """Pass the pending rows, or cut at the first one out of range and
+        return its state and DivergedAt.  A row over DIVERGENCE_LIMIT is
+        kept, a non-finite row is dropped and reported as max_abs = inf."""
+        if not self.pending:
+            return None
+        stretch = np.array(self.pending)
+        self.pending = []
+        peak = np.abs(stretch).max(axis=1)  # NaN where a row holds one
+        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
+        if bad.size == 0:
+            self.rows.append(stretch)
+            return None
+        k = int(bad[0])
+        start = len(self.times) - len(stretch)
+        t, max_abs, keep = self.times[start + k], float(peak[k]), k + 1
+        if not math.isfinite(max_abs):
+            max_abs, keep = math.inf, k
+        self.rows.append(stretch[:keep])
+        del self.times[start + keep:]
+        return stretch[k], DivergedAt(t, max_abs)
 
-    def run(self, state, t0, t1, n_rec, record_dt, block):
-        """Integrate [t0, t1), emitting interior record-grid samples.
-
-        The t1 sample itself is left to the caller (it may follow an
-        event).  Returns (state, t_reached, n_rec, diverged_or_none).
-        """
+    def run(self, state, t0, t1, n_rec, record_dt):
+        """Integrate [t0, t1), recording interior record-grid samples; the
+        t1 sample is left to the caller (it may follow an event).  Returns
+        (state, t_reached, n_rec, diverged_or_none), the cut row's state and
+        time on divergence."""
         tiny = 1e-9 * max(1.0, t1)
         k = 0
         t_cur = t0
-        while True:
-            target = (n_rec + 1) * record_dt
-            if target >= t1 - tiny:
-                break
-            steps = int(math.floor((target - t_cur) / self.dt + 1e-6))
-            if steps > 0:
-                state = self.advance(state, steps)
-                k += steps
-                t_cur = t0 + k * self.dt
-            n_rec += 1
-            if steps > 0 or not block.times or block.times[-1] != t_cur:
-                max_abs = block.add(t_cur, state, self)
-                if max_abs > DIVERGENCE_LIMIT:
-                    return state, t_cur, n_rec, DivergedAt(t_cur, max_abs)
-        steps = int(math.floor((t1 - t_cur) / self.dt + 1e-6))
-        if steps > 0:
-            state = self.advance(state, steps)
-            k += steps
-            t_cur = t0 + k * self.dt
-        h = t1 - t_cur
-        if h > 1e-9 * self.dt:
-            state = self.partial(state, h)
+        cut = None
+        # a runaway may overflow between two checks; the cut drops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            while cut is None:
+                target = (n_rec + 1) * record_dt
+                last = target >= t1 - tiny
+                steps = int(math.floor(((t1 if last else target) - t_cur)
+                                       / self.dt + 1e-6))
+                if steps > 0:
+                    state = self.advance(state, steps)
+                    k += steps
+                    t_cur = t0 + k * self.dt
+                if last:
+                    break
+                n_rec += 1
+                if steps > 0 or not self.times or self.times[-1] != t_cur:
+                    cut = self.add(t_cur, state)
+            cut = cut or self.check()
+            if cut is not None:
+                return cut[0], cut[1].t, n_rec, cut[1]
+            h = t1 - t_cur
+            if h > 1e-9 * self.dt:
+                r, w = _step_map(self.a, self.c, h)
+                state = r @ state + w
         return state, t1, n_rec, None
-
-
-class _Block:
-    """Samples over a stretch with fixed DGU membership and line set."""
-
-    __slots__ = ("ids", "line_keys", "times", "states", "us")
-
-    def __init__(self, top: MicrogridTopology, line_model: str):
-        self.ids = top.ids
-        self.line_keys = tuple(ln.key for ln in top.lines) if line_model == RL else ()
-        self.times: List[float] = []
-        self.states: List[np.ndarray] = []
-        self.us: List[np.ndarray] = []
-
-    def add(self, t: float, state: np.ndarray, seg: _Segment) -> float:
-        if not np.all(np.isfinite(state)):
-            return math.inf  # caller aborts; non-finite rows are not kept
-        self.times.append(t)
-        self.states.append(state.copy())
-        self.us.append(seg.u(state))
-        return float(np.abs(state).max())
 
 
 def steady_state(topology: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -503,23 +509,21 @@ def simulate(scenario: Scenario,
             raise ValueError("initial state must be finite")
 
     records: List[EventRecord] = []
-    blocks: List[_Block] = []
     diverged: Optional[DivergedAt] = None
     pending = list(scenario.events)
     n_rec = 0
     t_cursor = 0.0
 
     seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
-    block = _Block(top, scenario.line_model)
-    blocks.append(block)
-    max_abs = block.add(0.0, state, seg)
-    if max_abs > DIVERGENCE_LIMIT:
-        diverged = DivergedAt(0.0, max_abs)
+    segments = [seg]
+    cut = seg.add(0.0, state) or seg.check()
+    if cut is not None:
+        state, diverged = cut
 
     while diverged is None and t_cursor < scenario.t_end:
         t_next = pending[0].t if pending else scenario.t_end
         state, t_cursor, n_rec, diverged = seg.run(
-            state, t_cursor, t_next, n_rec, scenario.record_dt, block)
+            state, t_cursor, t_next, n_rec, scenario.record_dt)
         if diverged is not None:
             break
         fired = []
@@ -534,43 +538,37 @@ def simulate(scenario: Scenario,
             changed = changed or one
         if changed:
             seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
-            block = _Block(top, scenario.line_model)
-            blocks.append(block)
-        max_abs = block.add(t_cursor, state, seg)
-        if max_abs > DIVERGENCE_LIMIT:
-            diverged = DivergedAt(t_cursor, max_abs)
+            segments.append(seg)
+        cut = seg.add(t_cursor, state) or seg.check()
+        if cut is not None:
+            state, diverged = cut
         # the boundary sample consumes any record slot it lands on
         n_rec = max(n_rec, int(math.floor(t_cursor / scenario.record_dt + 1e-6)))
 
-    return _assemble(blocks, records, top, state, diverged)
+    return _assemble(segments, records, top, state, diverged)
 
 
-def _assemble(blocks, records, top, state, diverged) -> Trajectory:
-    all_ids = sorted({i for b in blocks for i in b.ids})
-    all_lines = sorted({k for b in blocks for k in b.line_keys})
-    total = sum(len(b.times) for b in blocks)
+def _assemble(segments, records, top, state, diverged) -> Trajectory:
+    all_ids = sorted({i for seg in segments for i in seg.ids})
+    all_lines = sorted({k for seg in segments for k in seg.line_keys})
+    total = sum(len(seg.times) for seg in segments)
     times = np.empty(total)
     series = {i: np.full((total, 4), np.nan) for i in all_ids}
     line_series = {key: np.full(total, np.nan) for key in all_lines}
     pos = 0
-    for b in blocks:
-        m = len(b.times)
-        if m == 0:
-            continue
-        times[pos:pos + m] = b.times
-        states = np.vstack(b.states)
-        us = np.vstack(b.us)
-        for col, dgu_id in enumerate(b.ids):
+    for seg in segments:
+        m = len(seg.times)
+        times[pos:pos + m] = seg.times
+        states = np.concatenate(seg.rows)
+        n = len(seg.ids)
+        us = np.einsum("ij,tij->ti", seg.gains, states[:, :3 * n].reshape(m, n, 3))
+        for col, dgu_id in enumerate(seg.ids):
             series[dgu_id][pos:pos + m, 0:3] = states[:, 3 * col:3 * col + 3]
             series[dgu_id][pos:pos + m, 3] = us[:, col]
-        base = 3 * len(b.ids)
-        for col, key in enumerate(b.line_keys):
-            line_series[key][pos:pos + m] = states[:, base + col]
+        for col, key in enumerate(seg.line_keys):
+            line_series[key][pos:pos + m] = states[:, 3 * n + col]
         pos += m
-    times.setflags(write=False)
-    for arr in series.values():
-        arr.setflags(write=False)
-    for arr in line_series.values():
+    for arr in (times, *series.values(), *line_series.values()):
         arr.setflags(write=False)
     return Trajectory(times, tuple(all_ids), series, line_series,
                       tuple(records), top, state.copy(), diverged)
@@ -578,15 +576,15 @@ def _assemble(blocks, records, top, state, diverged) -> Trajectory:
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,dgu<i>.V,dgu<i>.It,dgu<i>.v,dgu<i>.u,...` in id order."""
+    table = np.column_stack([traj.times] + [traj.series[i] for i in traj.ids])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"dgu{i}.{col}" for i in traj.ids
-                                 for col in Trajectory.COLUMNS])
-        for k in range(len(traj.times)):
-            row = [repr(float(traj.times[k]))]
-            for i in traj.ids:
-                row.extend(repr(float(x)) for x in traj.series[i][k])
-            writer.writerow(row)
+        # csv.writer's lines (repr() cells, CRLF ends), a few thousand rows
+        # at a time: tolist() of the whole table would hold every cell at once
+        fh.write(",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
+                                   for col in Trajectory.COLUMNS]) + "\r\n")
+        for start in range(0, len(table), 4096):
+            fh.write("".join([",".join(map(repr, row)) + "\r\n"
+                              for row in table[start:start + 4096].tolist()]))
 
 
 def event_log_lines(traj: Trajectory) -> List[str]:

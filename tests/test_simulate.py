@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from scipy.linalg import block_diag
 from gridforge.model import (DguParams, LineParams, LoadModel,
                              MicrogridTopology, TopologyError)
 from gridforge.simulate import (QSL, RL, DivergedAt, LoadStep, PlugIn,
-                                RefStep, Scenario, Unplug, _build_ode,
-                                _remap_state, attempt_plug_in,
+                                RefStep, Scenario, Trajectory, Unplug,
+                                _build_ode, _remap_state, attempt_plug_in,
                                 attempt_unplug, event_log_lines, simulate,
                                 steady_state, trajectory_to_csv)
 from gridforge.synthesis import Denied, SynthesisConfig, synthesize_all
@@ -254,16 +256,50 @@ class TestIntegratorQuality:
         bound = 1e-8 * np.einsum("ki,ki->k", x, x)[:-1]
         assert np.all(dv <= bound + 1e-18)
 
-    def test_divergence_reported_not_raised(self, pair):
-        top, _ = pair
-        runaway = {1: np.array([5000.0, 50.0, 1.0]),
-                   2: np.array([5000.0, 50.0, 1.0])}
-        tr = simulate(Scenario(top, 10.0, t_end=0.5), controllers=runaway,
-                      initial_state=np.array([47.9, 4.8, 0.0, 48.06, 8.0, 0.0]))
+    @staticmethod
+    def run_warning_free(top, gain):
+        # a divergence check that overflows would raise here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return simulate(
+                Scenario(top, 10.0, t_end=0.5),
+                controllers={1: np.array(gain), 2: np.array(gain)},
+                initial_state=np.array([47.9, 4.8, 0.0, 48.06, 8.0, 0.0]))
+
+    @staticmethod
+    def assert_cut_at(tr, samples, t, max_abs):
         assert isinstance(tr.diverged, DivergedAt)
-        assert tr.times[-1] <= tr.diverged.t
+        # the first sample over the limit is kept and ends the run
+        assert len(tr.times) == samples
+        assert tr.times[-1] == tr.diverged.t == t
+        assert tr.diverged.max_abs == max_abs
+        np.testing.assert_array_equal(
+            tr.final_state, np.concatenate([tr.series[i][-1, :3]
+                                            for i in (1, 2)]))
         for i in (1, 2):
             assert np.isfinite(tr.series[i]).all()
+
+    def test_divergence_reported_not_raised(self, pair):
+        top, _ = pair
+        tr = self.run_warning_free(top, (5000.0, 50.0, 1.0))
+        self.assert_cut_at(tr, 4, 0.00030000000000000003, 24461295890.194813)
+
+    def test_slow_runaway_cut_past_first_check(self, pair):
+        top, _ = pair
+        # 1,103 samples: the cut falls past the first CHECK_ROWS stretch
+        tr = self.run_warning_free(top, (1.2, 0.0, 1.0))
+        self.assert_cut_at(tr, 1103, 0.1102, 1010926296.3619192)
+
+    def test_non_finite_sample_dropped(self, pair):
+        top, _ = pair
+        # NaN gains give NaN states without a floating-point warning
+        tr = self.run_warning_free(top, (math.nan, 0.0, 1.0))
+        assert tr.diverged == DivergedAt(0.0001, math.inf)
+        assert tr.times.tolist() == [0.0]
+        assert not np.isfinite(tr.final_state).any()
+        assert event_log_lines(tr)[-1] == json.dumps(
+            {"t": 0.0001, "event": "divergence",
+             "outcome": "|state| reached inf"})
 
 
 class TestLineModels:
@@ -286,13 +322,30 @@ class TestLineModels:
             assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a)
 
 
+def csv_writer_reference(traj, path):
+    """trajectory_to_csv as a csv.writer loop over numpy scalars."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"dgu{i}.{col}" for i in traj.ids
+                                 for col in Trajectory.COLUMNS])
+        for k in range(len(traj.times)):
+            row = [repr(float(traj.times[k]))]
+            for i in traj.ids:
+                row.extend(repr(float(x)) for x in traj.series[i][k])
+            writer.writerow(row)
+
+
+def run_with_plug_in(pair, t_end, line_model=QSL):
+    top, ctrls = pair
+    newcomer = dgu(0.3, 2.0e-3, 2.2e-3, 47.95, 4.0)
+    ev = (PlugIn(0.05, 3, newcomer, (LineParams(3, 2, 0.06, 2.3e-6),)),)
+    return simulate(Scenario(top, 10.0, events=ev, t_end=t_end,
+                             line_model=line_model), controllers=ctrls)
+
+
 class TestArtifacts:
     def test_csv_layout(self, pair, tmp_path):
-        top, ctrls = pair
-        newcomer = dgu(0.3, 2.0e-3, 2.2e-3, 47.95, 4.0)
-        ev = (PlugIn(0.05, 3, newcomer, (LineParams(3, 2, 0.06, 2.3e-6),)),)
-        tr = simulate(Scenario(top, 10.0, events=ev, t_end=0.1),
-                      controllers=ctrls)
+        tr = run_with_plug_in(pair, 0.1)
         path = tmp_path / "run.csv"
         trajectory_to_csv(tr, path)
         with open(path, newline="") as fh:
@@ -302,6 +355,23 @@ class TestArtifacts:
         assert len(rows) - 1 == len(tr.times)
         assert rows[1][9] == "nan"  # DGU 3 absent at t = 0
         assert float(rows[-1][1]) == tr.series[1][-1, 0]
+
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_csv_bytes_match_csv_writer(self, pair, tmp_path, line_model):
+        # 5,001 rows: more than one block of 4,096 rows per write
+        tr = run_with_plug_in(pair, 0.5, line_model)
+        trajectory_to_csv(tr, tmp_path / "run.csv")
+        csv_writer_reference(tr, tmp_path / "reference.csv")
+        written = (tmp_path / "run.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        rows = written.decode().split("\r\n")
+        assert rows[-1] == ""
+        cells = np.array([[float(c) for c in row.split(",")]
+                          for row in rows[1:-1]])
+        table = np.column_stack([tr.times] + [tr.series[i] for i in tr.ids])
+        # every cell reads back bit for bit, NaN and signed zeros included
+        assert cells.shape == table.shape
+        assert cells.tobytes() == table.tobytes()
 
     def test_event_log_is_json_lines(self, pair):
         top, ctrls = pair
