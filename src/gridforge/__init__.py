@@ -12,7 +12,8 @@ from .simulate import (LoadStep, PlugIn, RefStep, Scenario, Unplug,
                        simulate)
 from .sweep import SweepGrid, run_sweep
 from .synthesis import (Denied, LocalController, NumericalFailure,
-                        SynthesisConfig, synthesize, synthesize_all)
+                        SynthesisConfig, synthesize, synthesize_all,
+                        synthesize_batch)
 
 __version__ = "0.1.0"
 
@@ -20,7 +21,7 @@ __all__ = [
     "DguParams", "LineParams", "LoadModel", "MicrogridTopology",
     "assemble_global", "augmented_dgu",
     "SynthesisConfig", "LocalController", "Denied", "NumericalFailure",
-    "synthesize", "synthesize_all",
+    "synthesize", "synthesize_all", "synthesize_batch",
     "check_global", "check_theorem1",
     "Scenario", "PlugIn", "Unplug", "LoadStep", "RefStep", "simulate",
     "SweepGrid", "run_sweep",

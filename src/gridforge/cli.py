@@ -220,6 +220,9 @@ def controller_from_json(entry: Mapping,
     raw = {"gamma": np.asarray(diag.get("gamma", [0.0, 0.0, 0.0])),
            "beta": float(diag.get("beta", 0.0)),
            "zeta": float(diag.get("zeta", 0.0))}
+    # bundles written before the solver diagnostics existed have none
+    if "solver" in diag:
+        raw["solver"] = dict(diag["solver"])
     hat = augmented_dgu(params)
     f = hat.a_hat_ii + np.outer(hat.b_hat[:, 0], k)
     return LocalController(k, p, eta, raw, delta, f.T @ p + p @ f)

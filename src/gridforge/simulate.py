@@ -44,6 +44,8 @@ def _gain(controller: Gain) -> np.ndarray:
     k = np.asarray(getattr(controller, "k", controller), dtype=float)
     if k.shape != (3,):
         raise ValueError("a controller must provide a 3-entry gain row")
+    if not np.all(np.isfinite(k)):
+        raise ValueError("a controller gain must be finite")
     return k
 
 

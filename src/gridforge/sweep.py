@@ -26,6 +26,7 @@ from .synthesis import (
     NumericalFailure,
     SynthesisConfig,
     synthesize,
+    synthesize_batch,
 )
 
 FEASIBLE = "Feasible"
@@ -115,16 +116,20 @@ class SweepResult:
         return tuple(pt for pt in self.points if pt.status == FEASIBLE)
 
 
-def _solve_point(r_t: float, l_t: float, c_t: float,
-                 cfg: SynthesisConfig) -> SweepPoint:
+def _unit(r_t: float, l_t: float, c_t: float):
+    """(augmented model, parameters) of a grid point, or its row when the
+    point is not a valid converter."""
     try:
         params = DguParams(r_t, l_t, c_t, _SWEEP_LOAD, _SWEEP_VREF)
     except ValueError as exc:
         return SweepPoint(r_t, l_t, c_t, INVALID, detail=str(exc))
-    try:
-        outcome = synthesize(augmented_dgu(params), params, cfg)
-    except NumericalFailure as exc:
-        return SweepPoint(r_t, l_t, c_t, FAILED, detail=str(exc))
+    return augmented_dgu(params), params
+
+
+def _row(r_t: float, l_t: float, c_t: float, outcome) -> SweepPoint:
+    """The table row of one synthesis outcome."""
+    if isinstance(outcome, NumericalFailure):
+        return SweepPoint(r_t, l_t, c_t, FAILED, detail=str(outcome))
     if isinstance(outcome, Denied):
         return SweepPoint(r_t, l_t, c_t, DENIED, detail=outcome.reason)
     report = check_local_structure(outcome)
@@ -138,17 +143,36 @@ def _solve_point(r_t: float, l_t: float, c_t: float,
                       controller=outcome)
 
 
+def _solve_point(r_t: float, l_t: float, c_t: float,
+                 cfg: SynthesisConfig) -> SweepPoint:
+    """One point on its own: the row `run_sweep` gives it in any batch."""
+    unit = _unit(r_t, l_t, c_t)
+    if isinstance(unit, SweepPoint):
+        return unit
+    try:
+        outcome = synthesize(*unit, cfg)
+    except NumericalFailure as exc:
+        outcome = exc
+    return _row(r_t, l_t, c_t, outcome)
+
+
 def run_sweep(grid: SweepGrid = GREEN_BOX, sigma_bar: float = 10.0,
               alphas: Tuple[float, ...] = DEFAULT_ALPHAS) -> SweepResult:
     """Synthesize over every grid point and tabulate the outcomes.
 
     The table is deterministic and follows the r_t-major, c_t-minor
-    product of the axes.
+    product of the axes.  All valid points are synthesized as one batch,
+    with the same rows as point-by-point synthesis.
     """
     cfg = SynthesisConfig(sigma_bar=sigma_bar, alphas=tuple(alphas))
-    coords = itertools.product(*(ax.tolist() for ax in grid.axes()))
-    table = tuple(_solve_point(*coord, cfg) for coord in coords)
-    return SweepResult(grid, float(sigma_bar), tuple(alphas), table)
+    coords = list(itertools.product(*(ax.tolist() for ax in grid.axes())))
+    table = [_unit(*coord) for coord in coords]
+    valid = [i for i, unit in enumerate(table)
+             if not isinstance(unit, SweepPoint)]
+    outcomes = synthesize_batch([table[i] for i in valid], cfg)
+    for i, outcome in zip(valid, outcomes):
+        table[i] = _row(*coords[i], outcome)
+    return SweepResult(grid, float(sigma_bar), tuple(alphas), tuple(table))
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -13,7 +13,7 @@ happens to be attached to, which is what makes plug-in decisions local.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .lmi import (
     LmiBlock,
     LmiProgram,
     LmiSolution,
-    solve,
+    solve,  # noqa: F401  (one program, one LmiSolution; kept importable)
+    solve_batch,
     sym_eig,
 )
 from .model import AugmentedDgu, DguParams, MicrogridTopology, augmented_dgu
@@ -33,6 +34,14 @@ from .model import AugmentedDgu, DguParams, MicrogridTopology, augmented_dgu
 DEFAULT_ALPHAS = (1e-4, 1e-4, 1e-4, 1e-2, 1e-2)
 
 NOT_APPLICABLE = "NotApplicable"
+
+# Units solved in one lockstep batch.  A stacked step costs about 1 ms
+# plus 0.05 ms per unit, so past a few dozen units a wider batch saves
+# little time, while its stacks, temporaries and iteration logs keep
+# growing with it.  On the 125-point green box (one BLAS thread), batches
+# of 32 took 4.0 s against 2.9 s for one batch of 125, and raised peak
+# memory about 1 MB above unit-by-unit solves, against about 5 MB.
+_LOCKSTEP_UNITS = 32
 
 # variable layout of the assembled program
 _VAR_NAMES = ("y22", "y23", "y33", "g1", "g2", "g3",
@@ -246,21 +255,14 @@ def _verify_invariants(k, p, q, delta, raw, eta) -> Optional[str]:
     return None
 
 
-def synthesize(dgu: AugmentedDgu, params: DguParams,
-               cfg: SynthesisConfig) -> Union[LocalController, Denied]:
-    """Solve the local program and extract a verified controller.
-
-    Returns Denied when the program is infeasible or the resulting k3 is
-    numerically zero (relative to the gain); raises NumericalFailure when
-    the solver breaks down or the extracted controller fails any invariant
-    recheck.
-    """
-    program = assemble_problem(dgu, params, cfg)
-    sol = solve(program)
+def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
+            cfg: SynthesisConfig,
+            ) -> Union[LocalController, Denied, NumericalFailure]:
+    """The verdict on one unit from its solver result."""
     if sol.status == INFEASIBLE:
         return Denied("local LMI infeasible")
     if sol.status == NUMERICAL_FAILURE:
-        raise NumericalFailure("LMI solver did not converge")
+        return NumericalFailure("LMI solver did not converge")
     k, p, raw = _extract(sol, params, cfg)
     if abs(k[2]) <= 1e-9 * np.linalg.norm(k):
         return Denied("k3 is numerically zero; re-weight the objective "
@@ -271,20 +273,68 @@ def synthesize(dgu: AugmentedDgu, params: DguParams,
     eta = cfg.sigma_bar * params.c_t
     problem = _verify_invariants(k, p, q, delta, raw, eta)
     if problem is not None:
-        raise NumericalFailure(f"extracted controller invalid: {problem}")
+        return NumericalFailure(f"extracted controller invalid: {problem}")
+    phases = [it.phase for it in sol.iterations]
+    raw["solver"] = {"status": sol.status,
+                     "iterations_phase1": phases.count(1),
+                     "iterations_phase2": phases.count(2)}
     return LocalController(k, p, eta, raw, float(delta), q)
+
+
+def synthesize_batch(units: Sequence[Tuple[AugmentedDgu, DguParams]],
+                     cfg: SynthesisConfig,
+                     ) -> List[Union[LocalController, Denied,
+                                     NumericalFailure]]:
+    """Solve the local programs of many units at once, one verdict each.
+
+    The programs go to the solver in batches of up to 32 units, each run
+    in lockstep and decided before the next is assembled; each unit's
+    verdict is the one `synthesize` gives it alone.  A breakdown is
+    returned as its NumericalFailure, not raised, and does not touch the
+    other units.
+    """
+    units = list(units)
+    verdicts: list = []
+    for start in range(0, len(units), _LOCKSTEP_UNITS):
+        batch = units[start:start + _LOCKSTEP_UNITS]
+        # a generator: each program is let go once the solver has read it
+        sols = solve_batch(assemble_problem(dgu, params, cfg)
+                           for dgu, params in batch)
+        verdicts += [_decide(sol, dgu, params, cfg)
+                     for (dgu, params), sol in zip(batch, sols)]
+    return verdicts
+
+
+def synthesize(dgu: AugmentedDgu, params: DguParams,
+               cfg: SynthesisConfig) -> Union[LocalController, Denied]:
+    """Solve the local program and extract a verified controller.
+
+    Returns Denied when the program is infeasible or the resulting k3 is
+    numerically zero (relative to the gain); raises NumericalFailure when
+    the solver breaks down or the extracted controller fails any invariant
+    recheck.
+    """
+    (outcome,) = synthesize_batch([(dgu, params)], cfg)
+    if isinstance(outcome, NumericalFailure):
+        raise outcome
+    return outcome
 
 
 def synthesize_all(topology: MicrogridTopology, cfg: SynthesisConfig,
                    ) -> Dict[int, Union[LocalController, Denied]]:
-    """Per-DGU synthesis over a topology, keyed by DGU id.
+    """Per-DGU synthesis over a topology, keyed by DGU id, in one batch.
 
     Synthesis only reads each DGU's own parameters, so the map is pure and
-    order-independent.
+    order-independent.  Raises the NumericalFailure of the first unit, in
+    id order, that broke down.
     """
     dgus = topology.dgus
-    return {i: synthesize(augmented_dgu(dgus[i]), dgus[i], cfg)
-            for i in topology.ids}
+    outcomes = synthesize_batch([(augmented_dgu(dgus[i]), dgus[i])
+                                 for i in topology.ids], cfg)
+    for outcome in outcomes:
+        if isinstance(outcome, NumericalFailure):
+            raise outcome
+    return dict(zip(topology.ids, outcomes))
 
 
 def verify_k1_identity(ctrl: LocalController, params: DguParams,
@@ -303,7 +353,7 @@ def verify_k1_identity(ctrl: LocalController, params: DguParams,
 
 def controller_to_json(dgu_id: int, ctrl: LocalController,
                        cfg: SynthesisConfig) -> dict:
-    return {
+    doc = {
         "dgu_id": dgu_id,
         "K": ctrl.k.tolist(),
         "P": ctrl.p.tolist(),
@@ -318,3 +368,6 @@ def controller_to_json(dgu_id: int, ctrl: LocalController,
             "gain_norm_bound": ctrl.norm_bound(),
         },
     }
+    if "solver" in ctrl.raw:
+        doc["diagnostics"]["solver"] = dict(ctrl.raw["solver"])
+    return doc

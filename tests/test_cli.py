@@ -104,6 +104,15 @@ class TestSynth:
             assert key in entry
         assert len(entry["K"]) == 3 and len(entry["P"]) == 3
 
+    def test_bundle_carries_solver_diagnostics(self, bundle_file):
+        _, bundle = bundle_file
+        for entry in json.loads(open(bundle).read())["controllers"]:
+            solver = entry["diagnostics"]["solver"]
+            assert set(solver) == {"status", "iterations_phase1",
+                                   "iterations_phase2"}
+            assert solver["status"] in ("Optimal", "Feasible")
+            assert solver["iterations_phase1"] > 0
+
     def test_denied_dgu_exits_two_and_names_it(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SMALL))
         payload["dgus"][0]["c_t"] = 1e6
@@ -166,6 +175,23 @@ class TestCertify:
         line = capsys.readouterr().out.strip()
         assert line.startswith("theorem1: fail, abscissa ≈ ")
         assert float(line.rsplit(" ", 1)[-1]) == pytest.approx(17.5, abs=0.1)
+
+    def test_bundle_with_or_without_solver_diagnostics(self, bundle_file,
+                                                        tmp_path, capsys):
+        scenario, bundle = bundle_file
+        payload = json.loads(open(bundle).read())
+        top = cli.load_scenario(scenario).initial_topology
+        _, with_solver = cli.load_bundle(bundle, top)
+        for entry in payload["controllers"]:
+            del entry["diagnostics"]["solver"]
+        path = write_json(tmp_path / "older.json", payload)
+        _, without = cli.load_bundle(path, top)
+        for dgu_id, ctrl in with_solver.items():
+            assert "solver" in ctrl.raw and "solver" not in without[dgu_id].raw
+            assert (ctrl.k == without[dgu_id].k).all()
+        assert cli.main(["certify", scenario, path,
+                         "--out", str(tmp_path / "cert.json")]) == 0
+        assert capsys.readouterr().out.strip() == "theorem1: pass"
 
     def test_incomplete_bundle_is_hard_error(self, bundle_file, tmp_path,
                                              capsys):

@@ -7,10 +7,15 @@ from gridforge.lmi import (
     LmiBlock,
     LmiProgram,
     SolverOptions,
+    _Barrier,
+    _Run,
     general_eig,
     solve,
+    solve_batch,
     sym_eig,
 )
+from gridforge.model import DguParams, LoadModel, augmented_dgu
+from gridforge.synthesis import SynthesisConfig, assemble_problem
 
 
 def scalar_block(constant, coeff, **kw):
@@ -210,3 +215,87 @@ class TestSolverInvariants:
         prog = self.prog()
         sol = solve(prog)
         assert sol.objective_value == pytest.approx(sol.x[0] * 1.0)
+
+
+def synthesis_program(r_t, l_t, c_t):
+    params = DguParams(r_t, l_t, c_t, LoadModel.constant_current(0.0), 48.0)
+    return assemble_problem(augmented_dgu(params), params,
+                            SynthesisConfig(10.0))
+
+
+class TestSolveBatch:
+    # (r_t, l_t, c_t) -> status: four green-box points, a refusal and the
+    # two breakdowns of the 27-point box, at sigma_bar = 10
+    POINTS = {
+        (0.05, 1e-3, 1e-3): "Feasible",
+        (1.0, 1e-2, 5e-3): "Feasible",
+        (0.525, 5.5e-3, 3e-3): "Feasible",
+        (0.2875, 3.25e-3, 4e-3): "Feasible",
+        (0.05, 1e-3, 1e-6): "Infeasible",
+        (0.05, 1e-3, 5.5e-6): "NumericalFailure",
+        (0.05, 1e-3, 1e-5): "NumericalFailure",
+    }
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        # two programs of other barrier shapes, between the synthesis ones,
+        # so the batch splits into three groups
+        progs = [synthesis_program(*p) for p in self.POINTS]
+        progs.insert(2, TestSolverInvariants().prog())
+        coeff_x = np.array([[1.0, 0.0], [0.0, 0.0]])
+        coeff_y = np.array([[0.0, 0.0], [0.0, 1.0]])
+        progs.insert(5, LmiProgram(2, [1.0, 1.0], (LmiBlock(
+            np.array([[0.0, 1.0], [1.0, 0.0]]), (coeff_x, coeff_y)),)))
+        return progs
+
+    def test_mixed_batch_equals_single_solves(self, programs):
+        batch = solve_batch(programs)
+        assert len(batch) == len(programs)
+        for prog, got in zip(programs, batch):
+            want = solve(prog)
+            assert got.status == want.status
+            assert got.objective_value == want.objective_value
+            assert got.iterations == want.iterations
+            for name in ("x", "margins"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.tobytes() == b.tobytes()
+        statuses = [sol.status for sol in batch]
+        del statuses[5], statuses[2]
+        assert statuses == list(self.POINTS.values())
+        assert batch[2].status == batch[5].status == "Optimal"
+
+    def test_breakdowns_end_only_their_own_program(self, programs):
+        # without the breakdown points the other results are unchanged
+        kept = [p for i, p in enumerate(programs) if i not in (7, 8)]
+        whole = solve_batch(programs)
+        part = solve_batch(kept)
+        assert [whole[i].iterations for i in range(len(programs))
+                if i not in (7, 8)] == [s.iterations for s in part]
+        assert whole[7].status == whole[8].status == "NumericalFailure"
+        assert whole[7].x is None and whole[7].iterations
+
+    def test_empty_batch(self):
+        assert solve_batch([]) == []
+
+    def test_non_pd_member_rejects_only_its_candidate(self):
+        # [[a, x], [x, b]] > 0 holds for x = 0.5 in every member, and
+        # fails for x = 2 in the middle one
+        progs = [LmiProgram(1, [1.0], (LmiBlock(
+            np.diag(d), (np.array([[0.0, 1.0], [1.0, 0.0]]),)),))
+            for d in ([1.0, 1.0], [2.0, 1.0], [1.0, 3.0])]
+        runs = [_Run(p, SolverOptions()) for p in progs]
+        barrier = _Barrier(3, (run.barrier_data(2) for run in runs))
+        rows = np.arange(3)
+        x = np.array([[0.5], [2.0], [0.5]])
+        ok, (ls, s) = barrier.factor(rows, x)
+        assert ok.tolist() == [True, False, True]
+        for i in (0, 2):
+            one_ok, (one_ls, _) = barrier.factor(rows[i:i + 1], x[i:i + 1])
+            assert one_ok.tolist() == [True]
+            assert ls[0][i].tobytes() == one_ls[0][0].tobytes()
+            cone = runs[i].cones[0]
+            np.testing.assert_allclose(ls[0][i] @ ls[0][i].T,
+                                       cone.c_shifted + 0.5 * cone.f[0],
+                                       rtol=1e-12)

@@ -292,14 +292,21 @@ class TestIntegratorQuality:
 
     def test_non_finite_sample_dropped(self, pair):
         top, _ = pair
-        # NaN gains give NaN states without a floating-point warning
-        tr = self.run_warning_free(top, (math.nan, 0.0, 1.0))
+        # a finite gain of 1e30 overflows the ten-step map to inf and NaN
+        # within the first record interval, without a floating-point warning
+        tr = self.run_warning_free(top, (1e30, 0.0, 1.0))
         assert tr.diverged == DivergedAt(0.0001, math.inf)
         assert tr.times.tolist() == [0.0]
         assert not np.isfinite(tr.final_state).any()
         assert event_log_lines(tr)[-1] == json.dumps(
             {"t": 0.0001, "event": "divergence",
              "outcome": "|state| reached inf"})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected(self, pair, bad):
+        top, _ = pair
+        with pytest.raises(ValueError, match="gain must be finite"):
+            self.run_warning_free(top, (bad, 0.0, 1.0))
 
 
 class TestLineModels:

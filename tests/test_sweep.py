@@ -72,7 +72,7 @@ class TestRunSweep:
         again = run_sweep(SMALL)
         assert again.points == small_result.points
 
-    def test_threaded_run_matches_serial(self, small_result):
+    def test_batched_run_matches_serial(self, small_result):
         # the batch table equals point-by-point solves in product order
         cfg = SynthesisConfig(sigma_bar=10.0)
         coords = itertools.product(*(ax.tolist() for ax in SMALL.axes()))
@@ -101,20 +101,30 @@ class TestRunSweep:
             "total": 1, "feasible": 0, "infeasible": 1, "failures": 0}
 
     def test_solver_breakdown_is_a_row_not_an_abort(self, monkeypatch):
-        real = sw.synthesize
+        real = sw.synthesize_batch
         bad = SMALL.axes()[0][0]
 
-        def flaky(dgu, params, cfg):
-            if params.r_t == bad:
-                raise NumericalFailure("injected")
-            return real(dgu, params, cfg)
+        def flaky(units, cfg):
+            return [NumericalFailure("injected") if params.r_t == bad
+                    else outcome for (_, params), outcome
+                    in zip(units, real(units, cfg))]
 
-        monkeypatch.setattr(sw, "synthesize", flaky)
+        monkeypatch.setattr(sw, "synthesize_batch", flaky)
         res = run_sweep(SMALL)
         failed = [p for p in res.points if p.status == sw.FAILED]
         assert len(failed) == 4
         assert all(p.detail == "injected" for p in failed)
         assert res.summary()["feasible"] == 4
+
+    def test_solver_status_and_iterations_pinned(self, small_result):
+        # every SMALL point spends the whole 400-iteration budget and ends
+        # Feasible, split between the phases as below
+        phases = [(100, 300), (101, 299), (99, 301), (100, 300),
+                  (100, 300), (100, 300), (99, 301), (100, 300)]
+        got = [pt.controller.raw["solver"] for pt in small_result.points]
+        assert [g["status"] for g in got] == ["Feasible"] * 8
+        assert [(g["iterations_phase1"], g["iterations_phase2"])
+                for g in got] == phases
 
 
 class TestArtifacts:

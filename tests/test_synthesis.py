@@ -20,6 +20,7 @@ from gridforge.synthesis import (
     controller_to_json,
     synthesize,
     synthesize_all,
+    synthesize_batch,
     verify_k1_identity,
 )
 
@@ -138,7 +139,8 @@ class TestSynthesize:
         # a solution crafted so g·Y^-1 has zero third entry trips the gate
         x = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 4.0, 10.0])
         fake = LmiSolution("Optimal", x, 0.0, np.ones(8))
-        monkeypatch.setattr(synth, "solve", lambda prog: fake)
+        monkeypatch.setattr(synth, "solve_batch",
+                            lambda progs: [fake for _ in progs])
         p = dgu()
         out = synthesize(augmented_dgu(p), p, CFG)
         assert isinstance(out, Denied)
@@ -146,10 +148,63 @@ class TestSynthesize:
 
     def test_solver_breakdown_raises(self, monkeypatch):
         fake = LmiSolution("NumericalFailure", None, None, None)
-        monkeypatch.setattr(synth, "solve", lambda prog: fake)
+        monkeypatch.setattr(synth, "solve_batch",
+                            lambda progs: [fake for _ in progs])
         p = dgu()
         with pytest.raises(NumericalFailure):
             synthesize(augmented_dgu(p), p, CFG)
+
+    def test_solver_diagnostics_in_raw(self, table_controller):
+        _, ctrl = table_controller
+        solver = ctrl.raw["solver"]
+        assert solver["status"] in ("Optimal", "Feasible")
+        assert solver["iterations_phase1"] > 0
+        assert solver["iterations_phase2"] >= 0
+        assert (solver["iterations_phase1"] + solver["iterations_phase2"]
+                <= SolverOptions().max_iter)
+
+
+class TestSynthesizeBatch:
+    def test_breakdown_is_returned_for_its_unit_only(self, monkeypatch):
+        real = synth.solve_batch
+        units = [(augmented_dgu(p), p) for p in (dgu(0.1), dgu(0.3))]
+        whole = synthesize_batch(units, CFG)
+
+        def second_breaks(progs):
+            sols = real(progs)
+            return sols[:1] + [LmiSolution("NumericalFailure", None, None,
+                                           None)]
+
+        monkeypatch.setattr(synth, "solve_batch", second_breaks)
+        first, second = synthesize_batch(units, CFG)
+        assert isinstance(second, NumericalFailure)
+        np.testing.assert_array_equal(first.k, whole[0].k)
+        np.testing.assert_array_equal(first.p, whole[0].p)
+
+    def test_lockstep_batches_change_no_verdict(self, monkeypatch):
+        units = [(augmented_dgu(p), p)
+                 for p in (dgu(0.1 + 0.1 * i) for i in range(5))]
+        whole = synthesize_batch(units, CFG)
+        monkeypatch.setattr(synth, "_LOCKSTEP_UNITS", 2)
+        split = synthesize_batch(units, CFG)
+        for a, b in zip(whole, split):
+            np.testing.assert_array_equal(a.k, b.k)
+            np.testing.assert_array_equal(a.p, b.p)
+            assert a.raw["solver"] == b.raw["solver"]
+
+    def test_verdicts_follow_unit_order(self):
+        units = [(augmented_dgu(p), p) for p in (dgu(c_t=1e6), dgu())]
+        denied, granted = synthesize_batch(units, CFG)
+        assert isinstance(denied, Denied)
+        assert isinstance(granted, LocalController)
+        assert synthesize_batch([], CFG) == []
+
+    def test_synthesize_all_raises_first_breakdown(self, monkeypatch):
+        fake = LmiSolution("NumericalFailure", None, None, None)
+        monkeypatch.setattr(synth, "solve_batch",
+                            lambda progs: [fake for _ in progs])
+        with pytest.raises(NumericalFailure):
+            synthesize_all(TestSynthesizeAll().topology(2), CFG)
 
 
 class TestK1Identity:
@@ -206,3 +261,11 @@ class TestExport:
         assert doc["sigma_bar"] == 10.0
         assert len(doc["K"]) == 3 and len(doc["P"]) == 3
         assert doc["diagnostics"]["gain_norm"] < doc["diagnostics"]["gain_norm_bound"]
+        assert doc["diagnostics"]["solver"] == ctrl.raw["solver"]
+
+    def test_json_without_solver_diagnostics(self, table_controller):
+        _, ctrl = table_controller
+        raw = {k: v for k, v in ctrl.raw.items() if k != "solver"}
+        bare = LocalController(ctrl.k, ctrl.p, ctrl.eta, raw, ctrl.delta,
+                               ctrl.q_local)
+        assert "solver" not in controller_to_json(3, bare, CFG)["diagnostics"]
