@@ -10,14 +10,14 @@ the same grid stable by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
                     appendix_a_matrices, assemble_global, augmented_dgu,
                     closed_loop, controllability_matrix)
-from .synthesis import Denied, SynthesisConfig, synthesize
+from .synthesis import Denied, SynthesisConfig, synthesize_all
 
 LQR = "lqr"
 POLE_PLACEMENT = "pole_placement"
@@ -284,14 +284,10 @@ def destabilization_demo(method: str = LQR) -> DestabilizationReport:
 def pnp_contrast(sigma_bar: float = 10.0) -> np.ndarray:
     """Coupled spectrum of the same benchmark under certified synthesis."""
     top = MicrogridTopology({1: DEMO_DGUS[0], 2: DEMO_DGUS[1]}, (DEMO_LINE,))
-    cfg = SynthesisConfig(sigma_bar)
-    controllers: Dict[int, object] = {}
-    for dgu_id in top.ids:
-        result = synthesize(augmented_dgu(top.dgus[dgu_id]),
-                            top.dgus[dgu_id], cfg)
+    controllers = synthesize_all(top, SynthesisConfig(sigma_bar))
+    for dgu_id, result in controllers.items():
         if isinstance(result, Denied):
             raise RuntimeError(f"synthesis denied for DGU {dgu_id}:"
                                f" {result.reason}")
-        controllers[dgu_id] = result
     f = closed_loop(assemble_global(top), controllers)
     return np.sort_complex(np.linalg.eigvals(f))

@@ -58,6 +58,7 @@ from .synthesis import (
     NumericalFailure,
     SynthesisConfig,
     controller_to_json,
+    local_dissipation,
     synthesize_all,
 )
 
@@ -223,9 +224,8 @@ def controller_from_json(entry: Mapping,
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
         raw["solver"] = dict(diag["solver"])
-    hat = augmented_dgu(params)
-    f = hat.a_hat_ii + np.outer(hat.b_hat[:, 0], k)
-    return LocalController(k, p, eta, raw, delta, f.T @ p + p @ f)
+    q = local_dissipation(augmented_dgu(params), k, p)
+    return LocalController(k, p, eta, raw, delta, q)
 
 
 def load_bundle(path, topology: MicrogridTopology

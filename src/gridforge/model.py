@@ -152,9 +152,6 @@ class MicrogridTopology:
         out = [ln.other(dgu_id) for ln in self.lines if dgu_id in ln.key]
         return tuple(sorted(out))
 
-    def incident_lines(self, dgu_id: int) -> Tuple[LineParams, ...]:
-        return tuple(ln for ln in self.lines if dgu_id in ln.key)
-
     def is_connected(self) -> bool:
         ids = self.ids
         if len(ids) <= 1:
@@ -195,45 +192,21 @@ class MicrogridTopology:
 
 
 @dataclass(frozen=True)
-class DguMatrices:
-    """State-space blocks of one DGU in the line-independent form.
-
-    a_ii carries no line term (its (1,1) entry is exactly zero); the QSL
-    line conductances appear only through the coupling blocks a_ij and,
-    grid-side, through the self term collected in GlobalSystem.a_xi.
-    """
-
-    a_ii: np.ndarray        # 2x2
-    b_i: np.ndarray         # 2x1
-    m_i: np.ndarray         # 2x1
-    h_i: np.ndarray         # 1x2
-    a_ij: Mapping[int, np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_ii", _frozen(self.a_ii))
-        object.__setattr__(self, "b_i", _frozen(self.b_i))
-        object.__setattr__(self, "m_i", _frozen(self.m_i))
-        object.__setattr__(self, "h_i", _frozen(self.h_i))
-        object.__setattr__(self, "a_ij", {k: _frozen(v) for k, v in self.a_ij.items()})
-
-
-@dataclass(frozen=True)
 class AugmentedDgu:
-    """DGU blocks after appending the tracking integrator (state dim 3)."""
+    """One DGU's blocks with the tracking integrator appended (state dim 3).
+
+    Built from the unit's own parameters alone: no line enters here, so
+    a_hat_ii[0, 0] is exactly zero.
+    """
 
     a_hat_ii: np.ndarray    # 3x3
     b_hat: np.ndarray       # 3x1
     m_hat: np.ndarray       # 3x2
     h_hat: np.ndarray       # 1x3
-    a_hat_ij: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "a_hat_ii", _frozen(self.a_hat_ii))
-        object.__setattr__(self, "b_hat", _frozen(self.b_hat))
-        object.__setattr__(self, "m_hat", _frozen(self.m_hat))
-        object.__setattr__(self, "h_hat", _frozen(self.h_hat))
-        object.__setattr__(self, "a_hat_ij",
-                           {k: _frozen(v) for k, v in self.a_hat_ij.items()})
+        for name in ("a_hat_ii", "b_hat", "m_hat", "h_hat"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -259,61 +232,25 @@ class GlobalSystem:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
-def build_dgu_matrices(params: DguParams,
-                       incident_lines: Sequence[LineParams] = (),
-                       dgu_id: Optional[int] = None) -> DguMatrices:
+def augmented_dgu(params: DguParams) -> AugmentedDgu:
     """State-space blocks of one DGU from Kirchhoff's laws under QSL.
 
     Voltage dynamics: C_t V' = I_t - I_L + sum_j (V_j - V_i)/R_ij.  The
-    neighbor-dependent part splits into the coupling blocks a_ij returned
-    here and a self term that global assembly accounts for separately, so
-    a_ii itself is line-independent.
-
-    dgu_id is required whenever incident_lines is nonempty, to orient each
-    line (the coupling map is keyed by neighbor id).
+    line sum belongs to assemble_global, so the unit's own blocks are
+    line-independent.  The integrator v' = v_ref - V adds the row
+    [-1, -0.0, 0], the negated output map [1, 0] and its signed zero;
+    v_ref enters through the second disturbance column.
     """
     rt, lt, ct = params.r_t, params.l_t, params.c_t
-    a_ii = np.array([[0.0, 1.0 / ct],
-                     [-1.0 / lt, -rt / lt]])
-    b_i = np.array([[0.0], [1.0 / lt]])
-    m_i = np.array([[-1.0 / ct], [0.0]])
-    h_i = np.array([[1.0, 0.0]])
-    a_ij = {}
-    for ln in incident_lines:
-        if dgu_id is None:
-            raise ValueError("dgu_id is required to orient incident lines")
-        other = ln.other(dgu_id)
-        a_ij[other] = np.array([[1.0 / (ln.r * ct), 0.0], [0.0, 0.0]])
-    return DguMatrices(a_ii, b_i, m_i, h_i, a_ij)
-
-
-def augment(dgu: DguMatrices) -> AugmentedDgu:
-    """Append the tracking-error integrator v' = v_ref - V.
-
-    The integrator row of a_hat_ii is the negated output map, so it is
-    [-1, 0, 0]; v_ref enters through the second disturbance column.
-    """
-    a_hat_ii = np.zeros((3, 3))
-    a_hat_ii[:2, :2] = dgu.a_ii
-    a_hat_ii[2, :2] = -dgu.h_i[0]
-    b_hat = np.vstack([dgu.b_i, [[0.0]]])
-    m_hat = np.zeros((3, 2))
-    m_hat[:2, 0] = dgu.m_i[:, 0]
-    m_hat[2, 1] = 1.0
-    h_hat = np.hstack([dgu.h_i, [[0.0]]])
-    a_hat_ij = {}
-    for other, aij in dgu.a_ij.items():
-        block = np.zeros((3, 3))
-        block[:2, :2] = aij
-        a_hat_ij[other] = block
-    return AugmentedDgu(a_hat_ii, b_hat, m_hat, h_hat, a_hat_ij)
-
-
-def augmented_dgu(params: DguParams,
-                  incident_lines: Sequence[LineParams] = (),
-                  dgu_id: Optional[int] = None) -> AugmentedDgu:
-    """Convenience: build + augment in one step."""
-    return augment(build_dgu_matrices(params, incident_lines, dgu_id))
+    a_hat_ii = np.array([[0.0, 1.0 / ct, 0.0],
+                         [-1.0 / lt, -rt / lt, 0.0],
+                         [-1.0, -0.0, 0.0]])
+    b_hat = np.array([[0.0], [1.0 / lt], [0.0]])
+    m_hat = np.array([[-1.0 / ct, 0.0],
+                      [0.0, 0.0],
+                      [0.0, 1.0]])
+    h_hat = np.array([[1.0, 0.0, 0.0]])
+    return AugmentedDgu(a_hat_ii, b_hat, m_hat, h_hat)
 
 
 def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
@@ -322,7 +259,8 @@ def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
     Block order follows ascending DGU id.  The returned decomposition is
     exact by construction: a_d collects the a_hat_ii blocks, a_xi the QSL
     self terms -sum_j 1/(R_ij C_ti) on the voltage diagonal, a_c the
-    off-diagonal coupling blocks.
+    off-diagonal coupling blocks.  Lines enter the grid here and nowhere
+    else, each stamped once, in topology order.
     """
     ids = topology.ids
     n = len(ids)
@@ -333,23 +271,19 @@ def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
     b_hat = np.zeros((3 * n, n))
     m_hat = np.zeros((3 * n, 2 * n))
     h_hat = np.zeros((n, 3 * n))
-    # each unit's lines in topology order, as incident_lines gives them
-    incident = {dgu_id: [] for dgu_id in ids}
-    for ln in topology.lines:
-        incident[ln.i].append(ln)
-        incident[ln.j].append(ln)
-    for dgu_id in ids:
-        params = topology.dgus[dgu_id]
-        hat = augmented_dgu(params, incident[dgu_id], dgu_id)
-        k = pos[dgu_id]
+    for k, dgu_id in enumerate(ids):
+        hat = augmented_dgu(topology.dgus[dgu_id])
         s = slice(3 * k, 3 * k + 3)
         a_d[s, s] = hat.a_hat_ii
         b_hat[s, k] = hat.b_hat[:, 0]
         m_hat[s, 2 * k:2 * k + 2] = hat.m_hat
         h_hat[k, s] = hat.h_hat[0]
-        for other, block in hat.a_hat_ij.items():
-            a_xi[3 * k, 3 * k] -= block[0, 0]
-            a_c[s, slice(3 * pos[other], 3 * pos[other] + 3)] = block
+    for ln in topology.lines:
+        for i, j in ((ln.i, ln.j), (ln.j, ln.i)):
+            vi, vj = 3 * pos[i], 3 * pos[j]
+            conductance = 1.0 / (ln.r * topology.dgus[i].c_t)
+            a_xi[vi, vi] -= conductance
+            a_c[vi, vj] = conductance
     return GlobalSystem(ids, a_d + a_xi + a_c, b_hat, m_hat, h_hat, a_d, a_xi, a_c)
 
 

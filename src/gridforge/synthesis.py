@@ -43,10 +43,6 @@ NOT_APPLICABLE = "NotApplicable"
 # memory about 1 MB above unit-by-unit solves, against about 5 MB.
 _LOCKSTEP_UNITS = 32
 
-# variable layout of the assembled program
-_VAR_NAMES = ("y22", "y23", "y33", "g1", "g2", "g3",
-              "gamma1", "gamma2", "gamma3", "beta", "zeta")
-
 
 class NumericalFailure(RuntimeError):
     """Solver breakdown or an extracted controller failing its invariants.
@@ -103,6 +99,13 @@ class LocalController:
     def norm_bound(self) -> float:
         """Lemma-style cap sqrt(beta)*zeta on the gain norm."""
         return float(np.sqrt(self.raw["beta"]) * self.raw["zeta"])
+
+
+def local_dissipation(dgu: AugmentedDgu, k: np.ndarray,
+                      p: np.ndarray) -> np.ndarray:
+    """q_local = F'P + PF along the unit's closed loop F = A_hat + B_hat k."""
+    f = dgu.a_hat_ii + np.outer(dgu.b_hat[:, 0], k)
+    return f.T @ p + p @ f
 
 
 def _y_matrix(eta: float, y22: float, y23: float, y33: float) -> np.ndarray:
@@ -268,8 +271,7 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
         return Denied("k3 is numerically zero; re-weight the objective "
                       "and synthesize again")
     delta = -(k[1] - params.r_t) / k[2]
-    f = dgu.a_hat_ii + np.outer(dgu.b_hat[:, 0], k)
-    q = f.T @ p + p @ f
+    q = local_dissipation(dgu, k, p)
     eta = cfg.sigma_bar * params.c_t
     problem = _verify_invariants(k, p, q, delta, raw, eta)
     if problem is not None:

@@ -11,9 +11,7 @@ from gridforge.model import (
     TopologyError,
     appendix_a_matrices,
     assemble_global,
-    augment,
     augmented_dgu,
-    build_dgu_matrices,
     controllability_matrix,
 )
 
@@ -74,28 +72,19 @@ class TestValidation:
 
 class TestDguMatrices:
     def test_reference_values(self):
-        m = build_dgu_matrices(dgu())
+        hat = augmented_dgu(dgu())
         np.testing.assert_allclose(
-            m.a_ii,
+            hat.a_hat_ii[:2, :2],
             [[0.0, 454.5454545454545], [-555.5555555555555, -55.55555555555556]],
             rtol=1e-12,
         )
-        np.testing.assert_allclose(m.b_i, [[0.0], [555.5555555555555]], rtol=1e-12)
-        np.testing.assert_allclose(m.m_i, [[-454.5454545454545], [0.0]], rtol=1e-12)
-        np.testing.assert_allclose(m.h_i, [[1.0, 0.0]])
-
-    def test_coupling_block(self):
-        top = two_dgu_topology()
-        m = build_dgu_matrices(top.dgus[1], top.incident_lines(1), dgu_id=1)
-        np.testing.assert_allclose(m.a_ij[2][0, 0], 9090.909090909092, rtol=1e-12)
-        assert m.a_ij[2][0, 1] == m.a_ij[2][1, 0] == m.a_ij[2][1, 1] == 0.0
+        np.testing.assert_allclose(hat.b_hat[:2], [[0.0], [555.5555555555555]],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(hat.m_hat[:2, :1], [[-454.5454545454545], [0.0]],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(hat.h_hat[:, :2], [[1.0, 0.0]])
         # the local block itself carries no line term
-        assert m.a_ii[0, 0] == 0.0
-
-    def test_lines_require_orientation(self):
-        top = two_dgu_topology()
-        with pytest.raises(ValueError, match="dgu_id is required"):
-            build_dgu_matrices(top.dgus[1], top.incident_lines(1))
+        assert hat.a_hat_ii[0, 0] == 0.0
 
     @given(params_strategy)
     @settings(max_examples=50, deadline=None)
@@ -105,7 +94,7 @@ class TestDguMatrices:
         assert np.linalg.matrix_rank(ctrb) == 3
 
     def test_integrator_row(self):
-        hat = augment(build_dgu_matrices(dgu()))
+        hat = augmented_dgu(dgu())
         np.testing.assert_array_equal(hat.a_hat_ii[2], [-1.0, 0.0, 0.0])
         np.testing.assert_array_equal(hat.b_hat[:, 0], [0.0, 555.5555555555555, 0.0])
         # disturbance columns: load current into V', reference into v'

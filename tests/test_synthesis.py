@@ -111,13 +111,18 @@ class TestSynthesize:
         assert ctrl.delta == pytest.approx(-(ctrl.k[1] - p.r_t) / ctrl.k[2])
 
     def test_line_independence_is_bitwise(self):
-        p = dgu()
-        bare = synthesize(augmented_dgu(p), p, CFG)
-        lines = (LineParams(1, 2, 0.05, 1.8e-6), LineParams(1, 3, 0.08))
-        wired = synthesize(augmented_dgu(p, lines, dgu_id=1), p, CFG)
-        np.testing.assert_array_equal(bare.k, wired.k)
-        np.testing.assert_array_equal(bare.p, wired.p)
-        np.testing.assert_array_equal(bare.q_local, wired.q_local)
+        dgus = {1: dgu(0.1), 2: dgu(0.2, 1.7e-3, 2.0e-3),
+                3: dgu(0.3, 2.5e-3, 1.9e-3), 4: dgu(0.5)}
+        lines = (LineParams(1, 2, 0.05, 1.8e-6), LineParams(2, 3, 0.08),
+                 LineParams(3, 4, 0.06), LineParams(4, 1, 0.07),
+                 LineParams(1, 3, 0.04))
+        wired = synthesize_all(MicrogridTopology(dgus, lines), CFG)
+        bare = synthesize_all(MicrogridTopology(dgus, ()), CFG)
+        for dgu_id in dgus:
+            np.testing.assert_array_equal(bare[dgu_id].k, wired[dgu_id].k)
+            np.testing.assert_array_equal(bare[dgu_id].p, wired[dgu_id].p)
+            np.testing.assert_array_equal(bare[dgu_id].q_local,
+                                          wired[dgu_id].q_local)
 
     @pytest.mark.parametrize("r_t,l_t,c_t", [
         (0.05, 1e-3, 1e-3),
