@@ -260,26 +260,30 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _synthesize_for(scenario: Scenario) -> Tuple[SynthesisConfig, dict,
-                                                  dict]:
+def _synthesize_for(scenario: Scenario
+                    ) -> Optional[Tuple[SynthesisConfig, dict]]:
+    """(config, granted controllers) of a scenario's units, or None, with
+    every refusal printed to stderr, when any unit is denied."""
     cfg = scenario.synthesis_config()
     results = synthesize_all(scenario.initial_topology, cfg)
-    denied = {i: r.reason for i, r in results.items()
-              if isinstance(r, Denied)}
-    granted = {i: r for i, r in results.items()
-               if isinstance(r, LocalController)}
-    return cfg, granted, denied
+    denied = sorted(i for i, r in results.items() if isinstance(r, Denied))
+    for dgu_id in denied:
+        print(f"denied: dgu {dgu_id}: {results[dgu_id].reason}",
+              file=sys.stderr)
+    if denied:
+        return None
+    return cfg, {i: r for i, r in results.items()
+                 if isinstance(r, LocalController)}
 
 
 def cmd_synth(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.sigma_bar is not None:
         scenario = dataclasses.replace(scenario, sigma_bar=args.sigma_bar)
-    cfg, granted, denied = _synthesize_for(scenario)
-    if denied:
-        for dgu_id in sorted(denied):
-            print(f"denied: dgu {dgu_id}: {denied[dgu_id]}", file=sys.stderr)
+    designed = _synthesize_for(scenario)
+    if designed is None:
         return EXIT_DENIED
+    cfg, granted = designed
     _write_or_print(json.dumps(bundle_to_json(granted, cfg), indent=2),
                     args.out)
     return EXIT_OK
@@ -328,12 +332,10 @@ def cmd_simulate(args) -> int:
         overrides["line_model"] = args.line_model
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
-    _, granted, denied = _synthesize_for(scenario)
-    if denied:
-        for dgu_id in sorted(denied):
-            print(f"denied: dgu {dgu_id}: {denied[dgu_id]}", file=sys.stderr)
+    designed = _synthesize_for(scenario)
+    if designed is None:
         return EXIT_DENIED
-    traj = simulate(scenario, controllers=granted)
+    traj = simulate(scenario, controllers=designed[1])
     out_dir = pathlib.Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(traj, out_dir / "trajectory.csv")
@@ -396,9 +398,7 @@ def cmd_sweep(args) -> int:
         grid_kwargs["l_t"] = tuple(args.l_t)
     if args.c_t is not None:
         grid_kwargs["c_t"] = tuple(args.c_t)
-    result = run_sweep(SweepGrid(**grid_kwargs),
-                       sigma_bar=args.sigma_bar if args.sigma_bar is not None
-                       else 10.0)
+    result = run_sweep(SweepGrid(**grid_kwargs), sigma_bar=args.sigma_bar)
     if args.out is not None:
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="map design feasibility over a "
                          "parameter box")
     swp.add_argument("--points", type=int, default=5)
-    swp.add_argument("--sigma-bar", type=float, default=None)
+    swp.add_argument("--sigma-bar", type=float, default=10.0)
     swp.add_argument("--r-t", type=float, nargs=2, default=None,
                      metavar=("LO", "HI"))
     swp.add_argument("--l-t", type=float, nargs=2, default=None,
@@ -466,10 +466,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, KeyError, NumericalFailure) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError,
+            NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

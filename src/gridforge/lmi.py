@@ -17,6 +17,13 @@ only the program it occurs in.  Each stacked call does, member by member,
 the arithmetic of an unstacked one, so a program's iterates do not depend
 on what it is batched with: a batch of one, `solve`, is the single solve.
 
+The outer loop of the barrier method is one method, `_Run.after`: when a
+program's centering ends it applies the phase's stop rules and returns
+the next barrier parameter t (ten times the last), or None once the
+program has its solution or its phase-II start point.  Module constants
+fix the solve: TOL_GAP (duality-gap target), MAX_ITER (Newton steps per
+solve, both phases) and EPSILON_STRICT (margin of a strict block).
+
 Numerical conventions, fixed across the package:
 
 * Every block is rescaled by 1/(1 + ||C_k||_F) before solving; margins
@@ -25,8 +32,8 @@ Numerical conventions, fixed across the package:
   i.e. the solver works with S~_k(x) + eps_psd*I >= 0.  A reported margin
   (minimum eigenvalue of the scaled slack) may therefore be as low as
   -eps_psd.
-* Strict inequalities are tightened to S~_k(x) >= epsilon_strict * I, so
-  their margins are at least epsilon_strict.
+* Strict inequalities are tightened to S~_k(x) >= EPSILON_STRICT * I, so
+  their margins are at least EPSILON_STRICT.
 """
 
 from __future__ import annotations
@@ -49,6 +56,13 @@ INFEASIBLE = "Infeasible"
 NUMERICAL_FAILURE = "NumericalFailure"
 
 _SYM_RTOL = 1e-12
+
+TOL_GAP = 1e-8
+# phase I needs ~100 iterations when the feasible interior is only
+# delta-shift thin; the rest covers slow central-path stretches that show
+# up at isolated parameter points (large sigma_bar especially)
+MAX_ITER = 400
+EPSILON_STRICT = 1e-6
 
 
 def _check_symmetric(name: str, a: np.ndarray) -> np.ndarray:
@@ -115,16 +129,6 @@ class LmiProgram:
                 raise ValueError(f"blocks[{k}] has {len(b.coeffs)} coeffs, "
                                  f"expected {self.num_vars}")
         object.__setattr__(self, "blocks", blocks)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_gap: float = 1e-8
-    # phase I needs ~100 iterations when the feasible interior is only
-    # delta-shift thin; the rest covers slow central-path stretches that
-    # show up at isolated parameter points (large sigma_bar especially)
-    max_iter: int = 400
-    epsilon_strict: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -208,14 +212,14 @@ class _Cone:
     reported as the block margin.
     """
 
-    def __init__(self, block: LmiBlock, epsilon_strict: float):
+    def __init__(self, block: LmiBlock):
         sign = 1.0 if block.sense == PSD else -1.0
         scale = 1.0 / (1.0 + np.linalg.norm(block.constant))
         self.c = sign * scale * block.constant
         self.f = np.array([sign * scale * f for f in block.coeffs])
         self.size = block.size
         if block.strict:
-            shift = -epsilon_strict
+            shift = -EPSILON_STRICT
         else:
             shift = 1e-9 * (1.0 + np.linalg.norm(self.c))
         self.c_shifted = self.c + shift * np.eye(self.size)
@@ -382,85 +386,82 @@ class _Centering:
     """Newton iterations toward the analytic center, in lockstep, for the
     programs in one phase of one stacked barrier.
 
-    A member enters with its own t, x and budget and keeps its own point,
-    merit, initial step length, stall count and iterations used.  Each
-    `step` takes one damped Newton step for every member.  A member leaves
-    with its budget charged for the steps it took and with (x, outcome),
-    outcome one of "converged", "stalled" (merit pinned at float
+    The members enter together, at t = 1, and each keeps its own t, point,
+    merit, budget, initial step length and stall count.  Each `step` takes
+    one damped Newton step for every member.  A member's centering ends
+    with an outcome, one of "converged", "stalled" (merit pinned at float
     resolution, a larger t is needed to make progress), "stopped" (phase I
-    found a point with s < 0) or "budget" -- or with the breakdown that
-    ended it.
+    found a point with s < 0) or "budget", or with the breakdown that
+    ended it.  Its run's `after` then either sends it back to re-center in
+    place at a larger t, or lets it leave.
     """
 
     TOL = 1e-10
 
     def __init__(self, barrier: _Barrier, phase: int, trace: np.ndarray,
-                 queue: list):
-        self.barrier = barrier
-        self.phase = phase
+                 runs: list, x: np.ndarray):
+        self.barrier, self.phase = barrier, phase
         # (program, step, [t, merit, decrement, step length]), step
         # counted over the whole solve
         self.trace = trace
-        self.queue = queue
-        self.runs: list = []
-        self.state: dict = {}
-
-    def __bool__(self) -> bool:
-        return bool(self.queue or self.runs)
-
-    def _point_keys(self) -> List[str]:
-        """State keys of a member's point: x, slack, Cholesky factors."""
-        return ["x", "s"] + [f"l{j}" for j in range(len(self.barrier.blocks))]
-
-    def _point(self, state: dict):
-        return [state[key] for key in self._point_keys()[2:]], state["s"]
-
-    def _admit(self, exits: list) -> None:
-        # the barrier takes its rows in ascending order
-        self.queue.sort(key=lambda request: request[0].slot)
-        runs, t, x = zip(*self.queue)
-        self.queue.clear()
-        rows = np.array([run.slot for run in runs])
-        budget = np.array([run.budget for run in runs])
-        t, x = np.array(t), np.array(x)
-        ok, (ls, s) = self.barrier.factor(rows, x)
-        for i in np.flatnonzero(~ok):
-            exits.append((runs[i], FloatingPointError(
-                "centering started outside the cone")))
-        for i in np.flatnonzero(ok & (budget <= 0)):
-            exits.append((runs[i], (x[i], "budget")))
-        keep = ok & (budget > 0)
-        new = {"rows": rows, "t": t, "x": x, "s": s, "budget": budget,
-               **{f"l{j}": l for j, l in enumerate(ls)}}
-        new = {key: value[keep] for key, value in new.items()}
-        new["merit"] = self.barrier.merit(new["rows"], new["t"], new["x"],
-                                          self._point(new))
-        new["alpha"] = np.ones(len(new["rows"]))
-        new["stalls"] = np.zeros(len(new["rows"]), dtype=int)
-        new["used"] = np.zeros(len(new["rows"]), dtype=int)
-        runs = self.runs + [run for run, k in zip(runs, keep) if k]
-        state = {key: np.concatenate([self.state[key], value])
-                 if self.state else value for key, value in new.items()}
+        # state keys of a member's point: x, slack, Cholesky factors
+        self.keys = ["x", "s"] + [f"l{j}" for j in range(len(barrier.blocks))]
         # members stay in slot order, so a step over all of them reads the
         # barrier's stacks without copying them
-        order = np.argsort(state["rows"])
-        self.runs = [runs[i] for i in order]
-        self.state = {key: value[order] for key, value in state.items()}
+        self.runs = runs
+        rows = np.array([run.slot for run in runs])
+        ok, (ls, s) = barrier.factor(rows, x)
+        count = len(runs)
+        self.state = {"rows": rows, "t": np.ones(count), "x": x, "s": s,
+                      **{f"l{j}": l for j, l in enumerate(ls)},
+                      "budget": np.array([run.budget for run in runs]),
+                      "merit": np.empty(count), "alpha": np.ones(count),
+                      "stalls": np.zeros(count, dtype=int)}
+        # entry factors the point first (a failure is a breakdown), then
+        # checks the budget
+        outcome = np.full(count, None, dtype=object)
+        outcome[self.state["budget"] <= 0] = "budget"
+        outcome[~ok] = FloatingPointError("centering started outside the cone")
+        self._end(outcome, np.array([o is None for o in outcome]))
 
-    def step(self) -> list:
-        """Admit the queue, then one Newton step for every member.
+    def _point(self, i=slice(None)):
+        """(Cholesky factors, slack) of the members i."""
+        _, s, *ls = (self.state[key][i] for key in self.keys)
+        return ls, s
 
-        Returns the members that left, as (run, reply): reply is
-        (x, outcome), or the exception that ended the run.
+    def _end(self, outcome: np.ndarray, restart: np.ndarray) -> None:
+        """Hand each ended centering (an outcome not None) to its run.
+
+        A member its run's `after` sends back re-centers in place at the
+        new t, as do the `restart` members: step length 1, no stalls, and
+        its merit at its t.  The others leave.
         """
-        exits: list = []
-        if self.queue:
-            self._admit(exits)
-        if not self.runs:
-            return exits
+        st = self.state
+        stay = np.ones(len(self.runs), dtype=bool)
+        for i in np.flatnonzero([o is not None for o in outcome]):
+            run, x = self.runs[i], st["x"][i].copy()
+            run.budget = int(st["budget"][i])
+            t = run.after(self.phase, st["t"][i], x, outcome[i])
+            if t is not None and run.budget <= 0:
+                t = run.after(self.phase, t, x, "budget")
+            stay[i] = restart[i] = t is not None
+            if t is not None:
+                st["t"][i] = t
+        # on most steps no centering ends: skip the empty stacked calls
+        i = np.flatnonzero(restart)
+        if len(i):
+            st["alpha"][i], st["stalls"][i] = 1.0, 0
+            st["merit"][i] = self.barrier.merit(st["rows"][i], st["t"][i],
+                                                st["x"][i], self._point(i))
+        if not stay.all():
+            self.runs = [run for run, k in zip(self.runs, stay) if k]
+            self.state = {key: value[stay] for key, value in st.items()}
+
+    def step(self) -> None:
+        """One Newton step for every member."""
         st, b = self.state, self.barrier
         rows, t, x = st["rows"], st["t"], st["x"]
-        dx, dec2, ok = b.newton_step(rows, t, x, self._point(st))
+        dx, dec2, ok = b.newton_step(rows, t, x, self._point())
         outcome = np.full(len(rows), None, dtype=object)
         outcome[~ok] = FloatingPointError("Newton system not usable")
         converged = ok & (0.5 * dec2 <= self.TOL)
@@ -471,7 +472,7 @@ class _Centering:
         search = np.flatnonzero(ok & ~converged)
         alpha = st["alpha"][search]
         accepted = np.zeros(len(search), dtype=bool)
-        new = {key: st[key][search] for key in self._point_keys()}
+        new = {key: st[key][search] for key in self.keys}
         merit1 = np.empty(len(search))
         probing = np.flatnonzero(alpha > 1e-13)
         while len(probing):
@@ -487,7 +488,7 @@ class _Centering:
             won = probing[j]
             accepted[won] = True
             merit1[won] = mcand[good]
-            for key, value in zip(self._point_keys(), [cand, s, *ls]):
+            for key, value in zip(self.keys, [cand, s, *ls]):
                 new[key][won] = value[j]
             probing = probing[~accepted[probing]]
             alpha[probing] *= 0.5
@@ -502,34 +503,24 @@ class _Centering:
         # rebasing the next search at 4x the accepted step avoids re-paying
         # a long backtrack every iteration
         st["alpha"][i] = np.minimum(1.0, 4.0 * alpha[accepted])
-        done = self.trace.shape[1] - st["budget"][i] + st["used"][i]
+        done = self.trace.shape[1] - st["budget"][i]
         self.trace[rows[i], done] = np.stack(
             [t[i], merit1, np.sqrt(dec2[i]), alpha[accepted]], axis=1)
-        st["used"][i] += 1
+        st["budget"][i] -= 1
         flat = merit0 - merit1 <= 1e-13 * (1.0 + np.abs(merit0))
         st["stalls"][i] = np.where(flat, st["stalls"][i] + 1, 0)
-        ends = [(st["used"][i] >= st["budget"][i], "budget"),
+        ends = [(st["budget"][i] <= 0, "budget"),
                 (st["stalls"][i] >= 3, "stalled")]
         if self.phase == 1:
             ends.append((x[i, -1] < -1e-10, "stopped"))
         # the last assignment wins: stopped, then stalled, then budget
         for mask, name in ends:
             outcome[i[mask]] = name
-
-        stay = np.array([o is None for o in outcome], dtype=bool)
-        for i in np.flatnonzero(~stay):
-            run, reply = self.runs[i], outcome[i]
-            run.budget -= int(st["used"][i])
-            if isinstance(reply, str):
-                reply = (x[i].copy(), reply)
-            exits.append((run, reply))
-        self.runs = [run for run, k in zip(self.runs, stay) if k]
-        self.state = {key: value[stay] for key, value in st.items()}
-        return exits
+        self._end(outcome, np.zeros(len(rows), dtype=bool))
 
 
 @functools.lru_cache(maxsize=None)
-def _box_cones(n: int, eps_strict: float) -> Tuple[_Cone, ...]:
+def _box_cones(n: int) -> Tuple[_Cone, ...]:
     """|x_i| <= 1e10 as 2x2 cones, one per variable, for phase I.
 
     The radius dwarfs anything a pre-scaled block can require, so the box
@@ -543,30 +534,23 @@ def _box_cones(n: int, eps_strict: float) -> Tuple[_Cone, ...]:
     for i in range(n):
         coeffs = [np.zeros((2, 2)) for _ in range(n)]
         coeffs[i] = np.diag([-1.0, 1.0])
-        box = _Cone(LmiBlock(np.diag([r_box, r_box]), tuple(coeffs)),
-                    eps_strict)
+        box = _Cone(LmiBlock(np.diag([r_box, r_box]), tuple(coeffs)))
         box.f = np.concatenate([box.f, np.zeros((1, 2, 2))], axis=0)
         boxes.append(box)
     return tuple(boxes)
 
 
-_BREAKDOWN = (FloatingPointError, np.linalg.LinAlgError)
-
-
 class _Run:
-    """One program's way through the barrier method.
+    """One program's way through the barrier method: its cones, budget,
+    iteration trace and solution, and the outer loop (`after`) that runs
+    between the lockstep centerings."""
 
-    Holds its cones, budget, iteration trace and solution, and drives the
-    outer loops (`_control`) between the lockstep centerings.
-    """
-
-    def __init__(self, program: LmiProgram, options: SolverOptions):
-        self.options = options
+    def __init__(self, program: LmiProgram):
         self.n = program.num_vars
         self.objective = program.objective
-        self.cones = [_Cone(b, options.epsilon_strict) for b in program.blocks]
+        self.cones = [_Cone(b) for b in program.blocks]
         self.m = sum(k.size for k in self.cones)
-        self.budget = options.max_iter
+        self.budget = MAX_ITER
         # rows of the group's trace once the run is batched; phase1 is the
         # number of phase-I steps once phase II starts
         self.trace = np.empty((0, 4))
@@ -579,27 +563,23 @@ class _Run:
         for cone in self.cones:
             fixed = np.all(cone.f.diagonal(axis1=1, axis2=2) == 0.0, axis=0)
             if np.any(fixed & (np.diag(cone.c_shifted) < 0.0)):
-                self.solution = self.finish(INFEASIBLE, None)
-                return
+                return self.finish(INFEASIBLE, None)
         self.main = _split(self.cones, self.n)
         try:
             # phase I starts from x = 0 with s above every cone's deficit
-            s0 = 1.0
-            for cone in self.cones:
-                w, _ = sym_eig(cone.c_shifted)
-                s0 = max(s0, 1.0 - w[0])
-        except _BREAKDOWN:
-            self.solution = self.finish(NUMERICAL_FAILURE, None)
-            return
-        self.z0 = np.concatenate([np.zeros(self.n), [s0]])
-        self.control = self._control()
+            s0 = max([1.0] + [1.0 - sym_eig(k.c_shifted)[0][0]
+                              for k in self.cones])
+        except np.linalg.LinAlgError:
+            return self.finish(NUMERICAL_FAILURE, None)
+        # the point the next phase starts from: (x, s) in phase I, x in II
+        self.start = np.concatenate([np.zeros(self.n), [s0]])
 
     def barrier_data(self, phase: int) -> tuple:
         """(split cones, objective) of this program's barrier in a phase."""
         if phase == 2:
             return self.main, self.objective
         # phase I: min s with every shifted slack + s*I inside the cone
-        n, eps = self.n, self.options.epsilon_strict
+        n = self.n
         ext_cones = []
         for cone in self.cones:
             widened = copy.copy(cone)
@@ -608,157 +588,128 @@ class _Run:
             ext_cones.append(widened)
         # cap s from below: keeps phase I bounded and its Hessian regular
         # even when the cones leave escape directions open
-        guard = _Cone(LmiBlock(np.array([[2.0 * self.z0[-1]]]),
-                               tuple(np.zeros((1, 1)) for _ in range(n))),
-                      eps)
+        guard = _Cone(LmiBlock(np.array([[2.0 * self.start[-1]]]),
+                               tuple(np.zeros((1, 1)) for _ in range(n))))
         guard.f = np.concatenate([guard.f, np.eye(1)[None]], axis=0)
         ext_cones.append(guard)
-        ext_cones += _box_cones(n, eps)
+        ext_cones += _box_cones(n)
         return _split(ext_cones, n + 1), np.eye(n + 1)[n]
 
     def steps(self) -> int:
         """Newton steps taken so far, both phases."""
-        return self.options.max_iter - self.budget
+        return MAX_ITER - self.budget
 
-    def finish(self, status: str, x: Optional[np.ndarray]) -> LmiSolution:
+    def finish(self, status: str, x: Optional[np.ndarray]) -> None:
+        """Settle the run's solution, of the given status at x."""
         log = IterationLog(self.trace[:self.steps()],
                            self.steps() if self.phase1 is None
                            else self.phase1)
         if x is None:
-            return LmiSolution(status, None, None, None, log)
-        value = float(self.objective @ x)
-        margins = np.array([sym_eig(c.slack(x))[0][0] for c in self.cones])
-        # a claimed-feasible point must actually honor the margin contract
-        if status in (OPTIMAL, FEASIBLE):
-            for cone, m in zip(self.cones, margins):
-                floor = (self.options.epsilon_strict if cone.strict
-                         else -cone.shift)
-                if m < floor - 1e-12:
-                    return LmiSolution(NUMERICAL_FAILURE, x, value, margins,
-                                       log)
-        return LmiSolution(status, x, value, margins, log)
-
-    def resume(self, queues: Tuple[list, list], reply) -> None:
-        """Hand the last centering's reply to `_control`; queue the next
-        centering it asks for by phase, or keep its solution."""
-        try:
-            if isinstance(reply, Exception):
-                phase, t, x = self.control.throw(reply)
-            else:
-                phase, t, x = self.control.send(reply)
-        except StopIteration as done:
-            self.solution = done.value
+            self.solution = LmiSolution(status, None, None, None, log)
             return
-        queues[phase - 1].append((self, t, x))
+        margins = np.array([sym_eig(c.slack(x))[0][0] for c in self.cones])
+        # a claimed-feasible point must actually honor the margin contract:
+        # -shift is EPSILON_STRICT for a strict cone, -eps_psd otherwise
+        floors = -np.array([c.shift for c in self.cones])
+        if status in (OPTIMAL, FEASIBLE) and np.any(margins < floors - 1e-12):
+            status = NUMERICAL_FAILURE
+        self.solution = LmiSolution(status, x, float(self.objective @ x),
+                                    margins, log)
 
-    def _control(self):
-        """The outer loops of the barrier method.
-
-        A coroutine: each `yield (phase, t, x)` asks for one centering,
-        which charges the steps it takes to the budget, and receives
-        (x, outcome); a breakdown is thrown in instead.
+    def after(self, phase: int, t: float, x: np.ndarray,
+              outcome) -> Optional[float]:
+        """The outer loop: a phase's stop rules, applied when a centering
+        at t ends at x with outcome (a name from _Centering, or the
+        breakdown), its steps charged.  Returns the next t, or None once
+        the run has its solution or, in phase I, its phase-II start point.
         """
-        options = self.options
-        n = self.n
-        # phase I adds the guard and one 2x2 box per variable
-        m_ext = self.m + 1 + 2 * n
-        try:
-            # ---- phase I: min s over the widened cones
-            z = self.z0
-            t = 1.0
-            x_feasible = None
-            while self.budget > 0:
-                z, outcome = yield 1, t, z
-                s = z[-1]
-                if s < -1e-10:
-                    x_feasible = z[:n]
-                    break
-                if outcome == "budget":
-                    return self.finish(NUMERICAL_FAILURE, None)
-                # the duality-gap bound on min s only holds at a true center
-                if outcome == "converged" and s - m_ext / t > 0.0:
-                    return self.finish(INFEASIBLE, None)
-                if m_ext / t < min(options.tol_gap, 1e-10):
-                    if s <= 0.0:
-                        x_feasible = z[:n]
-                        break
-                    if outcome == "converged":
-                        return self.finish(INFEASIBLE, None)
-                    return self.finish(NUMERICAL_FAILURE, None)
-                t *= 10.0
-            if x_feasible is None:
-                return self.finish(NUMERICAL_FAILURE, None)
-
-            # ---- phase II: central path on the real objective.  Its first
-            # centering factors x_feasible in the unwidened cones even with
-            # no budget left, and a breakdown there is a NumericalFailure.
-            self.phase1 = self.steps()
-            x = x_feasible
-            t = 1.0
-            while t < 1e18:
-                x, outcome = yield 2, t, x
-                if outcome == "budget":
-                    break
-                if outcome == "converged":
-                    gap = self.m / t
-                else:
-                    # once t pushes the merit past float resolution the
-                    # decrement tolerance is unreachable, but a stall inside
-                    # the quadratic region still bounds the gap, inflated by
-                    # the distance to the exact center
-                    dec = (float(self.trace[self.steps() - 1, 2])
-                           if self.steps() else 1.0)
-                    if dec >= 0.25:
-                        t *= 10.0
-                        continue
-                    gap = (self.m + dec / (1.0 - dec) * np.sqrt(self.m)) / t
-                if gap <= options.tol_gap:
-                    return self.finish(OPTIMAL, x)
-                t *= 10.0
-            return self.finish(FEASIBLE, x)
-        except _BREAKDOWN:
+        if isinstance(outcome, Exception):
+            # after phase-II progress, x is a point the line search
+            # accepted inside every shifted cone
+            if phase == 2 and self.steps() > self.phase1:
+                return self.finish(FEASIBLE, x)
             return self.finish(NUMERICAL_FAILURE, None)
+        if phase == 1:
+            # min s over the widened cones, which add the guard and one 2x2
+            # box per variable
+            s, m_ext = x[-1], self.m + 1 + 2 * self.n
+            if s < -1e-10:
+                # phase II starts at the interior point found
+                self.phase1, self.start = self.steps(), x[:self.n]
+                return None
+            if outcome == "budget":
+                return self.finish(NUMERICAL_FAILURE, None)
+            # the duality-gap bound on min s only holds at a true center
+            if outcome == "converged" and s - m_ext / t > 0.0:
+                return self.finish(INFEASIBLE, None)
+            if m_ext / t < min(TOL_GAP, 1e-10):
+                if s <= 0.0:
+                    self.phase1, self.start = self.steps(), x[:self.n]
+                    return None
+                return self.finish(INFEASIBLE if outcome == "converged"
+                                   else NUMERICAL_FAILURE, None)
+            return 10.0 * t
+        # phase II: the central path on the real objective
+        if outcome == "budget":
+            return self.finish(FEASIBLE, x)
+        gap = np.inf
+        if outcome == "converged":
+            gap = self.m / t
+        else:
+            # once t pushes the merit past float resolution the decrement
+            # tolerance is unreachable, but a stall inside the quadratic
+            # region still bounds the gap, inflated by the distance to the
+            # exact center
+            dec = float(self.trace[self.steps() - 1, 2])
+            if dec < 0.25:
+                gap = (self.m + dec / (1.0 - dec) * np.sqrt(self.m)) / t
+        if gap <= TOL_GAP:
+            return self.finish(OPTIMAL, x)
+        t = 10.0 * t
+        return t if t < 1e18 else self.finish(FEASIBLE, x)
 
 
-def solve_batch(programs: Iterable[LmiProgram],
-                options: Optional[SolverOptions] = None,
-                ) -> List[LmiSolution]:
+def solve_batch(programs: Iterable[LmiProgram]) -> List[LmiSolution]:
     """Barrier solves with an infeasible start, one solution per program.
 
     Phase I minimizes the uniform slack shift s over the shifted cones and
     either finds an interior point (s < 0) or certifies, via the barrier
     duality gap, that the best achievable s is positive, meaning the
     relaxed problem is infeasible.  Phase II then follows the central path
-    to a duality gap below tol_gap.
+    to a duality gap below TOL_GAP.  Each phase starts at t = 1, and
+    `_Run.after` multiplies t by 10 after each centering until a stop rule
+    fires.  A solve takes at most MAX_ITER Newton steps, both phases.
 
     Programs are grouped by barrier shape; each group runs phase I and then
     phase II in lockstep.  A program's solution is the same, bit for bit,
     whatever it is batched with.
 
     Statuses: Optimal (gap reached), Feasible (interior point found, gap
-    target not reached: phase II stops either when the iteration budget
-    runs out or when its barrier parameter t passes 1e18 with budget
-    left), Infeasible (phase I certificate), NumericalFailure (breakdown
-    or exhausted budget with no verdict).  Margins are minimum eigenvalues
-    of the scaled, unshifted slacks, NSD blocks negated.
+    target not reached: phase II stops when the iteration budget runs out,
+    when its barrier parameter t passes 1e18 with budget left, or when a
+    Newton step or line search breaks down after at least one accepted
+    phase-II step, keeping the last accepted point), Infeasible (phase I
+    certificate), NumericalFailure (a breakdown in phase I or at the
+    phase-II start point, an exhausted phase-I budget, or a returned point
+    that fails the margin contract).  Margins are minimum eigenvalues of
+    the scaled, unshifted slacks, NSD blocks negated.
     """
-    options = options or SolverOptions()
-    runs = [_Run(program, options) for program in programs]
+    runs = [_Run(program) for program in programs]
     groups: dict = {}
     for run in runs:
         if run.solution is None:
             groups.setdefault(_shape(run.main), []).append(run)
     for group in groups.values():
-        trace = np.empty((len(group), options.max_iter, 4))
+        trace = np.empty((len(group), MAX_ITER, 4))
         for slot, run in enumerate(group):
             run.slot, run.trace = slot, trace[slot]
-        queues: Tuple[list, list] = ([], [])
-        for run in group:
-            run.resume(queues, None)
-        # phase I drains before phase II starts, so each phase runs as few
-        # stacked steps as its slowest member needs, and only one phase's
-        # stacks exist at a time
-        for phase, queue in enumerate(queues, 1):
+        # phase I ends for every member before phase II starts, so each
+        # phase runs as few stacked steps as its slowest member needs, and
+        # only one phase's stacks exist at a time
+        for phase in (1, 2):
+            members = [run for run in group if run.solution is None]
+            if not members:
+                break
             barrier = _Barrier(len(group), (run.barrier_data(phase)
                                             for run in group))
             # the unwidened cones keep their coefficients as their rows of
@@ -766,15 +717,14 @@ def solve_batch(programs: Iterable[LmiProgram],
             for run in group:
                 for cone, (_, f, _) in zip(run.main[2], barrier.blocks):
                     cone.f = f[run.slot, :run.n]
-            centering = _Centering(barrier, phase, trace, queue)
-            while centering:
-                for run, reply in centering.step():
-                    run.resume(queues, reply)
+            centering = _Centering(barrier, phase, trace, members,
+                                   np.array([run.start for run in members]))
+            while centering.runs:
+                centering.step()
             del barrier, centering
     return [run.solution for run in runs]
 
 
-def solve(program: LmiProgram, options: Optional[SolverOptions] = None,
-          ) -> LmiSolution:
+def solve(program: LmiProgram) -> LmiSolution:
     """`solve_batch` of the one program."""
-    return solve_batch([program], options)[0]
+    return solve_batch([program])[0]

@@ -19,7 +19,7 @@ from gridforge.certify import (
     check_theorem1,
 )
 from gridforge.cli import load_scenario, packaged_scenario_path
-from gridforge.lmi import LmiBlock, LmiProgram, SolverOptions, solve
+from gridforge.lmi import LmiBlock, LmiProgram, solve
 from gridforge.model import (
     DguParams,
     LineParams,
@@ -304,7 +304,7 @@ def test_criterion_8_solver_soundness(green_sweep):
     rng = np.random.default_rng(SEED)
     for i in range(20):
         program, answer = _analytic_sdp(rng, i % 3)
-        sol = solve(program, SolverOptions())
+        sol = solve(program)
         solved += sol.status in ("Optimal", "Feasible")
         optimal += sol.status == "Optimal"
         sdp_dev = max(sdp_dev, abs(sol.objective_value - answer)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gridforge.synthesis as synth
-from gridforge.lmi import LmiSolution, SolverOptions
+from gridforge.lmi import MAX_ITER, LmiSolution
 from gridforge.model import (
     DguParams,
     LineParams,
@@ -166,7 +166,7 @@ class TestSynthesize:
         assert solver["iterations_phase1"] > 0
         assert solver["iterations_phase2"] >= 0
         assert (solver["iterations_phase1"] + solver["iterations_phase2"]
-                <= SolverOptions().max_iter)
+                <= MAX_ITER)
 
 
 class TestSynthesizeBatch:
