@@ -16,30 +16,30 @@ step length, stall count, iteration log and outcome, and a breakdown ends
 only the program it occurs in.  Each stacked call does, member by member,
 the arithmetic of an unstacked one, so a program's iterates do not depend
 on what it is batched with: a batch of one, `solve`, is the single solve.
+Between centerings, the outer loop is one method, `_Run.after`.
 
-The outer loop of the barrier method is one method, `_Run.after`: when a
-program's centering ends it applies the phase's stop rules and returns
-the next barrier parameter t (ten times the last), or None once the
-program has its solution or its phase-II start point.  Module constants
-fix the solve: TOL_GAP (duality-gap target), MAX_ITER (Newton steps per
-solve, both phases) and EPSILON_STRICT (margin of a strict block).
+A block holds its constant C and one read-only (n, k, k) stack of its
+coefficients F_i.  `_cone` scales it to (c, f, shift); phase II folds the
+diagonal cones into elementwise rows and keeps the rest as matrix cones.
+Phase I (min s with every shifted slack + s*I inside its cone) is derived
+from phase II's arrays: an s column of ones or the identity, then one
+guard row and two box rows per variable.
 
-Numerical conventions, fixed across the package:
+Module constants fix the solve: TOL_GAP (duality-gap target), MAX_ITER
+(Newton steps per solve, both phases) and EPSILON_STRICT (margin of a
+strict block).  Numerical conventions, fixed across the package:
 
 * Every block is rescaled by 1/(1 + ||C_k||_F) before solving; margins
   are reported in these scaled units.
-* Non-strict inequalities are relaxed by eps_psd = 1e-9 * (1 + ||C~_k||_F),
-  i.e. the solver works with S~_k(x) + eps_psd*I >= 0.  A reported margin
-  (minimum eigenvalue of the scaled slack) may therefore be as low as
-  -eps_psd.
+* Non-strict inequalities are relaxed by eps_psd = 1e-9 * (1 + ||C~_k||_F):
+  the solver works with S~_k(x) + eps_psd*I >= 0, so a reported margin
+  (least eigenvalue of the scaled slack) may be as low as -eps_psd.
 * Strict inequalities are tightened to S~_k(x) >= EPSILON_STRICT * I, so
   their margins are at least EPSILON_STRICT.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Iterable, List, Optional, Tuple
@@ -65,40 +65,45 @@ MAX_ITER = 400
 EPSILON_STRICT = 1e-6
 
 
-def _check_symmetric(name: str, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
-    skew = np.linalg.norm(a - a.T)
-    if skew > _SYM_RTOL * (1.0 + np.linalg.norm(a)):
-        raise ValueError(f"{name} is not symmetric")
-    a = 0.5 * (a + a.T)
-    a.setflags(write=False)
-    return a
+def _name(i: int) -> str:
+    return f"coeffs[{i - 1}]" if i else "constant"
 
 
 @dataclass(frozen=True)
 class LmiBlock:
-    """One affine matrix inequality C + Σ x_i F_i, sense PSD or NSD."""
+    """One affine matrix inequality C + Σ x_i F_i, sense PSD or NSD;
+    coeffs is the read-only (n, k, k) stack of the F_i."""
 
     constant: np.ndarray
-    coeffs: Tuple[np.ndarray, ...]
+    coeffs: np.ndarray
     sense: str = PSD
     strict: bool = False
 
     def __post_init__(self):
         if self.sense not in (PSD, NSD):
             raise ValueError(f"sense must be {PSD!r} or {NSD!r}")
-        c = _check_symmetric("constant", self.constant)
-        object.__setattr__(self, "constant", c)
-        coeffs = tuple(_check_symmetric(f"coeffs[{i}]", f)
-                       for i, f in enumerate(self.coeffs))
-        for i, f in enumerate(coeffs):
-            if f.shape != c.shape:
-                raise ValueError(f"coeffs[{i}] shape {f.shape} != {c.shape}")
-        object.__setattr__(self, "coeffs", coeffs)
+        c = np.asarray(self.constant, dtype=float)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError("constant must be a square matrix")
+        for i, f in enumerate(self.coeffs):
+            if np.shape(f) != c.shape:
+                raise ValueError(f"coeffs[{i}] shape {np.shape(f)} != "
+                                 f"{c.shape}")
+        # the constant and the coefficients, checked as one stack
+        a = np.concatenate([c[None], np.asarray(self.coeffs, dtype=float)
+                            .reshape((-1,) + c.shape)])
+        finite = np.isfinite(a).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"{_name(np.argmin(finite))} has non-finite "
+                             "entries")
+        skew = np.linalg.norm(a - a.swapaxes(1, 2), axis=(1, 2))
+        bad = skew > _SYM_RTOL * (1.0 + np.linalg.norm(a, axis=(1, 2)))
+        if bad.any():
+            raise ValueError(f"{_name(np.argmax(bad))} is not symmetric")
+        a = 0.5 * (a + a.swapaxes(1, 2))
+        a.setflags(write=False)
+        object.__setattr__(self, "constant", a[0])
+        object.__setattr__(self, "coeffs", a[1:])
 
     @property
     def size(self) -> int:
@@ -146,13 +151,13 @@ class IterationLog(Sequence):
     """The accepted Newton steps of one solve, in order, as Iterations.
 
     Held as one float row (t, merit, decrement, step) per step, the
-    phase-I steps first, and built into Iteration records as they are
-    read: a batch of solutions keeps no Python object per step.
+    `phase1` phase-I steps first, and built into Iteration records as they
+    are read: a batch of solutions keeps no Python object per step.
     """
 
     def __init__(self, rows: np.ndarray, phase1: int):
         self._rows = rows
-        self._phase1 = phase1
+        self.phase1 = phase1
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -161,12 +166,12 @@ class IterationLog(Sequence):
         if isinstance(k, slice):
             return tuple(self[i] for i in range(len(self))[k])
         k = range(len(self))[k]
-        return Iteration(1 if k < self._phase1 else 2,
+        return Iteration(1 if k < self.phase1 else 2,
                          *self._rows[k].tolist())
 
     def __iter__(self):
         for k, row in enumerate(self._rows.tolist()):
-            yield Iteration(1 if k < self._phase1 else 2, *row)
+            yield Iteration(1 if k < self.phase1 else 2, *row)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
@@ -204,34 +209,23 @@ def general_eig(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(a)
 
 
-class _Cone:
-    """Scaled, PSD-normalized, shift-adjusted view of one LmiBlock.
+def _cone(constant: np.ndarray, coeffs: np.ndarray, sense: str = PSD,
+          strict: bool = False) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(c, f, shift): a block scaled and PSD-normalized.  The barrier keeps
+    c + shift*I + x @ f positive definite; the least eigenvalue of
+    c + x @ f is the block's margin."""
+    sign = 1.0 if sense == PSD else -1.0
+    scale = 1.0 / (1.0 + np.linalg.norm(constant))
+    c = sign * scale * constant
+    shift = (-EPSILON_STRICT if strict
+             else 1e-9 * (1.0 + np.linalg.norm(c)))
+    return c, sign * scale * coeffs, shift
 
-    c_shifted + Σ x_i f_i is what the barrier keeps positive definite;
-    slack(x) is the unshifted scaled slack whose minimum eigenvalue is
-    reported as the block margin.
-    """
 
-    def __init__(self, block: LmiBlock):
-        sign = 1.0 if block.sense == PSD else -1.0
-        scale = 1.0 / (1.0 + np.linalg.norm(block.constant))
-        self.c = sign * scale * block.constant
-        self.f = np.array([sign * scale * f for f in block.coeffs])
-        self.size = block.size
-        if block.strict:
-            shift = -EPSILON_STRICT
-        else:
-            shift = 1e-9 * (1.0 + np.linalg.norm(self.c))
-        self.c_shifted = self.c + shift * np.eye(self.size)
-        self.strict = block.strict
-        self.shift = shift
-
-    def slack(self, x: np.ndarray) -> np.ndarray:
-        return self.c + np.tensordot(x, self.f, axes=1)
-
-    def is_diagonal(self) -> bool:
-        off = ~np.eye(self.size, dtype=bool)
-        return not (np.any(self.c[off]) or np.any(self.f[:, off]))
+# |x_i| <= 1e10, two rows of phase I per variable: the radius dwarfs
+# anything a pre-scaled block can require, so the box never binds at a
+# solution; it only keeps centering problems compact
+_BOX = _cone(np.diag([1e10, 1e10]), np.diag([-1.0, 1.0]))
 
 
 def _stacked(gufunc, *args) -> np.ndarray:
@@ -245,37 +239,35 @@ def _stacked(gufunc, *args) -> np.ndarray:
         return gufunc(*args)
 
 
-def _split(cones: List[_Cone], n: int,
-           ) -> Tuple[np.ndarray, np.ndarray, List[_Cone]]:
-    """(lp_c, lp_f, matrix cones) of one program's cones.
+def _split(cones: List[tuple], n: int,
+           ) -> Tuple[np.ndarray, np.ndarray, List[tuple]]:
+    """(lp_c, lp_f, matrix cones) of one program's (c, f, shift) cones.
 
     Diagonal cones are sets of scalar inequalities, so they are folded into
     one elementwise part s(x) = lp_c + x @ lp_f > 0; each row keeps the
-    shift of the cone it came from.
+    shift of the cone it came from.  A matrix cone is the pair (shifted
+    constant, coefficients).
     """
-    flags = [k.is_diagonal() for k in cones]
+    # a diagonal stack equals itself masked to its diagonal
+    flags = [all(np.array_equal(a, a * np.eye(len(c))) for a in (c, f))
+             for c, f, _ in cones]
     diagonal = [k for k, flag in zip(cones, flags) if flag]
     # the empty leading pieces keep the shapes right when no cone is
     # diagonal
     lp_c = np.concatenate(
-        [np.zeros(0)] + [np.diag(k.c_shifted) for k in diagonal])
+        [np.zeros(0)] + [np.diag(c) + shift for c, _, shift in diagonal])
     lp_f = np.concatenate(
-        [np.zeros((n, 0))] + [k.f.diagonal(axis1=1, axis2=2)
-                              for k in diagonal], axis=1)
-    return lp_c, lp_f, [k for k, flag in zip(cones, flags) if not flag]
+        [np.zeros((n, 0))] + [f.diagonal(axis1=1, axis2=2)
+                              for _, f, _ in diagonal], axis=1)
+    return lp_c, lp_f, [(c + shift * np.eye(len(c)), f)
+                        for (c, f, shift), flag in zip(cones, flags)
+                        if not flag]
 
 
 def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The rows of a stack for the given programs, in ascending order;
     the stack itself, not a copy, when they are all of them."""
     return a if len(rows) == len(a) else a[rows]
-
-
-def _shape(split) -> tuple:
-    """What programs must share to be stacked: variables, matrix cone
-    sizes in order, elementwise rows."""
-    lp_c, lp_f, matrix = split
-    return lp_f.shape[0], tuple(k.size for k in matrix), len(lp_c)
 
 
 class _Barrier:
@@ -299,12 +291,12 @@ class _Barrier:
                 self.c = np.empty((count, self.n))
                 self.lp_c = np.empty((count,) + lp_c.shape)
                 self.lp_f = np.empty((count,) + lp_f.shape)
-                blocks = [(np.empty((count,) + k.c_shifted.shape),
-                           np.empty((count,) + k.f.shape)) for k in matrix]
+                blocks = [(np.empty((count,) + c.shape),
+                           np.empty((count,) + f.shape)) for c, f in matrix]
             self.c[slot], self.lp_c[slot], self.lp_f[slot] = (objective, lp_c,
                                                               lp_f)
-            for (c, f), k in zip(blocks, matrix):
-                c[slot], f[slot] = k.c_shifted, k.f
+            for (c, f), (kc, kf) in zip(blocks, matrix):
+                c[slot], f[slot] = kc, kf
         self.blocks = [(c, f, f.reshape(count, self.n, -1))
                        for c, f in blocks]
 
@@ -519,27 +511,6 @@ class _Centering:
         self._end(outcome, np.zeros(len(rows), dtype=bool))
 
 
-@functools.lru_cache(maxsize=None)
-def _box_cones(n: int) -> Tuple[_Cone, ...]:
-    """|x_i| <= 1e10 as 2x2 cones, one per variable, for phase I.
-
-    The radius dwarfs anything a pre-scaled block can require, so the box
-    never binds at a solution; it only keeps centering problems compact.
-    Each cone carries one more zero coefficient slot, for phase I's
-    auxiliary slack variable.  The cones depend on n alone, so each size
-    is built once.
-    """
-    r_box = 1e10
-    boxes = []
-    for i in range(n):
-        coeffs = [np.zeros((2, 2)) for _ in range(n)]
-        coeffs[i] = np.diag([-1.0, 1.0])
-        box = _Cone(LmiBlock(np.diag([r_box, r_box]), tuple(coeffs)))
-        box.f = np.concatenate([box.f, np.zeros((1, 2, 2))], axis=0)
-        boxes.append(box)
-    return tuple(boxes)
-
-
 class _Run:
     """One program's way through the barrier method: its cones, budget,
     iteration trace and solution, and the outer loop (`after`) that runs
@@ -548,8 +519,9 @@ class _Run:
     def __init__(self, program: LmiProgram):
         self.n = program.num_vars
         self.objective = program.objective
-        self.cones = [_Cone(b) for b in program.blocks]
-        self.m = sum(k.size for k in self.cones)
+        self.cones = [_cone(b.constant, b.coeffs, b.sense, b.strict)
+                      for b in program.blocks]
+        self.m = sum(len(c) for c, _, _ in self.cones)
         self.budget = MAX_ITER
         # rows of the group's trace once the run is batched; phase1 is the
         # number of phase-I steps once phase II starts
@@ -560,15 +532,15 @@ class _Run:
         # presolve: a diagonal entry no variable touches must be
         # nonnegative in any PSD matrix, so a negative one certifies
         # infeasibility outright
-        for cone in self.cones:
-            fixed = np.all(cone.f.diagonal(axis1=1, axis2=2) == 0.0, axis=0)
-            if np.any(fixed & (np.diag(cone.c_shifted) < 0.0)):
+        for c, f, shift in self.cones:
+            fixed = np.all(f.diagonal(axis1=1, axis2=2) == 0.0, axis=0)
+            if np.any(fixed & (np.diag(c) + shift < 0.0)):
                 return self.finish(INFEASIBLE, None)
         self.main = _split(self.cones, self.n)
         try:
             # phase I starts from x = 0 with s above every cone's deficit
-            s0 = max([1.0] + [1.0 - sym_eig(k.c_shifted)[0][0]
-                              for k in self.cones])
+            s0 = max([1.0] + [1.0 - sym_eig(c + shift * np.eye(len(c)))[0][0]
+                              for c, _, shift in self.cones])
         except np.linalg.LinAlgError:
             return self.finish(NUMERICAL_FAILURE, None)
         # the point the next phase starts from: (x, s) in phase I, x in II
@@ -578,22 +550,25 @@ class _Run:
         """(split cones, objective) of this program's barrier in a phase."""
         if phase == 2:
             return self.main, self.objective
-        # phase I: min s with every shifted slack + s*I inside the cone
+        # phase I: min s with every shifted slack + s*I inside its cone
+        lp_c, lp_f, matrix = self.main
         n = self.n
-        ext_cones = []
-        for cone in self.cones:
-            widened = copy.copy(cone)
-            widened.f = np.concatenate([cone.f, np.eye(cone.size)[None]],
-                                       axis=0)
-            ext_cones.append(widened)
         # cap s from below: keeps phase I bounded and its Hessian regular
         # even when the cones leave escape directions open
-        guard = _Cone(LmiBlock(np.array([[2.0 * self.start[-1]]]),
-                               tuple(np.zeros((1, 1)) for _ in range(n))))
-        guard.f = np.concatenate([guard.f, np.eye(1)[None]], axis=0)
-        ext_cones.append(guard)
-        ext_cones += _box_cones(n)
-        return _split(ext_cones, n + 1), np.eye(n + 1)[n]
+        guard, _, shift = _cone(np.array([[2.0 * self.start[-1]]]),
+                                np.zeros((n, 1, 1)))
+        box, box_f, box_shift = _BOX
+        # variable i's box rows are columns 2i and 2i + 1
+        box_rows = np.zeros((n + 1, n, 2))
+        box_rows[np.arange(n), np.arange(n)] = np.diag(box_f)
+        lp_c = np.concatenate([lp_c, np.diag(guard) + shift,
+                               np.tile(np.diag(box) + box_shift, n)])
+        lp_f = np.concatenate([np.vstack([lp_f, np.ones(lp_f.shape[1])]),
+                               np.eye(n + 1)[:, n:],
+                               box_rows.reshape(n + 1, 2 * n)], axis=1)
+        matrix = [(c, np.concatenate([f, np.eye(len(c))[None]]))
+                  for c, f in matrix]
+        return (lp_c, lp_f, matrix), np.eye(n + 1)[n]
 
     def steps(self) -> int:
         """Newton steps taken so far, both phases."""
@@ -607,10 +582,11 @@ class _Run:
         if x is None:
             self.solution = LmiSolution(status, None, None, None, log)
             return
-        margins = np.array([sym_eig(c.slack(x))[0][0] for c in self.cones])
+        margins = np.array([sym_eig(c + np.tensordot(x, f, axes=1))[0][0]
+                            for c, f, _ in self.cones])
         # a claimed-feasible point must actually honor the margin contract:
         # -shift is EPSILON_STRICT for a strict cone, -eps_psd otherwise
-        floors = -np.array([c.shift for c in self.cones])
+        floors = -np.array([shift for _, _, shift in self.cones])
         if status in (OPTIMAL, FEASIBLE) and np.any(margins < floors - 1e-12):
             status = NUMERICAL_FAILURE
         self.solution = LmiSolution(status, x, float(self.objective @ x),
@@ -698,7 +674,10 @@ def solve_batch(programs: Iterable[LmiProgram]) -> List[LmiSolution]:
     groups: dict = {}
     for run in runs:
         if run.solution is None:
-            groups.setdefault(_shape(run.main), []).append(run)
+            # programs of one barrier shape are stacked
+            _, lp_f, matrix = run.main
+            key = lp_f.shape, tuple(len(c) for c, _ in matrix)
+            groups.setdefault(key, []).append(run)
     for group in groups.values():
         trace = np.empty((len(group), MAX_ITER, 4))
         for slot, run in enumerate(group):
@@ -712,11 +691,6 @@ def solve_batch(programs: Iterable[LmiProgram]) -> List[LmiSolution]:
                 break
             barrier = _Barrier(len(group), (run.barrier_data(phase)
                                             for run in group))
-            # the unwidened cones keep their coefficients as their rows of
-            # the stack (less phase I's slack slot), not as a second copy
-            for run in group:
-                for cone, (_, f, _) in zip(run.main[2], barrier.blocks):
-                    cone.f = f[run.slot, :run.n]
             centering = _Centering(barrier, phase, trace, members,
                                    np.array([run.start for run in members]))
             while centering.runs:

@@ -20,7 +20,6 @@ import numpy as np
 from .certify import check_local_structure
 from .model import DguParams, LoadModel, augmented_dgu
 from .synthesis import (
-    DEFAULT_ALPHAS,
     Denied,
     LocalController,
     NumericalFailure,
@@ -156,15 +155,15 @@ def _solve_point(r_t: float, l_t: float, c_t: float,
     return _row(r_t, l_t, c_t, outcome)
 
 
-def run_sweep(grid: SweepGrid = GREEN_BOX, sigma_bar: float = 10.0,
-              alphas: Tuple[float, ...] = DEFAULT_ALPHAS) -> SweepResult:
+def run_sweep(grid: SweepGrid = GREEN_BOX,
+              sigma_bar: float = 10.0) -> SweepResult:
     """Synthesize over every grid point and tabulate the outcomes.
 
     The table is deterministic and follows the r_t-major, c_t-minor
     product of the axes.  All valid points are synthesized as one batch,
     with the same rows as point-by-point synthesis.
     """
-    cfg = SynthesisConfig(sigma_bar=sigma_bar, alphas=tuple(alphas))
+    cfg = SynthesisConfig(sigma_bar=sigma_bar)
     coords = list(itertools.product(*(ax.tolist() for ax in grid.axes())))
     table = [_unit(*coord) for coord in coords]
     valid = [i for i, unit in enumerate(table)
@@ -172,7 +171,7 @@ def run_sweep(grid: SweepGrid = GREEN_BOX, sigma_bar: float = 10.0,
     outcomes = synthesize_batch([table[i] for i in valid], cfg)
     for i, outcome in zip(valid, outcomes):
         table[i] = _row(*coords[i], outcome)
-    return SweepResult(grid, float(sigma_bar), tuple(alphas), tuple(table))
+    return SweepResult(grid, float(sigma_bar), cfg.alphas, tuple(table))
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -158,19 +158,13 @@ def assemble_problem(dgu: AugmentedDgu, params: DguParams,
         return out
 
     def affine_block(builder, sense, strict):
-        zero = np.zeros(11)
-        const = builder(zero)
-        coeffs = []
-        for i in range(11):
-            unit = np.zeros(11)
-            unit[i] = 1.0
-            coeffs.append(builder(unit) - const)
-        return LmiBlock(const, tuple(coeffs), sense=sense, strict=strict)
+        const = builder(np.zeros(11))
+        coeffs = np.array([builder(e) for e in np.eye(11)]) - const
+        return LmiBlock(const, coeffs, sense=sense, strict=strict)
 
     def scalar_bound(i, strict):
-        coeffs = [np.zeros((1, 1)) for _ in range(11)]
-        coeffs[i] = np.eye(1)
-        return LmiBlock(np.zeros((1, 1)), tuple(coeffs), sense=PSD, strict=strict)
+        return LmiBlock(np.zeros((1, 1)), np.eye(11)[i][:, None, None],
+                        sense=PSD, strict=strict)
 
     blocks = (
         affine_block(dissipation, NSD, False),
@@ -276,10 +270,10 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
     problem = _verify_invariants(k, p, q, delta, raw, eta)
     if problem is not None:
         return NumericalFailure(f"extracted controller invalid: {problem}")
-    phases = [it.phase for it in sol.iterations]
+    phase1 = sol.iterations.phase1
     raw["solver"] = {"status": sol.status,
-                     "iterations_phase1": phases.count(1),
-                     "iterations_phase2": phases.count(2)}
+                     "iterations_phase1": phase1,
+                     "iterations_phase2": len(sol.iterations) - phase1}
     return LocalController(k, p, eta, raw, float(delta), q)
 
 

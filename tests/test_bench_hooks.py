@@ -1,18 +1,23 @@
-"""Every program name the benchmark's tracer patches still resolves.
+"""The benchmark still works against the program.
 
 perfbench/spans.py wraps functions by the name they are bound under in
 the module that calls them, so a renamed or removed name there breaks
 the benchmark.  The names are read from spans.py itself, which is run
-from its path and left as it is.
+from its path and left as it is.  The benchmark's checkers read the
+program's outputs (a granted design's raw y, g, gamma, beta and zeta,
+trajectories, certificates); their self-test runs here as it is.
 """
 
 import importlib
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
-SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -34,3 +39,11 @@ def test_hooks_listed():
                          ids=[f"{m}.{n}" for m, n in HOOKS])
 def test_hook_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_benchmark_selftest():
+    pytest.importorskip("scipy")
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "all checks judged correctly" in done.stdout

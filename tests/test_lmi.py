@@ -9,6 +9,8 @@ from gridforge.lmi import (
     LmiProgram,
     _Barrier,
     _Run,
+    _cone,
+    _split,
     general_eig,
     solve,
     solve_batch,
@@ -84,6 +86,47 @@ class TestProgramValidation:
     def test_bad_sense(self):
         with pytest.raises(ValueError, match="sense"):
             scalar_block(0.0, 1.0, sense="psd")
+
+    def test_asymmetric_coeff_named_by_index(self):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^coeffs\[2\] is not symmetric"):
+            LmiBlock(np.eye(2), (np.eye(2), np.zeros((2, 2)), bad))
+
+    def test_nonfinite_coeff(self):
+        for value in (np.nan, np.inf):
+            f = np.eye(2)
+            f[1, 1] = value
+            with pytest.raises(ValueError,
+                               match=r"^coeffs\[1\] has non-finite entries"):
+                LmiBlock(np.eye(2), (np.eye(2), f))
+        with pytest.raises(ValueError, match="^constant has non-finite"):
+            LmiBlock(np.diag([1.0, np.inf]), (np.eye(2),))
+
+    @pytest.mark.parametrize("coeffs, where", [
+        ((np.eye(2), np.eye(3)), r"coeffs\[1\] shape \(3, 3\) != \(2, 2\)"),
+        ((np.eye(2), np.ones(2)), r"coeffs\[1\] shape \(2,\) != \(2, 2\)"),
+        ((np.eye(3), np.eye(3)), r"coeffs\[0\] shape \(3, 3\) != \(2, 2\)"),
+        (np.ones((2, 3, 3)), r"coeffs\[0\] shape \(3, 3\) != \(2, 2\)"),
+    ], ids=["mixed", "vector", "unlike-constant", "stacked"])
+    def test_coeff_shapes(self, coeffs, where):
+        with pytest.raises(ValueError, match=f"^{where}$"):
+            LmiBlock(np.eye(2), coeffs)
+
+    def test_coeffs_become_one_read_only_stack(self):
+        f = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
+        block = LmiBlock(np.eye(2), (f, np.zeros((2, 2)), np.eye(2)))
+        assert isinstance(block.coeffs, np.ndarray)
+        assert block.coeffs.shape == (3, 2, 2)
+        assert not block.coeffs.flags.writeable
+        assert not block.constant.flags.writeable
+        np.testing.assert_array_equal(block.coeffs[0], block.coeffs[0].T)
+        assert block.coeffs[0, 0, 1] == 0.5 * (2.0 + (2.0 + 1e-14))
+        with pytest.raises(ValueError):
+            block.coeffs[2, 0, 0] = 5.0
+        # a stack in, a checked copy out: the caller's array stays writable
+        stack = np.zeros((3, 2, 2))
+        assert LmiBlock(np.eye(2), stack).coeffs is not stack
+        assert stack.flags.writeable
 
 
 class TestSolveAnalytic:
@@ -231,6 +274,30 @@ def synthesis_program(r_t, l_t, c_t):
                             SynthesisConfig(10.0))
 
 
+def phase1_reference(program):
+    """Phase I's barrier data built from its own cones: phase II's cones
+    widened by an identity coefficient for s, then a guard on s and one
+    2x2 box per variable, written as LmiBlocks and folded by `_split`."""
+    run = _Run(program)
+    n = run.n
+
+    def cone(block, s_coeff):
+        c, f, shift = _cone(block.constant, block.coeffs, block.sense,
+                            block.strict)
+        return c, np.concatenate([f, s_coeff[None]]), shift
+
+    cones = [(c, np.concatenate([f, np.eye(len(c))[None]]), shift)
+             for c, f, shift in run.cones]
+    cones.append(cone(LmiBlock(np.array([[2.0 * run.start[-1]]]),
+                               [np.zeros((1, 1))] * n), np.eye(1)))
+    for i in range(n):
+        coeffs = [np.zeros((2, 2))] * n
+        coeffs[i] = np.diag([-1.0, 1.0])
+        cones.append(cone(LmiBlock(np.diag([1e10, 1e10]), coeffs),
+                          np.zeros((2, 2))))
+    return _split(cones, n + 1), np.eye(n + 1)[n]
+
+
 class TestSolveBatch:
     # (r_t, l_t, c_t) -> status: four green-box points, a refusal of the
     # 27-point box and two of its points whose phase II ends in a line
@@ -292,6 +359,24 @@ class TestSolveBatch:
     def test_empty_batch(self):
         assert solve_batch([]) == []
 
+    @pytest.mark.parametrize("program", [
+        synthesis_program(0.05, 1e-3, 1e-3),
+        # one diagonal 2x2 cone: two rows of phase II before the guard row
+        LmiProgram(1, [0.0], (LmiBlock(np.diag([0.0, 1.0]),
+                                       (np.diag([1.0, -1.0]),)),)),
+    ], ids=["green-box", "interval"])
+    def test_phase1_is_derived_from_phase2(self, program):
+        (lp_c, lp_f, matrix), objective = _Run(program).barrier_data(1)
+        (ref_c, ref_f, ref_matrix), ref_objective = phase1_reference(program)
+        for got, want in [(lp_c, ref_c), (lp_f, ref_f),
+                          (objective, ref_objective)]:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert len(matrix) == len(ref_matrix)
+        for got, want in zip(matrix, ref_matrix):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_non_pd_member_rejects_only_its_candidate(self):
         # [[a, x], [x, b]] > 0 holds for x = 0.5 in every member, and
         # fails for x = 2 in the middle one
@@ -308,7 +393,7 @@ class TestSolveBatch:
             one_ok, (one_ls, _) = barrier.factor(rows[i:i + 1], x[i:i + 1])
             assert one_ok.tolist() == [True]
             assert ls[0][i].tobytes() == one_ls[0][0].tobytes()
-            cone = runs[i].cones[0]
+            c, f, shift = runs[i].cones[0]
             np.testing.assert_allclose(ls[0][i] @ ls[0][i].T,
-                                       cone.c_shifted + 0.5 * cone.f[0],
+                                       c + shift * np.eye(2) + 0.5 * f[0],
                                        rtol=1e-12)
