@@ -5,9 +5,11 @@ RK4 update collapses to an affine map x -> Rx + w with R and w assembled
 once per segment from the fourth-order Taylor truncation of exp(hA).
 Steps between recorded samples are composed into a single affine map,
 which keeps long runs cheap.  Event timestamps never drift: the step
-straddling an event is split so the boundary is hit exactly.  Recording
-keeps the state rows only, tests them for divergence a stretch at a time
-and computes u per segment when the trajectory is assembled.
+straddling an event is split so the boundary is hit exactly, and after an
+event off the dt grid one short step returns to it, so later samples stay
+on the record grid.  Recording keeps the state rows only and tests them
+for divergence a stretch at a time; the trajectory is then assembled as
+one read-only table in the CSV's layout, with u = k x_hat per unit.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numpy as np
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
                     TopologyError, assemble_global, augmented_dgu,
                     closed_loop)
-from .synthesis import (Denied, LocalController, SynthesisConfig, synthesize,
-                        synthesize_all)
+from .synthesis import Denied, LocalController, SynthesisConfig, synthesize
 
 QSL = "qsl"
 RL = "rl"
@@ -97,8 +98,8 @@ class Scenario:
 
     Event times must be sorted and lie strictly inside (0, t_end); ties
     are allowed and fire in list order.  alphas, when given, override the
-    synthesis objective weights for every controller designed during the
-    run (initial auto-synthesis and plug-in newcomers alike).
+    synthesis objective weights in synthesis_config(), which designs the
+    plug-in newcomers during the run and, in the CLI, the initial units.
     """
 
     initial_topology: MicrogridTopology
@@ -162,25 +163,33 @@ class DivergedAt:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: sample times, per-DGU series and the event log.
+    """Recorded run: one read-only sample table and the event log.
 
-    Series are (n, 4) arrays with columns V, It, v, u; entries are NaN
-    while the DGU is not part of the grid.  line_series carries RL line
-    currents keyed by endpoint pair and is empty for QSL runs.  The exact
-    final state vector (layout of final_topology) is kept alongside the
-    sampled series so runs can be chained without re-simulation.
+    table is the CSV's table: one row per sample, the time, then V, It, v
+    and u of each DGU in id order, NaN while the DGU is not part of the
+    grid.  times, series[i] (columns V, It, v, u) and column() are views
+    of it.  The exact final state vector (layout of final_topology, RL
+    line currents included) is kept so runs can be chained without
+    re-simulation.
     """
 
-    times: np.ndarray
+    table: np.ndarray
     ids: Tuple[int, ...]
-    series: Dict[int, np.ndarray]
-    line_series: Dict[Tuple[int, int], np.ndarray]
     events: Tuple[EventRecord, ...]
     final_topology: MicrogridTopology
     final_state: np.ndarray
     diverged: Optional[DivergedAt] = None
 
     COLUMNS: ClassVar[Tuple[str, ...]] = ("V", "It", "v", "u")
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def series(self) -> Dict[int, np.ndarray]:
+        return {i: self.table[:, 1 + 4 * k:5 + 4 * k]
+                for k, i in enumerate(self.ids)}
 
     def column(self, dgu_id: int, name: str) -> np.ndarray:
         return self.series[dgu_id][:, self.COLUMNS.index(name)]
@@ -261,7 +270,6 @@ class _Segment:
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
                  line_model: str, dt: float):
         self.ids = top.ids
-        self.line_keys = tuple(ln.key for ln in top.lines) if line_model == RL else ()
         self.dt = dt
         self.a, self.c = _build_ode(top, controllers, line_model)
         self.step = _step_map(self.a, self.c, dt)
@@ -305,17 +313,25 @@ class _Segment:
         del self.times[start + keep:]
         return stretch[k], DivergedAt(t, max_abs)
 
+    def short_step(self, state: np.ndarray, h: float) -> np.ndarray:
+        r, w = _step_map(self.a, self.c, h)
+        return r @ state + w
+
     def run(self, state, t0, t1, n_rec, record_dt):
         """Integrate [t0, t1), recording interior record-grid samples; the
         t1 sample is left to the caller (it may follow an event).  Returns
         (state, t_reached, n_rec, diverged_or_none), the cut row's state and
         time on divergence."""
         tiny = 1e-9 * max(1.0, t1)
-        k = 0
-        t_cur = t0
         cut = None
         # a runaway may overflow between two checks; the cut drops it
         with np.errstate(over="ignore", invalid="ignore"):
+            # t0 off the dt grid (an event time): one short step back onto
+            # it, so the samples after t0 fall on the record grid
+            grid = math.ceil(t0 / self.dt - 1e-6) * self.dt
+            if grid - t0 > 1e-6 * self.dt and grid < t1 - tiny:
+                state, t0 = self.short_step(state, grid - t0), grid
+            k, t_cur = 0, t0
             while cut is None:
                 target = (n_rec + 1) * record_dt
                 last = target >= t1 - tiny
@@ -333,10 +349,8 @@ class _Segment:
             cut = cut or self.check()
             if cut is not None:
                 return cut[0], cut[1].t, n_rec, cut[1]
-            h = t1 - t_cur
-            if h > 1e-9 * self.dt:
-                r, w = _step_map(self.a, self.c, h)
-                state = r @ state + w
+            if t1 - t_cur > 1e-9 * self.dt:
+                state = self.short_step(state, t1 - t_cur)
         return state, t1, n_rec, None
 
 
@@ -392,22 +406,6 @@ def attempt_unplug(topology: MicrogridTopology,
     if not remaining.is_connected():
         return Denied("disconnects the remaining grid")
     return remaining
-
-
-def _initial_controllers(top, controllers, cfg):
-    if controllers is None:
-        results = synthesize_all(top, cfg)
-        refused = {i: r.reason for i, r in results.items()
-                   if isinstance(r, Denied)}
-        if refused:
-            raise ValueError(f"controller synthesis denied: {refused}")
-        return dict(results)
-    given = dict(controllers)
-    if set(given) != set(top.ids):
-        raise ValueError("controllers must cover exactly the initial topology")
-    for ctrl in given.values():
-        _gain(ctrl)
-    return given
 
 
 def _default_state(scenario, top, controllers):
@@ -481,22 +479,26 @@ def _apply_event(ev, t, top, controllers, state, line_model, cfg, records):
     return state, top.replace_params(ev.dgu_id, params), True
 
 
-def simulate(scenario: Scenario,
-             controllers: Optional[Mapping[int, Gain]] = None,
+def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
              initial_state: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate the scenario, enforcing the plug protocol at each event.
 
-    With controllers=None every initial DGU is synthesized from the
-    scenario's sigma_bar and weights.  By default each DGU starts at its
-    isolated operating point (line currents at zero in RL mode); pass
-    initial_state to override.  Divergence does not raise: the returned
-    trajectory is truncated and carries a DivergedAt marker.
+    controllers holds one controller per initial DGU; plug-in newcomers
+    are synthesized from the scenario's sigma_bar and weights.  By default
+    each DGU starts at its isolated operating point (line currents at zero
+    in RL mode); pass initial_state to override.  Divergence does not
+    raise: the returned trajectory is truncated and carries a DivergedAt
+    marker.
     """
     top = scenario.initial_topology
     if not top.is_connected():
         raise TopologyError("initial topology must be connected")
     cfg = scenario.synthesis_config()
-    controllers = _initial_controllers(top, controllers, cfg)
+    controllers = dict(controllers)
+    if set(controllers) != set(top.ids):
+        raise ValueError("controllers must cover exactly the initial topology")
+    for ctrl in controllers.values():
+        _gain(ctrl)
 
     if initial_state is None:
         state = _default_state(scenario, top, controllers)
@@ -551,42 +553,38 @@ def simulate(scenario: Scenario,
 
 
 def _assemble(segments, records, top, state, diverged) -> Trajectory:
-    all_ids = sorted({i for seg in segments for i in seg.ids})
-    all_lines = sorted({k for seg in segments for k in seg.line_keys})
+    """Write each segment's checked stretches, with u = k x_hat, straight
+    into the table; RL line currents are not sampled."""
+    ids = sorted({i for seg in segments for i in seg.ids})
+    slot = {i: k for k, i in enumerate(ids)}
     total = sum(len(seg.times) for seg in segments)
-    times = np.empty(total)
-    series = {i: np.full((total, 4), np.nan) for i in all_ids}
-    line_series = {key: np.full(total, np.nan) for key in all_lines}
+    table = np.full((total, 1 + 4 * len(ids)), np.nan)
+    units = table[:, 1:].reshape(total, len(ids), 4)  # a view of the table
     pos = 0
     for seg in segments:
-        m = len(seg.times)
-        times[pos:pos + m] = seg.times
-        states = np.concatenate(seg.rows)
-        n = len(seg.ids)
-        us = np.einsum("ij,tij->ti", seg.gains, states[:, :3 * n].reshape(m, n, 3))
-        for col, dgu_id in enumerate(seg.ids):
-            series[dgu_id][pos:pos + m, 0:3] = states[:, 3 * col:3 * col + 3]
-            series[dgu_id][pos:pos + m, 3] = us[:, col]
-        for col, key in enumerate(seg.line_keys):
-            line_series[key][pos:pos + m] = states[:, 3 * n + col]
-        pos += m
-    for arr in (times, *series.values(), *line_series.values()):
-        arr.setflags(write=False)
-    return Trajectory(times, tuple(all_ids), series, line_series,
-                      tuple(records), top, state.copy(), diverged)
+        table[pos:pos + len(seg.times), 0] = seg.times
+        cols, n = [slot[i] for i in seg.ids], len(seg.ids)
+        for stretch in seg.rows:
+            m = len(stretch)
+            x = stretch[:, :3 * n].reshape(m, n, 3)
+            units[pos:pos + m, cols, :3] = x
+            units[pos:pos + m, cols, 3] = np.einsum("ij,tij->ti", seg.gains, x)
+            pos += m
+    table.setflags(write=False)
+    return Trajectory(table, tuple(ids), tuple(records), top, state.copy(),
+                      diverged)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,dgu<i>.V,dgu<i>.It,dgu<i>.v,dgu<i>.u,...` in id order."""
-    table = np.column_stack([traj.times] + [traj.series[i] for i in traj.ids])
     with open(path, "w", newline="") as fh:
         # csv.writer's lines (repr() cells, CRLF ends), a few thousand rows
         # at a time: tolist() of the whole table would hold every cell at once
         fh.write(",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
                                    for col in Trajectory.COLUMNS]) + "\r\n")
-        for start in range(0, len(table), 4096):
-            fh.write("".join([",".join(map(repr, row)) + "\r\n"
-                              for row in table[start:start + 4096].tolist()]))
+        for start in range(0, len(traj.table), 4096):
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row
+                              in traj.table[start:start + 4096].tolist()]))
 
 
 def event_log_lines(traj: Trajectory) -> List[str]:

@@ -80,6 +80,10 @@ class TestLocalStructure:
         report = check_local_structure(bad)
         assert not report.passed
         assert abs(report.q11) > 0.0 or report.first_row_max > 0.0
+        assert report.q_max_eig > 0.0
+        with pytest.raises(ValueError, match="local certificate of DGU 1 "
+                           "fails structure checks"):
+            check_global({1: bad, 2: ctrls[2]}, top, 10.0)
 
 
 class TestLaplacian:
@@ -259,6 +263,13 @@ class TestLasalleKernel:
         assert report.passed
         assert report.nullity == 3
         assert report.max_principal_angle <= 1e-6
+        # a kernel basis one vector short fails on its nullity alone
+        short = dataclasses.replace(pair_cert,
+                                    kernel_basis=pair_cert.kernel_basis[:, 1:])
+        report = check_lasalle_kernel(short, ctrls)
+        assert not report.passed
+        assert (report.nullity, report.expected_nullity) == (2, 3)
+        assert report.max_principal_angle == np.pi / 2.0
 
     def test_single_dgu(self):
         params = dgu(0.3, 2.5e-3, 1.9e-3)

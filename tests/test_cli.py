@@ -10,7 +10,7 @@ import subprocess
 import pytest
 
 from gridforge import baselines, cli
-from gridforge.simulate import LoadStep, PlugIn, Unplug
+from gridforge.simulate import LoadStep, PlugIn, RefStep, Unplug
 
 SMALL = {
     "sigma_bar": 10.0,
@@ -23,7 +23,7 @@ SMALL = {
          "load": {"type": "resistance", "value": 6.0}, "v_ref": 48.06},
     ],
     "lines": [{"i": 1, "j": 2, "r": 0.05, "l": 2.1e-6}],
-    "events": [],
+    "events": [{"t": 0.02, "type": "ref_step", "dgu": 1, "v_ref": 48.0}],
 }
 
 
@@ -49,6 +49,7 @@ def bundle_file(tmp_path_factory):
 class TestScenarioFormat:
     def test_round_trip_is_identity(self, small_file):
         first = cli.load_scenario(small_file)
+        assert first.events == (RefStep(0.02, 1, 48.0),)
         again = cli.parse_scenario(cli.scenario_to_json(first))
         assert again == first
 
@@ -218,7 +219,9 @@ class TestSimulate:
         assert cli.main(["simulate", small_file, "--out", str(out)]) == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("t,dgu1.V,dgu1.It,dgu1.v,dgu1.u")
-        assert (out / "events.log").exists()
+        log = (out / "events.log").read_text().splitlines()
+        assert [json.loads(line) for line in log] == [
+            {"t": 0.02, "event": "ref_step dgu=1", "outcome": "applied"}]
         assert "simulated 0.05 s" in capsys.readouterr().out
 
     def test_dt_and_line_model_flags(self, small_file, tmp_path):

@@ -179,9 +179,27 @@ class TestEvents:
 
     def test_event_on_absent_dgu_skipped(self, pair):
         top, ctrls = pair
-        ev = (LoadStep(0.05, 9, LoadModel.resistive(4.0)),)
+        ev = (LoadStep(0.05, 9, LoadModel.resistive(4.0)), Unplug(0.06, 9))
         tr = simulate(Scenario(top, 10.0, events=ev, t_end=0.1), controllers=ctrls)
-        assert tr.events[0].outcome == "skipped: DGU 9 not present"
+        assert [r.outcome for r in tr.events] == ["skipped: DGU 9 not present"] * 2
+
+    def test_off_grid_event_keeps_the_record_grid(self, pair):
+        top, ctrls = pair
+        t_event = 0.0123456789  # 4.3 us short of the dt grid at 1e-5
+        plain = simulate(Scenario(top, 10.0, t_end=0.03), controllers=ctrls)
+        runs = [simulate(Scenario(top, 10.0, events=(RefStep(t_event, 1, 48.3),),
+                                  t_end=0.03, dt=dt), controllers=ctrls)
+                for dt in (1e-5, 1e-5 / 16)]
+        for tr in runs:
+            # the event time is one extra sample; the others stay on the
+            # record grid of the event-free run
+            k = np.searchsorted(tr.times, t_event)
+            assert tr.times[k] == t_event
+            np.testing.assert_allclose(np.delete(tr.times, k), plain.times,
+                                       rtol=0.0, atol=1e-15)
+        # so a coarse and a fine run compare row by row
+        np.testing.assert_allclose(runs[0].table, runs[1].table, rtol=0.0,
+                                   atol=1e-6)
 
     def test_unplug_leaf_then_readd(self, pair):
         top, ctrls = pair
@@ -379,6 +397,20 @@ class TestArtifacts:
         # every cell reads back bit for bit, NaN and signed zeros included
         assert cells.shape == table.shape
         assert cells.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_table_is_the_one_sample_array(self, pair, line_model):
+        tr = run_with_plug_in(pair, 0.1, line_model)
+        assert tr.table.shape == (len(tr.times), 1 + 4 * len(tr.ids))
+        views = [tr.times, tr.column(3, "u"), *tr.series.values()]
+        for view in views:
+            assert np.shares_memory(view, tr.table)
+        for array in (tr.table, *views):
+            assert not array.flags.writeable
+        joined = np.column_stack([tr.times] + [tr.series[i] for i in tr.ids])
+        np.testing.assert_array_equal(tr.table, joined)
+        # RL line currents are in the final state only
+        assert len(tr.final_state) == 9 + (2 if line_model == RL else 0)
 
     def test_event_log_is_json_lines(self, pair):
         top, ctrls = pair

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,22 @@ class TestSynthesize:
         with pytest.raises(NumericalFailure):
             synthesize(augmented_dgu(p), p, CFG)
 
+    def test_invalid_extraction_is_a_breakdown(self, monkeypatch):
+        # beta = 0 leaves the gain above its norm cap sqrt(beta) * zeta
+        real = synth.solve_batch
+
+        def no_beta(progs):
+            (sol,) = real(progs)
+            x = sol.x.copy()
+            x[9] = 0.0
+            return [dataclasses.replace(sol, x=x)]
+
+        monkeypatch.setattr(synth, "solve_batch", no_beta)
+        p = dgu()
+        with pytest.raises(NumericalFailure, match=r"^extracted controller "
+                           r"invalid: gain norm bound violated$"):
+            synthesize(augmented_dgu(p), p, CFG)
+
     def test_solver_diagnostics_in_raw(self, table_controller):
         _, ctrl = table_controller
         solver = ctrl.raw["solver"]
@@ -167,6 +185,49 @@ class TestSynthesize:
         assert solver["iterations_phase2"] >= 0
         assert (solver["iterations_phase1"] + solver["iterations_phase2"]
                 <= MAX_ITER)
+
+
+def doctored(ctrl, target):
+    """_verify_invariants' arguments for a granted design, changed so that
+    only the check that returns `target` fails (None: unchanged)."""
+    k, p, q = ctrl.k.copy(), ctrl.p.copy(), ctrl.q_local.copy()
+    delta, raw, eta = ctrl.delta, dict(ctrl.raw), ctrl.eta
+    if target == "p[0,0] != eta":
+        eta *= 1.0 + 1e-6
+    elif target == "p cross terms not zero":
+        p[0, 2] = p[2, 0] = 1e-6 * np.linalg.norm(p)
+    elif target == "p not positive definite":
+        p[1:, 1:] *= -1.0
+    elif target == "q_local not negative semidefinite":
+        q *= -1.0
+    elif target == "q_local first row not zero":
+        q[0, 0] = -1e-6 * np.linalg.norm(q)  # still semidefinite
+    elif target == "q_tail does not annihilate [1, delta]":
+        q[1, 1] -= 1e-3 * np.linalg.norm(q)  # still semidefinite
+    elif target == "p22 = -delta*p23 violated":
+        p[1, 1] *= 1.01  # still positive definite
+    elif target == "gain norm bound violated":
+        raw["beta"] = 0.0
+    return k, p, q, delta, raw, eta
+
+
+class TestVerifyInvariants:
+    # in the order the checks run
+    @pytest.mark.parametrize("target", [
+        None,
+        "p[0,0] != eta",
+        "p cross terms not zero",
+        "p not positive definite",
+        "q_local not negative semidefinite",
+        "q_local first row not zero",
+        "q_tail does not annihilate [1, delta]",
+        "p22 = -delta*p23 violated",
+        "gain norm bound violated",
+    ])
+    def test_each_check_refuses_its_own_fault(self, table_controller,
+                                              target):
+        _, ctrl = table_controller
+        assert synth._verify_invariants(*doctored(ctrl, target)) == target
 
 
 class TestSynthesizeBatch:
