@@ -5,9 +5,15 @@ derivative matrix Q = F'P + PF along the closed loop F.  Q splits into a
 block-diagonal part (the local certificates) plus a coupling part whose
 only nonzero rows are the voltage rows; compressing those rows yields an
 N x N weighted graph Laplacian, negative semidefinite with the all-ones
-kernel on a connected grid.  Everything here re-derives that chain
-numerically, by eigenvalue computations on explicitly assembled matrices,
-independent of how the controllers were obtained.
+kernel on a connected grid.
+
+Every local certificate has a zero first row and column, so Q is a direct
+sum: one N x N block on the voltage coordinates, plus one 2 x 2 block on
+each unit's (I, v) pair.  Everything here re-derives that chain
+numerically, independent of how the controllers were obtained: products
+with P go block by block, and Q's spectrum and kernel come from the
+pieces of the direct sum, with what the split drops measured and bounded.
+The one dense eigensolve left is the closed-loop spectrum.
 """
 
 from __future__ import annotations
@@ -63,7 +69,11 @@ class GlobalCertificate:
     checks: Mapping[str, float]
 
     def q_negative_semidefinite(self) -> bool:
-        return self.checks["q_global_max_eig"] <= _eps(self.q_global)
+        # Weyl: the largest eigenvalue of Q is at most that of its direct
+        # sum plus the norm of what the split drops (Frobenius bounds 2-norm)
+        dropped = np.linalg.norm(_direct_sum(self.q_global)[2])
+        return (self.checks["q_global_max_eig"] + dropped
+                <= _eps(self.q_global))
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,29 @@ def check_local_structure(ctrl: LocalController) -> LocalStructureReport:
         first_row_max=max(row, col),
         smallest_abs_eig=float(np.min(np.abs(w))),
     )
+
+
+def _direct_sum(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(voltage block, unit blocks, dropped entries) of a 3N x 3N matrix.
+
+    The voltage block is N x N, the unit blocks an (N, 2, 2) stack of the
+    (I, v) diagonal blocks; the dropped entries are the rest: voltage
+    against (I, v) coordinates, and (I, v) pairs of different units.
+    """
+    n = len(q) // 3
+    blocks = q.reshape(n, 3, n, 3)
+    idx = np.arange(n)
+    cross = blocks[:, 1:, :, 1:].copy()
+    cross[idx, :, idx, :] = 0.0
+    dropped = np.concatenate([blocks[:, 0, :, 1:].ravel(),
+                              blocks[:, 1:, :, 0].ravel(), cross.ravel()])
+    return q[::3, ::3], blocks[idx, 1:, idx, 1:], dropped
+
+
+def _times_p(p_blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """P @ m for P = blockdiag(p_blocks), one 3-row block at a time."""
+    n = len(p_blocks)
+    return np.matmul(p_blocks, m.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
 
 
 def build_laplacian(topology: MicrogridTopology, sigma_bar: float,
@@ -163,18 +196,20 @@ def check_global(controllers: Mapping[int, LocalController],
 
     system = assemble_global(topology)
     n = len(ids)
+    p_blocks = np.array([controllers[dgu_id].p for dgu_id in ids], dtype=float)
     p_global = np.zeros((3 * n, 3 * n))
     block_a = np.zeros((3 * n, 3 * n))
     for idx, dgu_id in enumerate(ids):
         s = slice(3 * idx, 3 * idx + 3)
-        p_global[s, s] = controllers[dgu_id].p
+        p_global[s, s] = p_blocks[idx]
         block_a[s, s] = controllers[dgu_id].q_local
 
     f_global = closed_loop(system, controllers)
-    q_global = f_global.T @ p_global + p_global @ f_global
+    pf = _times_p(p_blocks, f_global)
+    q_global = pf + pf.T
 
-    coupling = system.a_xi + system.a_c
-    block_bc = coupling.T @ p_global + p_global @ coupling
+    pc = _times_p(p_blocks, system.a_xi + system.a_c)
+    block_bc = pc + pc.T
 
     laplacian, _, _ = build_laplacian(topology, sigma_bar)
     # the coupling quadratic form lives on the voltage rows alone; its
@@ -185,16 +220,34 @@ def check_global(controllers: Mapping[int, LocalController],
     mask[::3] = False
     offrow_err = float(np.max(np.abs(block_bc[mask, :]))) if n else 0.0
 
-    w_q, vecs = sym_eig(q_global)
-    kernel_cols = np.abs(w_q) <= 1e-7 * np.linalg.norm(q_global)
-    kernel_basis = vecs[:, kernel_cols]
+    q_volt, q_units, dropped = _direct_sum(q_global)
+    bc_volt, bc_units, bc_dropped = _direct_sum(block_bc)
+    w_volt, v_volt = sym_eig(q_volt)
+    w_units, v_units = sym_eig(q_units)
+    w_q = np.sort(np.concatenate([w_volt, w_units.ravel()]))
+    tol = 1e-7 * np.linalg.norm(q_global)
+    in_volt = np.abs(w_volt) <= tol
+    unit, which = np.nonzero(np.abs(w_units) <= tol)
+    # each kernel vector lives on one piece: the voltage coordinates, or
+    # one unit's (I, v) pair
+    m = np.count_nonzero(in_volt)
+    kernel_basis = np.zeros((3 * n, m + len(unit)))
+    kernel_basis[::3, :m] = v_volt[:, in_volt]
+    cols = m + np.arange(len(unit))
+    kernel_basis[3 * unit + 1, cols] = v_units[unit, 0, which]
+    kernel_basis[3 * unit + 2, cols] = v_units[unit, 1, which]
 
     checks = {
         # block_a is the block diagonal of the q_local: its spectrum is
         # theirs, already measured per unit
         "block_a_max_eig": max(r.q_max_eig for r in reports),
-        "block_bc_max_eig": float(sym_eig(block_bc)[0][-1]),
+        # both spectra are those of the direct sums; the largest entry the
+        # two splits drop is direct_sum_residual
+        "block_bc_max_eig": float(max(np.linalg.eigvalsh(bc_volt)[-1],
+                                      np.max(np.linalg.eigvalsh(bc_units)))),
         "q_global_max_eig": float(w_q[-1]),
+        "direct_sum_residual": float(max(np.max(np.abs(dropped)),
+                                         np.max(np.abs(bc_dropped)))),
         "split_residual": float(np.max(np.abs(q_global - block_a - block_bc))),
         "laplacian_expansion_error": expansion_err,
         "coupling_nonvoltage_rows": offrow_err,
@@ -249,23 +302,34 @@ def check_lasalle_kernel(cert: GlobalCertificate,
     Prediction: one vector with every voltage slot equal and the rest
     zero, plus one [0, 1, delta_i] direction per DGU; together N+1
     dimensions.  Agreement is measured by the largest principal angle.
+    Both bases split along Q's direct sum, each vector on one piece (the
+    voltage coordinates, or one unit's (I, v) pair), so the principal
+    angles are those of the pieces.  Each is the angle between a piece's
+    predicted unit vector and the basis vectors on that piece, taken from
+    the length of the part the projection misses (accurate near zero).
     """
     n = len(controllers)
     numerical = cert.kernel_basis
     nullity = numerical.shape[1]
     expected = n + 1
-
-    predicted = np.zeros((3 * n, expected))
-    predicted[::3, 0] = 1.0
-    for idx, dgu_id in enumerate(sorted(controllers)):
-        predicted[3 * idx + 1, idx + 1] = 1.0
-        predicted[3 * idx + 2, idx + 1] = controllers[dgu_id].delta
-    predicted_q, _ = np.linalg.qr(predicted)
-
     if nullity != expected:
         return KernelReport(False, nullity, expected, np.pi / 2.0)
-    sv = np.linalg.svd(numerical.T @ predicted_q, compute_uv=False)
-    max_angle = float(np.arccos(np.clip(np.min(sv), -1.0, 1.0)))
+
+    blocks = numerical.reshape(n, 3, nullity)
+    volt, pairs = blocks[:, 0, :], blocks[:, 1:, :]
+    pieces = np.any(volt != 0.0, axis=0) + np.count_nonzero(
+        np.any(pairs != 0.0, axis=1), axis=0)
+    if np.any(pieces != 1):
+        raise ValueError("kernel basis does not split along Q's direct sum")
+    ones = np.full(n, 1.0 / np.sqrt(n))
+    delta = np.array([controllers[i].delta for i in sorted(controllers)])
+    pair = np.stack([np.ones(n), delta], axis=1) / np.hypot(1.0, delta)[:, None]
+    missed_volt = ones - volt @ (ones @ volt)
+    missed_pair = pair - np.einsum("ijk,ik->ij", pairs,
+                                   np.einsum("ij,ijk->ik", pair, pairs))
+    sine = max(np.linalg.norm(missed_volt),
+               np.max(np.linalg.norm(missed_pair, axis=1)))
+    max_angle = float(np.arcsin(min(sine, 1.0)))
     return KernelReport(max_angle <= 1e-6, nullity, expected, max_angle)
 
 

@@ -307,9 +307,9 @@ def cmd_certify(args) -> int:
     cert = check_global(controllers, topology, sigma_bar)
     verdict = check_theorem1(cert, controllers, topology)
     kernel = check_lasalle_kernel(cert, controllers)
-    _write_or_print(
-        json.dumps(certificate_to_json(cert, verdict, kernel), indent=2),
-        args.out)
+    # compact: with an indent, json runs its pure-Python encoder
+    _write_or_print(json.dumps(certificate_to_json(cert, verdict, kernel)),
+                    args.out)
     if verdict.verdict == PASS:
         print("theorem1: pass")
         return EXIT_OK

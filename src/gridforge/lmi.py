@@ -189,7 +189,7 @@ class LmiSolution:
 
 
 def sym_eig(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (nearly) symmetric matrix.
+    """Eigendecomposition of a (nearly) symmetric matrix, or of a stack.
 
     The input is symmetrized by averaging before factoring, eigenvalues
     come back ascending, and ||A - V diag(w) V'|| stays below
@@ -198,7 +198,7 @@ def sym_eig(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    return np.linalg.eigh(0.5 * (a + a.T))
+    return np.linalg.eigh(0.5 * (a + a.swapaxes(-1, -2)))
 
 
 def general_eig(a: np.ndarray) -> np.ndarray:

@@ -295,11 +295,16 @@ def closed_loop(system: GlobalSystem,
     itself, so baseline designs can be inspected like synthesized ones.
     """
     n = len(system.ids)
-    k_global = np.zeros((n, 3 * n))
-    for idx, dgu_id in enumerate(system.ids):
-        ctrl = controllers[dgu_id]
-        k_global[idx, 3 * idx:3 * idx + 3] = getattr(ctrl, "k", ctrl)
-    return system.a_hat + system.b_hat @ k_global
+    gains = np.array([getattr(controllers[dgu_id], "k", controllers[dgu_id])
+                      for dgu_id in system.ids], dtype=float).reshape(n, 3)
+    idx = np.arange(n)
+    # b_hat K is block diagonal: unit i's block is the outer product of
+    # its input column and its gain row
+    inputs = system.b_hat.reshape(n, 3, n)[idx, :, idx]
+    f = np.array(system.a_hat)
+    f.reshape(n, 3, n, 3)[idx, :, idx, :] += (inputs[:, :, None]
+                                              * gains[:, None, :])
+    return f
 
 
 def appendix_a_matrices(params: DguParams, line: LineParams) -> np.ndarray:

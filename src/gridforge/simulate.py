@@ -276,7 +276,7 @@ class _Segment:
         self._chunks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {1: self.step}
         self.gains = np.vstack([_gain(controllers[i]) for i in self.ids])
         self.times: List[float] = []
-        self.rows: List[np.ndarray] = []  # 2-D stretches check() passed
+        self.rows: List[np.ndarray] = []  # unit columns check() passed
         self.pending: List[np.ndarray] = []
 
     def advance(self, state: np.ndarray, steps: int) -> np.ndarray:
@@ -301,17 +301,20 @@ class _Segment:
         self.pending = []
         peak = np.abs(stretch).max(axis=1)  # NaN where a row holds one
         bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
-        if bad.size == 0:
-            self.rows.append(stretch)
-            return None
-        k = int(bad[0])
-        start = len(self.times) - len(stretch)
-        t, max_abs, keep = self.times[start + k], float(peak[k]), k + 1
-        if not math.isfinite(max_abs):
-            max_abs, keep = math.inf, k
-        self.rows.append(stretch[:keep])
-        del self.times[start + keep:]
-        return stretch[k], DivergedAt(t, max_abs)
+        keep = len(stretch)
+        cut = None
+        if bad.size:
+            k = int(bad[0])
+            start = len(self.times) - len(stretch)
+            t, max_abs, keep = self.times[start + k], float(peak[k]), k + 1
+            if not math.isfinite(max_abs):
+                max_abs, keep = math.inf, k
+            del self.times[start + keep:]
+            cut = stretch[k], DivergedAt(t, max_abs)
+        # only the unit columns are recorded; RL line currents are not
+        self.rows.append(
+            np.ascontiguousarray(stretch[:keep, :3 * len(self.ids)]))
+        return cut
 
     def short_step(self, state: np.ndarray, h: float) -> np.ndarray:
         r, w = _step_map(self.a, self.c, h)
@@ -566,7 +569,7 @@ def _assemble(segments, records, top, state, diverged) -> Trajectory:
         cols, n = [slot[i] for i in seg.ids], len(seg.ids)
         for stretch in seg.rows:
             m = len(stretch)
-            x = stretch[:, :3 * n].reshape(m, n, 3)
+            x = stretch.reshape(m, n, 3)
             units[pos:pos + m, cols, :3] = x
             units[pos:pos + m, cols, 3] = np.einsum("ij,tij->ti", seg.gains, x)
             pos += m

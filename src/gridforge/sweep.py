@@ -19,7 +19,7 @@ import numpy as np
 
 from .certify import check_local_structure
 from .model import DguParams, LoadModel, augmented_dgu
-from .synthesis import (
+from .synthesis import (  # synthesize: perfbench/spans.py wraps it here
     Denied,
     LocalController,
     NumericalFailure,
@@ -140,19 +140,6 @@ def _row(r_t: float, l_t: float, c_t: float, outcome) -> SweepPoint:
                       min_margin=float(np.min(outcome.raw["margins"])),
                       k3=float(outcome.k[2]),
                       controller=outcome)
-
-
-def _solve_point(r_t: float, l_t: float, c_t: float,
-                 cfg: SynthesisConfig) -> SweepPoint:
-    """One point on its own: the row `run_sweep` gives it in any batch."""
-    unit = _unit(r_t, l_t, c_t)
-    if isinstance(unit, SweepPoint):
-        return unit
-    try:
-        outcome = synthesize(*unit, cfg)
-    except NumericalFailure as exc:
-        outcome = exc
-    return _row(r_t, l_t, c_t, outcome)
 
 
 def run_sweep(grid: SweepGrid = GREEN_BOX,

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gridforge.certify as certify
 from gridforge.certify import (
@@ -197,6 +199,7 @@ class TestLineSparseChecks:
         ((0, 7), "coupling_nonvoltage_rows"),
         ((3, 0), "laplacian_expansion_error"),
         ((0, 4), "coupling_nonvoltage_rows"),
+        ((0, 4), "direct_sum_residual"),
     ])
     def test_off_line_blocks_covered_entrywise(self, mesh, stray, check,
                                                monkeypatch):
@@ -214,6 +217,19 @@ class TestLineSparseChecks:
         scale = 1.0 + np.linalg.norm(cert.block_a)
         assert abs(cert.checks["block_a_max_eig"] - dense) <= 1e-12 * scale
 
+    def test_dropped_entries_bound_the_verdict(self, mesh):
+        # a V x I entry the direct sum drops leaves the split's spectrum
+        # as it was; the Weyl term alone must then refuse Q <= 0
+        top, ctrls = mesh
+        cert = check_global(ctrls, top, 10.0)
+        assert cert.q_negative_semidefinite()
+        q = cert.q_global.copy()
+        eps = 1e-8 * (1.0 + np.linalg.norm(q))
+        q[0, 4] = q[4, 0] = 2.0 * eps
+        doctored = dataclasses.replace(cert, q_global=q)
+        assert doctored.checks["q_global_max_eig"] <= eps
+        assert not doctored.q_negative_semidefinite()
+
     def test_certify_assembles_the_grid_once(self, mesh, monkeypatch):
         top, ctrls = mesh
         calls = []
@@ -225,6 +241,86 @@ class TestLineSparseChecks:
         assert len(calls) == 1
         f = closed_loop(original(top), ctrls)
         assert cert.checks["closed_loop_norm"] == np.linalg.norm(f)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """(parameters, design) of four unit types, all at sigma_bar = 10."""
+    types = [dgu(0.1, 1.8e-3, 2.2e-3), dgu(0.2, 1.7e-3, 2.0e-3),
+             dgu(0.3, 2.5e-3, 1.9e-3), dgu(0.05, 4e-3, 3.5e-3)]
+    return [(p, synthesize(augmented_dgu(p), p, CFG)) for p in types]
+
+
+def random_mesh(pool, n, seed):
+    """A random recursive tree on n units plus up to n // 2 chords."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(len(pool), size=n)
+    pairs = {(int(rng.integers(k)), k) for k in range(1, n)}
+    for _ in range(n // 2):
+        pairs.add(tuple(sorted(int(i) for i in rng.choice(n, 2, False))))
+    lines = [LineParams(i + 1, j + 1, float(rng.uniform(0.02, 0.2)), 2e-6)
+             for i, j in sorted(pairs)]
+    top = MicrogridTopology({i + 1: pool[k][0] for i, k in enumerate(kinds)},
+                            lines)
+    return top, {i + 1: pool[k][1] for i, k in enumerate(kinds)}
+
+
+def dense_kernel_angle(basis, ctrls):
+    """Largest principal angle between span(basis) and the predicted
+    kernel, from a QR of the prediction and an SVD of the part of the
+    basis outside it (the sine form: arccos of a cosine near 1 resolves
+    angles only to about 1.5e-8)."""
+    n = len(ctrls)
+    predicted = np.zeros((3 * n, n + 1))
+    predicted[::3, 0] = 1.0
+    for idx, dgu_id in enumerate(sorted(ctrls)):
+        predicted[3 * idx + 1, idx + 1] = 1.0
+        predicted[3 * idx + 2, idx + 1] = ctrls[dgu_id].delta
+    pq, _ = np.linalg.qr(predicted)
+    sv = np.linalg.svd(basis - pq @ (pq.T @ basis), compute_uv=False)
+    return float(np.arcsin(min(np.max(sv), 1.0)))
+
+
+class TestDirectSum:
+    @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    @example(n=200, seed=1)
+    @settings(max_examples=12, deadline=None)
+    def test_matches_dense_references(self, pool, n, seed):
+        top, ctrls = random_mesh(pool, n, seed)
+        cert = check_global(ctrls, top, 10.0)
+        scale = 1.0 + np.linalg.norm(cert.q_global)
+        dense = np.linalg.eigvalsh(cert.q_global)
+        np.testing.assert_allclose(cert.spectra["q_global"], dense,
+                                   rtol=0.0, atol=1e-12 * scale)
+        nullity = np.count_nonzero(
+            np.abs(dense) <= 1e-7 * np.linalg.norm(cert.q_global))
+        kernel = check_lasalle_kernel(cert, ctrls)
+        assert kernel.nullity == nullity == n + 1
+        assert kernel.passed
+        assert abs(kernel.max_principal_angle
+                   - dense_kernel_angle(cert.kernel_basis, ctrls)) <= 1e-9
+        bc_max = np.linalg.eigvalsh(cert.block_bc)[-1]
+        assert abs(cert.checks["block_bc_max_eig"] - bc_max) <= 1e-12 * scale
+        assert check_theorem1(cert, ctrls, top).verdict == PASS
+
+    def test_no_eigensolve_beyond_the_pieces(self, pool, monkeypatch):
+        # the one O(N^3) step is the closed-loop spectrum; every symmetric
+        # eigensolve is at most N x N
+        n = 60
+        top, ctrls = random_mesh(pool, n, 7)
+        shapes = {name: [] for name in ("eigh", "eigvalsh", "eig", "eigvals")}
+        for name, seen in shapes.items():
+            def spy(a, *args, _seen=seen, _f=getattr(np.linalg, name), **kw):
+                _seen.append(np.shape(a))
+                return _f(a, *args, **kw)
+            monkeypatch.setattr(np.linalg, name, spy)
+        cert = check_global(ctrls, top, 10.0)
+        assert check_theorem1(cert, ctrls, top).verdict == PASS
+        assert check_lasalle_kernel(cert, ctrls).passed
+        symmetric = shapes["eigh"] + shapes["eigvalsh"]
+        assert symmetric and max(s[-1] for s in symmetric) == n
+        assert shapes["eigvals"] == [(3 * n, 3 * n)]
+        assert shapes["eig"] == []
 
 
 class TestTheorem1:

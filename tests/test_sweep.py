@@ -10,11 +10,23 @@ import pytest
 from gridforge import sweep as sw
 from gridforge.certify import check_local_structure
 from gridforge.sweep import GREEN_BOX, SweepGrid, run_sweep
-from gridforge.synthesis import NumericalFailure, SynthesisConfig
+from gridforge.synthesis import NumericalFailure, SynthesisConfig, synthesize
 
 # 2x2x2 corners strictly inside the default box keep the suite quick
 SMALL = SweepGrid(r_t=(0.1, 0.8), l_t=(2e-3, 8e-3), c_t=(1.5e-3, 4e-3),
                   points=2)
+
+
+def solve_point(r_t, l_t, c_t, cfg):
+    """One point on its own: the row `run_sweep` gives it in any batch."""
+    unit = sw._unit(r_t, l_t, c_t)
+    if isinstance(unit, sw.SweepPoint):
+        return unit
+    try:
+        outcome = synthesize(*unit, cfg)
+    except NumericalFailure as exc:
+        outcome = exc
+    return sw._row(r_t, l_t, c_t, outcome)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +88,7 @@ class TestRunSweep:
         # the batch table equals point-by-point solves in product order
         cfg = SynthesisConfig(sigma_bar=10.0)
         coords = itertools.product(*(ax.tolist() for ax in SMALL.axes()))
-        serial = [sw._solve_point(*coord, cfg) for coord in coords]
+        serial = [solve_point(*coord, cfg) for coord in coords]
         assert list(small_result.points) == serial
         for got, want in zip(small_result.points, serial):
             np.testing.assert_array_equal(got.controller.k, want.controller.k)
