@@ -9,31 +9,55 @@ kernel on a connected grid.
 
 Every local certificate has a zero first row and column, so Q is a direct
 sum: one N x N block on the voltage coordinates, plus one 2 x 2 block on
-each unit's (I, v) pair.  Everything here re-derives that chain
-numerically, independent of how the controllers were obtained: products
-with P go block by block, and Q's spectrum and kernel come from the
-pieces of the direct sum, with what the split drops measured and bounded.
-The one dense eigensolve left is the closed-loop spectrum.
+each unit's (I, v) pair.  Everything here works from block data: the
+(N, 3, 3) stacks of P_i, q_i and the closed-loop unit blocks, and the
+grid's line arrays.  Q's pieces come from P's stack and the lines in
+O(N + lines), what the split drops is measured and bounded, and the local
+checks run as one batched eigensolve.
+
+Theorem 1's verdict is read from that structure (check_theorem1).  Take
+x = alpha 1_V + sum_i beta_i (0, 1, delta_i) in ker Q.  Fx has voltage
+part beta_i / C_i and unit part alpha (b_i, -1), b_i = (k1_i - 1) / L_t;
+Fx stays in ker Q only if alpha (1 + delta_i b_i) = 0, and the same step
+on F^2 x forces beta = 0.  So when Q <= 0 and ker Q is the predicted
+N + 1 dimensions, the largest F-invariant subspace of ker Q is {0} as
+soon as every 1 + delta_i b_i is nonzero, and LaSalle's invariance
+theorem gives asymptotic stability.  The closed-loop spectrum is only a
+cross-check, computed up to SPECTRUM_MAX_UNITS units: it can refute the
+proof, never decide it.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .lmi import general_eig, sym_eig
-from .model import MicrogridTopology, assemble_global, closed_loop
+# closed_loop is the dense F whose spectrum the certificate reports
+from .model import (GlobalSystem, MicrogridTopology, assemble_global,  # noqa: F401
+                    closed_loop, closed_loop_blocks)
 from .synthesis import LocalController
 
 PASS = "Pass"
 FAIL = "Fail"
 HYPOTHESIS_UNMET = "HypothesisUnmet"
 
-# one semidefiniteness tolerance for the whole module
-def _eps(m: np.ndarray) -> float:
-    return 1e-8 * (1.0 + np.linalg.norm(m))
+# the closed-loop spectrum, an O(N^3) cross-check, runs up to this many
+# units; above it spectral_abscissa is None
+SPECTRUM_MAX_UNITS = 200
+
+
+# one semidefiniteness tolerance for the whole module, given a norm
+def _eps(norm):
+    return 1e-8 * (1.0 + norm)
+
+
+def _frobenius(*pieces: np.ndarray) -> float:
+    """Frobenius norm of a matrix given as pieces that cover its entries."""
+    return float(np.sqrt(sum(np.vdot(x, x) for x in pieces)))
 
 
 @dataclass(frozen=True)
@@ -46,40 +70,61 @@ class LocalStructureReport:
     q11: float
     first_row_max: float
     smallest_abs_eig: float
+    p_min_eig: float
 
 
 @dataclass(frozen=True)
 class GlobalCertificate:
-    """Assembled global Lyapunov data plus measured check margins.
+    """The global Lyapunov data as the pieces of Q's direct sum, plus
+    measured check margins.
 
-    checks maps a check name to its measured value; each is compared
-    against the module tolerance by the check_* functions.  It also
-    records closed_loop_norm, the scale check_theorem1 judges the
-    spectral abscissa against.
+    q_voltage is Q's N x N voltage block, q_units the (N, 2, 2) stack of
+    its (I, v) blocks, and q_dropped every other entry the split leaves
+    out that can be nonzero.  line_weights are q_voltage's off-diagonal
+    entries, one per line in topology order.  checks maps a check name to
+    its measured value; each is compared against the module tolerance by
+    the check_* functions.  It also records closed_loop_norm, the scale
+    check_theorem1 judges the spectral abscissa against.  stage_seconds
+    holds the wall time of each stage of check_global.
     """
 
-    p_global: np.ndarray
-    q_global: np.ndarray
-    block_a: np.ndarray
-    block_bc: np.ndarray
+    q_voltage: np.ndarray
+    q_units: np.ndarray
+    q_dropped: np.ndarray
+    line_weights: np.ndarray
     laplacian: np.ndarray
     eta_tilde: Mapping[Tuple[int, int], float]
-    spectra: Mapping[str, np.ndarray]
+    spectra: Mapping[str, Optional[np.ndarray]]
     kernel_basis: np.ndarray
     checks: Mapping[str, float]
+    stage_seconds: Mapping[str, float]
+
+    @property
+    def q_norm(self) -> float:
+        """Frobenius norm of Q: the dropped entries are stored once per
+        position, so the pieces cover Q exactly."""
+        return _frobenius(self.q_voltage, self.q_units, self.q_dropped)
+
+    def q_nsd_margin(self) -> float:
+        """The semidefiniteness tolerance of Q minus a bound on its largest
+        eigenvalue.  Weyl: that eigenvalue is at most the direct sum's
+        plus the norm of what the split drops (Frobenius bounds 2-norm)."""
+        return (_eps(self.q_norm) - self.checks["q_global_max_eig"]
+                - _frobenius(self.q_dropped))
 
     def q_negative_semidefinite(self) -> bool:
-        # Weyl: the largest eigenvalue of Q is at most that of its direct
-        # sum plus the norm of what the split drops (Frobenius bounds 2-norm)
-        dropped = np.linalg.norm(_direct_sum(self.q_global)[2])
-        return (self.checks["q_global_max_eig"] + dropped
-                <= _eps(self.q_global))
+        return self.q_nsd_margin() >= 0.0
 
 
 @dataclass(frozen=True)
 class Theorem1Verdict:
+    """The verdict, the spectral abscissa it was cross-checked against
+    (None above SPECTRUM_MAX_UNITS or on an unmet hypothesis), and each
+    structural fact as (holds, margin)."""
+
     verdict: str
     spectral_abscissa: Optional[float]
+    facts: Mapping[str, Tuple[bool, Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -90,52 +135,50 @@ class KernelReport:
     max_principal_angle: float
 
 
+def _local_stacks(q: np.ndarray, p: np.ndarray) -> Dict[str, np.ndarray]:
+    """Structure checks of stacked local certificates, in one batched
+    symmetric eigensolve over the (N, 3, 3) stacks of q_i and P_i: each
+    field of LocalStructureReport as an array with one entry per unit."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = len(q)
+    w = sym_eig(np.concatenate([q, p]))[0]
+    w_q, w_p = w[:n], w[n:]
+    eps_q = _eps(np.linalg.norm(q, axis=(1, 2)))
+    eps_p = _eps(np.linalg.norm(p, axis=(1, 2)))
+    row = np.max(np.abs(q[:, 0, :]), axis=1)
+    col = np.max(np.abs(q[:, :, 0]), axis=1)
+    q11 = q[:, 0, 0]
+    smallest = np.min(np.abs(w_q), axis=1)
+    p_min = w_p[:, 0]
+    asymmetry = np.max(np.abs(p - np.swapaxes(p, 1, 2)), axis=(1, 2))
+    violations = np.stack([w_q[:, -1] - eps_q, np.abs(q11) - eps_q,
+                           row - eps_q, col - eps_q, smallest - eps_q,
+                           asymmetry - eps_p, -p_min], axis=1)
+    return {
+        "passed": np.all(violations[:, :-1] <= 0.0, axis=1) & (p_min > 0.0),
+        "max_violation": np.maximum(np.max(violations, axis=1), 0.0),
+        "q_max_eig": w_q[:, -1],
+        "q11": q11,
+        "first_row_max": np.maximum(row, col),
+        "smallest_abs_eig": smallest,
+        "p_min_eig": p_min,
+    }
+
+
 def check_local_structure(ctrl: LocalController) -> LocalStructureReport:
     """Structural facts every local certificate must satisfy.
 
     q_local is negative semidefinite but never definite: its first
     diagonal entry vanishes, which forces the whole first row and column
-    to vanish and guarantees a zero eigenvalue.
+    to vanish and guarantees a zero eigenvalue.  P is symmetric positive
+    definite.  The same code check_global runs on every unit at once, on
+    a stack of one.
     """
-    q = np.asarray(ctrl.q_local)
-    eps = _eps(q)
-    w, _ = sym_eig(q)
-    row = float(np.max(np.abs(q[0, :])))
-    col = float(np.max(np.abs(q[:, 0])))
-    q11 = float(q[0, 0])
-    violations = [w[-1] - eps, abs(q11) - eps, row - eps, col - eps,
-                  float(np.min(np.abs(w))) - eps]
-    return LocalStructureReport(
-        passed=all(v <= 0.0 for v in violations),
-        max_violation=max(max(violations), 0.0),
-        q_max_eig=float(w[-1]),
-        q11=q11,
-        first_row_max=max(row, col),
-        smallest_abs_eig=float(np.min(np.abs(w))),
-    )
-
-
-def _direct_sum(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(voltage block, unit blocks, dropped entries) of a 3N x 3N matrix.
-
-    The voltage block is N x N, the unit blocks an (N, 2, 2) stack of the
-    (I, v) diagonal blocks; the dropped entries are the rest: voltage
-    against (I, v) coordinates, and (I, v) pairs of different units.
-    """
-    n = len(q) // 3
-    blocks = q.reshape(n, 3, n, 3)
-    idx = np.arange(n)
-    cross = blocks[:, 1:, :, 1:].copy()
-    cross[idx, :, idx, :] = 0.0
-    dropped = np.concatenate([blocks[:, 0, :, 1:].ravel(),
-                              blocks[:, 1:, :, 0].ravel(), cross.ravel()])
-    return q[::3, ::3], blocks[idx, 1:, idx, 1:], dropped
-
-
-def _times_p(p_blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """P @ m for P = blockdiag(p_blocks), one 3-row block at a time."""
-    n = len(p_blocks)
-    return np.matmul(p_blocks, m.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
+    one = _local_stacks(np.asarray(ctrl.q_local)[None],
+                        np.asarray(ctrl.p)[None])
+    return LocalStructureReport(**{name: value[0].item()
+                                   for name, value in one.items()})
 
 
 def build_laplacian(topology: MicrogridTopology, sigma_bar: float,
@@ -166,132 +209,232 @@ def eta_tilde_map(topology: MicrogridTopology, sigma_bar: float,
     return out
 
 
+def _voltage_block(diagonal: np.ndarray, system: GlobalSystem,
+                   line_weights: np.ndarray) -> np.ndarray:
+    n = len(diagonal)
+    out = np.zeros((n, n))
+    out[np.arange(n), np.arange(n)] = diagonal
+    out[system.line_i, system.line_j] = line_weights
+    out[system.line_j, system.line_i] = line_weights
+    return out
+
+
 def check_global(controllers: Mapping[int, LocalController],
                  topology: MicrogridTopology,
                  sigma_bar: float) -> GlobalCertificate:
-    """Assemble and measure the global Lyapunov decomposition.
+    """Measure the global Lyapunov decomposition from block data.
 
-    Hard errors: a local certificate failing its structure checks, or
-    controllers whose eta values imply different sigma_bar (the coupling
-    weights then lose their symmetry and nothing downstream holds).
-    Semidefiniteness findings are recorded in the certificate, not raised.
+    Write F = blockdiag(F_i) + C, with C the line conductances g between
+    voltage slots, and p0_i the first column of P_i.  Then Q's diagonal
+    blocks are P_i F_i + (P_i F_i)', and the off-diagonal block of a line
+    (i, j) is g_ij p0_i e0' + g_ji e0 p0_j': its voltage entry
+    g_ij eta_i + g_ji eta_j goes to the voltage block, the rest is
+    dropped.  The line part PC + (PC)' has the same off-diagonal blocks
+    and the diagonal blocks xi_i (p0_i e0' + e0 p0_i'), xi_i the unit's
+    QSL self term, so its (I, v) blocks are zero.
+
+    Hard errors: a local certificate failing its structure checks (P_i
+    not symmetric positive definite included), or controllers whose eta
+    values imply different sigma_bar (the coupling weights then lose
+    their symmetry and nothing downstream holds).  Semidefiniteness
+    findings are recorded in the certificate, not raised.
     """
+    start = time.perf_counter()
     ids = topology.ids
     if set(controllers) != set(ids):
         raise ValueError("controllers must cover exactly the topology's DGUs")
-    reports = [check_local_structure(controllers[dgu_id]) for dgu_id in ids]
-    for dgu_id, report in zip(ids, reports):
-        if not report.passed:
-            raise ValueError(f"local certificate of DGU {dgu_id} fails "
-                             f"structure checks (violation {report.max_violation:g})")
+    ctrls = [controllers[dgu_id] for dgu_id in ids]
+    p = np.array([c.p for c in ctrls], dtype=float)
+    q_local = np.array([c.q_local for c in ctrls], dtype=float)
+    local = _local_stacks(q_local, p)
+    failed = np.flatnonzero(~local["passed"])
+    if failed.size:
+        first = failed[0]
+        raise ValueError(f"local certificate of DGU {ids[first]} fails "
+                         f"structure checks (violation "
+                         f"{local['max_violation'][first]:g})")
+    seconds = {"local checks": time.perf_counter() - start}
 
-    # eta symmetry across each line; breaks iff sigma_bar is not shared
-    for ln in topology.lines:
-        fwd = controllers[ln.i].eta / (ln.r * topology.dgus[ln.i].c_t)
-        bwd = controllers[ln.j].eta / (ln.r * topology.dgus[ln.j].c_t)
-        if abs(fwd - bwd) > 1e-9 * max(abs(fwd), abs(bwd)):
-            raise ValueError(
-                f"eta_tilde asymmetric across line {ln.key}: {fwd:g} vs {bwd:g}; "
-                "controllers were synthesized with different sigma_bar")
-
+    start = time.perf_counter()
     system = assemble_global(topology)
-    n = len(ids)
-    p_blocks = np.array([controllers[dgu_id].p for dgu_id in ids], dtype=float)
-    p_global = np.zeros((3 * n, 3 * n))
-    block_a = np.zeros((3 * n, 3 * n))
-    for idx, dgu_id in enumerate(ids):
-        s = slice(3 * idx, 3 * idx + 3)
-        p_global[s, s] = p_blocks[idx]
-        block_a[s, s] = controllers[dgu_id].q_local
+    li, lj = system.line_i, system.line_j
+    # eta symmetry across each line; breaks iff sigma_bar is not shared
+    eta = np.array([c.eta for c in ctrls], dtype=float)
+    fwd, bwd = eta[li] * system.g_i, eta[lj] * system.g_j
+    gap = np.abs(fwd - bwd)
+    scale = np.maximum(np.abs(fwd), np.abs(bwd))
+    if np.any(gap > 1e-9 * scale):
+        bad = int(np.argmax(gap > 1e-9 * scale))
+        raise ValueError(
+            f"eta_tilde asymmetric across line {topology.lines[bad].key}: "
+            f"{fwd[bad]:g} vs {bwd[bad]:g}; "
+            "controllers were synthesized with different sigma_bar")
+    asymmetry = np.divide(gap, scale, out=np.zeros_like(gap),
+                          where=scale > 0.0)
 
-    f_global = closed_loop(system, controllers)
-    pf = _times_p(p_blocks, f_global)
-    q_global = pf + pf.T
+    f_blocks = closed_loop_blocks(system, controllers)
+    pf = p @ f_blocks
+    q_diag = pf + np.swapaxes(pf, 1, 2)
+    p0 = p[:, :, 0]
+    line_weights = p0[li, 0] * system.g_i + p0[lj, 0] * system.g_j
+    # V x (I, v) entries of each line's off-diagonal block; each sits at
+    # two positions of Q and of the line part, (i, j) and (j, i)
+    line_dropped = np.concatenate([system.g_i[:, None] * p0[li, 1:],
+                                   system.g_j[:, None] * p0[lj, 1:]]).ravel()
+    q_voltage = _voltage_block(q_diag[:, 0, 0], system, line_weights)
+    q_units = q_diag[:, 1:, 1:]
+    q_dropped = np.concatenate([q_diag[:, 0, 1:].ravel(),
+                                q_diag[:, 1:, 0].ravel(),
+                                line_dropped, line_dropped])
 
-    pc = _times_p(p_blocks, system.a_xi + system.a_c)
-    block_bc = pc + pc.T
+    # the line part: xi_i P_i e0 e0' plus its transpose on the diagonal
+    own = p0 * system.self_terms[:, None]
+    bc_diag = np.zeros_like(p)
+    bc_diag[:, :, 0] += own
+    bc_diag[:, 0, :] += own
+    # its (I, v) blocks are zero, so its spectrum is its voltage block's
+    # and zero
+    bc_max_eig = max(np.linalg.eigvalsh(_voltage_block(
+        bc_diag[:, 0, 0], system, line_weights))[-1], 0.0)
+    bc_dropped = np.concatenate([own[:, 1:].ravel(), own[:, 1:].ravel(),
+                                 line_dropped, line_dropped])
 
-    laplacian, _, _ = build_laplacian(topology, sigma_bar)
+    laplacian = build_laplacian(topology, sigma_bar)[0]
     # the coupling quadratic form lives on the voltage rows alone; its
-    # restriction there must be the Laplacian entrywise
-    expansion_err = float(np.max(np.abs(
-        block_bc[::3, :][:, ::3] - laplacian)))
-    mask = np.ones(3 * n, dtype=bool)
-    mask[::3] = False
-    offrow_err = float(np.max(np.abs(block_bc[mask, :]))) if n else 0.0
+    # restriction there must be the Laplacian entrywise (both vanish off
+    # the diagonal and the lines)
+    expansion_err = float(np.max(np.abs(np.concatenate([
+        bc_diag[:, 0, 0] - np.diagonal(laplacian),
+        line_weights - laplacian[li, lj],
+        line_weights - laplacian[lj, li]]))))
+    offrow_err = float(np.max(np.abs(np.concatenate(
+        [own[:, 1:].ravel(), line_dropped])), initial=0.0))
 
-    q_volt, q_units, dropped = _direct_sum(q_global)
-    bc_volt, bc_units, bc_dropped = _direct_sum(block_bc)
-    w_volt, v_volt = sym_eig(q_volt)
+    w_volt, v_volt = sym_eig(q_voltage)
     w_units, v_units = sym_eig(q_units)
     w_q = np.sort(np.concatenate([w_volt, w_units.ravel()]))
-    tol = 1e-7 * np.linalg.norm(q_global)
-    in_volt = np.abs(w_volt) <= tol
-    unit, which = np.nonzero(np.abs(w_units) <= tol)
+    # numerical rank per piece, against that piece's spectral norm: the
+    # unit blocks can be orders of magnitude larger than the voltage
+    # block, whose smallest nonzero eigenvalue shrinks like 1/N^2 on a
+    # long chain
+    in_volt = np.abs(w_volt) <= 1e-7 * np.max(np.abs(w_volt), initial=0.0)
+    volt_kernel = v_volt[:, in_volt]
+    del v_volt  # N x N; only the null vectors are kept
+    unit, which = np.nonzero(np.abs(w_units) <= 1e-7 * np.max(
+        np.abs(w_units), axis=1, keepdims=True, initial=0.0))
     # each kernel vector lives on one piece: the voltage coordinates, or
     # one unit's (I, v) pair
-    m = np.count_nonzero(in_volt)
+    n = len(ids)
+    m = volt_kernel.shape[1]
     kernel_basis = np.zeros((3 * n, m + len(unit)))
-    kernel_basis[::3, :m] = v_volt[:, in_volt]
+    kernel_basis[::3, :m] = volt_kernel
     cols = m + np.arange(len(unit))
     kernel_basis[3 * unit + 1, cols] = v_units[unit, 0, which]
     kernel_basis[3 * unit + 2, cols] = v_units[unit, 1, which]
 
     checks = {
-        # block_a is the block diagonal of the q_local: its spectrum is
-        # theirs, already measured per unit
-        "block_a_max_eig": max(r.q_max_eig for r in reports),
-        # both spectra are those of the direct sums; the largest entry the
-        # two splits drop is direct_sum_residual
-        "block_bc_max_eig": float(max(np.linalg.eigvalsh(bc_volt)[-1],
-                                      np.max(np.linalg.eigvalsh(bc_units)))),
+        # the block diagonal of the q_local: its spectrum is theirs,
+        # measured by the local checks
+        "block_a_max_eig": float(np.max(local["q_max_eig"])),
+        # the largest entry the two splits drop is direct_sum_residual
+        "block_bc_max_eig": float(bc_max_eig),
         "q_global_max_eig": float(w_q[-1]),
-        "direct_sum_residual": float(max(np.max(np.abs(dropped)),
+        "direct_sum_residual": float(max(np.max(np.abs(q_dropped)),
                                          np.max(np.abs(bc_dropped)))),
-        "split_residual": float(np.max(np.abs(q_global - block_a - block_bc))),
+        # Q and the line part share their off-diagonal blocks, so Q minus
+        # the two parts can differ from zero only on the diagonal blocks
+        "split_residual": float(np.max(np.abs(q_diag - q_local - bc_diag))),
         "laplacian_expansion_error": expansion_err,
         "coupling_nonvoltage_rows": offrow_err,
-        "closed_loop_norm": float(np.linalg.norm(f_global)),
+        "p_min_eig": float(np.min(local["p_min_eig"])),
+        "eta_tilde_asymmetry": float(np.max(asymmetry, initial=0.0)),
     }
-    spectra = {
-        "q_global": w_q,
-        "closed_loop": general_eig(f_global),
-    }
+    seconds["Q pieces"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    spectrum = None
+    if n <= SPECTRUM_MAX_UNITS:
+        f_global = system.expand(f_blocks)
+        spectrum = general_eig(f_global)
+        checks["closed_loop_norm"] = float(np.linalg.norm(f_global))
+    else:
+        checks["closed_loop_norm"] = _frobenius(f_blocks, system.g_i,
+                                                system.g_j)
+    seconds["spectrum"] = time.perf_counter() - start
     return GlobalCertificate(
-        p_global=p_global,
-        q_global=q_global,
-        block_a=block_a,
-        block_bc=block_bc,
+        q_voltage=q_voltage,
+        q_units=q_units,
+        q_dropped=q_dropped,
+        line_weights=line_weights,
         laplacian=laplacian,
         eta_tilde=eta_tilde_map(topology, sigma_bar),
-        spectra=spectra,
+        spectra={"q_global": w_q, "closed_loop": spectrum},
         kernel_basis=kernel_basis,
         checks=checks,
+        stage_seconds=seconds,
     )
 
 
 def check_theorem1(cert: GlobalCertificate,
                    controllers: Mapping[int, LocalController],
-                   topology: MicrogridTopology) -> Theorem1Verdict:
-    """Asymptotic-stability verdict for the assembled closed loop.
+                   topology: MicrogridTopology,
+                   kernel: Optional[KernelReport] = None) -> Theorem1Verdict:
+    """Asymptotic-stability verdict for the assembled closed loop, read
+    from the structure (see the module docstring).
 
-    Pass needs a connected grid, every k3 nonzero, Q globally negative
-    semidefinite, and the whole closed-loop spectrum strictly in the left
-    half plane.  Strictness is judged against the eigensolver noise floor
-    (1e-12 times the closed-loop norm, four decades above machine noise):
-    integrator consensus modes sit at -1e-5 or slower in stiff grids and
-    must not be mistaken for marginal instability.
+    Pass needs every fact below, each recorded with its margin:
+    a connected grid whose lines all carry positive weight in Q; local
+    certificates that pass their checks with every P_i > 0, and one
+    common sigma_bar (check_global refuses both otherwise); Q <= 0 by the
+    direct sum plus the Weyl term; a LaSalle kernel of the predicted
+    N + 1 dimensions; every |k3| above 1e-9 |k|; and every
+    |1 + delta_i b_i| above 1e-9 (1 + |delta_i b_i|), b_i = (k1_i - 1) / L_t.
+
+    The closed-loop spectrum, when computed, is a cross-check.  One
+    eigenvalue above the eigensolver noise floor (1e-12 times the
+    closed-loop norm, four decades above machine noise) contradicts the
+    proof and fails the verdict; an abscissa within that floor of zero
+    does not, since stiff grids put integrator consensus modes there.
     """
-    if not topology.is_connected():
-        return Theorem1Verdict(HYPOTHESIS_UNMET, None)
+    if kernel is None:
+        kernel = check_lasalle_kernel(cert, controllers)
+    ids = topology.ids
+    k = np.array([controllers[i].k for i in ids], dtype=float).reshape(-1, 3)
+    delta = np.array([controllers[i].delta for i in ids], dtype=float)
+    l_t = np.array([topology.dgus[i].l_t for i in ids], dtype=float)
+    k_norm = np.linalg.norm(k, axis=1)
+    k3 = np.divide(np.abs(k[:, 2]), k_norm, out=np.zeros(len(k)),
+                   where=k_norm > 0.0)
+    delta_b = delta * (k[:, 0] - 1.0) / l_t
+    invariance = np.abs(1.0 + delta_b)
+    weights = cert.line_weights
+    facts = {
+        "connected": (topology.is_connected(), None),
+        "positive_line_weights": (
+            bool(np.all(weights > 0.0)),
+            float(np.min(weights)) if len(weights) else None),
+        "local_certificates": (True, cert.checks["p_min_eig"]),
+        "common_sigma_bar": (True, cert.checks["eta_tilde_asymmetry"]),
+        "q_negative_semidefinite": (cert.q_negative_semidefinite(),
+                                    cert.q_nsd_margin()),
+        "lasalle_kernel": (kernel.passed, kernel.max_principal_angle),
+        "k3_nonzero": (bool(np.all(np.abs(k[:, 2]) > 1e-9 * k_norm)),
+                       float(np.min(k3))),
+        # nonzero above the rounding of 1 + delta b
+        "lasalle_invariance": (
+            bool(np.all(invariance > 1e-9 * (1.0 + np.abs(delta_b)))),
+            float(np.min(invariance))),
+    }
+    if not facts["connected"][0]:
+        return Theorem1Verdict(HYPOTHESIS_UNMET, None, facts)
+    proved = all(holds for holds, _ in facts.values())
     eigs = cert.spectra["closed_loop"]
+    if eigs is None:
+        return Theorem1Verdict(PASS if proved else FAIL, None, facts)
     abscissa = float(np.max(eigs.real))
-    k3_ok = all(abs(c.k[2]) > 1e-9 * np.linalg.norm(c.k)
-                for c in controllers.values())
-    q_ok = cert.q_negative_semidefinite()
-    stable = abscissa < -1e-12 * cert.checks["closed_loop_norm"]
-    verdict = PASS if (k3_ok and q_ok and stable) else FAIL
-    return Theorem1Verdict(verdict, abscissa)
+    refuted = abscissa > 1e-12 * cert.checks["closed_loop_norm"]
+    verdict = PASS if (proved and not refuted) else FAIL
+    return Theorem1Verdict(verdict, abscissa, facts)
 
 
 def check_lasalle_kernel(cert: GlobalCertificate,
@@ -336,11 +479,12 @@ def check_lasalle_kernel(cert: GlobalCertificate,
 def certificate_to_json(cert: GlobalCertificate,
                         theorem1: Optional[Theorem1Verdict] = None,
                         kernel: Optional[KernelReport] = None) -> dict:
+    spectrum = cert.spectra["closed_loop"]
     doc = {
         "checks": dict(cert.checks),
         "q_global_eigenvalues": cert.spectra["q_global"].tolist(),
-        "closed_loop_eigenvalues": [
-            [z.real, z.imag] for z in cert.spectra["closed_loop"]
+        "closed_loop_eigenvalues": None if spectrum is None else [
+            [z.real, z.imag] for z in spectrum
         ],
         "laplacian": cert.laplacian.tolist(),
         "eta_tilde": {f"{i}-{j}": v for (i, j), v in cert.eta_tilde.items()},
@@ -350,6 +494,8 @@ def certificate_to_json(cert: GlobalCertificate,
         doc["theorem1"] = {
             "verdict": theorem1.verdict,
             "spectral_abscissa": theorem1.spectral_abscissa,
+            "facts": {name: {"holds": bool(holds), "margin": margin}
+                      for name, (holds, margin) in theorem1.facts.items()},
         }
     if kernel is not None:
         doc["lasalle_kernel"] = {

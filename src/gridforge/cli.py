@@ -13,11 +13,13 @@ are exact inverses on the parsed object.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.resources
 import json
 import pathlib
 import sys
+import time
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,8 +40,8 @@ from .model import (
     LoadModel,
     MicrogridTopology,
     assemble_global,
-    augmented_dgu,
     closed_loop,
+    unit_blocks,
 )
 from .simulate import (
     LoadStep,
@@ -198,25 +200,37 @@ def bundle_to_json(controllers: Mapping[int, LocalController],
     }
 
 
-def controller_from_json(entry: Mapping,
-                         params: DguParams) -> Union[LocalController,
-                                                     np.ndarray]:
-    """Rebuild a controller from a bundle entry.
+def _finite(dgu_id, name: str, value, shape: Tuple[int, ...],
+            what: str) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"DGU {dgu_id}: controller {name} must be {what}")
+    return a
 
-    Entries written by `synth` carry the full structured certificate and
-    come back as LocalController.  Entries carrying only a gain (hand
-    written, or exported from the baseline designs) come back as the bare
-    gain row; those can be simulated and their closed loop inspected, but
-    not certified.
+
+def controller_from_json(entry: Mapping) -> Tuple[np.ndarray,
+                                                  Optional[dict]]:
+    """(gain row, certificate fields or None) of one bundle entry.
+
+    Entries written by `synth` carry the full structured certificate:
+    P, eta, delta and the diagnostics, returned as the keyword arguments
+    of LocalController except q_local, which load_bundle computes for
+    all entries at once.  Entries carrying only a gain (hand written, or
+    exported from the baseline designs) have no certificate; those can
+    be simulated and their closed loop inspected, but not certified.
+    K must be three finite numbers and P a finite, symmetric 3x3 array;
+    anything else is refused with the entry's DGU id.
     """
-    k = np.asarray(entry["K"], dtype=float)
-    if k.shape != (3,):
-        raise ValueError("controller gain K must have three entries")
+    dgu_id = entry["dgu_id"]
+    k = _finite(dgu_id, "gain K", entry["K"], (3,), "three finite numbers")
     if "P" not in entry:
-        return k
-    p = np.asarray(entry["P"], dtype=float)
-    eta = float(entry["eta"])
-    delta = float(entry["delta"])
+        return k, None
+    p = _finite(dgu_id, "P", entry["P"], (3, 3), "a finite 3x3 array")
+    if (p != p.T).any():
+        raise ValueError(f"DGU {dgu_id}: controller P is not symmetric")
     diag = entry.get("diagnostics", {})
     raw = {"gamma": np.asarray(diag.get("gamma", [0.0, 0.0, 0.0])),
            "beta": float(diag.get("beta", 0.0)),
@@ -224,28 +238,41 @@ def controller_from_json(entry: Mapping,
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
         raw["solver"] = dict(diag["solver"])
-    q = local_dissipation(augmented_dgu(params), k, p)
-    return LocalController(k, p, eta, raw, delta, q)
+    return k, {"p": p, "eta": float(entry["eta"]),
+               "delta": float(entry["delta"]), "raw": raw}
 
 
 def load_bundle(path, topology: MicrogridTopology
                 ) -> Tuple[float, Dict[int, Union[LocalController,
                                                   np.ndarray]]]:
+    """(sigma_bar, controller per DGU) of a bundle file: a LocalController
+    for each entry with a certificate, whose q_local all come from one
+    stacked product, and the bare gain row for the others."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     sigma_bar = float(payload["sigma_bar"])
     controllers = {}
+    certified = {}
     for entry in payload["controllers"]:
         dgu_id = int(entry["dgu_id"])
         if dgu_id not in topology.dgus:
             raise ValueError(f"bundle names DGU {dgu_id}, "
                              "absent from the scenario")
-        controllers[dgu_id] = controller_from_json(entry,
-                                                   topology.dgus[dgu_id])
+        controllers[dgu_id], fields = controller_from_json(entry)
+        if fields is not None:
+            certified[dgu_id] = fields
     missing = set(topology.ids) - set(controllers)
     if missing:
         raise ValueError(f"bundle has no controller for DGUs "
                          f"{sorted(missing)}")
+    ids = sorted(certified)
+    a, b, _ = unit_blocks([topology.dgus[dgu_id] for dgu_id in ids])
+    gains = np.array([controllers[dgu_id] for dgu_id in ids]).reshape(-1, 3)
+    p = np.array([certified[dgu_id]["p"] for dgu_id in ids]).reshape(-1, 3, 3)
+    q = local_dissipation(a, b, gains, p)
+    for dgu_id, q_local in zip(ids, q):
+        controllers[dgu_id] = LocalController(
+            k=controllers[dgu_id], q_local=q_local, **certified[dgu_id])
     return sigma_bar, controllers
 
 
@@ -289,10 +316,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _timed(stages: Dict[str, float], name: str):
+    start = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - start
+
+
 def cmd_certify(args) -> int:
-    scenario = load_scenario(args.scenario)
-    topology = scenario.initial_topology
-    sigma_bar, controllers = load_bundle(args.controllers, topology)
+    stages: Dict[str, float] = {}
+    with _timed(stages, "load scenario"):
+        topology = load_scenario(args.scenario).initial_topology
+    with _timed(stages, "load bundle"):
+        sigma_bar, controllers = load_bundle(args.controllers, topology)
     structured = all(isinstance(c, LocalController)
                      for c in controllers.values())
     if not structured:
@@ -305,17 +341,29 @@ def cmd_certify(args) -> int:
         print(f"theorem1: fail, abscissa ≈ {abscissa:.3g}")
         return EXIT_DENIED
     cert = check_global(controllers, topology, sigma_bar)
-    verdict = check_theorem1(cert, controllers, topology)
-    kernel = check_lasalle_kernel(cert, controllers)
-    # compact: with an indent, json runs its pure-Python encoder
-    _write_or_print(json.dumps(certificate_to_json(cert, verdict, kernel)),
-                    args.out)
+    stages.update(cert.stage_seconds)
+    with _timed(stages, "verdict and kernel"):
+        kernel = check_lasalle_kernel(cert, controllers)
+        verdict = check_theorem1(cert, controllers, topology, kernel)
+    with _timed(stages, "JSON write"):
+        # compact: with an indent, json runs its pure-Python encoder
+        _write_or_print(json.dumps(certificate_to_json(cert, verdict,
+                                                       kernel)), args.out)
+    if args.timings:
+        for stage, seconds in stages.items():
+            print(f"timing: {stage}: {seconds:.6f} s", file=sys.stderr)
     if verdict.verdict == PASS:
         print("theorem1: pass")
         return EXIT_OK
+    for name, (holds, margin) in verdict.facts.items():
+        if not holds:
+            print(f"unmet: {name} (margin {margin})", file=sys.stderr)
     if verdict.verdict == FAIL:
-        print(f"theorem1: fail, abscissa ≈ "
-              f"{verdict.spectral_abscissa:.3g}")
+        if verdict.spectral_abscissa is None:
+            print("theorem1: fail")
+        else:
+            print(f"theorem1: fail, abscissa ≈ "
+                  f"{verdict.spectral_abscissa:.3g}")
     else:
         print("theorem1: hypothesis-unmet")
     return EXIT_DENIED
@@ -431,6 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("scenario")
     cert.add_argument("controllers", help="bundle JSON from synth")
     cert.add_argument("--out", default=None, help="certificate JSON path")
+    cert.add_argument("--timings", action="store_true",
+                      help="print the wall time of each stage to stderr")
     cert.set_defaults(func=cmd_certify)
 
     sim = sub.add_parser("simulate", help="replay a scenario timeline")

@@ -8,10 +8,16 @@ in the simulator.
 
 Per-DGU state is x = [V, I_t] (PCC voltage, filter current).  The augmented
 state adds the tracking integrator v, with v' = v_ref - V.
+
+The assembled grid is block data: (N, 3, 3) stacks of per-unit blocks
+plus the line list as index and conductance arrays (GlobalSystem).  The
+closed loop is built in that form too (closed_loop_blocks); the dense
+3N x 3N matrices are expanded from it only for callers that ask for them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -211,29 +217,109 @@ class AugmentedDgu:
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled microgrid matrices plus the exact three-way split of a_hat.
+    """The assembled microgrid as per-unit blocks plus its line list.
 
-    a_hat = a_d + a_xi + a_c entrywise: a_d the block-diagonal local
-    dynamics, a_xi the diagonal QSL self terms (only the (1,1) slot of each
-    3x3 block is nonzero), a_c the off-diagonal coupling blocks.
+    In ascending id order, unit_a is the (N, 3, 3) stack of the line-free
+    a_hat_ii blocks, unit_b the (N, 3) input columns and unit_m the
+    (N, 3, 2) disturbance columns.  Line l joins the units at positions
+    line_i[l] and line_j[l]: the voltage of unit line_j[l] drives that of
+    unit line_i[l] with conductance g_i[l] = 1/(R_l C_i), and back with
+    g_j[l] = 1/(R_l C_j).  self_terms holds each unit's QSL self term,
+    -sum of its conductances, stamped in topology order.
+
+    The dense 3N x 3N matrices are read-only arrays built on first use:
+    a_hat = a_d + a_xi + a_c entrywise, with a_d the block-diagonal local
+    dynamics, a_xi the diagonal QSL self terms (only the (1,1) slot of
+    each 3x3 block is nonzero) and a_c the off-diagonal coupling blocks.
     """
 
     ids: Tuple[int, ...]
-    a_hat: np.ndarray       # 3N x 3N
-    b_hat: np.ndarray       # 3N x N
-    m_hat: np.ndarray       # 3N x 2N
-    h_hat: np.ndarray       # N x 3N
-    a_d: np.ndarray
-    a_xi: np.ndarray
-    a_c: np.ndarray
+    unit_a: np.ndarray      # N x 3 x 3
+    unit_b: np.ndarray      # N x 3
+    unit_m: np.ndarray      # N x 3 x 2
+    line_i: np.ndarray      # lines, int positions
+    line_j: np.ndarray
+    g_i: np.ndarray         # lines, 1 / (R C_i)
+    g_j: np.ndarray         # lines, 1 / (R C_j)
 
     def __post_init__(self):
-        for name in ("a_hat", "b_hat", "m_hat", "h_hat", "a_d", "a_xi", "a_c"):
+        for name in ("unit_a", "unit_b", "unit_m", "g_i", "g_j"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name in ("line_i", "line_j"):
+            a = np.asarray(getattr(self, name), dtype=np.intp)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @functools.cached_property
+    def self_terms(self) -> np.ndarray:
+        xi = np.zeros(len(self.ids))
+        # each line stamps its i end, then its j end, as a loop over the
+        # lines in topology order would
+        np.subtract.at(xi, np.stack([self.line_i, self.line_j], 1).ravel(),
+                       np.stack([self.g_i, self.g_j], 1).ravel())
+        return _frozen(xi)
+
+    def expand(self, blocks: np.ndarray) -> np.ndarray:
+        """The dense 3N x 3N matrix with these diagonal blocks and the
+        line conductances between voltage slots."""
+        out = _block_diagonal(blocks)
+        out[3 * self.line_i, 3 * self.line_j] = self.g_i
+        out[3 * self.line_j, 3 * self.line_i] = self.g_j
+        return out
+
+    @functools.cached_property
+    def a_d(self) -> np.ndarray:
+        return _frozen(_block_diagonal(self.unit_a))
+
+    @functools.cached_property
+    def a_xi(self) -> np.ndarray:
+        diagonal = np.zeros(3 * len(self.ids))
+        diagonal[::3] = self.self_terms
+        return _frozen(np.diag(diagonal))
+
+    @functools.cached_property
+    def a_c(self) -> np.ndarray:
+        return _frozen(self.expand(np.zeros_like(self.unit_a)))
+
+    @functools.cached_property
+    def a_hat(self) -> np.ndarray:
+        return _frozen(self.a_d + self.a_xi + self.a_c)
+
+    @functools.cached_property
+    def b_hat(self) -> np.ndarray:
+        n = len(self.ids)
+        out = np.zeros((3 * n, n))
+        out.reshape(n, 3, n)[np.arange(n), :, np.arange(n)] = self.unit_b
+        return _frozen(out)
+
+    @functools.cached_property
+    def m_hat(self) -> np.ndarray:
+        n = len(self.ids)
+        out = np.zeros((3 * n, 2 * n))
+        idx = np.arange(n)
+        out.reshape(n, 3, n, 2)[idx, :, idx, :] = self.unit_m
+        return _frozen(out)
+
+    @functools.cached_property
+    def h_hat(self) -> np.ndarray:
+        n = len(self.ids)
+        out = np.zeros((n, 3 * n))
+        out[np.arange(n), 3 * np.arange(n)] = 1.0
+        return _frozen(out)
 
 
-def augmented_dgu(params: DguParams) -> AugmentedDgu:
-    """State-space blocks of one DGU from Kirchhoff's laws under QSL.
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    n = len(blocks)
+    out = np.zeros((3 * n, 3 * n))
+    idx = np.arange(n)
+    out.reshape(n, 3, n, 3)[idx, :, idx, :] = blocks
+    return out
+
+
+def unit_blocks(units: Sequence[DguParams],
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_hat_ii, b_hat, m_hat) of many DGUs as (N, 3, 3), (N, 3) and
+    (N, 3, 2) stacks, from Kirchhoff's laws under QSL.
 
     Voltage dynamics: C_t V' = I_t - I_L + sum_j (V_j - V_i)/R_ij.  The
     line sum belongs to assemble_global, so the unit's own blocks are
@@ -241,70 +327,72 @@ def augmented_dgu(params: DguParams) -> AugmentedDgu:
     [-1, -0.0, 0], the negated output map [1, 0] and its signed zero;
     v_ref enters through the second disturbance column.
     """
-    rt, lt, ct = params.r_t, params.l_t, params.c_t
-    a_hat_ii = np.array([[0.0, 1.0 / ct, 0.0],
-                         [-1.0 / lt, -rt / lt, 0.0],
-                         [-1.0, -0.0, 0.0]])
-    b_hat = np.array([[0.0], [1.0 / lt], [0.0]])
-    m_hat = np.array([[-1.0 / ct, 0.0],
-                      [0.0, 0.0],
-                      [0.0, 1.0]])
-    h_hat = np.array([[1.0, 0.0, 0.0]])
-    return AugmentedDgu(a_hat_ii, b_hat, m_hat, h_hat)
+    rt, lt, ct = (np.array([getattr(p, name) for p in units], dtype=float)
+                  for name in ("r_t", "l_t", "c_t"))
+    n = len(rt)
+    a = np.zeros((n, 3, 3))
+    a[:, 0, 1] = 1.0 / ct
+    a[:, 1, 0] = -1.0 / lt
+    a[:, 1, 1] = -rt / lt
+    a[:, 2, 0] = -1.0
+    a[:, 2, 1] = -0.0
+    b = np.zeros((n, 3))
+    b[:, 1] = 1.0 / lt
+    m = np.zeros((n, 3, 2))
+    m[:, 0, 0] = -1.0 / ct
+    m[:, 2, 1] = 1.0
+    return a, b, m
+
+
+def augmented_dgu(params: DguParams) -> AugmentedDgu:
+    """State-space blocks of one DGU: unit_blocks of a stack of one."""
+    a, b, m = unit_blocks([params])
+    return AugmentedDgu(a[0], b[0][:, None], m[0], np.array([[1.0, 0.0, 0.0]]))
 
 
 def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
     """Stack per-DGU blocks into the microgrid system (line-independent mode).
 
-    Block order follows ascending DGU id.  The returned decomposition is
-    exact by construction: a_d collects the a_hat_ii blocks, a_xi the QSL
-    self terms -sum_j 1/(R_ij C_ti) on the voltage diagonal, a_c the
-    off-diagonal coupling blocks.  Lines enter the grid here and nowhere
-    else, each stamped once, in topology order.
+    Block order follows ascending DGU id.  Lines enter the grid here and
+    nowhere else, each once, in topology order, with the conductance
+    1/(R C_t) of each end.
     """
     ids = topology.ids
-    n = len(ids)
     pos = {dgu_id: k for k, dgu_id in enumerate(ids)}
-    a_d = np.zeros((3 * n, 3 * n))
-    a_xi = np.zeros((3 * n, 3 * n))
-    a_c = np.zeros((3 * n, 3 * n))
-    b_hat = np.zeros((3 * n, n))
-    m_hat = np.zeros((3 * n, 2 * n))
-    h_hat = np.zeros((n, 3 * n))
-    for k, dgu_id in enumerate(ids):
-        hat = augmented_dgu(topology.dgus[dgu_id])
-        s = slice(3 * k, 3 * k + 3)
-        a_d[s, s] = hat.a_hat_ii
-        b_hat[s, k] = hat.b_hat[:, 0]
-        m_hat[s, 2 * k:2 * k + 2] = hat.m_hat
-        h_hat[k, s] = hat.h_hat[0]
-    for ln in topology.lines:
-        for i, j in ((ln.i, ln.j), (ln.j, ln.i)):
-            vi, vj = 3 * pos[i], 3 * pos[j]
-            conductance = 1.0 / (ln.r * topology.dgus[i].c_t)
-            a_xi[vi, vi] -= conductance
-            a_c[vi, vj] = conductance
-    return GlobalSystem(ids, a_d + a_xi + a_c, b_hat, m_hat, h_hat, a_d, a_xi, a_c)
+    a, b, m = unit_blocks([topology.dgus[dgu_id] for dgu_id in ids])
+    lines = topology.lines
+    line_i = np.array([pos[ln.i] for ln in lines], dtype=np.intp)
+    line_j = np.array([pos[ln.j] for ln in lines], dtype=np.intp)
+    r = np.array([ln.r for ln in lines], dtype=float)
+    c = np.array([topology.dgus[dgu_id].c_t for dgu_id in ids], dtype=float)
+    return GlobalSystem(ids, a, b, m, line_i, line_j,
+                        1.0 / (r * c[line_i]), 1.0 / (r * c[line_j]))
 
 
-def closed_loop(system: GlobalSystem,
-                controllers: Mapping[int, object]) -> np.ndarray:
-    """F = a_hat + b_hat K, K the block-diagonal stack of the gain rows.
+def closed_loop_blocks(system: GlobalSystem,
+                       controllers: Mapping[int, object]) -> np.ndarray:
+    """The (N, 3, 3) diagonal blocks of F = a_hat + b_hat K.
 
-    A controller is anything carrying a gain row `k`, or the bare row
-    itself, so baseline designs can be inspected like synthesized ones.
+    Each is the unit's a_hat_ii with its QSL self term, plus the outer
+    product of its input column and its gain row; the rest of F is the
+    system's line conductances.  A controller is anything carrying a gain
+    row `k`, or the bare row itself, so baseline designs can be inspected
+    like synthesized ones.
     """
     n = len(system.ids)
     gains = np.array([getattr(controllers[dgu_id], "k", controllers[dgu_id])
                       for dgu_id in system.ids], dtype=float).reshape(n, 3)
-    idx = np.arange(n)
-    # b_hat K is block diagonal: unit i's block is the outer product of
-    # its input column and its gain row
-    inputs = system.b_hat.reshape(n, 3, n)[idx, :, idx]
-    f = np.array(system.a_hat)
-    f.reshape(n, 3, n, 3)[idx, :, idx, :] += (inputs[:, :, None]
-                                              * gains[:, None, :])
-    return f
+    # the whole stamp is added, zeros included, so that the signed zeros
+    # come out as in a_d + a_xi and the dense F is bitwise a_hat + b_hat K
+    stamp = np.zeros_like(system.unit_a)
+    stamp[:, 0, 0] = system.self_terms
+    return (system.unit_a + stamp) + system.unit_b[:, :, None] * gains[:, None, :]
+
+
+def closed_loop(system: GlobalSystem,
+                controllers: Mapping[int, object]) -> np.ndarray:
+    """F = a_hat + b_hat K as a dense 3N x 3N array."""
+    return system.expand(closed_loop_blocks(system, controllers))
 
 
 def appendix_a_matrices(params: DguParams, line: LineParams) -> np.ndarray:

@@ -101,11 +101,15 @@ class LocalController:
         return float(np.sqrt(self.raw["beta"]) * self.raw["zeta"])
 
 
-def local_dissipation(dgu: AugmentedDgu, k: np.ndarray,
+def local_dissipation(a_hat: np.ndarray, b_hat: np.ndarray, k: np.ndarray,
                       p: np.ndarray) -> np.ndarray:
-    """q_local = F'P + PF along the unit's closed loop F = A_hat + B_hat k."""
-    f = dgu.a_hat_ii + np.outer(dgu.b_hat[:, 0], k)
-    return f.T @ p + p @ f
+    """q_local = F'P + PF along the closed loop F = a_hat + b_hat k.
+
+    Of one unit (a_hat 3x3; b_hat, k of length 3) or of a stack of units
+    (leading axes alike), in one stacked product.
+    """
+    f = a_hat + b_hat[..., :, None] * k[..., None, :]
+    return np.swapaxes(f, -1, -2) @ p + p @ f
 
 
 def _y_matrix(eta: float, y22: float, y23: float, y33: float) -> np.ndarray:
@@ -265,7 +269,7 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
         return Denied("k3 is numerically zero; re-weight the objective "
                       "and synthesize again")
     delta = -(k[1] - params.r_t) / k[2]
-    q = local_dissipation(dgu, k, p)
+    q = local_dissipation(dgu.a_hat_ii, dgu.b_hat[:, 0], k, p)
     eta = cfg.sigma_bar * params.c_t
     problem = _verify_invariants(k, p, q, delta, raw, eta)
     if problem is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +29,51 @@ from gridforge.model import (
     assemble_global,
     augmented_dgu,
 )
-from gridforge.synthesis import LocalController, SynthesisConfig, synthesize
+from gridforge.synthesis import (
+    LocalController,
+    SynthesisConfig,
+    local_dissipation,
+    synthesize,
+)
 
 CFG = SynthesisConfig(10.0)
 
 
 def dgu(r_t, l_t, c_t):
     return DguParams(r_t, l_t, c_t, LoadModel.constant_current(0.0), 48.0)
+
+
+def block_diagonal(blocks):
+    n = len(blocks)
+    out = np.zeros((3 * n, 3 * n))
+    for k, block in enumerate(blocks):
+        out[3 * k:3 * k + 3, 3 * k:3 * k + 3] = block
+    return out
+
+
+def dense_reference(top, ctrls):
+    """(Q, line part, blockdiag q_local) rebuilt densely: Q = F'P + PF
+    with P = blockdiag(P_i), and the line part PC + (PC)' with C the
+    coupling a_xi + a_c."""
+    system = assemble_global(top)
+    f = closed_loop(system, ctrls)
+    p = block_diagonal([ctrls[i].p for i in top.ids])
+    pc = p @ (system.a_xi + system.a_c)
+    return (f.T @ p + p @ f, pc + pc.T,
+            block_diagonal([ctrls[i].q_local for i in top.ids]))
+
+
+def dense_split(q):
+    """(voltage block, (N, 2, 2) unit blocks, dropped entries) of a dense
+    3N x 3N matrix: the direct sum the certificate stores in pieces."""
+    n = len(q) // 3
+    blocks = q.reshape(n, 3, n, 3)
+    idx = np.arange(n)
+    cross = blocks[:, 1:, :, 1:].copy()
+    cross[idx, :, idx, :] = 0.0
+    dropped = np.concatenate([blocks[:, 0, :, 1:].ravel(),
+                              blocks[:, 1:, :, 0].ravel(), cross.ravel()])
+    return q[::3, ::3], blocks[idx, 1:, idx, 1:], dropped
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +127,24 @@ class TestLocalStructure:
             check_global({1: bad, 2: ctrls[2]}, top, 10.0)
 
 
+    def test_indefinite_p_flagged(self, pair):
+        # q_local as synthesized, P with its tail block negated: only the
+        # P > 0 check can see it
+        top, ctrls = pair
+        ctrl = ctrls[1]
+        bad_p = np.array(ctrl.p)
+        bad_p[1:, 1:] *= -1.0
+        bad = dataclasses.replace(ctrl, p=bad_p)
+        report = check_local_structure(bad)
+        assert not report.passed
+        assert report.p_min_eig < 0.0
+        assert report.max_violation == pytest.approx(-report.p_min_eig)
+        assert check_local_structure(ctrl).p_min_eig > 0.0
+        with pytest.raises(ValueError, match="local certificate of DGU 1 "
+                           "fails structure checks"):
+            check_global({1: bad, 2: ctrls[2]}, top, 10.0)
+
+
 class TestLaplacian:
     def test_two_dgu_values(self, pair):
         top, _ = pair
@@ -129,17 +186,17 @@ class TestLaplacian:
 
 
 class TestGlobal:
-    def test_q_negative_semidefinite(self, pair_cert):
+    def test_q_negative_semidefinite(self, pair, pair_cert):
         cert = pair_cert
-        eps = 1e-8 * (1.0 + np.linalg.norm(cert.q_global))
+        eps = 1e-8 * (1.0 + np.linalg.norm(dense_reference(*pair)[0]))
         assert cert.checks["q_global_max_eig"] <= eps
         assert cert.checks["block_a_max_eig"] <= eps
         assert cert.checks["block_bc_max_eig"] <= eps
         assert cert.q_negative_semidefinite()
 
-    def test_decomposition_is_exact(self, pair_cert):
+    def test_decomposition_is_exact(self, pair, pair_cert):
         assert pair_cert.checks["split_residual"] <= 1e-12 * (
-            1.0 + np.linalg.norm(pair_cert.q_global)
+            1.0 + np.linalg.norm(dense_reference(*pair)[0])
         )
 
     def test_coupling_expands_laplacian(self, pair_cert):
@@ -148,10 +205,13 @@ class TestGlobal:
         assert pair_cert.checks["coupling_nonvoltage_rows"] == 0.0
 
     def test_q_definition(self, pair, pair_cert):
-        top, ctrls = pair
-        f = closed_loop(assemble_global(top), ctrls)
-        q = f.T @ pair_cert.p_global + pair_cert.p_global @ f
-        np.testing.assert_array_equal(q, pair_cert.q_global)
+        # the pieces are those of the dense F'P + PF, entry for entry
+        q_volt, q_units, dropped = dense_split(dense_reference(*pair)[0])
+        np.testing.assert_array_equal(q_volt, pair_cert.q_voltage)
+        np.testing.assert_array_equal(q_units, pair_cert.q_units)
+        np.testing.assert_array_equal(
+            np.sort(dropped[dropped != 0.0]),
+            np.sort(pair_cert.q_dropped[pair_cert.q_dropped != 0.0]))
 
     def test_mixed_sigma_bar_raises(self, pair):
         top, ctrls = pair
@@ -180,41 +240,64 @@ def mesh():
     return top, {i: designs[i % 3] for i in ids}
 
 
-def with_stray_self_term(monkeypatch, row, col):
-    """Make certify see a_xi with one stray off-diagonal entry."""
-    def doctored(top):
-        system = assemble_global(top)
-        a_xi = system.a_xi.copy()
-        a_xi[row, col] = 1.0
-        return dataclasses.replace(system, a_xi=a_xi)
+def doctored(top, ctrls, stray, monkeypatch):
+    """Controllers and assembly with one piece of block data doctored.
 
-    monkeypatch.setattr(certify, "assemble_global", doctored)
+    ("line", field, value) sets line 0's entry of each named GlobalSystem
+    line array; ("p", unit, row) puts a small symmetric pair into unit's
+    P at (row, 0) and (0, row), off its zero first column; ("eta", unit)
+    moves unit's P[0, 0] off eta.  q_local is left as it was.
+    """
+    if stray[0] == "line":
+        def assemble(t):
+            system = assemble_global(t)
+            changes = {}
+            for field, value in stray[1].items():
+                changes[field] = getattr(system, field).copy()
+                changes[field][0] = value(changes[field][0])
+            return dataclasses.replace(system, **changes)
+
+        monkeypatch.setattr(certify, "assemble_global", assemble)
+        return ctrls
+    ctrl = ctrls[stray[1]]
+    p = np.array(ctrl.p)
+    if stray[0] == "p":
+        p[stray[2], 0] = p[0, stray[2]] = 1e-3 * np.linalg.eigvalsh(p)[0]
+    else:
+        p[0, 0] *= 1.0 + 1e-3
+    return {**ctrls, stray[1]: dataclasses.replace(ctrl, p=p)}
 
 
 class TestLineSparseChecks:
-    # blocks are 3x3 in id order: unit i's voltage row is 3 * (i - 1)
     @pytest.mark.parametrize("stray, check", [
-        ((0, 6), "laplacian_expansion_error"),
-        ((1, 6), "coupling_nonvoltage_rows"),
-        ((0, 7), "coupling_nonvoltage_rows"),
-        ((3, 0), "laplacian_expansion_error"),
-        ((0, 4), "coupling_nonvoltage_rows"),
-        ((0, 4), "direct_sum_residual"),
+        # line 0 joins units 1 and 2; rewired, it couples units 1 and 5,
+        # which share no line (units 2 and 5 have the same C_t)
+        (("line", {"line_j": lambda j: 4}), "laplacian_expansion_error"),
+        (("p", 1, 1), "coupling_nonvoltage_rows"),
+        (("p", 3, 2), "coupling_nonvoltage_rows"),
+        (("line", {"g_i": lambda g: 2.0 * g, "g_j": lambda g: 2.0 * g}),
+         "laplacian_expansion_error"),
+        (("p", 2, 1), "coupling_nonvoltage_rows"),
+        (("p", 2, 1), "direct_sum_residual"),
+        (("eta", 4), "laplacian_expansion_error"),
+        (("p", 5, 2), "split_residual"),
     ])
     def test_off_line_blocks_covered_entrywise(self, mesh, stray, check,
                                                monkeypatch):
-        # a stray coupling term shows entrywise, whether its units share a
-        # line (units 1 and 2) or not (units 1 and 3)
+        # each doctored piece of block data shows in its check: a line off
+        # the topology or with the wrong conductance, P's first column off
+        # zero, or P's (1,1) entry off eta
         top, ctrls = mesh
-        with_stray_self_term(monkeypatch, *stray)
-        cert = check_global(ctrls, top, 10.0)
+        cert = check_global(doctored(top, ctrls, stray, monkeypatch), top,
+                            10.0)
         assert cert.checks[check] > 1e-6
 
     def test_block_a_max_eig_matches_dense_reference(self, mesh):
         top, ctrls = mesh
         cert = check_global(ctrls, top, 10.0)
-        dense = np.linalg.eigvalsh(cert.block_a)[-1]
-        scale = 1.0 + np.linalg.norm(cert.block_a)
+        block_a = dense_reference(top, ctrls)[2]
+        dense = np.linalg.eigvalsh(block_a)[-1]
+        scale = 1.0 + np.linalg.norm(block_a)
         assert abs(cert.checks["block_a_max_eig"] - dense) <= 1e-12 * scale
 
     def test_dropped_entries_bound_the_verdict(self, mesh):
@@ -223,10 +306,15 @@ class TestLineSparseChecks:
         top, ctrls = mesh
         cert = check_global(ctrls, top, 10.0)
         assert cert.q_negative_semidefinite()
-        q = cert.q_global.copy()
+        q = dense_reference(top, ctrls)[0]
         eps = 1e-8 * (1.0 + np.linalg.norm(q))
         q[0, 4] = q[4, 0] = 2.0 * eps
-        doctored = dataclasses.replace(cert, q_global=q)
+        # the split drops the doctored pair: it joins the dropped entries
+        # at both of its positions, and the pieces still cover Q
+        q_dropped = np.concatenate([cert.q_dropped, [q[0, 4], q[4, 0]]])
+        doctored = dataclasses.replace(cert, q_dropped=q_dropped)
+        assert doctored.q_norm == pytest.approx(np.linalg.norm(q),
+                                                rel=1e-12)
         assert doctored.checks["q_global_max_eig"] <= eps
         assert not doctored.q_negative_semidefinite()
 
@@ -281,6 +369,84 @@ def dense_kernel_angle(basis, ctrls):
     return float(np.arcsin(min(np.max(sv), 1.0)))
 
 
+def closed_form_controller(params, k, sigma_bar):
+    """A gain k in the local design set (k1 < 1, k2 < R_t,
+    0 < k3 < (k1 - 1)(k2 - R_t)/L_t) with its unique P, the closed form
+    that synthesis uses to extract P, and the q_local they give."""
+    k = np.asarray(k, dtype=float)
+    b = (k[0] - 1.0) / params.l_t
+    c = (k[1] - params.r_t) / params.l_t
+    d = k[2] / params.l_t
+    p23 = sigma_bar * d / (d - b * c)
+    p22 = sigma_bar * c / (d - b * c)
+    eta = sigma_bar * params.c_t
+    p = np.array([[eta, 0.0, 0.0], [0.0, p22, p23], [0.0, p23, b * p23]])
+    hat = augmented_dgu(params)
+    q = local_dissipation(hat.a_hat_ii, hat.b_hat[:, 0], k, p)
+    return LocalController(k, p, eta, {}, float(-c / d), q)
+
+
+def closed_form_chain(n):
+    """A chain of n units of four types, each with k = (0, 0, R_t/(2 L_t)),
+    a gain in the design set for every unit."""
+    types = [dgu(0.1, 1.8e-3, 2.2e-3), dgu(0.2, 1.7e-3, 2.0e-3),
+             dgu(0.3, 2.5e-3, 1.9e-3), dgu(0.05, 4e-3, 3.5e-3)]
+    designs = [closed_form_controller(p, [0.0, 0.0, p.r_t / (2 * p.l_t)],
+                                      10.0) for p in types]
+    lines = [LineParams(i, i + 1, 0.02 + 0.01 * (i % 9)) for i in range(1, n)]
+    top = MicrogridTopology({i: types[i % 4] for i in range(1, n + 1)}, lines)
+    return top, {i: designs[i % 4] for i in range(1, n + 1)}
+
+
+def stiff_grid(n, seed):
+    """A random mesh of n units drawn log-uniformly from a wide box (R_t
+    1e-3 to 10, L_t 1e-4 to 0.1, C_t 1e-6 to 0.1, sigma_bar 1 to 1000),
+    each with a gain drawn from the design set and its closed-form P."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi, size=None):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+    r_t, l_t = log_uniform(1e-3, 10.0, n), log_uniform(1e-4, 0.1, n)
+    c_t = log_uniform(1e-6, 0.1, n)
+    sigma_bar = float(log_uniform(1.0, 1000.0))
+    k1 = 1.0 - log_uniform(1e-2, 1e2, n)
+    k2 = r_t - r_t * log_uniform(1e-1, 1e1, n)
+    k3 = rng.uniform(0.05, 0.95, n) * (k1 - 1.0) * (k2 - r_t) / l_t
+    pairs = {(int(rng.integers(k)), k) for k in range(1, n)}
+    for _ in range(n // 2):
+        pairs.add(tuple(sorted(int(i) for i in rng.choice(n, 2, False))))
+    lines = [LineParams(i + 1, j + 1, float(rng.uniform(0.02, 0.2)))
+             for i, j in sorted(pairs)]
+    dgus = {i + 1: dgu(float(r_t[i]), float(l_t[i]), float(c_t[i]))
+            for i in range(n)}
+    ctrls = {i: closed_form_controller(dgus[i], [k1[i - 1], k2[i - 1],
+                                                 k3[i - 1]], sigma_bar)
+             for i in dgus}
+    return MicrogridTopology(dgus, lines), ctrls, sigma_bar
+
+
+class TestStiffGrids:
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    # the closed-loop spectrum of this grid reads -1.6e-14 |F|: a verdict
+    # that needs the abscissa below -1e-12 |F| reads it as Fail
+    @example(n=20, seed=252)
+    @settings(max_examples=100, deadline=None)
+    def test_structure_certifies_and_spectrum_agrees(self, n, seed):
+        top, ctrls, sigma_bar = stiff_grid(n, seed)
+        cert = check_global(ctrls, top, sigma_bar)
+        kernel = check_lasalle_kernel(cert, ctrls)
+        verdict = check_theorem1(cert, ctrls, top, kernel)
+        assert verdict.verdict == PASS, verdict.facts
+        assert kernel.nullity == n + 1
+        # the spectrum never contradicts the proof, and wherever it
+        # resolves the sign of its abscissa it reads stable too
+        scale = 1e-12 * cert.checks["closed_loop_norm"]
+        assert verdict.spectral_abscissa <= scale
+        if verdict.spectral_abscissa < -scale:
+            assert np.all(cert.spectra["closed_loop"].real < 0.0)
+
+
 class TestDirectSum:
     @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
     @example(n=200, seed=1)
@@ -288,18 +454,28 @@ class TestDirectSum:
     def test_matches_dense_references(self, pool, n, seed):
         top, ctrls = random_mesh(pool, n, seed)
         cert = check_global(ctrls, top, 10.0)
-        scale = 1.0 + np.linalg.norm(cert.q_global)
-        dense = np.linalg.eigvalsh(cert.q_global)
+        q_global, block_bc, _ = dense_reference(top, ctrls)
+        scale = 1.0 + np.linalg.norm(q_global)
+        dense = np.linalg.eigvalsh(q_global)
         np.testing.assert_allclose(cert.spectra["q_global"], dense,
                                    rtol=0.0, atol=1e-12 * scale)
-        nullity = np.count_nonzero(
-            np.abs(dense) <= 1e-7 * np.linalg.norm(cert.q_global))
+        assert cert.q_norm == pytest.approx(np.linalg.norm(q_global),
+                                            rel=1e-12)
+        # numerical rank of each piece of the dense split, against that
+        # piece's own spectral norm
+        q_volt, q_units, _ = dense_split(q_global)
+        w_volt = np.linalg.eigvalsh(q_volt)
+        w_units = np.linalg.eigvalsh(q_units)
+        nullity = (np.count_nonzero(
+            np.abs(w_volt) <= 1e-7 * np.max(np.abs(w_volt)))
+            + np.count_nonzero(np.abs(w_units) <= 1e-7 * np.max(
+                np.abs(w_units), axis=1, keepdims=True)))
         kernel = check_lasalle_kernel(cert, ctrls)
         assert kernel.nullity == nullity == n + 1
         assert kernel.passed
         assert abs(kernel.max_principal_angle
                    - dense_kernel_angle(cert.kernel_basis, ctrls)) <= 1e-9
-        bc_max = np.linalg.eigvalsh(cert.block_bc)[-1]
+        bc_max = np.linalg.eigvalsh(block_bc)[-1]
         assert abs(cert.checks["block_bc_max_eig"] - bc_max) <= 1e-12 * scale
         assert check_theorem1(cert, ctrls, top).verdict == PASS
 
@@ -321,6 +497,43 @@ class TestDirectSum:
         assert symmetric and max(s[-1] for s in symmetric) == n
         assert shapes["eigvals"] == [(3 * n, 3 * n)]
         assert shapes["eig"] == []
+        # the local checks are one batched eigensolve over the stacked
+        # q_i and P_i, never one call per unit
+        assert shapes["eigh"].count((2 * n, 3, 3)) == 1
+        assert (3, 3) not in symmetric
+        # above the spectrum's size cap no general eigensolve runs at all
+        for seen in shapes.values():
+            seen.clear()
+        monkeypatch.setattr(certify, "SPECTRUM_MAX_UNITS", n - 1)
+        cert = check_global(ctrls, top, 10.0)
+        verdict = check_theorem1(cert, ctrls, top)
+        assert (verdict.verdict, verdict.spectral_abscissa) == (PASS, None)
+        assert shapes["eigvals"] == shapes["eig"] == []
+        assert max(s[-1] for s in shapes["eigh"] + shapes["eigvalsh"]) == n
+        doc = certificate_to_json(cert, verdict)
+        assert doc["closed_loop_eigenvalues"] is None
+
+    def test_thousand_unit_chain_stays_sparse(self, monkeypatch):
+        # a dense 3N x 3N float64 array at N = 1000 is 72 MB; no step of
+        # the certificate may hold one, nor run a general eigensolve
+        n = 1000
+        top, ctrls = closed_form_chain(n)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(np.shape(a)))
+        tracemalloc.start()
+        try:
+            cert = check_global(ctrls, top, 10.0)
+            kernel = check_lasalle_kernel(cert, ctrls)
+            verdict = check_theorem1(cert, ctrls, top, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (3 * n) ** 2 * 8
+        assert calls == []
+        assert kernel.passed and kernel.nullity == n + 1
+        assert verdict.verdict == PASS
+        assert verdict.spectral_abscissa is None
 
 
 class TestTheorem1:
@@ -342,14 +555,63 @@ class TestTheorem1:
         top, ctrls = pair
         spectra = dict(pair_cert.spectra)
         spectra["closed_loop"] = np.array([20.0 + 560.0j, 20.0 - 560.0j, -1.0])
-        doctored = GlobalCertificate(
-            pair_cert.p_global, pair_cert.q_global, pair_cert.block_a,
-            pair_cert.block_bc, pair_cert.laplacian, pair_cert.eta_tilde,
-            spectra, pair_cert.kernel_basis, pair_cert.checks,
-        )
+        doctored = dataclasses.replace(pair_cert, spectra=spectra)
+        assert isinstance(doctored, GlobalCertificate)
         verdict = check_theorem1(doctored, ctrls, top)
         assert verdict.verdict == FAIL
         assert verdict.spectral_abscissa == pytest.approx(20.0)
+
+
+    @pytest.mark.parametrize("factor, verdict", [
+        (-0.5, PASS), (0.5, PASS), (2.0, FAIL)])
+    def test_spectrum_refutes_only_beyond_its_noise_floor(
+            self, pair, pair_cert, factor, verdict):
+        # an abscissa within 1e-12 |F| of zero cannot overrule the
+        # structure; one above it contradicts the proof
+        top, ctrls = pair
+        spectra = dict(pair_cert.spectra)
+        abscissa = factor * 1e-12 * pair_cert.checks["closed_loop_norm"]
+        spectra["closed_loop"] = np.array([abscissa, -1.0])
+        doctored = dataclasses.replace(pair_cert, spectra=spectra)
+        result = check_theorem1(doctored, ctrls, top)
+        assert result.verdict == verdict
+        assert result.spectral_abscissa == abscissa
+
+    def test_facts_are_recorded_with_margins(self, pair, pair_cert):
+        top, ctrls = pair
+        verdict = check_theorem1(pair_cert, ctrls, top)
+        assert set(verdict.facts) == {
+            "connected", "positive_line_weights", "local_certificates",
+            "common_sigma_bar", "q_negative_semidefinite", "lasalle_kernel",
+            "k3_nonzero", "lasalle_invariance"}
+        assert all(holds for holds, _ in verdict.facts.values())
+        # 1 + delta b = (d - b c) / d, negative on every gain of the set
+        for dgu_id, ctrl in ctrls.items():
+            b = (ctrl.k[0] - 1.0) / top.dgus[dgu_id].l_t
+            assert 1.0 + ctrl.delta * b < 0.0
+        margin = min(abs(1.0 + c.delta * (c.k[0] - 1.0) / top.dgus[i].l_t)
+                     for i, c in ctrls.items())
+        assert verdict.facts["lasalle_invariance"] == (True, margin)
+        assert verdict.facts["positive_line_weights"][1] == pytest.approx(
+            400.0)
+
+    def test_invariant_kernel_direction_fails(self, pair):
+        # with 1 + delta b = 0 the unit's kernel direction is F-invariant
+        # and LaSalle gives nothing.  That is k3 at the edge of the design
+        # set, where P's closed form divides by rounding noise, yet the
+        # local checks, relative to the huge P and q_local, still pass
+        top, ctrls = pair
+        params = top.dgus[1]
+        k = np.array(ctrls[1].k)
+        delta = -params.l_t / (k[0] - 1.0)
+        k[1] = params.r_t - delta * k[2]
+        ctrl = closed_form_controller(params, k, 10.0)
+        assert abs(ctrl.delta - delta) <= 1e-9 * abs(delta)
+        bad = {1: ctrl, 2: ctrls[2]}
+        verdict = check_theorem1(check_global(bad, top, 10.0), bad, top)
+        assert verdict.verdict == FAIL
+        holds, margin = verdict.facts["lasalle_invariance"]
+        assert not holds and margin <= 1e-9
 
 
 class TestLasalleKernel:

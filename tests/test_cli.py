@@ -7,6 +7,7 @@ import pathlib
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from gridforge import baselines, cli
@@ -211,6 +212,54 @@ class TestCertify:
         path = write_json(tmp_path / "mixed.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("P", [[1.0, 0.0], [0.0, 1.0]], "P must be a finite 3x3 array"),
+        ("P", [1.0, 2.0, 3.0], "P must be a finite 3x3 array"),
+        ("P", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.4, 1.0]],
+         "P is not symmetric"),
+        ("P", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]],
+         "P must be a finite 3x3 array"),
+        ("K", [1.0, 2.0], "gain K must be three finite numbers"),
+        ("K", [1.0, float("inf"), 2.0], "gain K must be three finite numbers"),
+        ("K", "k1 k2 k3", "gain K must be three finite numbers"),
+    ])
+    def test_malformed_entry_is_refused_by_name(self, bundle_file, tmp_path,
+                                                capsys, field, value,
+                                                message):
+        scenario, bundle = bundle_file
+        payload = json.loads(open(bundle).read())
+        payload["controllers"][1][field] = value
+        path = write_json(tmp_path / "malformed.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert f"error: DGU 2: controller {message}" in capsys.readouterr().err
+
+    def test_indefinite_p_is_refused_by_name(self, bundle_file, tmp_path,
+                                             capsys):
+        scenario, bundle = bundle_file
+        payload = json.loads(open(bundle).read())
+        p = np.array(payload["controllers"][0]["P"])
+        p[1:, 1:] *= -1.0
+        payload["controllers"][0]["P"] = p.tolist()
+        path = write_json(tmp_path / "indefinite.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert ("local certificate of DGU 1 fails structure checks"
+                in capsys.readouterr().err)
+
+    def test_timings_go_to_stderr(self, bundle_file, tmp_path, capsys):
+        scenario, bundle = bundle_file
+        assert cli.main(["certify", scenario, bundle, "--timings",
+                         "--out", str(tmp_path / "cert.json")]) == 0
+        out, err = capsys.readouterr()
+        assert out == "theorem1: pass\n"
+        stages = [line.split(": ")[1] for line in err.splitlines()]
+        assert stages == ["load scenario", "load bundle", "local checks",
+                          "Q pieces", "spectrum", "verdict and kernel",
+                          "JSON write"]
+        for line in err.splitlines():
+            assert line.startswith("timing: ") and line.endswith(" s")
+            assert float(line.split(": ")[2][:-2]) >= 0.0
 
 
 class TestSimulate:
