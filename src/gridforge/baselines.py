@@ -15,19 +15,18 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
-                    appendix_a_matrices, assemble_global, augmented_dgu,
-                    closed_loop, controllability_matrix)
+                    assemble_global, closed_loop, closed_loop_blocks,
+                    controllability_matrix)
 from .synthesis import Denied, SynthesisConfig, synthesize_all
 
 LQR = "lqr"
 POLE_PLACEMENT = "pole_placement"
 
-#: Two-converter benchmark constants: (R_t, L_t, C_t) pairs and the line.
-DEMO_DGUS = (
-    DguParams(0.1, 1.8e-3, 2.2e-3, LoadModel.constant_current(0.0), 48.0),
-    DguParams(0.2, 1.7e-3, 2.0e-3, LoadModel.constant_current(0.0), 48.0),
-)
-DEMO_LINE = LineParams(1, 2, 0.05, 1.8e-6)
+#: The two-converter benchmark: two DGUs and the line between them.
+DEMO_TOPOLOGY = MicrogridTopology({
+    1: DguParams(0.1, 1.8e-3, 2.2e-3, LoadModel.constant_current(0.0), 48.0),
+    2: DguParams(0.2, 1.7e-3, 2.0e-3, LoadModel.constant_current(0.0), 48.0),
+}, (LineParams(1, 2, 0.05, 1.8e-6),))
 
 PLACEMENT_TARGETS = (
     (-8.5190e3, -530.4, -1.46),
@@ -83,11 +82,6 @@ LQR_WEIGHTS = (
 )
 
 
-def _as_column(b: np.ndarray, n: int) -> np.ndarray:
-    b = np.asarray(b, dtype=float).reshape(n, 1)
-    return b
-
-
 def _lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a^T X + X a = rhs for symmetric rhs (dense Kronecker form)."""
     n = a.shape[0]
@@ -110,7 +104,7 @@ def solve_care(a: np.ndarray, b: np.ndarray, spec: LqrSpec) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    b = _as_column(b, n)
+    b = np.asarray(b, dtype=float).reshape(n, 1)
     q, r = spec.q, spec.r
     if q.shape != (n, n):
         raise ValueError("weight dimensions do not match the system")
@@ -157,7 +151,7 @@ def place_poles(a: np.ndarray, b: np.ndarray,
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    b = _as_column(b, n)
+    b = np.asarray(b, dtype=float).reshape(n, 1)
     targets = np.asarray(targets, dtype=complex)
     if targets.shape != (n,):
         raise ValueError(f"need exactly {n} target eigenvalues")
@@ -248,17 +242,18 @@ class DestabilizationReport:
 def destabilization_demo(method: str = LQR) -> DestabilizationReport:
     """Design each DGU as if alone, couple them, and report the spectra.
 
-    Both design routes stabilize the isolated converters, yet the
-    interconnected loop carries a complex pair in the right half-plane;
-    the report fails loudly if that pair ever disappears.
+    Each unit is designed on its open-loop diagonal block, self term
+    included.  Both routes stabilize the isolated converters, yet the
+    coupled loop carries a complex pair in the right half-plane; the
+    report fails loudly if that pair ever disappears.
     """
     if method not in (LQR, POLE_PLACEMENT):
         raise ValueError(f"unknown method {method!r}")
+    system = assemble_global(DEMO_TOPOLOGY)
+    blocks = closed_loop_blocks(system, {i: np.zeros(3) for i in system.ids})
     gains = []
     decoupled = []
-    for idx, params in enumerate(DEMO_DGUS):
-        a = appendix_a_matrices(params, DEMO_LINE)
-        b = augmented_dgu(params).b_hat
+    for idx, (a, b) in enumerate(zip(blocks, system.unit_b[:, :, None])):
         if method == LQR:
             k = solve_care(a, b, LQR_WEIGHTS[idx])
         else:
@@ -266,9 +261,8 @@ def destabilization_demo(method: str = LQR) -> DestabilizationReport:
         gains.append(k)
         decoupled.append(np.sort_complex(np.linalg.eigvals(a + b @ k[None, :])))
 
-    top = MicrogridTopology({1: DEMO_DGUS[0], 2: DEMO_DGUS[1]}, (DEMO_LINE,))
     coupled = np.linalg.eigvals(
-        closed_loop(assemble_global(top), dict(zip(top.ids, gains))))
+        closed_loop(system, dict(zip(system.ids, gains))))
 
     unstable = sorted((z for z in coupled if z.real > 0.0 and z.imag != 0.0),
                       key=lambda z: z.imag)
@@ -283,11 +277,10 @@ def destabilization_demo(method: str = LQR) -> DestabilizationReport:
 
 def pnp_contrast(sigma_bar: float = 10.0) -> np.ndarray:
     """Coupled spectrum of the same benchmark under certified synthesis."""
-    top = MicrogridTopology({1: DEMO_DGUS[0], 2: DEMO_DGUS[1]}, (DEMO_LINE,))
-    controllers = synthesize_all(top, SynthesisConfig(sigma_bar))
+    controllers = synthesize_all(DEMO_TOPOLOGY, SynthesisConfig(sigma_bar))
     for dgu_id, result in controllers.items():
         if isinstance(result, Denied):
             raise RuntimeError(f"synthesis denied for DGU {dgu_id}:"
                                f" {result.reason}")
-    f = closed_loop(assemble_global(top), controllers)
+    f = closed_loop(assemble_global(DEMO_TOPOLOGY), controllers)
     return np.sort_complex(np.linalg.eigvals(f))

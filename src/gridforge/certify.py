@@ -36,9 +36,8 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .lmi import general_eig, sym_eig
-# closed_loop is the dense F whose spectrum the certificate reports
-from .model import (GlobalSystem, MicrogridTopology, assemble_global,  # noqa: F401
-                    closed_loop, closed_loop_blocks)
+from .model import (GlobalSystem, MicrogridTopology, assemble_global,
+                    closed_loop_blocks)
 from .synthesis import LocalController
 
 PASS = "Pass"
@@ -81,11 +80,14 @@ class GlobalCertificate:
     q_voltage is Q's N x N voltage block, q_units the (N, 2, 2) stack of
     its (I, v) blocks, and q_dropped every other entry the split leaves
     out that can be nonzero.  line_weights are q_voltage's off-diagonal
-    entries, one per line in topology order.  checks maps a check name to
-    its measured value; each is compared against the module tolerance by
-    the check_* functions.  It also records closed_loop_norm, the scale
-    check_theorem1 judges the spectral abscissa against.  stage_seconds
-    holds the wall time of each stage of check_global.
+    entries, one per line in topology order.  Ker Q is stored in the same
+    pieces: the columns of kernel_voltage (N x m) are the voltage block's
+    null vectors, and row t of kernel_pairs is a null vector of the
+    (I, v) block of the unit at position kernel_units[t].  checks maps a
+    check name to its measured value; each is compared against the module
+    tolerance by the check_* functions.  It also records closed_loop_norm,
+    the scale check_theorem1 judges the spectral abscissa against.
+    stage_seconds holds the wall time of each stage of check_global.
     """
 
     q_voltage: np.ndarray
@@ -95,9 +97,15 @@ class GlobalCertificate:
     laplacian: np.ndarray
     eta_tilde: Mapping[Tuple[int, int], float]
     spectra: Mapping[str, Optional[np.ndarray]]
-    kernel_basis: np.ndarray
+    kernel_voltage: np.ndarray
+    kernel_units: np.ndarray
+    kernel_pairs: np.ndarray
     checks: Mapping[str, float]
     stage_seconds: Mapping[str, float]
+
+    @property
+    def kernel_dimension(self) -> int:
+        return self.kernel_voltage.shape[1] + len(self.kernel_units)
 
     @property
     def q_norm(self) -> float:
@@ -181,12 +189,12 @@ def check_local_structure(ctrl: LocalController) -> LocalStructureReport:
                                    for name, value in one.items()})
 
 
-def build_laplacian(topology: MicrogridTopology, sigma_bar: float,
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, M, G): coupling Laplacian, its diagonal and off-diagonal parts.
+def build_laplacian(topology: MicrogridTopology,
+                    sigma_bar: float) -> np.ndarray:
+    """The coupling Laplacian L.
 
     Off-diagonal weights are 2*sigma_bar/R_ij per line; the diagonal is
-    the exact negative row sum, so L = M + G has zero row sums bitwise.
+    the exact negative row sum of the off-diagonal weights.
     """
     ids = topology.ids
     pos = {dgu_id: k for k, dgu_id in enumerate(ids)}
@@ -196,8 +204,7 @@ def build_laplacian(topology: MicrogridTopology, sigma_bar: float,
         w = 2.0 * sigma_bar / ln.r
         g[pos[ln.i], pos[ln.j]] = w
         g[pos[ln.j], pos[ln.i]] = w
-    m = np.diag(-np.sum(g, axis=1))
-    return m + g, m, g
+    return np.diag(-np.sum(g, axis=1)) + g
 
 
 def eta_tilde_map(topology: MicrogridTopology, sigma_bar: float,
@@ -217,6 +224,18 @@ def _voltage_block(diagonal: np.ndarray, system: GlobalSystem,
     out[system.line_i, system.line_j] = line_weights
     out[system.line_j, system.line_i] = line_weights
     return out
+
+
+def closed_loop_spectrum(system: GlobalSystem, f_blocks: np.ndarray,
+                         ) -> Tuple[Optional[np.ndarray], float]:
+    """(spectrum, Frobenius norm) of the closed loop F with these diagonal
+    blocks.  The spectrum, an O(N^3) eigensolve of the dense F, is None
+    above SPECTRUM_MAX_UNITS units; the norm is then read off the blocks
+    and the line conductances."""
+    if len(f_blocks) > SPECTRUM_MAX_UNITS:
+        return None, _frobenius(f_blocks, system.g_i, system.g_j)
+    f_global = system.expand(f_blocks)
+    return general_eig(f_global), float(np.linalg.norm(f_global))
 
 
 def check_global(controllers: Mapping[int, LocalController],
@@ -299,7 +318,7 @@ def check_global(controllers: Mapping[int, LocalController],
     bc_dropped = np.concatenate([own[:, 1:].ravel(), own[:, 1:].ravel(),
                                  line_dropped, line_dropped])
 
-    laplacian = build_laplacian(topology, sigma_bar)[0]
+    laplacian = build_laplacian(topology, sigma_bar)
     # the coupling quadratic form lives on the voltage rows alone; its
     # restriction there must be the Laplacian entrywise (both vanish off
     # the diagonal and the lines)
@@ -318,19 +337,10 @@ def check_global(controllers: Mapping[int, LocalController],
     # block, whose smallest nonzero eigenvalue shrinks like 1/N^2 on a
     # long chain
     in_volt = np.abs(w_volt) <= 1e-7 * np.max(np.abs(w_volt), initial=0.0)
-    volt_kernel = v_volt[:, in_volt]
+    kernel_voltage = v_volt[:, in_volt]
     del v_volt  # N x N; only the null vectors are kept
-    unit, which = np.nonzero(np.abs(w_units) <= 1e-7 * np.max(
+    kernel_units, which = np.nonzero(np.abs(w_units) <= 1e-7 * np.max(
         np.abs(w_units), axis=1, keepdims=True, initial=0.0))
-    # each kernel vector lives on one piece: the voltage coordinates, or
-    # one unit's (I, v) pair
-    n = len(ids)
-    m = volt_kernel.shape[1]
-    kernel_basis = np.zeros((3 * n, m + len(unit)))
-    kernel_basis[::3, :m] = volt_kernel
-    cols = m + np.arange(len(unit))
-    kernel_basis[3 * unit + 1, cols] = v_units[unit, 0, which]
-    kernel_basis[3 * unit + 2, cols] = v_units[unit, 1, which]
 
     checks = {
         # the block diagonal of the q_local: its spectrum is theirs,
@@ -352,14 +362,8 @@ def check_global(controllers: Mapping[int, LocalController],
     seconds["Q pieces"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    spectrum = None
-    if n <= SPECTRUM_MAX_UNITS:
-        f_global = system.expand(f_blocks)
-        spectrum = general_eig(f_global)
-        checks["closed_loop_norm"] = float(np.linalg.norm(f_global))
-    else:
-        checks["closed_loop_norm"] = _frobenius(f_blocks, system.g_i,
-                                                system.g_j)
+    spectrum, checks["closed_loop_norm"] = closed_loop_spectrum(system,
+                                                                f_blocks)
     seconds["spectrum"] = time.perf_counter() - start
     return GlobalCertificate(
         q_voltage=q_voltage,
@@ -369,7 +373,9 @@ def check_global(controllers: Mapping[int, LocalController],
         laplacian=laplacian,
         eta_tilde=eta_tilde_map(topology, sigma_bar),
         spectra={"q_global": w_q, "closed_loop": spectrum},
-        kernel_basis=kernel_basis,
+        kernel_voltage=kernel_voltage,
+        kernel_units=kernel_units,
+        kernel_pairs=v_units[kernel_units, :, which],
         checks=checks,
         stage_seconds=seconds,
     )
@@ -446,30 +452,28 @@ def check_lasalle_kernel(cert: GlobalCertificate,
     zero, plus one [0, 1, delta_i] direction per DGU; together N+1
     dimensions.  Agreement is measured by the largest principal angle.
     Both bases split along Q's direct sum, each vector on one piece (the
-    voltage coordinates, or one unit's (I, v) pair), so the principal
-    angles are those of the pieces.  Each is the angle between a piece's
-    predicted unit vector and the basis vectors on that piece, taken from
-    the length of the part the projection misses (accurate near zero).
+    voltage coordinates, or one unit's (I, v) pair), and the certificate
+    stores its basis in those pieces, so the principal angles are those
+    of the pieces.  Each is the angle between a piece's predicted unit
+    vector and the basis vectors on that piece, taken from the length of
+    the part the projection misses (accurate near zero).
     """
     n = len(controllers)
-    numerical = cert.kernel_basis
-    nullity = numerical.shape[1]
+    nullity = cert.kernel_dimension
     expected = n + 1
     if nullity != expected:
         return KernelReport(False, nullity, expected, np.pi / 2.0)
 
-    blocks = numerical.reshape(n, 3, nullity)
-    volt, pairs = blocks[:, 0, :], blocks[:, 1:, :]
-    pieces = np.any(volt != 0.0, axis=0) + np.count_nonzero(
-        np.any(pairs != 0.0, axis=1), axis=0)
-    if np.any(pieces != 1):
-        raise ValueError("kernel basis does not split along Q's direct sum")
+    volt, units, pairs = (cert.kernel_voltage, cert.kernel_units,
+                          cert.kernel_pairs)
     ones = np.full(n, 1.0 / np.sqrt(n))
     delta = np.array([controllers[i].delta for i in sorted(controllers)])
     pair = np.stack([np.ones(n), delta], axis=1) / np.hypot(1.0, delta)[:, None]
     missed_volt = ones - volt @ (ones @ volt)
-    missed_pair = pair - np.einsum("ijk,ik->ij", pairs,
-                                   np.einsum("ij,ijk->ik", pair, pairs))
+    projected = np.zeros_like(pair)
+    np.add.at(projected, units,
+              pairs * np.einsum("ij,ij->i", pair[units], pairs)[:, None])
+    missed_pair = pair - projected
     sine = max(np.linalg.norm(missed_volt),
                np.max(np.linalg.norm(missed_pair, axis=1)))
     max_angle = float(np.arcsin(min(sine, 1.0)))
@@ -488,7 +492,7 @@ def certificate_to_json(cert: GlobalCertificate,
         ],
         "laplacian": cert.laplacian.tolist(),
         "eta_tilde": {f"{i}-{j}": v for (i, j), v in cert.eta_tilde.items()},
-        "kernel_dimension": int(cert.kernel_basis.shape[1]),
+        "kernel_dimension": cert.kernel_dimension,
     }
     if theorem1 is not None:
         doc["theorem1"] = {

@@ -9,10 +9,11 @@ in the simulator.
 Per-DGU state is x = [V, I_t] (PCC voltage, filter current).  The augmented
 state adds the tracking integrator v, with v' = v_ref - V.
 
-The assembled grid is block data: (N, 3, 3) stacks of per-unit blocks
-plus the line list as index and conductance arrays (GlobalSystem).  The
-closed loop is built in that form too (closed_loop_blocks); the dense
-3N x 3N matrices are expanded from it only for callers that ask for them.
+The assembled grid is block data and nothing else: (N, 3, 3) stacks of
+per-unit blocks plus the line list as index and conductance arrays
+(GlobalSystem).  The closed loop is built in that form too
+(closed_loop_blocks); a dense 3N x 3N matrix exists only where a caller
+expands those blocks itself (closed_loop, GlobalSystem.expand).
 """
 
 from __future__ import annotations
@@ -226,11 +227,6 @@ class GlobalSystem:
     unit line_i[l] with conductance g_i[l] = 1/(R_l C_i), and back with
     g_j[l] = 1/(R_l C_j).  self_terms holds each unit's QSL self term,
     -sum of its conductances, stamped in topology order.
-
-    The dense 3N x 3N matrices are read-only arrays built on first use:
-    a_hat = a_d + a_xi + a_c entrywise, with a_d the block-diagonal local
-    dynamics, a_xi the diagonal QSL self terms (only the (1,1) slot of
-    each 3x3 block is nonzero) and a_c the off-diagonal coupling blocks.
     """
 
     ids: Tuple[int, ...]
@@ -262,53 +258,14 @@ class GlobalSystem:
     def expand(self, blocks: np.ndarray) -> np.ndarray:
         """The dense 3N x 3N matrix with these diagonal blocks and the
         line conductances between voltage slots."""
-        out = _block_diagonal(blocks)
+        out = block_diagonal(blocks)
         out[3 * self.line_i, 3 * self.line_j] = self.g_i
         out[3 * self.line_j, 3 * self.line_i] = self.g_j
         return out
 
-    @functools.cached_property
-    def a_d(self) -> np.ndarray:
-        return _frozen(_block_diagonal(self.unit_a))
 
-    @functools.cached_property
-    def a_xi(self) -> np.ndarray:
-        diagonal = np.zeros(3 * len(self.ids))
-        diagonal[::3] = self.self_terms
-        return _frozen(np.diag(diagonal))
-
-    @functools.cached_property
-    def a_c(self) -> np.ndarray:
-        return _frozen(self.expand(np.zeros_like(self.unit_a)))
-
-    @functools.cached_property
-    def a_hat(self) -> np.ndarray:
-        return _frozen(self.a_d + self.a_xi + self.a_c)
-
-    @functools.cached_property
-    def b_hat(self) -> np.ndarray:
-        n = len(self.ids)
-        out = np.zeros((3 * n, n))
-        out.reshape(n, 3, n)[np.arange(n), :, np.arange(n)] = self.unit_b
-        return _frozen(out)
-
-    @functools.cached_property
-    def m_hat(self) -> np.ndarray:
-        n = len(self.ids)
-        out = np.zeros((3 * n, 2 * n))
-        idx = np.arange(n)
-        out.reshape(n, 3, n, 2)[idx, :, idx, :] = self.unit_m
-        return _frozen(out)
-
-    @functools.cached_property
-    def h_hat(self) -> np.ndarray:
-        n = len(self.ids)
-        out = np.zeros((n, 3 * n))
-        out[np.arange(n), 3 * np.arange(n)] = 1.0
-        return _frozen(out)
-
-
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The dense 3N x 3N block-diagonal matrix of an (N, 3, 3) stack."""
     n = len(blocks)
     out = np.zeros((3 * n, 3 * n))
     idx = np.arange(n)
@@ -382,8 +339,8 @@ def closed_loop_blocks(system: GlobalSystem,
     n = len(system.ids)
     gains = np.array([getattr(controllers[dgu_id], "k", controllers[dgu_id])
                       for dgu_id in system.ids], dtype=float).reshape(n, 3)
-    # the whole stamp is added, zeros included, so that the signed zeros
-    # come out as in a_d + a_xi and the dense F is bitwise a_hat + b_hat K
+    # the whole stamp is added, zeros included, so every block is
+    # (a_hat_ii + self term) + b_hat k entrywise, signed zeros as well
     stamp = np.zeros_like(system.unit_a)
     stamp[:, 0, 0] = system.self_terms
     return (system.unit_a + stamp) + system.unit_b[:, :, None] * gains[:, None, :]
@@ -393,20 +350,6 @@ def closed_loop(system: GlobalSystem,
                 controllers: Mapping[int, object]) -> np.ndarray:
     """F = a_hat + b_hat K as a dense 3N x 3N array."""
     return system.expand(closed_loop_blocks(system, controllers))
-
-
-def appendix_a_matrices(params: DguParams, line: LineParams) -> np.ndarray:
-    """Augmented 3x3 diagonal block with the line self term folded in.
-
-    The two-converter benchmark writes each DGU's diagonal block with the
-    QSL self conductance on the (1,1) entry instead of splitting it out; the
-    assembled coupled matrix is identical either way, only the bookkeeping
-    differs.
-    """
-    hat = augmented_dgu(params)
-    a = hat.a_hat_ii.copy()
-    a[0, 0] -= 1.0 / (line.r * params.c_t)
-    return a
 
 
 def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

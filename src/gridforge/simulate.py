@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
                     TopologyError, assemble_global, augmented_dgu,
-                    closed_loop)
+                    block_diagonal, closed_loop_blocks)
 from .synthesis import Denied, LocalController, SynthesisConfig, synthesize
 
 QSL = "qsl"
@@ -201,32 +201,35 @@ def _build_ode(top: MicrogridTopology, controllers: Mapping[int, Gain],
 
     The unit blocks come from the one closed-loop assembly.  Resistive
     loads fold into the voltage diagonal; current loads and voltage
-    references enter the constant term through m_hat.  QSL keeps the
-    assembled line conductances, RL replaces them with one current state
-    per line.
+    references enter the constant term through each unit's disturbance
+    columns.  QSL keeps the assembled line conductances, RL takes the
+    self terms back out of the blocks and adds one current state per
+    line instead.
     """
     system = assemble_global(top)
-    a = closed_loop(system, controllers)
+    blocks = closed_loop_blocks(system, controllers)
     n_lines = 0
     if line_model == RL:
-        # a_d, a_xi and a_c have disjoint supports: this is a_d + b_hat K
-        a = a - system.a_xi - system.a_c
+        blocks[:, 0, 0] -= system.self_terms
+        a = block_diagonal(blocks)
         n_lines = len(top.lines)
-    disturbance = np.zeros(2 * len(top.ids))
+    else:
+        a = system.expand(blocks)
+    disturbance = np.zeros((len(top.ids), 2))
     for k, dgu_id in enumerate(top.ids):
         p = top.dgus[dgu_id]
         if p.load.kind == "resistance":
             a[3 * k, 3 * k] -= 1.0 / (p.load.value * p.c_t)
         else:
-            disturbance[2 * k] = p.load.value
-        disturbance[2 * k + 1] = p.v_ref
+            disturbance[k, 0] = p.load.value
+        disturbance[k, 1] = p.v_ref
     base = a.shape[0]
     a = np.pad(a, (0, n_lines))
-    c = np.pad(system.m_hat @ disturbance, (0, n_lines))
+    c = np.pad((system.unit_m @ disturbance[:, :, None]).ravel(),
+               (0, n_lines))
     if line_model == RL:
-        start = {dgu_id: 3 * k for k, dgu_id in enumerate(top.ids)}
-        for m, ln in enumerate(top.lines):
-            si, sj, row = start[ln.i], start[ln.j], base + m
+        lines = zip(top.lines, 3 * system.line_i, 3 * system.line_j)
+        for row, (ln, si, sj) in enumerate(lines, base):
             # line current is oriented from ln.i to ln.j
             a[row, si] = 1.0 / ln.l
             a[row, sj] = -1.0 / ln.l

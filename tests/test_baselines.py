@@ -3,19 +3,21 @@ import pytest
 from scipy.linalg import solve_continuous_are
 from scipy.signal import place_poles as scipy_place
 
-from gridforge.baselines import (DEMO_DGUS, DEMO_LINE, LQR, LQR_WEIGHTS,
+from gridforge.baselines import (DEMO_TOPOLOGY, LQR, LQR_WEIGHTS,
                                  PLACEMENT_TARGETS, POLE_PLACEMENT,
                                  REFERENCE_COUPLED, REFERENCE_DECOUPLED,
                                  LqrSpec, compare_spectrum,
                                  destabilization_demo, place_poles,
                                  pnp_contrast, solve_care, spectrum_matches)
-from gridforge.model import appendix_a_matrices, augmented_dgu
+from gridforge.model import assemble_global, closed_loop_blocks
 
 
 def benchmark_pairs():
-    for params in DEMO_DGUS:
-        yield (appendix_a_matrices(params, DEMO_LINE),
-               augmented_dgu(params).b_hat)
+    """Each unit's open-loop diagonal block, its QSL self term folded in,
+    and its input column."""
+    system = assemble_global(DEMO_TOPOLOGY)
+    blocks = closed_loop_blocks(system, {i: np.zeros(3) for i in system.ids})
+    return list(zip(blocks, system.unit_b[:, :, None]))
 
 
 class TestLqrSpec:

@@ -18,7 +18,6 @@ from gridforge.certify import (
     check_lasalle_kernel,
     check_local_structure,
     check_theorem1,
-    closed_loop,
     eta_tilde_map,
 )
 from gridforge.model import (
@@ -28,6 +27,8 @@ from gridforge.model import (
     MicrogridTopology,
     assemble_global,
     augmented_dgu,
+    closed_loop,
+    closed_loop_blocks,
 )
 from gridforge.synthesis import (
     LocalController,
@@ -54,13 +55,30 @@ def block_diagonal(blocks):
 def dense_reference(top, ctrls):
     """(Q, line part, blockdiag q_local) rebuilt densely: Q = F'P + PF
     with P = blockdiag(P_i), and the line part PC + (PC)' with C the
-    coupling a_xi + a_c."""
+    coupling: F off its diagonal blocks, plus the QSL self terms on the
+    voltage diagonal."""
     system = assemble_global(top)
     f = closed_loop(system, ctrls)
     p = block_diagonal([ctrls[i].p for i in top.ids])
-    pc = p @ (system.a_xi + system.a_c)
+    coupling = f - block_diagonal(closed_loop_blocks(system, ctrls))
+    coupling[::3, ::3] += np.diag(system.self_terms)
+    pc = p @ coupling
     return (f.T @ p + p @ f, pc + pc.T,
             block_diagonal([ctrls[i].q_local for i in top.ids]))
+
+
+def dense_kernel_basis(cert):
+    """The certificate's kernel pieces as one dense 3N x (m + units)
+    basis: the voltage null vectors on the voltage slots, each unit's
+    null vector on that unit's (I, v) slots."""
+    n, m = cert.kernel_voltage.shape
+    units = cert.kernel_units
+    basis = np.zeros((3 * n, m + len(units)))
+    basis[::3, :m] = cert.kernel_voltage
+    cols = m + np.arange(len(units))
+    basis[3 * units + 1, cols] = cert.kernel_pairs[:, 0]
+    basis[3 * units + 2, cols] = cert.kernel_pairs[:, 1]
+    return basis
 
 
 def dense_split(q):
@@ -145,25 +163,33 @@ class TestLocalStructure:
             check_global({1: bad, 2: ctrls[2]}, top, 10.0)
 
 
+def laplacian_parts(lap):
+    """(M, G): the diagonal and off-diagonal parts of L."""
+    m = np.diag(np.diagonal(lap))
+    return m, lap - m
+
+
 class TestLaplacian:
     def test_two_dgu_values(self, pair):
         top, _ = pair
-        lap, m, g = build_laplacian(top, 10.0)
+        lap = build_laplacian(top, 10.0)
+        m, g = laplacian_parts(lap)
         np.testing.assert_allclose(lap, [[-400.0, 400.0], [400.0, -400.0]])
         np.testing.assert_array_equal(lap, m + g)
+        np.testing.assert_array_equal(np.diagonal(m), -np.sum(g, axis=1))
 
     def test_disconnected_pair(self):
         top = MicrogridTopology(
             {1: dgu(0.1, 2e-3, 2e-3), 2: dgu(0.1, 2e-3, 2e-3)}, ()
         )
-        lap, _, _ = build_laplacian(top, 10.0)
+        lap = build_laplacian(top, 10.0)
         np.testing.assert_array_equal(lap, np.zeros((2, 2)))
 
     def test_connected_nullity_one(self):
         dgus = {i: dgu(0.1, 2e-3, 2e-3) for i in range(1, 6)}
         lines = tuple(LineParams(i, i + 1, 0.02 * i) for i in range(1, 5))
         top = MicrogridTopology(dgus, lines)
-        lap, _, _ = build_laplacian(top, 10.0)
+        lap = build_laplacian(top, 10.0)
         w, v = np.linalg.eigh(lap)
         near_zero = np.abs(w) <= 1e-9 * np.linalg.norm(lap)
         assert near_zero.sum() == 1
@@ -175,7 +201,8 @@ class TestLaplacian:
         dgus = {i: dgu(0.1, 2e-3, 2e-3) for i in range(1, 5)}
         lines = (LineParams(1, 2, 0.05), LineParams(2, 3, 0.03),
                  LineParams(3, 4, 0.07), LineParams(4, 1, 0.11))
-        lap, m, g = build_laplacian(MicrogridTopology(dgus, lines), 10.0)
+        lap = build_laplacian(MicrogridTopology(dgus, lines), 10.0)
+        _, g = laplacian_parts(lap)
         for i in range(4):
             assert lap[i, i] == -np.sum(np.abs(g[i]))
 
@@ -473,8 +500,8 @@ class TestDirectSum:
         kernel = check_lasalle_kernel(cert, ctrls)
         assert kernel.nullity == nullity == n + 1
         assert kernel.passed
-        assert abs(kernel.max_principal_angle
-                   - dense_kernel_angle(cert.kernel_basis, ctrls)) <= 1e-9
+        dense_angle = dense_kernel_angle(dense_kernel_basis(cert), ctrls)
+        assert abs(kernel.max_principal_angle - dense_angle) <= 1e-9
         bc_max = np.linalg.eigvalsh(block_bc)[-1]
         assert abs(cert.checks["block_bc_max_eig"] - bc_max) <= 1e-12 * scale
         assert check_theorem1(cert, ctrls, top).verdict == PASS
@@ -514,8 +541,10 @@ class TestDirectSum:
         assert doc["closed_loop_eigenvalues"] is None
 
     def test_thousand_unit_chain_stays_sparse(self, monkeypatch):
-        # a dense 3N x 3N float64 array at N = 1000 is 72 MB; no step of
-        # the certificate may hold one, nor run a general eigensolve
+        # five dense N x N float64 arrays at N = 1000 are 40 MB; no step
+        # of the certificate may hold a dense 3N x 3N array (72 MB), nor
+        # a dense 3N x N kernel basis (24 MB) beside its N x N pieces,
+        # nor run a general eigensolve
         n = 1000
         top, ctrls = closed_form_chain(n)
         calls = []
@@ -529,7 +558,7 @@ class TestDirectSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (3 * n) ** 2 * 8
+        assert peak < 5 * n ** 2 * 8
         assert calls == []
         assert kernel.passed and kernel.nullity == n + 1
         assert verdict.verdict == PASS
@@ -622,8 +651,8 @@ class TestLasalleKernel:
         assert report.nullity == 3
         assert report.max_principal_angle <= 1e-6
         # a kernel basis one vector short fails on its nullity alone
-        short = dataclasses.replace(pair_cert,
-                                    kernel_basis=pair_cert.kernel_basis[:, 1:])
+        short = dataclasses.replace(
+            pair_cert, kernel_voltage=pair_cert.kernel_voltage[:, 1:])
         report = check_lasalle_kernel(short, ctrls)
         assert not report.passed
         assert (report.nullity, report.expected_nullity) == (2, 3)
@@ -643,7 +672,7 @@ class TestLasalleKernel:
         target[1, 1] = 1.0
         target[2, 1] = ctrl.delta
         tq, _ = np.linalg.qr(target)
-        sv = np.linalg.svd(cert.kernel_basis.T @ tq, compute_uv=False)
+        sv = np.linalg.svd(dense_kernel_basis(cert).T @ tq, compute_uv=False)
         assert np.min(sv) >= 1.0 - 1e-10
 
 

@@ -204,6 +204,41 @@ class TestCertify:
         assert cli.main(["certify", scenario, path]) == 1
         assert "no controller" in capsys.readouterr().err
 
+    def test_duplicate_entry_is_hard_error(self, bundle_file, tmp_path,
+                                           capsys):
+        scenario, bundle = bundle_file
+        payload = json.loads(open(bundle).read())
+        payload["controllers"].append(dict(payload["controllers"][1]))
+        path = write_json(tmp_path / "twice.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert ("error: bundle names DGU 2 twice"
+                in capsys.readouterr().err)
+
+    def test_large_gain_only_bundle_skips_the_spectrum(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # above the spectrum's size cap a gain-only bundle fails at once:
+        # no dense eigensolve of the 3N x 3N closed loop
+        n = 201
+        unit = {"r_t": 0.1, "l_t": 1.8e-3, "c_t": 2.2e-3,
+                "load": {"type": "resistance", "value": 10.0}, "v_ref": 48.0}
+        scenario = {"sigma_bar": 10.0, "t_end": 1.0,
+                    "dgus": [dict(unit, id=i) for i in range(1, n + 1)],
+                    "lines": [{"i": i, "j": i + 1, "r": 0.05}
+                              for i in range(1, n)]}
+        bundle = {"sigma_bar": 10.0, "controllers": [
+            {"dgu_id": i, "K": [0.0, 0.0, 0.1 / (2 * 1.8e-3)]}
+            for i in range(1, n + 1)]}
+        calls = []
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, _name=name: calls.append(_name))
+        code = cli.main(["certify",
+                         write_json(tmp_path / "chain.json", scenario),
+                         write_json(tmp_path / "gains.json", bundle)])
+        assert code == 2
+        assert capsys.readouterr().out == "theorem1: fail\n"
+        assert calls == []
+
     def test_mixed_sigma_bar_is_hard_error(self, bundle_file, tmp_path,
                                            capsys):
         scenario, bundle = bundle_file

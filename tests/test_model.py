@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ from gridforge.model import (
     LoadModel,
     MicrogridTopology,
     TopologyError,
-    appendix_a_matrices,
     assemble_global,
     augmented_dgu,
+    closed_loop,
+    closed_loop_blocks,
     controllability_matrix,
 )
 
@@ -103,21 +106,41 @@ class TestDguMatrices:
         np.testing.assert_array_equal(hat.h_hat, [[1.0, 0.0, 0.0]])
 
 
+def zero_gains(system):
+    return {dgu_id: np.zeros(3) for dgu_id in system.ids}
+
+
+def coupling(system):
+    """The dense QSL line part of the grid: each unit's self term on its
+    voltage diagonal, the line conductances between voltage slots."""
+    stamp = np.zeros_like(system.unit_a)
+    stamp[:, 0, 0] = system.self_terms
+    return system.expand(stamp)
+
+
 class TestGlobalAssembly:
     def test_two_dgu_split(self):
         g = assemble_global(two_dgu_topology())
         assert g.ids == (1, 2)
-        np.testing.assert_allclose(g.a_xi[0, 0], -9090.909090909092, rtol=1e-12)
-        np.testing.assert_allclose(g.a_xi[3, 3], -10000.0, rtol=1e-12)
-        np.testing.assert_allclose(g.a_c[0, 3], 9090.909090909092, rtol=1e-12)
-        np.testing.assert_allclose(g.a_c[3, 0], 10000.0, rtol=1e-12)
-        # a_xi and a_c touch nothing but the voltage rows
-        assert np.all(g.a_xi[1:3] == 0.0) and np.all(g.a_c[1:3] == 0.0)
-        assert np.all(g.a_xi[4:] == 0.0) and np.all(g.a_c[4:] == 0.0)
+        np.testing.assert_allclose(g.self_terms,
+                                   [-9090.909090909092, -10000.0], rtol=1e-12)
+        np.testing.assert_array_equal(g.line_i, [0])
+        np.testing.assert_array_equal(g.line_j, [1])
+        np.testing.assert_allclose(g.g_i, [9090.909090909092], rtol=1e-12)
+        np.testing.assert_allclose(g.g_j, [10000.0], rtol=1e-12)
+        # the line part touches nothing but the voltage rows
+        c = coupling(g)
+        assert np.all(c[1:3] == 0.0) and np.all(c[4:] == 0.0)
+        np.testing.assert_allclose(c[[0, 3]][:, [0, 3]],
+                                   [[-9090.909090909092, 9090.909090909092],
+                                    [10000.0, -10000.0]], rtol=1e-12)
 
     def test_decomposition_is_exact(self):
         g = assemble_global(two_dgu_topology())
-        np.testing.assert_array_equal(g.a_hat, g.a_d + g.a_xi + g.a_c)
+        local = np.zeros((6, 6))
+        local[:3, :3], local[3:, 3:] = g.unit_a
+        np.testing.assert_array_equal(closed_loop(g, zero_gains(g)),
+                                      local + coupling(g))
 
     def test_voltage_rows_of_coupling_sum_to_zero(self):
         dgus = {k: dgu(0.1 * k, 2e-3, 2.2e-3) for k in range(1, 5)}
@@ -128,42 +151,77 @@ class TestGlobalAssembly:
             LineParams(4, 1, 0.06),
         )
         g = assemble_global(MicrogridTopology(dgus, lines))
-        rows = (g.a_xi + g.a_c).sum(axis=1)
-        assert np.max(np.abs(rows)) < 1e-12 * np.abs(g.a_xi).max()
+        c = coupling(g)
+        rows = c.sum(axis=1)
+        assert np.max(np.abs(rows)) < 1e-12 * np.abs(g.self_terms).max()
 
     def test_block_shapes(self):
-        g = assemble_global(two_dgu_topology())
-        assert g.a_hat.shape == (6, 6)
-        assert g.b_hat.shape == (6, 2)
-        assert g.m_hat.shape == (6, 4)
-        assert g.h_hat.shape == (2, 6)
-        assert g.h_hat[1, 3] == 1.0 and g.h_hat[0, 0] == 1.0
+        top = two_dgu_topology()
+        g = assemble_global(top)
+        assert g.unit_a.shape == (2, 3, 3)
+        assert g.unit_b.shape == (2, 3)
+        assert g.unit_m.shape == (2, 3, 2)
+        assert g.line_i.shape == g.line_j.shape == (1,)
+        assert g.g_i.shape == g.g_j.shape == (1,)
+        assert closed_loop(g, zero_gains(g)).shape == (6, 6)
+        # each unit's output is its voltage, the first slot of its block
+        for params in top.dgus.values():
+            np.testing.assert_array_equal(augmented_dgu(params).h_hat,
+                                          [[1.0, 0.0, 0.0]])
 
     def test_matrices_are_read_only(self):
         g = assemble_global(two_dgu_topology())
         with pytest.raises(ValueError):
-            g.a_hat[0, 0] = 1.0
+            g.unit_a[0, 0, 0] = 1.0
+        for name in ("unit_b", "unit_m", "line_i", "line_j", "g_i", "g_j",
+                     "self_terms"):
+            with pytest.raises(ValueError):
+                getattr(g, name)[0] = 1
+
+    def test_arrays_stay_per_unit_or_per_line(self):
+        # no array the system holds may grow like N^2: at most the 9N
+        # entries of the unit_a stack, or one entry per line
+        dgus = {k: dgu(0.1 * k, 2e-3, 2.2e-3) for k in range(1, 7)}
+        lines = [LineParams(k, k % 6 + 1, 0.05) for k in range(1, 7)]
+        lines += [LineParams(1, 4, 0.07), LineParams(2, 5, 0.03),
+                  LineParams(3, 6, 0.04)]
+        for top in (MicrogridTopology(dgus, lines),
+                    MicrogridTopology(dgus, lines[:5])):
+            g = assemble_global(top)
+            for name, attr in vars(type(g)).items():
+                if isinstance(attr, functools.cached_property):
+                    getattr(g, name)
+            assert "self_terms" in vars(g)
+            arrays = [a for a in vars(g).values() if isinstance(a, np.ndarray)]
+            n = len(top.ids)
+            for a in arrays:
+                assert a.size <= max(9 * n, len(top.lines))
 
 
 class TestAppendixBlocks:
     def test_self_term_folding(self):
-        top = two_dgu_topology()
-        line = top.lines[0]
-        a1 = appendix_a_matrices(top.dgus[1], line)
-        a2 = appendix_a_matrices(top.dgus[2], line)
-        np.testing.assert_allclose(a1[0, 0], -9090.909090909092, rtol=1e-12)
-        np.testing.assert_allclose(a2[0, 0], -10000.0, rtol=1e-12)
+        g = assemble_global(two_dgu_topology())
+        blocks = closed_loop_blocks(g, zero_gains(g))
+        np.testing.assert_allclose(blocks[0, 0, 0], -9090.909090909092,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(blocks[1, 0, 0], -10000.0, rtol=1e-12)
 
     def test_coupled_sum_matches_assembly(self):
+        # the two-converter benchmark's bookkeeping: each unit's block with
+        # its line's self conductance folded into the (1,1) entry, plus
+        # the conductances between the voltage slots
         top = two_dgu_topology()
         line = top.lines[0]
         g = assemble_global(top)
         coupled = np.zeros((6, 6))
-        coupled[:3, :3] = appendix_a_matrices(top.dgus[1], line)
-        coupled[3:, 3:] = appendix_a_matrices(top.dgus[2], line)
+        for k, dgu_id in enumerate(top.ids):
+            a = augmented_dgu(top.dgus[dgu_id]).a_hat_ii.copy()
+            a[0, 0] -= 1.0 / (line.r * top.dgus[dgu_id].c_t)
+            coupled[3 * k:3 * k + 3, 3 * k:3 * k + 3] = a
         coupled[0, 3] = 1.0 / (line.r * top.dgus[1].c_t)
         coupled[3, 0] = 1.0 / (line.r * top.dgus[2].c_t)
-        np.testing.assert_allclose(coupled, g.a_hat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coupled, closed_loop(g, zero_gains(g)),
+                                   rtol=0, atol=1e-12)
 
 
 class TestTopologyQueries:
