@@ -326,6 +326,11 @@ def _timed(stages: Dict[str, float], name: str):
     stages[name] = time.perf_counter() - start
 
 
+def _print_timings(stages: Mapping[str, float]) -> None:
+    for stage, seconds in stages.items():
+        print(f"timing: {stage}: {seconds:.6f} s", file=sys.stderr)
+
+
 def _print_fail(abscissa: Optional[float]) -> None:
     if abscissa is None:
         print("theorem1: fail")
@@ -361,8 +366,7 @@ def cmd_certify(args) -> int:
         _write_or_print(json.dumps(certificate_to_json(cert, verdict,
                                                        kernel)), args.out)
     if args.timings:
-        for stage, seconds in stages.items():
-            print(f"timing: {stage}: {seconds:.6f} s", file=sys.stderr)
+        _print_timings(stages)
     if verdict.verdict == PASS:
         print("theorem1: pass")
         return EXIT_OK
@@ -387,14 +391,21 @@ def cmd_simulate(args) -> int:
         overrides["line_model"] = args.line_model
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
-    designed = _synthesize_for(scenario)
+    stages: Dict[str, float] = {}
+    with _timed(stages, "synthesis"):
+        designed = _synthesize_for(scenario)
     if designed is None:
         return EXIT_DENIED
-    traj = simulate(scenario, controllers=designed[1])
+    with _timed(stages, "simulate"):
+        traj = simulate(scenario, controllers=designed[1])
     out_dir = pathlib.Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    trajectory_to_csv(traj, out_dir / "trajectory.csv")
-    write_event_log(traj, out_dir / "events.log")
+    with _timed(stages, "CSV write"):
+        trajectory_to_csv(traj, out_dir / "trajectory.csv")
+    with _timed(stages, "event log"):
+        write_event_log(traj, out_dir / "events.log")
+    if args.timings:
+        _print_timings(stages)
     for record in traj.events:
         print(f"t={record.t:g} {record.event}: {record.outcome}")
     if traj.diverged is not None:
@@ -497,6 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dt", type=float, default=None)
     sim.add_argument("--sigma-bar", type=float, default=None)
     sim.add_argument("--line-model", choices=("qsl", "rl"), default=None)
+    sim.add_argument("--timings", action="store_true",
+                     help="print the wall time of each stage to stderr")
     sim.set_defaults(func=cmd_simulate)
 
     app = sub.add_parser("appendix-a", help="reproduce the centralized "

@@ -10,14 +10,22 @@ event off the dt grid one short step returns to it, so later samples stay
 on the record grid.  Recording keeps the state rows only and tests them
 for divergence a stretch at a time; the trajectory is then assembled as
 one read-only table in the CSV's layout, with u = k x_hat per unit.
+Writing that table is mostly float formatting, which holds the GIL, so
+trajectory_to_csv formats contiguous row ranges in up to one forked
+process per available CPU and joins them in order; the bytes are those
+of a single pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
-from typing import (ClassVar, Dict, List, Mapping, Optional, Sequence,
+from typing import (IO, ClassVar, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
@@ -35,6 +43,7 @@ APPLIED = "applied"
 
 DIVERGENCE_LIMIT = 1e9
 CHECK_ROWS = 1024  # samples recorded between two divergence checks
+CSV_CHUNK = 4096  # trajectory rows formatted per write
 
 #: Controllers may be full synthesis results or bare gain rows; the
 #: simulator only needs u = k x_hat.
@@ -192,7 +201,8 @@ class Trajectory:
                 for k, i in enumerate(self.ids)}
 
     def column(self, dgu_id: int, name: str) -> np.ndarray:
-        return self.series[dgu_id][:, self.COLUMNS.index(name)]
+        k = self.ids.index(dgu_id)
+        return self.table[:, 1 + 4 * k + self.COLUMNS.index(name)]
 
 
 def _build_ode(top: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -581,16 +591,80 @@ def _assemble(segments, records, top, state, diverged) -> Trajectory:
                       diverged)
 
 
+def _range_count(rows: int) -> int:
+    """Row ranges trajectory_to_csv formats at once: one per CPU this
+    process may run on, no more than there are CSV_CHUNK-row chunks, and
+    one where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, -(-rows // CSV_CHUNK)))
+
+
+def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
+    """csv.writer's lines (repr() cells, CRLF ends) of rows, as bytes, a
+    chunk at a time: tolist() of every row would hold every cell at once."""
+    for start in range(0, len(rows), CSV_CHUNK):
+        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row
+                          in rows[start:start + CSV_CHUNK].tolist()]).encode())
+
+
+def _fork_writer(rows: np.ndarray, spool: IO[bytes]) -> int:
+    """Format rows into spool in a forked child; returns its pid.  The
+    child prints nothing, calls no BLAS routine (so no lock a BLAS thread
+    held at the fork), writes only spool, and leaves by os._exit: status
+    0 once spool is flushed, 1 on any error."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            _write_rows(spool, rows)
+            spool.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t,dgu<i>.V,dgu<i>.It,dgu<i>.v,dgu<i>.u,...` in id order."""
-    with open(path, "w", newline="") as fh:
-        # csv.writer's lines (repr() cells, CRLF ends), a few thousand rows
-        # at a time: tolist() of the whole table would hold every cell at once
-        fh.write(",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
-                                   for col in Trajectory.COLUMNS]) + "\r\n")
-        for start in range(0, len(traj.table), 4096):
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row
-                              in traj.table[start:start + 4096].tolist()]))
+    """Write `t,dgu<i>.V,dgu<i>.It,dgu<i>.v,dgu<i>.u,...` in id order.
+
+    Formatting the cells (one repr() each) is most of the time, and it
+    holds the GIL, so the rows are split into _range_count() contiguous
+    ranges.  Forked children format ranges 1 and up into anonymous
+    temporary files while this process formats range 0 straight into the
+    file, then appends each child's file in order, 1 MiB at a time.  The
+    bytes do not depend on the range count.  Every child is reaped before
+    the call returns or raises; a child that failed raises RuntimeError.
+    """
+    table = traj.table
+    n = _range_count(len(table))
+    bounds = [len(table) * k // n for k in range(n + 1)]
+    children: List[Tuple[int, IO[bytes]]] = []  # (pid, spool), not reaped
+    with contextlib.ExitStack() as spools:
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                spool = spools.enter_context(tempfile.TemporaryFile())
+                children.append((_fork_writer(table[lo:hi], spool), spool))
+            with open(path, "wb") as fh:
+                fh.write((",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
+                                            for col in Trajectory.COLUMNS])
+                          + "\r\n").encode())
+                _write_rows(fh, table[:bounds[1]])
+                while children:
+                    pid, spool = children.pop(0)
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if status != 0:
+                        raise RuntimeError(f"CSV writer process {pid} "
+                                           f"failed with status {status}")
+                    spool.seek(0)
+                    shutil.copyfileobj(spool, fh, 1 << 20)
+        finally:
+            for pid, _ in children:
+                os.waitpid(pid, 0)
 
 
 def event_log_lines(traj: Trajectory) -> List[str]:

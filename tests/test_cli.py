@@ -3,6 +3,7 @@
 import importlib
 import importlib.metadata
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -307,6 +308,32 @@ class TestSimulate:
         assert [json.loads(line) for line in log] == [
             {"t": 0.02, "event": "ref_step dgu=1", "outcome": "applied"}]
         assert "simulated 0.05 s" in capsys.readouterr().out
+
+    def test_timings_go_to_stderr(self, small_file, tmp_path, capsys):
+        plain, timed = tmp_path / "plain", tmp_path / "timed"
+        assert cli.main(["simulate", small_file, "--out", str(plain)]) == 0
+        plain_out, plain_err = capsys.readouterr()
+        assert cli.main(["simulate", small_file, "--out", str(timed),
+                         "--timings"]) == 0
+        out, err = capsys.readouterr()
+        assert out.replace(str(timed), str(plain)) == plain_out
+        assert plain_err == ""
+        assert [line.split(": ")[1] for line in err.splitlines()] == [
+            "synthesis", "simulate", "CSV write", "event log"]
+        for line in err.splitlines():
+            assert line.startswith("timing: ") and line.endswith(" s")
+            assert float(line.split(": ")[2][:-2]) >= 0.0
+        for name in ("trajectory.csv", "events.log"):
+            assert ((timed / name).read_bytes()
+                    == (plain / name).read_bytes())
+
+    def test_no_child_process_outlives_the_command(self, small_file,
+                                                   tmp_path):
+        # 0.5 s at the 1e-4 s record grid: 5,001 rows, two CSV chunks
+        path = write_json(tmp_path / "long.json", dict(SMALL, t_end=0.5))
+        assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dt_and_line_model_flags(self, small_file, tmp_path):
         out = tmp_path / "rl"

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
+import importlib
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +19,8 @@ from gridforge.simulate import (QSL, RL, DivergedAt, LoadStep, PlugIn,
                                 steady_state, trajectory_to_csv)
 from gridforge.synthesis import Denied, SynthesisConfig, synthesize_all
 
+# the package re-exports the function `simulate` under the module's name
+simulate_module = importlib.import_module("gridforge.simulate")
 CFG = SynthesisConfig(10.0)
 # light beta/zeta weights buy aggressive gains, so transients die quickly
 FAST = SynthesisConfig(10.0, (1e-4, 1e-4, 1e-4, 1e-6, 1e-6))
@@ -360,10 +365,10 @@ def csv_writer_reference(traj, path):
             writer.writerow(row)
 
 
-def run_with_plug_in(pair, t_end, line_model=QSL):
+def run_with_plug_in(pair, t_end, line_model=QSL, t_plug=0.05):
     top, ctrls = pair
     newcomer = dgu(0.3, 2.0e-3, 2.2e-3, 47.95, 4.0)
-    ev = (PlugIn(0.05, 3, newcomer, (LineParams(3, 2, 0.06, 2.3e-6),)),)
+    ev = (PlugIn(t_plug, 3, newcomer, (LineParams(3, 2, 0.06, 2.3e-6),)),)
     return simulate(Scenario(top, 10.0, events=ev, t_end=t_end,
                              line_model=line_model), controllers=ctrls)
 
@@ -409,8 +414,86 @@ class TestArtifacts:
             assert not array.flags.writeable
         joined = np.column_stack([tr.times] + [tr.series[i] for i in tr.ids])
         np.testing.assert_array_equal(tr.table, joined)
+        for i in tr.ids:
+            for j, name in enumerate(Trajectory.COLUMNS):
+                np.testing.assert_array_equal(tr.column(i, name),
+                                              tr.series[i][:, j])
         # RL line currents are in the final state only
         assert len(tr.final_state) == 9 + (2 if line_model == RL else 0)
+
+    @pytest.fixture(scope="class")
+    def late_plug_in(self, pair, tmp_path_factory):
+        """5,001 rows with DGU 3 NaN in rows 0-2,999, and csv.writer's
+        bytes of them."""
+        tr = run_with_plug_in(pair, 0.5, t_plug=0.3)
+        path = tmp_path_factory.mktemp("reference") / "reference.csv"
+        csv_writer_reference(tr, path)
+        return tr, path.read_bytes()
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("ranges", [1, 2, 3, 5])
+    def test_row_ranges_keep_the_bytes(self, late_plug_in, tmp_path,
+                                       monkeypatch, ranges):
+        tr, reference = late_plug_in
+        rows = len(tr.table)
+        # the ranges split the rows evenly; their inner boundaries are
+        bounds = [rows * k // ranges for k in range(1, ranges)]
+        if ranges > 1:
+            # a boundary inside a 4,096-row chunk and one where DGU 3 is NaN
+            assert any(b % simulate_module.CSV_CHUNK for b in bounds)
+            assert any(np.isnan(tr.column(3, "V")[b - 1:b + 1]).all()
+                       for b in bounds)
+        monkeypatch.setattr(simulate_module, "_range_count",
+                            lambda rows: ranges)
+        trajectory_to_csv(tr, tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == reference
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("where, error, message", [
+        ("child", RuntimeError, "failed with status 1"),
+        ("parent", OSError, "no space left")])
+    def test_failure_raises_and_reaps(self, late_plug_in, tmp_path,
+                                      monkeypatch, where, error, message):
+        tr, _ = late_plug_in
+        parent, write_rows = os.getpid(), simulate_module._write_rows
+
+        def fail_in_one_process(fh, rows):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise OSError("no space left")
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(simulate_module, "_range_count", lambda rows: 3)
+        monkeypatch.setattr(simulate_module, "_write_rows",
+                            fail_in_one_process)
+        with pytest.raises(error, match=message):
+            trajectory_to_csv(tr, tmp_path / "run.csv")
+        self.assert_no_child_left()
+
+    def test_one_row_forks_nothing(self, late_plug_in, tmp_path,
+                                   monkeypatch):
+        tr, reference = late_plug_in
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        trajectory_to_csv(dataclasses.replace(tr, table=tr.table[:1]),
+                          tmp_path / "run.csv")
+        header, first = reference.split(b"\r\n")[:2]
+        assert (tmp_path / "run.csv").read_bytes() == (
+            header + b"\r\n" + first + b"\r\n")
+
+    def test_without_fork_one_range(self, late_plug_in, tmp_path,
+                                    monkeypatch):
+        tr, reference = late_plug_in
+        monkeypatch.delattr(os, "fork")
+        assert simulate_module._range_count(len(tr.table)) == 1
+        trajectory_to_csv(tr, tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == reference
 
     def test_event_log_is_json_lines(self, pair):
         top, ctrls = pair
