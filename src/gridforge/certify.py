@@ -13,7 +13,7 @@ each unit's (I, v) pair.  Everything here works from block data: the
 (N, 3, 3) stacks of P_i, q_i and the closed-loop unit blocks, and the
 grid's line arrays.  Q's pieces come from P's stack and the lines in
 O(N + lines), what the split drops is measured and bounded, and the local
-checks run as one batched eigensolve.
+checks (synthesis.check_local_stacks) run as one batched eigensolve.
 
 Theorem 1's verdict is read from that structure (check_theorem1).  Take
 x = alpha 1_V + sum_i beta_i (0, 1, delta_i) in ker Q.  Fx has voltage
@@ -38,7 +38,8 @@ import numpy as np
 from .lmi import general_eig, sym_eig
 from .model import (GlobalSystem, MicrogridTopology, assemble_global,
                     closed_loop_blocks)
-from .synthesis import LocalController
+from .synthesis import (K3_FLOOR, LocalController, check_local_stacks,
+                        semidefinite_eps)
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -47,11 +48,6 @@ HYPOTHESIS_UNMET = "HypothesisUnmet"
 # the closed-loop spectrum, an O(N^3) cross-check, runs up to this many
 # units; above it spectral_abscissa is None
 SPECTRUM_MAX_UNITS = 200
-
-
-# one semidefiniteness tolerance for the whole module, given a norm
-def _eps(norm):
-    return 1e-8 * (1.0 + norm)
 
 
 def _frobenius(*pieces: np.ndarray) -> float:
@@ -84,10 +80,11 @@ class GlobalCertificate:
     pieces: the columns of kernel_voltage (N x m) are the voltage block's
     null vectors, and row t of kernel_pairs is a null vector of the
     (I, v) block of the unit at position kernel_units[t].  checks maps a
-    check name to its measured value; each is compared against the module
-    tolerance by the check_* functions.  It also records closed_loop_norm,
-    the scale check_theorem1 judges the spectral abscissa against.
-    stage_seconds holds the wall time of each stage of check_global.
+    name to its measured value: q_nsd_margin reads q_global_max_eig, and
+    check_theorem1 p_min_eig, eta_tilde_asymmetry and closed_loop_norm (the
+    scale it judges the spectral abscissa against); the other six are
+    recorded diagnostics.  stage_seconds holds the wall time of each stage
+    of check_global.
     """
 
     q_voltage: np.ndarray
@@ -117,7 +114,7 @@ class GlobalCertificate:
         """The semidefiniteness tolerance of Q minus a bound on its largest
         eigenvalue.  Weyl: that eigenvalue is at most the direct sum's
         plus the norm of what the split drops (Frobenius bounds 2-norm)."""
-        return (_eps(self.q_norm) - self.checks["q_global_max_eig"]
+        return (semidefinite_eps(self.q_norm) - self.checks["q_global_max_eig"]
                 - _frobenius(self.q_dropped))
 
     def q_negative_semidefinite(self) -> bool:
@@ -143,50 +140,17 @@ class KernelReport:
     max_principal_angle: float
 
 
-def _local_stacks(q: np.ndarray, p: np.ndarray) -> Dict[str, np.ndarray]:
-    """Structure checks of stacked local certificates, in one batched
-    symmetric eigensolve over the (N, 3, 3) stacks of q_i and P_i: each
-    field of LocalStructureReport as an array with one entry per unit."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = len(q)
-    w = sym_eig(np.concatenate([q, p]))[0]
-    w_q, w_p = w[:n], w[n:]
-    eps_q = _eps(np.linalg.norm(q, axis=(1, 2)))
-    eps_p = _eps(np.linalg.norm(p, axis=(1, 2)))
-    row = np.max(np.abs(q[:, 0, :]), axis=1)
-    col = np.max(np.abs(q[:, :, 0]), axis=1)
-    q11 = q[:, 0, 0]
-    smallest = np.min(np.abs(w_q), axis=1)
-    p_min = w_p[:, 0]
-    asymmetry = np.max(np.abs(p - np.swapaxes(p, 1, 2)), axis=(1, 2))
-    violations = np.stack([w_q[:, -1] - eps_q, np.abs(q11) - eps_q,
-                           row - eps_q, col - eps_q, smallest - eps_q,
-                           asymmetry - eps_p, -p_min], axis=1)
-    return {
-        "passed": np.all(violations[:, :-1] <= 0.0, axis=1) & (p_min > 0.0),
-        "max_violation": np.maximum(np.max(violations, axis=1), 0.0),
-        "q_max_eig": w_q[:, -1],
-        "q11": q11,
-        "first_row_max": np.maximum(row, col),
-        "smallest_abs_eig": smallest,
-        "p_min_eig": p_min,
-    }
-
-
 def check_local_structure(ctrl: LocalController) -> LocalStructureReport:
     """Structural facts every local certificate must satisfy.
 
     q_local is negative semidefinite but never definite: its first
     diagonal entry vanishes, which forces the whole first row and column
     to vanish and guarantees a zero eigenvalue.  P is symmetric positive
-    definite.  The same code check_global runs on every unit at once, on
-    a stack of one.
+    definite.  This is check_local_stacks, run by check_global on every
+    unit and passed by every grant of synthesize*, on a stack of one.
     """
-    one = _local_stacks(np.asarray(ctrl.q_local)[None],
-                        np.asarray(ctrl.p)[None])
-    return LocalStructureReport(**{name: value[0].item()
-                                   for name, value in one.items()})
+    one = check_local_stacks(ctrl.q_local[None], ctrl.p[None])
+    return LocalStructureReport(**{k: v[0].item() for k, v in one.items()})
 
 
 def build_laplacian(topology: MicrogridTopology,
@@ -265,7 +229,7 @@ def check_global(controllers: Mapping[int, LocalController],
     ctrls = [controllers[dgu_id] for dgu_id in ids]
     p = np.array([c.p for c in ctrls], dtype=float)
     q_local = np.array([c.q_local for c in ctrls], dtype=float)
-    local = _local_stacks(q_local, p)
+    local = check_local_stacks(q_local, p)
     failed = np.flatnonzero(~local["passed"])
     if failed.size:
         first = failed[0]
@@ -424,7 +388,7 @@ def check_theorem1(cert: GlobalCertificate,
         "q_negative_semidefinite": (cert.q_negative_semidefinite(),
                                     cert.q_nsd_margin()),
         "lasalle_kernel": (kernel.passed, kernel.max_principal_angle),
-        "k3_nonzero": (bool(np.all(np.abs(k[:, 2]) > 1e-9 * k_norm)),
+        "k3_nonzero": (bool(np.all(np.abs(k[:, 2]) > K3_FLOOR * k_norm)),
                        float(np.min(k3))),
         # nonzero above the rounding of 1 + delta b
         "lasalle_invariance": (

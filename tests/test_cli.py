@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from gridforge import baselines, cli
-from gridforge.simulate import LoadStep, PlugIn, RefStep, Unplug
+from gridforge.simulate import (LoadStep, PlugIn, RefStep, Scenario,
+                                Unplug)
 
 SMALL = {
     "sigma_bar": 10.0,
@@ -32,6 +33,10 @@ SMALL = {
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def read_json(path):
+    return json.loads(pathlib.Path(path).read_text())
 
 
 @pytest.fixture
@@ -76,6 +81,13 @@ class TestScenarioFormat:
         with pytest.raises(ValueError, match="missing field"):
             cli.parse_scenario(broken)
 
+    def test_omitted_knobs_take_scenario_defaults(self):
+        knobs = ("dt", "record_dt", "line_model")
+        sc = cli.parse_scenario({k: v for k, v in SMALL.items()
+                                 if k not in knobs})
+        assert sc == Scenario(sc.initial_topology, sc.sigma_bar, sc.events,
+                              sc.t_end, alphas=sc.alphas)
+
     def test_unknown_event_type_rejected(self):
         payload = dict(SMALL)
         payload["events"] = [{"t": 0.01, "type": "teleport", "dgu": 1}]
@@ -99,7 +111,7 @@ class TestScenarioFormat:
 class TestSynth:
     def test_bundle_written_and_structured(self, bundle_file):
         _, bundle = bundle_file
-        payload = json.loads(open(bundle).read())
+        payload = read_json(bundle)
         assert payload["sigma_bar"] == 10.0
         assert len(payload["controllers"]) == 2
         entry = payload["controllers"][0]
@@ -109,7 +121,7 @@ class TestSynth:
 
     def test_bundle_carries_solver_diagnostics(self, bundle_file):
         _, bundle = bundle_file
-        for entry in json.loads(open(bundle).read())["controllers"]:
+        for entry in read_json(bundle)["controllers"]:
             solver = entry["diagnostics"]["solver"]
             assert set(solver) == {"status", "iterations_phase1",
                                    "iterations_phase2"}
@@ -182,7 +194,7 @@ class TestCertify:
     def test_bundle_with_or_without_solver_diagnostics(self, bundle_file,
                                                         tmp_path, capsys):
         scenario, bundle = bundle_file
-        payload = json.loads(open(bundle).read())
+        payload = read_json(bundle)
         top = cli.load_scenario(scenario).initial_topology
         _, with_solver = cli.load_bundle(bundle, top)
         for entry in payload["controllers"]:
@@ -199,7 +211,7 @@ class TestCertify:
     def test_incomplete_bundle_is_hard_error(self, bundle_file, tmp_path,
                                              capsys):
         scenario, bundle = bundle_file
-        payload = json.loads(open(bundle).read())
+        payload = read_json(bundle)
         payload["controllers"] = payload["controllers"][:1]
         path = write_json(tmp_path / "partial.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
@@ -208,7 +220,7 @@ class TestCertify:
     def test_duplicate_entry_is_hard_error(self, bundle_file, tmp_path,
                                            capsys):
         scenario, bundle = bundle_file
-        payload = json.loads(open(bundle).read())
+        payload = read_json(bundle)
         payload["controllers"].append(dict(payload["controllers"][1]))
         path = write_json(tmp_path / "twice.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
@@ -243,7 +255,7 @@ class TestCertify:
     def test_mixed_sigma_bar_is_hard_error(self, bundle_file, tmp_path,
                                            capsys):
         scenario, bundle = bundle_file
-        payload = json.loads(open(bundle).read())
+        payload = read_json(bundle)
         payload["controllers"][0]["eta"] *= 2.0
         path = write_json(tmp_path / "mixed.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
@@ -265,7 +277,7 @@ class TestCertify:
                                                 capsys, field, value,
                                                 message):
         scenario, bundle = bundle_file
-        payload = json.loads(open(bundle).read())
+        payload = read_json(bundle)
         payload["controllers"][1][field] = value
         path = write_json(tmp_path / "malformed.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
@@ -274,7 +286,7 @@ class TestCertify:
     def test_indefinite_p_is_refused_by_name(self, bundle_file, tmp_path,
                                              capsys):
         scenario, bundle = bundle_file
-        payload = json.loads(open(bundle).read())
+        payload = read_json(bundle)
         p = np.array(payload["controllers"][0]["P"])
         p[1:, 1:] *= -1.0
         payload["controllers"][0]["P"] = p.tolist()

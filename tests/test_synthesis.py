@@ -202,6 +202,10 @@ def doctored(ctrl, target):
         q *= -1.0
     elif target == "q_local first row not zero":
         q[0, 0] = -1e-6 * np.linalg.norm(q)  # still semidefinite
+    elif target == "local certificate check failed":
+        # a first column off q_tail's kernel: still semidefinite
+        off_kernel = np.array([delta, -1.0]) / np.hypot(1.0, delta)
+        q[1:, 0] = 1e-6 * np.linalg.norm(q) * off_kernel
     elif target == "q_tail does not annihilate [1, delta]":
         q[1, 1] -= 1e-3 * np.linalg.norm(q)  # still semidefinite
     elif target == "p22 = -delta*p23 violated":
@@ -220,6 +224,7 @@ class TestVerifyInvariants:
         "p not positive definite",
         "q_local not negative semidefinite",
         "q_local first row not zero",
+        "local certificate check failed",
         "q_tail does not annihilate [1, delta]",
         "p22 = -delta*p23 violated",
         "gain norm bound violated",
