@@ -28,6 +28,8 @@ DEMO_TOPOLOGY = MicrogridTopology({
     2: DguParams(0.2, 1.7e-3, 2.0e-3, LoadModel.constant_current(0.0), 48.0),
 }, (LineParams(1, 2, 0.05, 1.8e-6),))
 
+CONTRAST_SIGMA_BAR = 10.0  # sigma_bar of pnp_contrast's designs
+
 PLACEMENT_TARGETS = (
     (-8.5190e3, -530.4, -1.46),
     (-9.3734e3, -571.9, -1.44),
@@ -35,7 +37,8 @@ PLACEMENT_TARGETS = (
 
 #: Reference spectra, rounded to the figures they are usually quoted at.
 #: Each entry is (value, quantum of the last printed digit); comparisons
-#: allow 1% of magnitude plus half a quantum, with exact real-part signs.
+#: allow SPECTRUM_REL of magnitude plus half a quantum, exact signs.
+SPECTRUM_REL = 0.01
 REFERENCE_DECOUPLED = {
     LQR: (
         ((-9062.9, 0.1), (-194.5, 0.1), (-14.3, 0.1)),
@@ -203,12 +206,13 @@ class SpectrumCheck:
 
 
 def compare_spectrum(computed: Sequence[complex],
-                     reference: Sequence[Tuple[complex, float]],
-                     rel: float = 0.01) -> Tuple[SpectrumCheck, ...]:
+                     reference: Sequence[Tuple[complex, float]]
+                     ) -> Tuple[SpectrumCheck, ...]:
     """Match each rounded reference value with its nearest computed one.
 
-    A pair passes when both components differ by at most rel*|reference|
-    plus half the printing quantum and the real-part signs agree exactly.
+    A pair passes when both components differ by at most SPECTRUM_REL *
+    |reference| plus half the printing quantum and the real-part signs
+    agree exactly.
     """
     remaining = [complex(z) for z in computed]
     if len(remaining) != len(reference):
@@ -218,7 +222,7 @@ def compare_spectrum(computed: Sequence[complex],
         value = complex(value)
         nearest = min(remaining, key=lambda z: abs(z - value))
         remaining.remove(nearest)
-        tol = rel * abs(value) + 0.5 * quantum
+        tol = SPECTRUM_REL * abs(value) + 0.5 * quantum
         ok = (abs(nearest.real - value.real) <= tol
               and abs(nearest.imag - value.imag) <= tol
               and np.sign(nearest.real) == np.sign(value.real))
@@ -226,8 +230,8 @@ def compare_spectrum(computed: Sequence[complex],
     return tuple(checks)
 
 
-def spectrum_matches(computed, reference, rel: float = 0.01) -> bool:
-    return all(c.ok for c in compare_spectrum(computed, reference, rel))
+def spectrum_matches(computed, reference) -> bool:
+    return all(c.ok for c in compare_spectrum(computed, reference))
 
 
 @dataclass(frozen=True)
@@ -275,9 +279,10 @@ def destabilization_demo(method: str = LQR) -> DestabilizationReport:
                                  (unstable[0], unstable[1]))
 
 
-def pnp_contrast(sigma_bar: float = 10.0) -> np.ndarray:
+def pnp_contrast() -> np.ndarray:
     """Coupled spectrum of the same benchmark under certified synthesis."""
-    controllers = synthesize_all(DEMO_TOPOLOGY, SynthesisConfig(sigma_bar))
+    controllers = synthesize_all(DEMO_TOPOLOGY,
+                                 SynthesisConfig(CONTRAST_SIGMA_BAR))
     for dgu_id, result in controllers.items():
         if isinstance(result, Denied):
             raise RuntimeError(f"synthesis denied for DGU {dgu_id}:"

@@ -217,9 +217,11 @@ def check_global(controllers: Mapping[int, LocalController],
     QSL self term, so its (I, v) blocks are zero.
 
     Hard errors: a local certificate failing its structure checks (P_i
-    not symmetric positive definite included), or controllers whose eta
+    not symmetric positive definite included), controllers whose eta
     values imply different sigma_bar (the coupling weights then lose
-    their symmetry and nothing downstream holds).  Semidefiniteness
+    their symmetry and nothing downstream holds), or a unit whose eta is
+    not sigma_bar C_i for the sigma_bar given here (Q would be built from
+    one sigma_bar and the Laplacian from another).  Semidefiniteness
     findings are recorded in the certificate, not raised.
     """
     start = time.perf_counter()
@@ -254,6 +256,16 @@ def check_global(controllers: Mapping[int, LocalController],
             "controllers were synthesized with different sigma_bar")
     asymmetry = np.divide(gap, scale, out=np.zeros_like(gap),
                           where=scale > 0.0)
+    # Q is built from each unit's eta, the Laplacian from sigma_bar: they
+    # must agree, eta_i = sigma_bar C_i
+    shared = sigma_bar * np.array([topology.dgus[i].c_t for i in ids])
+    off = ~(np.abs(eta - shared) <= 1e-9 * shared)
+    if np.any(off):
+        bad = int(np.argmax(off))
+        raise ValueError(
+            f"DGU {ids[bad]}: eta {eta[bad]:g} is not sigma_bar * C_t = "
+            f"{shared[bad]:g}; the bundle's sigma_bar {sigma_bar:g} "
+            "contradicts its certificates")
 
     f_blocks = closed_loop_blocks(system, controllers)
     pf = p @ f_blocks

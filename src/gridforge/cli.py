@@ -116,32 +116,28 @@ def _line_to_json(line: LineParams) -> dict:
 def _event_from_json(obj: Mapping):
     t = float(obj["t"])
     kind = str(obj["type"])
-    if kind == "plug_in":
+    if kind == PlugIn.kind:
         return PlugIn(t, int(obj["dgu"]), _params_from_json(obj["params"]),
                       tuple(_line_from_json(ln) for ln in obj["lines"]))
-    if kind == "unplug":
+    if kind == Unplug.kind:
         return Unplug(t, int(obj["dgu"]))
-    if kind == "load_step":
+    if kind == LoadStep.kind:
         return LoadStep(t, int(obj["dgu"]), _load_from_json(obj["load"]))
-    if kind == "ref_step":
+    if kind == RefStep.kind:
         return RefStep(t, int(obj["dgu"]), float(obj["v_ref"]))
     raise ValueError(f"unknown event type {kind!r}")
 
 
 def _event_to_json(event) -> dict:
+    out = {"t": event.t, "type": event.kind, "dgu": event.dgu_id}
     if isinstance(event, PlugIn):
-        return {"t": event.t, "type": "plug_in", "dgu": event.dgu_id,
-                "params": _params_to_json(event.params),
-                "lines": [_line_to_json(ln) for ln in event.lines]}
-    if isinstance(event, Unplug):
-        return {"t": event.t, "type": "unplug", "dgu": event.dgu_id}
-    if isinstance(event, LoadStep):
-        return {"t": event.t, "type": "load_step", "dgu": event.dgu_id,
-                "load": _load_to_json(event.load)}
-    if isinstance(event, RefStep):
-        return {"t": event.t, "type": "ref_step", "dgu": event.dgu_id,
-                "v_ref": event.v_ref}
-    raise ValueError(f"cannot serialize event {event!r}")
+        out["params"] = _params_to_json(event.params)
+        out["lines"] = [_line_to_json(ln) for ln in event.lines]
+    elif isinstance(event, LoadStep):
+        out["load"] = _load_to_json(event.load)
+    elif isinstance(event, RefStep):
+        out["v_ref"] = event.v_ref
+    return out
 
 
 def parse_scenario(payload: Mapping) -> Scenario:

@@ -434,6 +434,8 @@ class _Centering:
             run, x = self.runs[i], st["x"][i].copy()
             run.budget = int(st["budget"][i])
             t = run.after(self.phase, st["t"][i], x, outcome[i])
+            # a stall that spends the last unit outranks "budget" and may
+            # be sent back with no step left: settle it on the budget rule
             if t is not None and run.budget <= 0:
                 t = run.after(self.phase, t, x, "budget")
             stay[i] = restart[i] = t is not None

@@ -63,6 +63,7 @@ def _gain(controller: Gain) -> np.ndarray:
 class PlugIn:
     """Request to connect a new DGU through the given lines."""
 
+    kind: ClassVar[str] = "plug_in"
     t: float
     dgu_id: int
     params: DguParams
@@ -74,12 +75,14 @@ class PlugIn:
 
 @dataclass(frozen=True)
 class Unplug:
+    kind: ClassVar[str] = "unplug"
     t: float
     dgu_id: int
 
 
 @dataclass(frozen=True)
 class LoadStep:
+    kind: ClassVar[str] = "load_step"
     t: float
     dgu_id: int
     load: LoadModel
@@ -87,18 +90,13 @@ class LoadStep:
 
 @dataclass(frozen=True)
 class RefStep:
+    kind: ClassVar[str] = "ref_step"
     t: float
     dgu_id: int
     v_ref: float
 
 
 Event = Union[PlugIn, Unplug, LoadStep, RefStep]
-
-
-def _describe(ev: Event) -> str:
-    kind = {PlugIn: "plug_in", Unplug: "unplug",
-            LoadStep: "load_step", RefStep: "ref_step"}[type(ev)]
-    return f"{kind} dgu={ev.dgu_id}"
 
 
 @dataclass(frozen=True)
@@ -333,12 +331,14 @@ class _Segment:
         r, w = _step_map(self.a, self.c, h)
         return r @ state + w
 
-    def run(self, state, t0, t1, n_rec, record_dt):
+    def run(self, state, t0, t1, record_dt):
         """Integrate [t0, t1), recording interior record-grid samples; the
-        t1 sample is left to the caller (it may follow an event).  Returns
-        (state, t_reached, n_rec, diverged_or_none), the cut row's state and
-        time on divergence."""
+        t1 sample is left to the caller (it may follow an event), and the
+        t0 sample, taken already, fills any record slot t0 lands on.
+        Returns (state, t_reached, diverged_or_none), the cut row's state
+        and time on divergence."""
         tiny = 1e-9 * max(1.0, t1)
+        n_rec = int(math.floor(t0 / record_dt + 1e-6))  # slots filled
         cut = None
         # a runaway may overflow between two checks; the cut drops it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -364,10 +364,10 @@ class _Segment:
                     cut = self.add(t_cur, state)
             cut = cut or self.check()
             if cut is not None:
-                return cut[0], cut[1].t, n_rec, cut[1]
+                return cut[0], cut[1].t, cut[1]
             if t1 - t_cur > 1e-9 * self.dt:
                 state = self.short_step(state, t1 - t_cur)
-        return state, t1, n_rec, None
+        return state, t1, None
 
 
 def steady_state(topology: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -449,50 +449,37 @@ def _remap_state(state, old_top, new_top, line_model, fresh=None):
     return np.concatenate(parts)
 
 
-def _apply_event(ev, t, top, controllers, state, line_model, cfg, records):
-    """Apply one event in place; returns (state, topology, changed)."""
-    name = _describe(ev)
+def _apply_event(ev, top, controllers, state, line_model, cfg):
+    """Apply one event: returns (state, topology, outcome).  An accepted
+    plug-in adds the newcomer's controller to controllers and an accepted
+    unplug drops the unit's; no other controller is touched."""
     if isinstance(ev, PlugIn):
         snapshot = {i: _gain(c).copy() for i, c in controllers.items()}
         result = attempt_plug_in(top, ev.dgu_id, ev.params, ev.lines, cfg)
         if isinstance(result, Denied):
-            records.append(EventRecord(t, name, f"denied: {result.reason}"))
-            return state, top, False
+            return state, top, f"denied: {result.reason}"
         for i, gain in snapshot.items():
             if not np.array_equal(gain, _gain(controllers[i])):
                 raise RuntimeError("plug-in protocol modified an existing"
                                    " controller")
         new_top = top.with_dgu(ev.dgu_id, ev.params, ev.lines)
         controllers[ev.dgu_id] = result
-        state = _remap_state(state, top, new_top, line_model,
-                             {ev.dgu_id: _isolated_steady(ev.params, result)})
-        records.append(EventRecord(t, name, ACCEPTED))
-        return state, new_top, True
+        fresh = {ev.dgu_id: _isolated_steady(ev.params, result)}
+        return (_remap_state(state, top, new_top, line_model, fresh),
+                new_top, ACCEPTED)
+    if ev.dgu_id not in top.dgus:
+        return state, top, f"skipped: DGU {ev.dgu_id} not present"
     if isinstance(ev, Unplug):
-        if ev.dgu_id not in top.dgus:
-            records.append(EventRecord(t, name,
-                                       f"skipped: DGU {ev.dgu_id} not present"))
-            return state, top, False
         result = attempt_unplug(top, ev.dgu_id)
         if isinstance(result, Denied):
-            records.append(EventRecord(t, name, f"denied: {result.reason}"))
-            return state, top, False
-        state = _remap_state(state, top, result, line_model)
+            return state, top, f"denied: {result.reason}"
         controllers.pop(ev.dgu_id)
-        records.append(EventRecord(t, name, ACCEPTED))
-        return state, result, True
+        return _remap_state(state, top, result, line_model), result, ACCEPTED
     # load and reference steps: instantaneous parameter changes
-    if ev.dgu_id not in top.dgus:
-        records.append(EventRecord(t, name,
-                                   f"skipped: DGU {ev.dgu_id} not present"))
-        return state, top, False
-    params = top.dgus[ev.dgu_id]
-    if isinstance(ev, LoadStep):
-        params = replace(params, load=ev.load)
-    else:
-        params = replace(params, v_ref=ev.v_ref)
-    records.append(EventRecord(t, name, APPLIED))
-    return state, top.replace_params(ev.dgu_id, params), True
+    change = ({"load": ev.load} if isinstance(ev, LoadStep)
+              else {"v_ref": ev.v_ref})
+    params = replace(top.dgus[ev.dgu_id], **change)
+    return state, top.replace_params(ev.dgu_id, params), APPLIED
 
 
 def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
@@ -531,7 +518,6 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
     records: List[EventRecord] = []
     diverged: Optional[DivergedAt] = None
     pending = list(scenario.events)
-    n_rec = 0
     t_cursor = 0.0
 
     seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
@@ -542,28 +528,25 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
 
     while diverged is None and t_cursor < scenario.t_end:
         t_next = pending[0].t if pending else scenario.t_end
-        state, t_cursor, n_rec, diverged = seg.run(
-            state, t_cursor, t_next, n_rec, scenario.record_dt)
+        state, t_cursor, diverged = seg.run(state, t_cursor, t_next,
+                                            scenario.record_dt)
         if diverged is not None:
             break
-        fired = []
+        changed = False
         boundary = t_cursor + 1e-12 * max(1.0, t_cursor)
         while pending and pending[0].t <= boundary:
-            fired.append(pending.pop(0))
-        changed = False
-        for ev in fired:
-            state, top, one = _apply_event(ev, t_cursor, top, controllers,
-                                           state, scenario.line_model, cfg,
-                                           records)
-            changed = changed or one
+            ev = pending.pop(0)
+            state, top, outcome = _apply_event(
+                ev, top, controllers, state, scenario.line_model, cfg)
+            records.append(EventRecord(t_cursor, f"{ev.kind} dgu={ev.dgu_id}",
+                                       outcome))
+            changed = changed or outcome in (ACCEPTED, APPLIED)
         if changed:
             seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
             segments.append(seg)
         cut = seg.add(t_cursor, state) or seg.check()
         if cut is not None:
             state, diverged = cut
-        # the boundary sample consumes any record slot it lands on
-        n_rec = max(n_rec, int(math.floor(t_cursor / scenario.record_dt + 1e-6)))
 
     return _assemble(segments, records, top, state, diverged)
 

@@ -248,6 +248,15 @@ class TestGlobal:
         with pytest.raises(ValueError, match="asymmetric"):
             check_global({1: ctrls[1], 2: doubled}, top, 10.0)
 
+    @pytest.mark.parametrize("sigma_bar", [100.0, 1.0])
+    def test_sigma_bar_must_match_every_eta(self, pair, sigma_bar):
+        # both units hold eta = 10 C_t, so they agree with each other and
+        # only the sigma_bar handed in is wrong
+        top, ctrls = pair
+        with pytest.raises(ValueError,
+                           match="DGU 1: eta .* is not sigma_bar \\* C_t"):
+            check_global(ctrls, top, sigma_bar)
+
     def test_wrong_controller_set_raises(self, pair):
         top, ctrls = pair
         with pytest.raises(ValueError, match="cover exactly"):

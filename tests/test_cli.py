@@ -14,6 +14,7 @@ import pytest
 from gridforge import baselines, cli
 from gridforge.simulate import (LoadStep, PlugIn, RefStep, Scenario,
                                 Unplug)
+from test_certify import closed_form_controller
 
 SMALL = {
     "sigma_bar": 10.0,
@@ -261,6 +262,51 @@ class TestCertify:
         assert cli.main(["certify", scenario, path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_header_sigma_bar_must_match_the_certificates(
+            self, bundle_file, tmp_path, capsys):
+        # every eta is 10 C_t, but the Laplacian would use the header's
+        # sigma_bar and come out 10x too large
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        payload["sigma_bar"] = 100.0
+        path = write_json(tmp_path / "header.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: DGU 1: eta 0.022 is not sigma_bar * "
+                              "C_t = 0.22")
+
+    def test_disconnected_grid_is_hypothesis_unmet(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "apart.json", dict(SMALL, lines=[]))
+        bundle = str(tmp_path / "bundle.json")
+        assert cli.main(["synth", scenario, "--out", bundle]) == 0
+        assert cli.main(["certify", scenario, bundle,
+                         "--out", str(tmp_path / "cert.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "theorem1: hypothesis-unmet\n"
+        assert "unmet: connected (margin None)" in err.splitlines()
+        verdict = read_json(tmp_path / "cert.json")["theorem1"]
+        assert verdict["verdict"] == "HypothesisUnmet"
+
+    def test_vanishing_k3_fails_with_its_margin(self, bundle_file, tmp_path,
+                                                capsys):
+        # gains just inside the local design set, k3 = 1e-10, each with
+        # its closed-form P: every certificate is valid, the k3 gate fails
+        scenario, bundle = bundle_file
+        top = cli.load_scenario(scenario).initial_topology
+        payload = read_json(bundle)
+        for entry in payload["controllers"]:
+            ctrl = closed_form_controller(top.dgus[entry["dgu_id"]],
+                                          [-1.0, 0.0, 1e-10], 10.0)
+            entry.update(K=ctrl.k.tolist(), P=ctrl.p.tolist(), eta=ctrl.eta,
+                         delta=ctrl.delta)
+        path = write_json(tmp_path / "k3.json", payload)
+        assert cli.main(["certify", scenario, path,
+                         "--out", str(tmp_path / "cert.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("theorem1: fail, abscissa ≈ ")
+        assert err == "unmet: k3_nonzero (margin 1e-10)\n"
+
 
     @pytest.mark.parametrize("field, value, message", [
         ("P", [[1.0, 0.0], [0.0, 1.0]], "P must be a finite 3x3 array"),
@@ -352,6 +398,28 @@ class TestSimulate:
         code = cli.main(["simulate", small_file, "--out", str(out),
                          "--dt", "2e-5", "--line-model", "rl"])
         assert code == 0
+
+    def test_sigma_bar_flag_designs_at_that_sigma_bar(self, small_file,
+                                                      tmp_path):
+        flag, edited = tmp_path / "flag", tmp_path / "edited"
+        path = write_json(tmp_path / "s20.json", dict(SMALL, sigma_bar=20.0))
+        assert cli.main(["simulate", small_file, "--out", str(flag),
+                         "--sigma-bar", "20"]) == 0
+        assert cli.main(["simulate", path, "--out", str(edited)]) == 0
+        assert cli.main(["simulate", small_file,
+                         "--out", str(tmp_path)]) == 0
+        table = (flag / "trajectory.csv").read_bytes()
+        assert table == (edited / "trajectory.csv").read_bytes()
+        assert table != (tmp_path / "trajectory.csv").read_bytes()
+
+    def test_divergence_exits_one(self, small_file, tmp_path, capsys):
+        # dt = 5e-4 is past RK4's stability limit for these gains
+        assert cli.main(["simulate", small_file, "--out", str(tmp_path),
+                         "--dt", "5e-4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("diverged at t=0.0025 (|x| = ")
+        log = (tmp_path / "events.log").read_text().splitlines()
+        assert json.loads(log[-1])["event"] == "divergence"
 
     def test_denied_grid_exits_two(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SMALL))

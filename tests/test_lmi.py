@@ -215,6 +215,18 @@ class TestStatuses:
                 assert got.status == "NumericalFailure"
                 assert got.x is None and len(got.iterations) == budget
 
+    def test_stall_on_the_last_step_ends_on_the_budget(self, monkeypatch):
+        # this 27-point-box program's phase II stalls at every third step
+        # from 240 to 261 (its end at t = 1e18 on the full budget); budgets
+        # 255 and 258 end on such a stall, whose centering `after` would
+        # send back with no step left
+        prog = synthesis_program(0.05, 1e-3, 1e-5)
+        for budget in range(255, 259):
+            monkeypatch.setattr(lmi, "MAX_ITER", budget)
+            sol = solve(prog)
+            assert sol.status == "Feasible"
+            assert len(sol.iterations) == budget
+
     def test_strict_margin(self):
         sol = solve(LmiProgram(1, [1.0], (scalar_block(0.0, 1.0, strict=True),)))
         assert sol.status == "Optimal"

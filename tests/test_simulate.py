@@ -64,6 +64,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="line_model"):
             Scenario(top, 10.0, t_end=1.0, line_model="pi")
 
+    @pytest.mark.parametrize("line_model, length", [
+        (QSL, 5), (QSL, 7), (RL, 6), (RL, 8)])
+    def test_initial_state_length(self, pair, line_model, length):
+        # three entries per unit, and under RL one current per line
+        top, ctrls = pair
+        expected = 6 if line_model == QSL else 7
+        sc = Scenario(top, 10.0, t_end=0.01, line_model=line_model)
+        with pytest.raises(ValueError, match=f"must have length {expected}$"):
+            simulate(sc, controllers=ctrls, initial_state=np.zeros(length))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_initial_state_must_be_finite(self, pair, bad):
+        top, ctrls = pair
+        state = np.zeros(6)
+        state[4] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate(Scenario(top, 10.0, t_end=0.01), controllers=ctrls,
+                     initial_state=state)
+
     def test_disconnected_initial_topology(self):
         top = MicrogridTopology({1: dgu(), 2: dgu()}, ())
         with pytest.raises(TopologyError, match="connected"):
