@@ -304,15 +304,21 @@ def _synthesize_for(scenario: Scenario
 
 
 def cmd_synth(args) -> int:
-    scenario = load_scenario(args.scenario)
+    stages: Dict[str, float] = {}
+    with _timed(stages, "load scenario"):
+        scenario = load_scenario(args.scenario)
     if args.sigma_bar is not None:
         scenario = dataclasses.replace(scenario, sigma_bar=args.sigma_bar)
-    designed = _synthesize_for(scenario)
+    with _timed(stages, "synthesis"):
+        designed = _synthesize_for(scenario)
     if designed is None:
         return EXIT_DENIED
     cfg, granted = designed
-    _write_or_print(json.dumps(bundle_to_json(granted, cfg), indent=2),
-                    args.out)
+    with _timed(stages, "write"):
+        _write_or_print(json.dumps(bundle_to_json(granted, cfg), indent=2),
+                        args.out)
+    if args.timings:
+        _print_timings(stages)
     return EXIT_OK
 
 
@@ -461,14 +467,20 @@ def cmd_sweep(args) -> int:
         grid_kwargs["l_t"] = tuple(args.l_t)
     if args.c_t is not None:
         grid_kwargs["c_t"] = tuple(args.c_t)
-    result = run_sweep(SweepGrid(**grid_kwargs), sigma_bar=args.sigma_bar)
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(result, out_dir / "sweep.csv")
-        with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-            fh.write(summary_json(result))
-    print(summary_json(result), end="")
+    stages: Dict[str, float] = {}
+    with _timed(stages, "sweep"):
+        result = run_sweep(SweepGrid(**grid_kwargs),
+                           sigma_bar=args.sigma_bar)
+    with _timed(stages, "write"):
+        if args.out is not None:
+            out_dir = pathlib.Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_sweep_csv(result, out_dir / "sweep.csv")
+            with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+                fh.write(summary_json(result))
+        print(summary_json(result), end="")
+    if args.timings:
+        _print_timings(stages)
     return EXIT_OK
 
 
@@ -487,6 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sigma-bar", type=float, default=None)
     synth.add_argument("--out", default=None, help="bundle JSON path "
                        "(stdout when omitted)")
+    synth.add_argument("--timings", action="store_true",
+                       help="print the wall time of each stage to stderr")
     synth.set_defaults(func=cmd_synth)
 
     cert = sub.add_parser("certify", help="check a controller bundle "
@@ -525,6 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar=("LO", "HI"))
     swp.add_argument("--out", default=None, help="directory for "
                      "sweep.csv and summary.json")
+    swp.add_argument("--timings", action="store_true",
+                     help="print the wall time of each stage to stderr")
     swp.set_defaults(func=cmd_sweep)
     return parser
 

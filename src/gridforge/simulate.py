@@ -12,24 +12,22 @@ for divergence a stretch at a time; the trajectory is then assembled as
 one read-only table in the CSV's layout, with u = k x_hat per unit.
 Writing that table is mostly float formatting, which holds the GIL, so
 trajectory_to_csv formats contiguous row ranges in up to one forked
-process per available CPU and joins them in order; the bytes are those
-of a single pass.
+process per available CPU (the _forks helper, which synthesis shares)
+and joins them in order; the bytes are those of a single pass.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import shutil
-import tempfile
 from dataclasses import dataclass, replace
 from typing import (IO, ClassVar, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
 
+from . import _forks
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
                     TopologyError, assemble_global, augmented_dgu,
                     block_diagonal, closed_loop_blocks)
@@ -575,16 +573,9 @@ def _assemble(segments, records, top, state, diverged) -> Trajectory:
 
 
 def _range_count(rows: int) -> int:
-    """Row ranges trajectory_to_csv formats at once: one per CPU this
-    process may run on, no more than there are CSV_CHUNK-row chunks, and
-    one where os.fork does not exist."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, -(-rows // CSV_CHUNK)))
+    """Row ranges trajectory_to_csv formats at once: one per CSV_CHUNK-row
+    chunk, capped by _forks.range_count."""
+    return _forks.range_count(-(-rows // CSV_CHUNK))
 
 
 def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
@@ -595,59 +586,32 @@ def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
                           in rows[start:start + CSV_CHUNK].tolist()]).encode())
 
 
-def _fork_writer(rows: np.ndarray, spool: IO[bytes]) -> int:
-    """Format rows into spool in a forked child; returns its pid.  The
-    child prints nothing, calls no BLAS routine (so no lock a BLAS thread
-    held at the fork), writes only spool, and leaves by os._exit: status
-    0 once spool is flushed, 1 on any error."""
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            _write_rows(spool, rows)
-            spool.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,dgu<i>.V,dgu<i>.It,dgu<i>.v,dgu<i>.u,...` in id order.
 
     Formatting the cells (one repr() each) is most of the time, and it
     holds the GIL, so the rows are split into _range_count() contiguous
-    ranges.  Forked children format ranges 1 and up into anonymous
-    temporary files while this process formats range 0 straight into the
-    file, then appends each child's file in order, 1 MiB at a time.  The
-    bytes do not depend on the range count.  Every child is reaped before
-    the call returns or raises; a child that failed raises RuntimeError.
+    ranges (see _forks).  Forked children format ranges 1 and up into
+    their spools, calling no BLAS routine, while this process formats
+    range 0 straight into the file, then appends each child's spool in
+    order, 1 MiB at a time.  The bytes do not depend on the range count.
+    Every child is reaped before the call returns or raises; a child that
+    failed raises RuntimeError.
     """
     table = traj.table
-    n = _range_count(len(table))
-    bounds = [len(table) * k // n for k in range(n + 1)]
-    children: List[Tuple[int, IO[bytes]]] = []  # (pid, spool), not reaped
-    with contextlib.ExitStack() as spools:
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                spool = spools.enter_context(tempfile.TemporaryFile())
-                children.append((_fork_writer(table[lo:hi], spool), spool))
-            with open(path, "wb") as fh:
-                fh.write((",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
-                                            for col in Trajectory.COLUMNS])
-                          + "\r\n").encode())
-                _write_rows(fh, table[:bounds[1]])
-                while children:
-                    pid, spool = children.pop(0)
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    if status != 0:
-                        raise RuntimeError(f"CSV writer process {pid} "
-                                           f"failed with status {status}")
-                    spool.seek(0)
-                    shutil.copyfileobj(spool, fh, 1 << 20)
-        finally:
-            for pid, _ in children:
-                os.waitpid(pid, 0)
+
+    def format_range(lo, hi, spool):
+        _write_rows(spool, table[lo:hi])
+
+    with _forks.forked_ranges(len(table), _range_count(len(table)),
+                              format_range, "CSV writer") as (end, spools):
+        with open(path, "wb") as fh:
+            fh.write((",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
+                                        for col in Trajectory.COLUMNS])
+                      + "\r\n").encode())
+            _write_rows(fh, table[:end])
+            for spool in spools:
+                shutil.copyfileobj(spool, fh, 1 << 20)
 
 
 def event_log_lines(traj: Trajectory) -> List[str]:

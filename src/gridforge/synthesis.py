@@ -12,11 +12,13 @@ happens to be attached to, which is what makes plug-in decisions local.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _forks
 from .lmi import (
     INFEASIBLE,
     NSD,
@@ -38,12 +40,16 @@ NOT_APPLICABLE = "NotApplicable"
 # k3 is numerically zero at |k3| <= K3_FLOOR |k|: _decide denies the design
 K3_FLOOR = 1e-9
 
-# Units solved in one lockstep batch.  A stacked step costs about 1 ms
-# plus 0.05 ms per unit, so past a few dozen units a wider batch saves
-# little time, while its stacks, temporaries and iteration logs keep
-# growing with it.  On the 125-point green box (one BLAS thread), batches
-# of 32 took 4.0 s against 2.9 s for one batch of 125, and raised peak
-# memory about 1 MB above unit-by-unit solves, against about 5 MB.
+# Units solved in one lockstep batch.  The 125 green-box programs (one
+# BLAS thread, best of 3, on a shared 2-CPU host whose speed varied
+# between runs) took 5.6-6.9 s at width 8, 2.0-3.5 s at 32, 1.9-3.0 s at
+# 64 and 1.5-2.3 s at 125: a batched step (about 400 a solve) costs
+# 0.85-1.1, 1.2-2.2, 2.3-3.7 and 3.7-5.7 ms at those widths, against
+# 0.35-0.56 ms for one program.  So past 32 a wider batch saves little
+# time, while its memory grows with it: a 125-wide batch peaks at
+# 6.1-6.3 MB against 2.1-2.3 MB at 32 (tracemalloc), 12.8 KB a unit of
+# that the (MAX_ITER, 4) iteration trace.  Calls of more than one batch
+# are split across CPUs instead (synthesize_batch).
 _LOCKSTEP_UNITS = 32
 
 
@@ -98,6 +104,11 @@ class LocalController:
             a = np.asarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so unpickled arrays are read-only too
+        return (LocalController, (self.k, self.p, self.eta, self.raw,
+                                  self.delta, self.q_local))
 
     def norm_bound(self) -> float:
         """Lemma-style cap sqrt(beta)*zeta on the gain norm."""
@@ -322,19 +333,9 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
     return LocalController(k, p, eta, raw, float(delta), q)
 
 
-def synthesize_batch(units: Sequence[Tuple[AugmentedDgu, DguParams]],
-                     cfg: SynthesisConfig,
-                     ) -> List[Union[LocalController, Denied,
-                                     NumericalFailure]]:
-    """Solve the local programs of many units at once, one verdict each.
-
-    The programs go to the solver in batches of up to 32 units, each run
-    in lockstep and decided before the next is assembled; each unit's
-    verdict is the one `synthesize` gives it alone.  A breakdown is
-    returned as its NumericalFailure, not raised, and does not touch the
-    other units.
-    """
-    units = list(units)
+def _solve_range(units, cfg: SynthesisConfig) -> list:
+    """Verdicts of units, solved _LOCKSTEP_UNITS at a time in lockstep,
+    each batch decided before the next is assembled."""
     verdicts: list = []
     for start in range(0, len(units), _LOCKSTEP_UNITS):
         batch = units[start:start + _LOCKSTEP_UNITS]
@@ -343,6 +344,46 @@ def synthesize_batch(units: Sequence[Tuple[AugmentedDgu, DguParams]],
                            for dgu, params in batch)
         verdicts += [_decide(sol, dgu, params, cfg)
                      for (dgu, params), sol in zip(batch, sols)]
+    return verdicts
+
+
+def synthesize_batch(units: Sequence[Tuple[AugmentedDgu, DguParams]],
+                     cfg: SynthesisConfig,
+                     ) -> List[Union[LocalController, Denied,
+                                     NumericalFailure]]:
+    """Solve the local programs of many units at once, one verdict each.
+
+    The units are split into contiguous ranges, one per available CPU but
+    no more than there are batches of _LOCKSTEP_UNITS.  Forked processes
+    solve ranges 1 and up while this one solves range 0 (see _forks);
+    a call of one batch or fewer forks nothing.  Each range goes to the
+    solver in batches of up to _LOCKSTEP_UNITS units, each run in
+    lockstep and decided before the next is assembled.  The verdicts come
+    back in unit order, and each is the one `synthesize` gives that unit
+    alone, bit for bit.  A breakdown is returned as its NumericalFailure,
+    not raised, and does not touch the other units; an exception raised
+    while solving a forked range is raised here, with its type and
+    message.
+    """
+    units = list(units)
+
+    def solve_range(lo, hi, spool):
+        try:
+            outcome = _solve_range(units[lo:hi], cfg)
+        except Exception as exc:  # raised again in the caller's process
+            outcome = exc
+        pickle.dump(outcome, spool)
+
+    ranges = _forks.range_count(-(-len(units) // _LOCKSTEP_UNITS))
+    with _forks.forked_ranges(len(units), ranges, solve_range,
+                              "synthesis") as (end, spools):
+        verdicts = _solve_range(units[:end], cfg)
+        for spool in spools:
+            # written by this program's own forked children
+            outcome = pickle.load(spool)
+            if isinstance(outcome, Exception):
+                raise outcome
+            verdicts += outcome
     return verdicts
 
 

@@ -40,6 +40,14 @@ def read_json(path):
     return json.loads(pathlib.Path(path).read_text())
 
 
+def timing_stages(err):
+    """The stage names of --timings lines on stderr, each line checked."""
+    for line in err.splitlines():
+        assert line.startswith("timing: ") and line.endswith(" s")
+        assert float(line.split(": ")[2][:-2]) >= 0.0
+    return [line.split(": ")[1] for line in err.splitlines()]
+
+
 @pytest.fixture
 def small_file(tmp_path):
     return write_json(tmp_path / "small.json", SMALL)
@@ -154,6 +162,16 @@ class TestSynth:
         assert payload["alphas"] == SMALL["alphas"]
         c_t = SMALL["dgus"][0]["c_t"]
         assert payload["controllers"][0]["eta"] == pytest.approx(100.0 * c_t)
+
+    def test_timings_go_to_stderr(self, bundle_file, tmp_path, capsys):
+        scenario, bundle = bundle_file
+        timed = tmp_path / "bundle.json"
+        assert cli.main(["synth", scenario, "--out", str(timed),
+                         "--timings"]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert timing_stages(err) == ["load scenario", "synthesis", "write"]
+        assert timed.read_bytes() == pathlib.Path(bundle).read_bytes()
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert cli.main(["synth", str(tmp_path / "absent.json")]) == 1
@@ -347,13 +365,9 @@ class TestCertify:
                          "--out", str(tmp_path / "cert.json")]) == 0
         out, err = capsys.readouterr()
         assert out == "theorem1: pass\n"
-        stages = [line.split(": ")[1] for line in err.splitlines()]
-        assert stages == ["load scenario", "load bundle", "local checks",
-                          "Q pieces", "spectrum", "verdict and kernel",
-                          "JSON write"]
-        for line in err.splitlines():
-            assert line.startswith("timing: ") and line.endswith(" s")
-            assert float(line.split(": ")[2][:-2]) >= 0.0
+        assert timing_stages(err) == [
+            "load scenario", "load bundle", "local checks", "Q pieces",
+            "spectrum", "verdict and kernel", "JSON write"]
 
 
 class TestSimulate:
@@ -376,11 +390,8 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out.replace(str(timed), str(plain)) == plain_out
         assert plain_err == ""
-        assert [line.split(": ")[1] for line in err.splitlines()] == [
+        assert timing_stages(err) == [
             "synthesis", "simulate", "CSV write", "event log"]
-        for line in err.splitlines():
-            assert line.startswith("timing: ") and line.endswith(" s")
-            assert float(line.split(": ")[2][:-2]) >= 0.0
         for name in ("trajectory.csv", "events.log"):
             assert ((timed / name).read_bytes()
                     == (plain / name).read_bytes())
@@ -449,6 +460,19 @@ class TestReports:
         assert json.loads((out / "summary.json").read_text()) == summary
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 9
+
+    def test_sweep_timings_go_to_stderr(self, tmp_path, capsys):
+        args = ["sweep", "--points", "2"]
+        assert cli.main(args + ["--out", str(tmp_path / "plain")]) == 0
+        plain_out, plain_err = capsys.readouterr()
+        assert cli.main(args + ["--out", str(tmp_path / "timed"),
+                                "--timings"]) == 0
+        out, err = capsys.readouterr()
+        assert (out, plain_err) == (plain_out, "")
+        assert timing_stages(err) == ["sweep", "write"]
+        for name in ("sweep.csv", "summary.json"):
+            assert ((tmp_path / "timed" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
 
     def test_sweep_box_flags(self, capsys):
         code = cli.main(["sweep", "--points", "1",

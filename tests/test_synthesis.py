@@ -1,9 +1,11 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 import gridforge.synthesis as synth
+import test_simulate
 from gridforge.lmi import MAX_ITER, LmiSolution
 from gridforge.model import (
     DguParams,
@@ -276,6 +278,115 @@ class TestSynthesizeBatch:
                             lambda progs: [fake for _ in progs])
         with pytest.raises(NumericalFailure):
             synthesize_all(TestSynthesizeAll().topology(2), CFG)
+
+
+def on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per os.fork call."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedRanges:
+    """With two CPUs, 65 units (three lockstep batches) go to two ranges:
+    units 0-31 solved here, 32-64 in one forked process."""
+
+    @pytest.fixture(scope="class")
+    def units(self):
+        return [(augmented_dgu(p), p)
+                for p in (dgu(r, l) for r in np.linspace(0.05, 1.0, 13)
+                          for l in (1e-3, 3e-3, 5.5e-3, 8e-3, 1e-2))]
+
+    @pytest.fixture(scope="class")
+    def one_range(self, units):
+        with pytest.MonkeyPatch.context() as mp:
+            on_cpus(mp, 1)
+            forks = count_forks(mp)
+            verdicts = synthesize_batch(units, CFG)
+        assert forks == []
+        return verdicts
+
+    def test_verdicts_are_bitwise_those_of_one_range(self, units, one_range,
+                                                     monkeypatch):
+        on_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        # wake the BLAS thread pool before the fork
+        a = np.full((1500, 1500), 1e-3)
+        assert np.isfinite(a @ a).all()
+        verdicts = synthesize_batch(units, CFG)
+        test_simulate.TestArtifacts.assert_no_child_left()
+        assert len(forks) == 1 and len(verdicts) == len(units) == 65
+        for a, b in zip(one_range, verdicts):
+            assert isinstance(a, LocalController)
+            assert isinstance(b, LocalController)
+            for name in ("k", "p", "q_local"):
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name))
+                assert not getattr(b, name).flags.writeable
+            assert (a.eta, a.delta) == (b.eta, b.delta)
+            assert a.raw.keys() == b.raw.keys()
+            for key in ("y", "g", "gamma", "margins"):
+                np.testing.assert_array_equal(a.raw[key], b.raw[key])
+            for key in ("beta", "zeta", "solver"):
+                assert a.raw[key] == b.raw[key]
+
+    @pytest.mark.parametrize("error", [
+        ValueError("unit 40 is bad"),
+        np.linalg.LinAlgError("Singular matrix")])
+    def test_an_error_in_a_forked_range_reaches_the_caller(
+            self, units, monkeypatch, error):
+        on_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        real, bad = synth.assemble_problem, units[40][1]
+
+        def fail_on_unit_40(dgu, params, cfg):
+            if params is bad:
+                raise error
+            return real(dgu, params, cfg)
+
+        monkeypatch.setattr(synth, "assemble_problem", fail_on_unit_40)
+        with pytest.raises(type(error)) as raised:
+            synthesize_batch(units, CFG)
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+        assert len(forks) == 1
+        test_simulate.TestArtifacts.assert_no_child_left()
+
+    def test_a_dying_worker_raises(self, units, monkeypatch):
+        on_cpus(monkeypatch, 2)
+        parent, real = os.getpid(), synth._solve_range
+
+        def die_in_the_child(units, cfg):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(units, cfg)
+
+        monkeypatch.setattr(synth, "_solve_range", die_in_the_child)
+        with pytest.raises(RuntimeError, match="failed with status 3"):
+            synthesize_batch(units, CFG)
+        test_simulate.TestArtifacts.assert_no_child_left()
+
+    def test_one_batch_forks_nothing(self, units, monkeypatch):
+        on_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        fake = LmiSolution("NumericalFailure", None, None, None)
+        monkeypatch.setattr(synth, "solve_batch",
+                            lambda progs: [fake for _ in progs])
+        verdicts = synthesize_batch(units[:synth._LOCKSTEP_UNITS], CFG)
+        assert len(verdicts) == 32 and forks == []
+        assert len(synthesize_batch(units[:33], CFG)) == 33
+        assert len(forks) == 1
 
 
 class TestK1Identity:
