@@ -217,12 +217,13 @@ def check_global(controllers: Mapping[int, LocalController],
     QSL self term, so its (I, v) blocks are zero.
 
     Hard errors: a local certificate failing its structure checks (P_i
-    not symmetric positive definite included), controllers whose eta
-    values imply different sigma_bar (the coupling weights then lose
-    their symmetry and nothing downstream holds), or a unit whose eta is
-    not sigma_bar C_i for the sigma_bar given here (Q would be built from
-    one sigma_bar and the Laplacian from another).  Semidefiniteness
-    findings are recorded in the certificate, not raised.
+    not symmetric positive definite included), an eta that is not a
+    finite number, controllers whose eta values imply different
+    sigma_bar (the coupling weights then lose their symmetry and nothing
+    downstream holds), or a unit whose eta is not sigma_bar C_i for the
+    sigma_bar given here (Q would be built from one sigma_bar and the
+    Laplacian from another).  Semidefiniteness findings are recorded in
+    the certificate, not raised.
     """
     start = time.perf_counter()
     ids = topology.ids
@@ -245,6 +246,9 @@ def check_global(controllers: Mapping[int, LocalController],
     li, lj = system.line_i, system.line_j
     # eta symmetry across each line; breaks iff sigma_bar is not shared
     eta = np.array([c.eta for c in ctrls], dtype=float)
+    if not np.all(np.isfinite(eta)):
+        bad = int(np.argmin(np.isfinite(eta)))
+        raise ValueError(f"DGU {ids[bad]}: eta must be a finite number")
     fwd, bwd = eta[li] * system.g_i, eta[lj] * system.g_j
     gap = np.abs(fwd - bwd)
     scale = np.maximum(np.abs(fwd), np.abs(bwd))
@@ -450,9 +454,10 @@ def check_lasalle_kernel(cert: GlobalCertificate,
     np.add.at(projected, units,
               pairs * np.einsum("ij,ij->i", pair[units], pairs)[:, None])
     missed_pair = pair - projected
-    sine = max(np.linalg.norm(missed_volt),
-               np.max(np.linalg.norm(missed_pair, axis=1)))
-    max_angle = float(np.arcsin(min(sine, 1.0)))
+    # np.maximum, not max: a NaN (from a NaN delta) must fail the fact
+    sine = np.maximum(np.linalg.norm(missed_volt),
+                      np.max(np.linalg.norm(missed_pair, axis=1)))
+    max_angle = float(np.arcsin(np.minimum(sine, 1.0)))
     return KernelReport(max_angle <= 1e-6, nullity, expected, max_angle)
 
 

@@ -60,7 +60,6 @@ from .synthesis import (
     LocalController,
     NumericalFailure,
     SynthesisConfig,
-    controller_to_json,
     local_dissipation,
     synthesize_all,
 )
@@ -188,6 +187,29 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # controller bundles
 
+def controller_to_json(dgu_id: int, ctrl: LocalController,
+                       cfg: SynthesisConfig) -> dict:
+    """One unit's bundle entry; controller_from_json reads it back."""
+    doc = {
+        "dgu_id": dgu_id,
+        "K": ctrl.k.tolist(),
+        "P": ctrl.p.tolist(),
+        "eta": ctrl.eta,
+        "sigma_bar": cfg.sigma_bar,
+        "delta": ctrl.delta,
+        "diagnostics": {
+            "gamma": np.asarray(ctrl.raw["gamma"]).tolist(),
+            "beta": ctrl.raw["beta"],
+            "zeta": ctrl.raw["zeta"],
+            "gain_norm": float(np.linalg.norm(ctrl.k)),
+            "gain_norm_bound": ctrl.norm_bound(),
+        },
+    }
+    if "solver" in ctrl.raw:
+        doc["diagnostics"]["solver"] = dict(ctrl.raw["solver"])
+    return doc
+
+
 def bundle_to_json(controllers: Mapping[int, LocalController],
                    cfg: SynthesisConfig) -> dict:
     return {
@@ -219,8 +241,9 @@ def controller_from_json(entry: Mapping) -> Tuple[np.ndarray,
     all entries at once.  Entries carrying only a gain (hand written, or
     exported from the baseline designs) have no certificate; those can
     be simulated and their closed loop inspected, but not certified.
-    K must be three finite numbers and P a finite, symmetric 3x3 array;
-    anything else is refused with the entry's DGU id.
+    K must be three finite numbers, P a finite, symmetric 3x3 array, and
+    eta and delta finite numbers; anything else is refused with the
+    entry's DGU id.
     """
     dgu_id = entry["dgu_id"]
     k = _finite(dgu_id, "gain K", entry["K"], (3,), "three finite numbers")
@@ -236,8 +259,10 @@ def controller_from_json(entry: Mapping) -> Tuple[np.ndarray,
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
         raw["solver"] = dict(diag["solver"])
-    return k, {"p": p, "eta": float(entry["eta"]),
-               "delta": float(entry["delta"]), "raw": raw}
+    scalars = {name: float(_finite(dgu_id, name, entry[name], (),
+                                   "a finite number"))
+               for name in ("eta", "delta")}
+    return k, {"p": p, "raw": raw, **scalars}
 
 
 def load_bundle(path, topology: MicrogridTopology
@@ -315,8 +340,8 @@ def cmd_synth(args) -> int:
         return EXIT_DENIED
     cfg, granted = designed
     with _timed(stages, "write"):
-        _write_or_print(json.dumps(bundle_to_json(granted, cfg), indent=2),
-                        args.out)
+        _write_or_print(json.dumps(bundle_to_json(granted, cfg), indent=2,
+                                   allow_nan=False), args.out)
     if args.timings:
         _print_timings(stages)
     return EXIT_OK
@@ -366,8 +391,8 @@ def cmd_certify(args) -> int:
         verdict = check_theorem1(cert, controllers, topology, kernel)
     with _timed(stages, "JSON write"):
         # compact: with an indent, json runs its pure-Python encoder
-        _write_or_print(json.dumps(certificate_to_json(cert, verdict,
-                                                       kernel)), args.out)
+        _write_or_print(json.dumps(certificate_to_json(cert, verdict, kernel),
+                                   allow_nan=False), args.out)
     if args.timings:
         _print_timings(stages)
     if verdict.verdict == PASS:
@@ -493,42 +518,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plug-and-play voltage control for DC microgrids: "
                     "design, certify, and replay.")
     sub = parser.add_subparsers(dest="command", required=True)
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timings", action="store_true",
+                       help="print the wall time of each stage to stderr")
 
-    synth = sub.add_parser("synth", help="design controllers for a scenario")
+    synth = sub.add_parser("synth", parents=[timed],
+                           help="design controllers for a scenario")
     synth.add_argument("scenario", help="scenario JSON file")
     synth.add_argument("--sigma-bar", type=float, default=None)
     synth.add_argument("--out", default=None, help="bundle JSON path "
                        "(stdout when omitted)")
-    synth.add_argument("--timings", action="store_true",
-                       help="print the wall time of each stage to stderr")
     synth.set_defaults(func=cmd_synth)
 
-    cert = sub.add_parser("certify", help="check a controller bundle "
-                          "against a scenario's grid")
+    cert = sub.add_parser("certify", parents=[timed],
+                          help="check a controller bundle against a "
+                          "scenario's grid")
     cert.add_argument("scenario")
     cert.add_argument("controllers", help="bundle JSON from synth")
     cert.add_argument("--out", default=None, help="certificate JSON path")
-    cert.add_argument("--timings", action="store_true",
-                      help="print the wall time of each stage to stderr")
     cert.set_defaults(func=cmd_certify)
 
-    sim = sub.add_parser("simulate", help="replay a scenario timeline")
+    sim = sub.add_parser("simulate", parents=[timed],
+                         help="replay a scenario timeline")
     sim.add_argument("scenario")
     sim.add_argument("--out", default=None, help="output directory "
                      "(default: current)")
     sim.add_argument("--dt", type=float, default=None)
     sim.add_argument("--sigma-bar", type=float, default=None)
     sim.add_argument("--line-model", choices=("qsl", "rl"), default=None)
-    sim.add_argument("--timings", action="store_true",
-                     help="print the wall time of each stage to stderr")
     sim.set_defaults(func=cmd_simulate)
 
     app = sub.add_parser("appendix-a", help="reproduce the centralized "
                          "baseline study")
     app.set_defaults(func=cmd_appendix_a)
 
-    swp = sub.add_parser("sweep", help="map design feasibility over a "
-                         "parameter box")
+    swp = sub.add_parser("sweep", parents=[timed],
+                         help="map design feasibility over a parameter box")
     swp.add_argument("--points", type=int, default=5)
     swp.add_argument("--sigma-bar", type=float, default=10.0)
     swp.add_argument("--r-t", type=float, nargs=2, default=None,
@@ -539,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar=("LO", "HI"))
     swp.add_argument("--out", default=None, help="directory for "
                      "sweep.csv and summary.json")
-    swp.add_argument("--timings", action="store_true",
-                     help="print the wall time of each stage to stderr")
     swp.set_defaults(func=cmd_sweep)
     return parser
 

@@ -20,9 +20,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .synthesis import LocalController
+
+#: A controller as the closed loop reads it: a synthesis result, or a bare
+#: gain row (baseline designs, gain-only bundles); only u = k x_hat counts.
+Gain = Union["LocalController", np.ndarray, Sequence[float]]
 
 
 class TopologyError(ValueError):
@@ -326,19 +333,29 @@ def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
                         1.0 / (r * c[line_i]), 1.0 / (r * c[line_j]))
 
 
+def gain_row(controller: Gain) -> np.ndarray:
+    """The gain row of a controller: its `k`, or the controller itself when
+    it is a bare row.  Anything but three finite numbers is a ValueError."""
+    k = np.asarray(getattr(controller, "k", controller), dtype=float)
+    if k.shape != (3,):
+        raise ValueError("a controller must provide a 3-entry gain row")
+    if not np.isfinite(k).all():
+        raise ValueError("a controller gain must be finite")
+    return k
+
+
 def closed_loop_blocks(system: GlobalSystem,
-                       controllers: Mapping[int, object]) -> np.ndarray:
+                       controllers: Mapping[int, Gain]) -> np.ndarray:
     """The (N, 3, 3) diagonal blocks of F = a_hat + b_hat K.
 
     Each is the unit's a_hat_ii with its QSL self term, plus the outer
-    product of its input column and its gain row; the rest of F is the
-    system's line conductances.  A controller is anything carrying a gain
-    row `k`, or the bare row itself, so baseline designs can be inspected
-    like synthesized ones.
+    product of its input column and its gain row (read by gain_row, so a
+    baseline design's bare row counts like a synthesized controller); the
+    rest of F is the system's line conductances.
     """
     n = len(system.ids)
-    gains = np.array([getattr(controllers[dgu_id], "k", controllers[dgu_id])
-                      for dgu_id in system.ids], dtype=float).reshape(n, 3)
+    gains = np.array([gain_row(controllers[dgu_id]) for dgu_id in system.ids],
+                     dtype=float).reshape(n, 3)
     # the whole stamp is added, zeros included, so every block is
     # (a_hat_ii + self term) + b_hat k entrywise, signed zeros as well
     stamp = np.zeros_like(system.unit_a)
@@ -347,7 +364,7 @@ def closed_loop_blocks(system: GlobalSystem,
 
 
 def closed_loop(system: GlobalSystem,
-                controllers: Mapping[int, object]) -> np.ndarray:
+                controllers: Mapping[int, Gain]) -> np.ndarray:
     """F = a_hat + b_hat K as a dense 3N x 3N array."""
     return system.expand(closed_loop_blocks(system, controllers))
 

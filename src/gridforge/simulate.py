@@ -28,9 +28,10 @@ from typing import (IO, ClassVar, Dict, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from . import _forks
-from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
-                    TopologyError, assemble_global, augmented_dgu,
-                    block_diagonal, closed_loop_blocks)
+from .model import (DguParams, Gain, LineParams, LoadModel,
+                    MicrogridTopology, TopologyError, assemble_global,
+                    augmented_dgu, block_diagonal, closed_loop_blocks,
+                    gain_row)
 from .synthesis import Denied, LocalController, SynthesisConfig, synthesize
 
 QSL = "qsl"
@@ -42,20 +43,6 @@ APPLIED = "applied"
 DIVERGENCE_LIMIT = 1e9
 CHECK_ROWS = 1024  # samples recorded between two divergence checks
 CSV_CHUNK = 4096  # trajectory rows formatted per write
-
-#: Controllers may be full synthesis results or bare gain rows; the
-#: simulator only needs u = k x_hat.
-Gain = Union[LocalController, np.ndarray, Sequence[float]]
-
-
-def _gain(controller: Gain) -> np.ndarray:
-    k = np.asarray(getattr(controller, "k", controller), dtype=float)
-    if k.shape != (3,):
-        raise ValueError("a controller must provide a 3-entry gain row")
-    if not np.all(np.isfinite(k)):
-        raise ValueError("a controller gain must be finite")
-    return k
-
 
 @dataclass(frozen=True)
 class PlugIn:
@@ -283,7 +270,7 @@ class _Segment:
         self.a, self.c = _build_ode(top, controllers, line_model)
         self.step = _step_map(self.a, self.c, dt)
         self._chunks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {1: self.step}
-        self.gains = np.vstack([_gain(controllers[i]) for i in self.ids])
+        self.gains = np.vstack([gain_row(controllers[i]) for i in self.ids])
         self.times: List[float] = []
         self.rows: List[np.ndarray] = []  # unit columns check() passed
         self.pending: List[np.ndarray] = []
@@ -452,12 +439,12 @@ def _apply_event(ev, top, controllers, state, line_model, cfg):
     plug-in adds the newcomer's controller to controllers and an accepted
     unplug drops the unit's; no other controller is touched."""
     if isinstance(ev, PlugIn):
-        snapshot = {i: _gain(c).copy() for i, c in controllers.items()}
+        snapshot = {i: gain_row(c).copy() for i, c in controllers.items()}
         result = attempt_plug_in(top, ev.dgu_id, ev.params, ev.lines, cfg)
         if isinstance(result, Denied):
             return state, top, f"denied: {result.reason}"
         for i, gain in snapshot.items():
-            if not np.array_equal(gain, _gain(controllers[i])):
+            if not np.array_equal(gain, gain_row(controllers[i])):
                 raise RuntimeError("plug-in protocol modified an existing"
                                    " controller")
         new_top = top.with_dgu(ev.dgu_id, ev.params, ev.lines)
@@ -498,8 +485,6 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
     controllers = dict(controllers)
     if set(controllers) != set(top.ids):
         raise ValueError("controllers must cover exactly the initial topology")
-    for ctrl in controllers.values():
-        _gain(ctrl)
 
     if initial_state is None:
         state = _default_state(scenario, top, controllers)

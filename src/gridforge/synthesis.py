@@ -6,6 +6,12 @@ a structured Lyapunov matrix P whose (1,1) entry is pinned to
 eta = sigma_bar * C_t; the network-wide constant sigma_bar is what lets the
 local certificates compose into a global one (see certify).
 
+A solver point becomes a controller by one route (_decide): the gain from
+G Y^-1, the k3 gate, the gain's membership of the local design set, the
+one structured P that gain admits, in closed form (ROADMAP item 1 derives
+the set and P), and an eigenvalue-level recheck.  The bundle file format
+lives in cli.
+
 The synthesis consumes only the DGU's own matrices, never the lines it
 happens to be attached to, which is what makes plug-in decisions local.
 """
@@ -236,49 +242,6 @@ def assemble_problem(dgu: AugmentedDgu, params: DguParams,
     return LmiProgram(11, objective, blocks)
 
 
-def _extract(sol: LmiSolution, params: DguParams,
-             cfg: SynthesisConfig) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """(k, p, raw) from a feasible solver point.
-
-    k comes from g Y^-1, inverted blockwise so the pinned zeros of Y are
-    honored exactly.  p is rebuilt from the gain via the closed-form
-    structure equations, which zeroes the cross terms of q_local to
-    machine precision; if the gain's sign pattern leaves that route (it
-    never has in practice), fall back to inverting Y directly.
-    """
-    eta = cfg.sigma_bar * params.c_t
-    y22, y23, y33, g1, g2, g3 = sol.x[:6]
-    gammas = sol.x[6:9].copy()
-    beta, zeta = float(sol.x[9]), float(sol.x[10])
-    y_tail = np.array([[y22, y23], [y23, y33]])
-    k_tail = np.linalg.solve(y_tail.T, np.array([g2, g3]))
-    k = np.array([g1 * eta, k_tail[0], k_tail[1]])
-
-    lt = params.l_t
-    b = (k[0] - 1.0) / lt
-    c = (k[1] - params.r_t) / lt
-    d = k[2] / lt
-    if c < 0.0 and d > 0.0 and (d - b * c) < 0.0:
-        p23 = cfg.sigma_bar * d / (d - b * c)
-        p22 = cfg.sigma_bar * c / (d - b * c)
-        p33 = b * p23
-    else:
-        p_tail = np.linalg.inv(y_tail)
-        p22, p23, p33 = p_tail[0, 0], p_tail[0, 1], p_tail[1, 1]
-    p = np.array([[eta, 0.0, 0.0],
-                  [0.0, p22, p23],
-                  [0.0, p23, p33]])
-    raw = {
-        "y": _y_matrix(eta, y22, y23, y33),
-        "g": np.array([g1, g2, g3]),
-        "gamma": gammas,
-        "beta": beta,
-        "zeta": zeta,
-        "margins": sol.margins.copy(),
-    }
-    return k, p, raw
-
-
 def _verify_invariants(k, p, q, delta, raw, eta) -> Optional[str]:
     """Eigenvalue-level recheck of everything LocalController promises."""
     norm_p = np.linalg.norm(p)
@@ -311,18 +274,45 @@ def _verify_invariants(k, p, q, delta, raw, eta) -> Optional[str]:
 def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
             cfg: SynthesisConfig,
             ) -> Union[LocalController, Denied, NumericalFailure]:
-    """The verdict on one unit from its solver result."""
+    """The verdict on one unit from its solver point, in one pass.
+
+    k comes from G Y^-1, with Y's trailing block solved on its own so the
+    pinned zeros of Y hold exactly, and a k3 that is numerically zero is
+    denied.  With b = (k1 - 1)/L_t, c = (k2 - R_t)/L_t and d = k3/L_t, a
+    structured P with P[0,0] = eta exists only in the local design set
+    c < 0, d > 0, d - bc < 0, that is k1 < 1, k2 < R_t and
+    0 < k3 < (k1 - 1)(k2 - R_t)/L_t, and it is then unique: the closed
+    form below (derived in ROADMAP item 1).  A gain outside the set is a
+    breakdown.  The controller is rechecked by _verify_invariants.
+    """
     if sol.status == INFEASIBLE:
         return Denied("local LMI infeasible")
     if sol.status == NUMERICAL_FAILURE:
         return NumericalFailure("LMI solver did not converge")
-    k, p, raw = _extract(sol, params, cfg)
+    eta = cfg.sigma_bar * params.c_t
+    y22, y23, y33, g1, g2, g3 = sol.x[:6]
+    k_tail = np.linalg.solve(np.array([[y22, y23], [y23, y33]]).T,
+                             np.array([g2, g3]))
+    k = np.array([g1 * eta, k_tail[0], k_tail[1]])
     if abs(k[2]) <= K3_FLOOR * np.linalg.norm(k):
         return Denied("k3 is numerically zero; re-weight the objective "
                       "and synthesize again")
+    b = (k[0] - 1.0) / params.l_t
+    c = (k[1] - params.r_t) / params.l_t
+    d = k[2] / params.l_t
+    if not (c < 0.0 and d > 0.0 and (d - b * c) < 0.0):
+        return NumericalFailure("extracted controller invalid: gain outside "
+                                "the local design set")
+    p23 = cfg.sigma_bar * d / (d - b * c)
+    p22 = cfg.sigma_bar * c / (d - b * c)
+    p = np.array([[eta, 0.0, 0.0],
+                  [0.0, p22, p23],
+                  [0.0, p23, b * p23]])
+    raw = {"y": _y_matrix(eta, y22, y23, y33), "g": np.array([g1, g2, g3]),
+           "gamma": sol.x[6:9].copy(), "beta": float(sol.x[9]),
+           "zeta": float(sol.x[10]), "margins": sol.margins.copy()}
     delta = -(k[1] - params.r_t) / k[2]
     q = local_dissipation(dgu.a_hat_ii, dgu.b_hat[:, 0], k, p)
-    eta = cfg.sigma_bar * params.c_t
     problem = _verify_invariants(k, p, q, delta, raw, eta)
     if problem is not None:
         return NumericalFailure(f"extracted controller invalid: {problem}")
@@ -431,25 +421,3 @@ def verify_k1_identity(ctrl: LocalController, params: DguParams,
     lt = params.l_t
     predicted = 1.0 - lt / ctrl.delta - cfg.sigma_bar * lt / ctrl.p[1, 1]
     return float(abs(ctrl.k[0] - predicted))
-
-
-def controller_to_json(dgu_id: int, ctrl: LocalController,
-                       cfg: SynthesisConfig) -> dict:
-    doc = {
-        "dgu_id": dgu_id,
-        "K": ctrl.k.tolist(),
-        "P": ctrl.p.tolist(),
-        "eta": ctrl.eta,
-        "sigma_bar": cfg.sigma_bar,
-        "delta": ctrl.delta,
-        "diagnostics": {
-            "gamma": np.asarray(ctrl.raw["gamma"]).tolist(),
-            "beta": ctrl.raw["beta"],
-            "zeta": ctrl.raw["zeta"],
-            "gain_norm": float(np.linalg.norm(ctrl.k)),
-            "gain_norm_bound": ctrl.norm_bound(),
-        },
-    }
-    if "solver" in ctrl.raw:
-        doc["diagnostics"]["solver"] = dict(ctrl.raw["solver"])
-    return doc

@@ -257,6 +257,16 @@ class TestGlobal:
                            match="DGU 1: eta .* is not sigma_bar \\* C_t"):
             check_global(ctrls, top, sigma_bar)
 
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_non_finite_eta_refused_by_id(self, pair, eta):
+        # refused before the eta symmetry check divides by it
+        top, ctrls = pair
+        c2 = ctrls[2]
+        bad = LocalController(c2.k, c2.p, eta, c2.raw, c2.delta, c2.q_local)
+        with pytest.raises(ValueError,
+                           match="^DGU 2: eta must be a finite number$"):
+            check_global({1: ctrls[1], 2: bad}, top, 10.0)
+
     def test_wrong_controller_set_raises(self, pair):
         top, ctrls = pair
         with pytest.raises(ValueError, match="cover exactly"):
@@ -666,6 +676,16 @@ class TestLasalleKernel:
         assert not report.passed
         assert (report.nullity, report.expected_nullity) == (2, 3)
         assert report.max_principal_angle == np.pi / 2.0
+
+    def test_nan_delta_fails(self, pair, pair_cert):
+        # the kernel comes from Q alone; delta enters only the prediction
+        _, ctrls = pair
+        c1 = ctrls[1]
+        bad = {1: LocalController(c1.k, c1.p, c1.eta, c1.raw, np.nan,
+                                  c1.q_local), 2: ctrls[2]}
+        report = check_lasalle_kernel(pair_cert, bad)
+        assert not report.passed
+        assert np.isnan(report.max_principal_angle)
 
     def test_single_dgu(self):
         params = dgu(0.3, 2.5e-3, 1.9e-3)

@@ -347,6 +347,19 @@ class TestCertify:
         assert cli.main(["certify", scenario, path]) == 1
         assert f"error: DGU 2: controller {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["eta", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "x"])
+    def test_non_finite_scalar_is_refused_by_name(self, bundle_file,
+                                                  tmp_path, capsys, field,
+                                                  value):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        payload["controllers"][0][field] = value
+        path = write_json(tmp_path / "scalar.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: DGU 1: controller {field} must be a finite number\n")
+
     def test_indefinite_p_is_refused_by_name(self, bundle_file, tmp_path,
                                              capsys):
         scenario, bundle = bundle_file
@@ -358,6 +371,19 @@ class TestCertify:
         assert cli.main(["certify", scenario, path]) == 1
         assert ("local certificate of DGU 1 fails structure checks"
                 in capsys.readouterr().err)
+
+    def test_packaged_outputs_are_strict_json(self, tmp_path):
+        # no NaN or Infinity token, which JSON itself does not have
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        scenario = str(cli.packaged_scenario_path())
+        bundle, cert = tmp_path / "bundle.json", tmp_path / "cert.json"
+        assert cli.main(["synth", scenario, "--out", str(bundle)]) == 0
+        assert cli.main(["certify", scenario, str(bundle),
+                         "--out", str(cert)]) == 0
+        for path in (bundle, cert):
+            json.loads(path.read_text(), parse_constant=refuse)
 
     def test_timings_go_to_stderr(self, bundle_file, tmp_path, capsys):
         scenario, bundle = bundle_file

@@ -199,6 +199,16 @@ class TestGlobalAssembly:
 
 
 class TestAppendixBlocks:
+    @pytest.mark.parametrize("gain, message", [
+        ([np.nan, 0.0, 1.0], "a controller gain must be finite"),
+        ([0.0, 1.0], "a controller must provide a 3-entry gain row"),
+    ])
+    def test_bad_gain_row_refused(self, gain, message):
+        # the message simulate gives, from the one gain-row rule
+        g = assemble_global(two_dgu_topology())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            closed_loop_blocks(g, {**zero_gains(g), 1: gain})
+
     def test_self_term_folding(self):
         g = assemble_global(two_dgu_topology())
         blocks = closed_loop_blocks(g, zero_gains(g))

@@ -11,6 +11,7 @@ from gridforge import sweep as sw
 from gridforge.certify import check_local_structure
 from gridforge.sweep import GREEN_BOX, SweepGrid, run_sweep
 from gridforge.synthesis import NumericalFailure, SynthesisConfig, synthesize
+from test_synthesis import in_design_set
 
 # 2x2x2 corners strictly inside the default box keep the suite quick
 SMALL = SweepGrid(r_t=(0.1, 0.8), l_t=(2e-3, 8e-3), c_t=(1.5e-3, 4e-3),
@@ -79,6 +80,10 @@ class TestRunSweep:
             assert report.passed
             gain = np.linalg.norm(pt.controller.k, 2)
             assert gain < pt.controller.norm_bound()
+
+    def test_grants_lie_inside_the_design_set(self, small_result):
+        for pt in small_result.feasible_points():
+            assert in_design_set(pt.controller.k, pt.r_t, pt.l_t)
 
     def test_rerun_is_identical(self, small_result):
         again = run_sweep(SMALL)

@@ -6,6 +6,7 @@ import pytest
 
 import gridforge.synthesis as synth
 import test_simulate
+from gridforge.cli import controller_to_json
 from gridforge.lmi import MAX_ITER, LmiSolution
 from gridforge.model import (
     DguParams,
@@ -21,7 +22,6 @@ from gridforge.synthesis import (
     NumericalFailure,
     SynthesisConfig,
     assemble_problem,
-    controller_to_json,
     synthesize,
     synthesize_all,
     synthesize_batch,
@@ -31,6 +31,13 @@ from gridforge.synthesis import (
 
 def dgu(r_t=0.1, l_t=1.8e-3, c_t=2.2e-3):
     return DguParams(r_t, l_t, c_t, LoadModel.constant_current(0.0), 48.0)
+
+
+def in_design_set(k, r_t, l_t):
+    """k1 < 1, k2 < R_t and 0 < k3 < (k1 - 1)(k2 - R_t)/L_t, strictly."""
+    k1, k2, k3 = k
+    return bool(k1 < 1.0 and k2 < r_t
+                and 0.0 < k3 < (k1 - 1.0) * (k2 - r_t) / l_t)
 
 
 CFG = SynthesisConfig(10.0)
@@ -154,6 +161,29 @@ class TestSynthesize:
         out = synthesize(augmented_dgu(p), p, CFG)
         assert isinstance(out, Denied)
         assert "k3" in out.reason
+
+    def test_grant_lies_inside_the_design_set(self, table_controller):
+        params, ctrl = table_controller
+        assert in_design_set(ctrl.k, params.r_t, params.l_t)
+
+    def test_negative_k3_is_outside_the_design_set(self, monkeypatch):
+        # Y's trailing block is I, so k = (g1 eta, g2, g3) = (0, 0, -1):
+        # |k3| is far above the k3 gate, but no structured P exists
+        x = np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, 1.0, 1.0, 4.0, 10.0])
+        fake = LmiSolution("Optimal", x, 0.0, np.ones(8))
+        monkeypatch.setattr(synth, "solve_batch",
+                            lambda progs: [fake for _ in progs])
+        p = dgu()
+        with pytest.raises(NumericalFailure, match=r"^extracted controller "
+                           r"invalid: gain outside the local design set$"):
+            synthesize(augmented_dgu(p), p, CFG)
+
+    def test_tiny_filter_gain_is_outside_the_design_set(self):
+        # the solver stops Feasible at this point with k3 < 0
+        p = dgu(r_t=1e-3, l_t=1e-5, c_t=1e-5)
+        with pytest.raises(NumericalFailure, match=r"^extracted controller "
+                           r"invalid: gain outside the local design set$"):
+            synthesize(augmented_dgu(p), p, CFG)
 
     def test_solver_breakdown_raises(self, monkeypatch):
         fake = LmiSolution("NumericalFailure", None, None, None)
