@@ -15,8 +15,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .model import (DguParams, LineParams, LoadModel, MicrogridTopology,
-                    assemble_global, closed_loop, closed_loop_blocks,
-                    controllability_matrix)
+                    _positive, assemble_global, closed_loop,
+                    closed_loop_blocks, controllability_matrix)
 from .synthesis import Denied, SynthesisConfig, synthesize_all
 
 LQR = "lqr"
@@ -75,8 +75,7 @@ class LqrSpec:
             raise ValueError("q must be diagonal with nonnegative entries")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        if not np.isfinite(self.r) or self.r <= 0:
-            raise ValueError("r must be positive")
+        _positive("r", self.r)
 
 
 LQR_WEIGHTS = (

@@ -295,17 +295,15 @@ def check_global(controllers: Mapping[int, LocalController],
     # and zero
     bc_max_eig = max(np.linalg.eigvalsh(_voltage_block(
         bc_diag[:, 0, 0], system, line_weights))[-1], 0.0)
-    bc_dropped = np.concatenate([own[:, 1:].ravel(), own[:, 1:].ravel(),
-                                 line_dropped, line_dropped])
 
     laplacian = build_laplacian(topology, sigma_bar)
     # the coupling quadratic form lives on the voltage rows alone; its
     # restriction there must be the Laplacian entrywise (both vanish off
-    # the diagonal and the lines)
+    # the diagonal and the lines; both are symmetric, so one triangle of
+    # the lines will do)
     expansion_err = float(np.max(np.abs(np.concatenate([
         bc_diag[:, 0, 0] - np.diagonal(laplacian),
-        line_weights - laplacian[li, lj],
-        line_weights - laplacian[lj, li]]))))
+        line_weights - laplacian[li, lj]]))))
     offrow_err = float(np.max(np.abs(np.concatenate(
         [own[:, 1:].ravel(), line_dropped])), initial=0.0))
 
@@ -326,11 +324,12 @@ def check_global(controllers: Mapping[int, LocalController],
         # the block diagonal of the q_local: its spectrum is theirs,
         # measured by the local checks
         "block_a_max_eig": float(np.max(local["q_max_eig"])),
-        # the largest entry the two splits drop is direct_sum_residual
+        # the largest entry the two splits drop is direct_sum_residual;
+        # the line part's are coupling_nonvoltage_rows
         "block_bc_max_eig": float(bc_max_eig),
         "q_global_max_eig": float(w_q[-1]),
         "direct_sum_residual": float(max(np.max(np.abs(q_dropped)),
-                                         np.max(np.abs(bc_dropped)))),
+                                         offrow_err)),
         # Q and the line part share their off-diagonal blocks, so Q minus
         # the two parts can differ from zero only on the diagonal blocks
         "split_residual": float(np.max(np.abs(q_diag - q_local - bc_diag))),

@@ -6,8 +6,10 @@ the contract: 0 success, 1 bad input or numerical breakdown, 2 a refusal
 (controller denied, certificate not granted).
 
 Scenario files are plain JSON in SI units (ohm, henry, farad, volt,
-second), no unit strings, so fixtures diff cleanly.  Parse and serialize
-are exact inverses on the parsed object.
+second), no unit strings, so fixtures diff cleanly.  They are read,
+never written.  Every id (a unit's, a line end's, an event's unit, a
+bundle entry's) is a whole number, and a scenario or bundle names each
+unit once.
 """
 
 from __future__ import annotations
@@ -80,12 +82,17 @@ def packaged_scenario_path() -> pathlib.Path:
 # ---------------------------------------------------------------------------
 # scenario files
 
+def _id(obj: Mapping, field: str) -> int:
+    """obj[field] as a unit id: a JSON number with no fraction, not a bool
+    or a string."""
+    value = obj[field]
+    if type(value) not in (int, float) or value % 1 != 0:
+        raise ValueError(f"{field} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def _load_from_json(obj: Mapping) -> LoadModel:
     return LoadModel(str(obj["type"]), float(obj["value"]))
-
-
-def _load_to_json(load: LoadModel) -> dict:
-    return {"type": load.kind, "value": load.value}
 
 
 def _params_from_json(obj: Mapping) -> DguParams:
@@ -94,55 +101,35 @@ def _params_from_json(obj: Mapping) -> DguParams:
                      v_ref=float(obj["v_ref"]))
 
 
-def _params_to_json(params: DguParams) -> dict:
-    return {"r_t": params.r_t, "l_t": params.l_t, "c_t": params.c_t,
-            "load": _load_to_json(params.load), "v_ref": params.v_ref}
-
-
 def _line_from_json(obj: Mapping) -> LineParams:
     l = obj.get("l")
-    return LineParams(int(obj["i"]), int(obj["j"]), float(obj["r"]),
+    return LineParams(_id(obj, "i"), _id(obj, "j"), float(obj["r"]),
                       None if l is None else float(l))
-
-
-def _line_to_json(line: LineParams) -> dict:
-    out = {"i": line.i, "j": line.j, "r": line.r}
-    if line.l is not None:
-        out["l"] = line.l
-    return out
 
 
 def _event_from_json(obj: Mapping):
     t = float(obj["t"])
     kind = str(obj["type"])
     if kind == PlugIn.kind:
-        return PlugIn(t, int(obj["dgu"]), _params_from_json(obj["params"]),
+        return PlugIn(t, _id(obj, "dgu"), _params_from_json(obj["params"]),
                       tuple(_line_from_json(ln) for ln in obj["lines"]))
     if kind == Unplug.kind:
-        return Unplug(t, int(obj["dgu"]))
+        return Unplug(t, _id(obj, "dgu"))
     if kind == LoadStep.kind:
-        return LoadStep(t, int(obj["dgu"]), _load_from_json(obj["load"]))
+        return LoadStep(t, _id(obj, "dgu"), _load_from_json(obj["load"]))
     if kind == RefStep.kind:
-        return RefStep(t, int(obj["dgu"]), float(obj["v_ref"]))
+        return RefStep(t, _id(obj, "dgu"), float(obj["v_ref"]))
     raise ValueError(f"unknown event type {kind!r}")
-
-
-def _event_to_json(event) -> dict:
-    out = {"t": event.t, "type": event.kind, "dgu": event.dgu_id}
-    if isinstance(event, PlugIn):
-        out["params"] = _params_to_json(event.params)
-        out["lines"] = [_line_to_json(ln) for ln in event.lines]
-    elif isinstance(event, LoadStep):
-        out["load"] = _load_to_json(event.load)
-    elif isinstance(event, RefStep):
-        out["v_ref"] = event.v_ref
-    return out
 
 
 def parse_scenario(payload: Mapping) -> Scenario:
     try:
-        dgus = {int(entry["id"]): _params_from_json(entry)
-                for entry in payload["dgus"]}
+        dgus = {}
+        for entry in payload["dgus"]:
+            dgu_id = _id(entry, "id")
+            if dgu_id in dgus:
+                raise ValueError(f"scenario names DGU {dgu_id} twice")
+            dgus[dgu_id] = _params_from_json(entry)
         lines = tuple(_line_from_json(entry) for entry in payload["lines"])
         alphas = payload.get("alphas")
         knobs = {name: cast(payload[name]) for name, cast in
@@ -159,24 +146,6 @@ def parse_scenario(payload: Mapping) -> Scenario:
         )
     except KeyError as exc:
         raise ValueError(f"scenario file is missing field {exc}") from None
-
-
-def scenario_to_json(scenario: Scenario) -> dict:
-    top = scenario.initial_topology
-    payload = {"sigma_bar": scenario.sigma_bar}
-    if scenario.alphas is not None:
-        payload["alphas"] = list(scenario.alphas)
-    payload.update({
-        "t_end": scenario.t_end,
-        "dt": scenario.dt,
-        "record_dt": scenario.record_dt,
-        "line_model": scenario.line_model,
-        "dgus": [{"id": dgu_id, **_params_to_json(top.dgus[dgu_id])}
-                 for dgu_id in top.ids],
-        "lines": [_line_to_json(ln) for ln in top.lines],
-        "events": [_event_to_json(ev) for ev in scenario.events],
-    })
-    return payload
 
 
 def load_scenario(path) -> Scenario:
@@ -277,7 +246,7 @@ def load_bundle(path, topology: MicrogridTopology
     controllers = {}
     certified = {}
     for entry in payload["controllers"]:
-        dgu_id = int(entry["dgu_id"])
+        dgu_id = _id(entry, "dgu_id")
         if dgu_id not in topology.dgus:
             raise ValueError(f"bundle names DGU {dgu_id}, "
                              "absent from the scenario")

@@ -434,10 +434,6 @@ class _Centering:
             run, x = self.runs[i], st["x"][i].copy()
             run.budget = int(st["budget"][i])
             t = run.after(self.phase, st["t"][i], x, outcome[i])
-            # a stall that spends the last unit outranks "budget" and may
-            # be sent back with no step left: settle it on the budget rule
-            if t is not None and run.budget <= 0:
-                t = run.after(self.phase, t, x, "budget")
             stay[i] = restart[i] = t is not None
             if t is not None:
                 st["t"][i] = t
@@ -600,6 +596,9 @@ class _Run:
         at t ends at x with outcome (a name from _Centering, or the
         breakdown), its steps charged.  Returns the next t, or None once
         the run has its solution or, in phase I, its phase-II start point.
+        A centering that would go on at a larger t with no step left (a
+        stall on the last step) ends on the budget rule instead:
+        NumericalFailure in phase I, Feasible at x in phase II.
         """
         if isinstance(outcome, Exception):
             # after phase-II progress, x is a point the line search
@@ -626,6 +625,8 @@ class _Run:
                     return None
                 return self.finish(INFEASIBLE if outcome == "converged"
                                    else NUMERICAL_FAILURE, None)
+            if self.budget <= 0:
+                return self.finish(NUMERICAL_FAILURE, None)
             return 10.0 * t
         # phase II: the central path on the real objective
         if outcome == "budget":
@@ -644,7 +645,7 @@ class _Run:
         if gap <= TOL_GAP:
             return self.finish(OPTIMAL, x)
         t = 10.0 * t
-        return t if t < 1e18 else self.finish(FEASIBLE, x)
+        return t if t < 1e18 and self.budget > 0 else self.finish(FEASIBLE, x)
 
 
 def solve_batch(programs: Iterable[LmiProgram]) -> List[LmiSolution]:

@@ -76,11 +76,6 @@ class LoadModel:
     def resistive(cls, r_l: float) -> "LoadModel":
         return cls("resistance", float(r_l))
 
-    def current_at(self, voltage: float) -> float:
-        if self.kind == "current":
-            return self.value
-        return voltage / self.value
-
 
 @dataclass(frozen=True)
 class DguParams:

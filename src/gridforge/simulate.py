@@ -29,9 +29,9 @@ import numpy as np
 
 from . import _forks
 from .model import (DguParams, Gain, LineParams, LoadModel,
-                    MicrogridTopology, TopologyError, assemble_global,
-                    augmented_dgu, block_diagonal, closed_loop_blocks,
-                    gain_row)
+                    MicrogridTopology, TopologyError, _positive,
+                    assemble_global, augmented_dgu, block_diagonal,
+                    closed_loop_blocks, gain_row)
 from .synthesis import Denied, LocalController, SynthesisConfig, synthesize
 
 QSL = "qsl"
@@ -89,7 +89,10 @@ class Scenario:
     """Experiment description: initial grid, timeline, integration knobs.
 
     Event times must be sorted and lie strictly inside (0, t_end); ties
-    are allowed and fire in list order.  alphas, when given, override the
+    are allowed and fire in list order.  sigma_bar, t_end, dt and
+    record_dt must be positive, and of dt and record_dt one must be a
+    whole multiple of the other (within 1e-9 relative), so the recorded
+    rows fall on the record grid.  alphas, when given, override the
     synthesis objective weights in synthesis_config(), which designs the
     plug-in newcomers during the run and, in the CLI, the initial units.
     """
@@ -105,9 +108,12 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("sigma_bar", "t_end", "dt", "record_dt"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            _positive(name, getattr(self, name))
+        ratio = max(self.dt, self.record_dt) / min(self.dt, self.record_dt)
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(
+                f"dt {self.dt:g} and record_dt {self.record_dt:g} must be"
+                " whole multiples of one another")
         if self.line_model not in (QSL, RL):
             raise ValueError(f"line_model must be {QSL!r} or {RL!r}")
         events = tuple(self.events)
@@ -505,11 +511,13 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
 
     seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
     segments = [seg]
-    cut = seg.add(0.0, state) or seg.check()
-    if cut is not None:
-        state, diverged = cut
-
-    while diverged is None and t_cursor < scenario.t_end:
+    while True:
+        # the sample at t = 0, or after a stretch and its events
+        cut = seg.add(t_cursor, state) or seg.check()
+        if cut is not None:
+            state, diverged = cut
+        if diverged is not None or t_cursor >= scenario.t_end:
+            break
         t_next = pending[0].t if pending else scenario.t_end
         state, t_cursor, diverged = seg.run(state, t_cursor, t_next,
                                             scenario.record_dt)
@@ -527,9 +535,6 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
         if changed:
             seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
             segments.append(seg)
-        cut = seg.add(t_cursor, state) or seg.check()
-        if cut is not None:
-            state, diverged = cut
 
     return _assemble(segments, records, top, state, diverged)
 

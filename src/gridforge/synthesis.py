@@ -37,7 +37,8 @@ from .lmi import (
     solve_batch,
     sym_eig,
 )
-from .model import AugmentedDgu, DguParams, MicrogridTopology, augmented_dgu
+from .model import (AugmentedDgu, DguParams, MicrogridTopology, _positive,
+                    augmented_dgu)
 
 DEFAULT_ALPHAS = (1e-4, 1e-4, 1e-4, 1e-2, 1e-2)
 
@@ -73,8 +74,7 @@ class SynthesisConfig:
     alphas: Tuple[float, float, float, float, float] = DEFAULT_ALPHAS
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_bar) and self.sigma_bar > 0):
-            raise ValueError("sigma_bar must be positive")
+        _positive("sigma_bar", self.sigma_bar)
         alphas = tuple(float(a) for a in self.alphas)
         if len(alphas) != 5 or any(a <= 0 or not np.isfinite(a) for a in alphas):
             raise ValueError("alphas must be five positive weights")

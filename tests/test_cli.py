@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gridforge import baselines, cli
+from gridforge.model import DguParams, LineParams, LoadModel, MicrogridTopology
 from gridforge.simulate import (LoadStep, PlugIn, RefStep, Scenario,
                                 Unplug)
 from test_certify import closed_form_controller
@@ -40,6 +41,12 @@ def read_json(path):
     return json.loads(pathlib.Path(path).read_text())
 
 
+def set_path(payload, path, value):
+    for key in path[:-1]:
+        payload = payload[key]
+    payload[path[-1]] = value
+
+
 def timing_stages(err):
     """The stage names of --timings lines on stderr, each line checked."""
     for line in err.splitlines():
@@ -63,15 +70,17 @@ def bundle_file(tmp_path_factory):
 
 
 class TestScenarioFormat:
-    def test_round_trip_is_identity(self, small_file):
-        first = cli.load_scenario(small_file)
-        assert first.events == (RefStep(0.02, 1, 48.0),)
-        again = cli.parse_scenario(cli.scenario_to_json(first))
-        assert again == first
-
-    def test_packaged_scenario_round_trips(self):
-        sc = cli.load_scenario(cli.packaged_scenario_path())
-        assert cli.parse_scenario(cli.scenario_to_json(sc)) == sc
+    def test_parse_gives_the_written_scenario(self, small_file):
+        top = MicrogridTopology(
+            {1: DguParams(0.1, 1.8e-3, 2.2e-3, LoadModel.resistive(10.0),
+                          47.9),
+             2: DguParams(0.2, 1.7e-3, 2.0e-3, LoadModel.resistive(6.0),
+                          48.06)},
+            (LineParams(1, 2, 0.05, 2.1e-6),))
+        assert cli.load_scenario(small_file) == Scenario(
+            top, 10.0, events=(RefStep(0.02, 1, 48.0),), t_end=0.05,
+            dt=1e-5, line_model="qsl", alphas=(1e-4, 1e-4, 1e-4, 1e-6, 1e-6),
+            record_dt=1e-4)
 
     def test_packaged_scenario_timeline(self):
         sc = cli.load_scenario(cli.packaged_scenario_path())
@@ -107,14 +116,40 @@ class TestScenarioFormat:
         payload = json.loads(json.dumps(SMALL))
         del payload["lines"][0]["l"]
         sc = cli.parse_scenario(payload)
+        assert sc.initial_topology.lines == (LineParams(1, 2, 0.05),)
         assert sc.initial_topology.lines[0].l is None
-        assert "l" not in cli.scenario_to_json(sc)["lines"][0]
 
     def test_current_load_parses(self):
         payload = json.loads(json.dumps(SMALL))
         payload["dgus"][0]["load"] = {"type": "current", "value": 5.0}
         sc = cli.parse_scenario(payload)
         assert sc.initial_topology.dgus[1].load.kind == "current"
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("path", [
+        ("dgus", 1, "id"), ("lines", 0, "i"), ("lines", 0, "j"),
+        ("events", 0, "dgu")], ids=["dgus.id", "lines.i", "lines.j",
+                                    "events.dgu"])
+    def test_id_must_be_a_whole_number(self, tmp_path, capsys, path, value):
+        payload = json.loads(json.dumps(SMALL))
+        set_path(payload, path, value)
+        code = cli.main(["synth", write_json(tmp_path / "s.json", payload)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path[-1]} must be a whole number, not {value!r}\n")
+
+    def test_whole_float_id_is_read_as_an_int(self):
+        payload = json.loads(json.dumps(SMALL))
+        payload["lines"][0]["j"] = 2.0
+        assert cli.parse_scenario(payload).initial_topology.lines[0].j == 2
+
+    def test_repeated_dgu_is_refused(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(SMALL))
+        payload["dgus"].append(dict(payload["dgus"][0], r_t=0.3))
+        code = cli.main(["synth", write_json(tmp_path / "s.json", payload)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scenario names DGU 1 twice\n")
 
 
 class TestSynth:
@@ -360,6 +395,17 @@ class TestCertify:
         assert capsys.readouterr().err == (
             f"error: DGU 1: controller {field} must be a finite number\n")
 
+    @pytest.mark.parametrize("value", [1.7, True])
+    def test_bundle_id_must_be_a_whole_number(self, bundle_file, tmp_path,
+                                              capsys, value):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        payload["controllers"][0]["dgu_id"] = value
+        path = write_json(tmp_path / "id.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dgu_id must be a whole number, not {value!r}\n")
+
     def test_indefinite_p_is_refused_by_name(self, bundle_file, tmp_path,
                                              capsys):
         scenario, bundle = bundle_file
@@ -448,6 +494,15 @@ class TestSimulate:
         table = (flag / "trajectory.csv").read_bytes()
         assert table == (edited / "trajectory.csv").read_bytes()
         assert table != (tmp_path / "trajectory.csv").read_bytes()
+
+    def test_dt_off_the_record_grid_exits_one(self, small_file, tmp_path,
+                                              capsys):
+        assert cli.main(["simulate", small_file, "--out", str(tmp_path),
+                         "--dt", "3e-5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: dt 3e-05 and record_dt 0.0001 must be whole multiples"
+            " of one another\n")
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_divergence_exits_one(self, small_file, tmp_path, capsys):
         # dt = 5e-4 is past RK4's stability limit for these gains

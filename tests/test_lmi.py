@@ -227,6 +227,16 @@ class TestStatuses:
             assert sol.status == "Feasible"
             assert len(sol.iterations) == budget
 
+    def test_phase1_stall_with_no_step_left_is_a_failure(self):
+        # no workload program stalls in phase I; one that did on its last
+        # step, far from the phase-I stop rules, must not go on at 10 t
+        run = _Run(synthesis_program(0.05, 1e-3, 1e-3))
+        run.budget = 0
+        x = np.concatenate([np.zeros(run.n), [0.5]])
+        assert run.after(1, 1.0, x, "stalled") is None
+        assert run.solution.status == "NumericalFailure"
+        assert run.solution.x is None and run.phase1 is None
+
     def test_strict_margin(self):
         sol = solve(LmiProgram(1, [1.0], (scalar_block(0.0, 1.0, strict=True),)))
         assert sol.status == "Optimal"

@@ -59,6 +59,20 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="inductance"):
             Scenario(top, 10.0, t_end=1.0, line_model=RL)
 
+    def test_dt_and_record_dt_must_be_whole_multiples(self, pair):
+        top, _ = pair
+        with pytest.raises(ValueError, match="^dt 3e-05 and record_dt 0.0001"
+                           " must be whole multiples of one another$"):
+            Scenario(top, 10.0, t_end=1.0, dt=3e-5)
+        with pytest.raises(ValueError, match="dt 0.0001 and record_dt 3e-05"):
+            Scenario(top, 10.0, t_end=1.0, dt=1e-4, record_dt=3e-5)
+
+    @pytest.mark.parametrize("dt", [1e-5, 2e-5, 5e-6, 2.5e-6, 1e-5 / 16,
+                                    1e-4, 5e-4])
+    def test_steps_in_use_fit_the_record_grid(self, pair, dt):
+        top, _ = pair
+        assert Scenario(top, 10.0, t_end=1.0, dt=dt).dt == dt
+
     def test_unknown_line_model(self, pair):
         top, _ = pair
         with pytest.raises(ValueError, match="line_model"):
