@@ -9,7 +9,9 @@ Scenario files are plain JSON in SI units (ohm, henry, farad, volt,
 second), no unit strings, so fixtures diff cleanly.  They are read,
 never written.  Every id (a unit's, a line end's, an event's unit, a
 bundle entry's) is a whole number, and a scenario or bundle names each
-unit once.
+unit once.  Every other number in either file is a finite JSON number, an
+int or a float; a bool, a string or a non-finite value is refused naming
+its field (_number).
 """
 
 from __future__ import annotations
@@ -91,24 +93,41 @@ def _id(obj: Mapping, field: str) -> int:
     return int(value)
 
 
+def _number(value, field: str, shape: Tuple[int, ...] = (),
+            what: str = "a finite number"):
+    """value as a float, read from a JSON number: an int or a float, finite,
+    not a bool, a string or null.  With a shape, value is nested lists of
+    such numbers in that shape, read as nested lists of floats.  Anything
+    else raises ValueError(f"{field} must be {what}")."""
+    def read(v, shape):
+        if not shape:
+            if type(v) in (int, float) and abs(v) <= sys.float_info.max:
+                return float(v)
+        elif type(v) is list and len(v) == shape[0]:
+            return [read(x, shape[1:]) for x in v]
+        raise ValueError(f"{field} must be {what}")
+    return read(value, shape)
+
+
 def _load_from_json(obj: Mapping) -> LoadModel:
-    return LoadModel(str(obj["type"]), float(obj["value"]))
+    return LoadModel(str(obj["type"]), _number(obj["value"], "value"))
 
 
 def _params_from_json(obj: Mapping) -> DguParams:
-    return DguParams(r_t=float(obj["r_t"]), l_t=float(obj["l_t"]),
-                     c_t=float(obj["c_t"]), load=_load_from_json(obj["load"]),
-                     v_ref=float(obj["v_ref"]))
+    r_t, l_t, c_t, v_ref = (_number(obj[name], name)
+                            for name in ("r_t", "l_t", "c_t", "v_ref"))
+    return DguParams(r_t=r_t, l_t=l_t, c_t=c_t,
+                     load=_load_from_json(obj["load"]), v_ref=v_ref)
 
 
 def _line_from_json(obj: Mapping) -> LineParams:
     l = obj.get("l")
-    return LineParams(_id(obj, "i"), _id(obj, "j"), float(obj["r"]),
-                      None if l is None else float(l))
+    return LineParams(_id(obj, "i"), _id(obj, "j"), _number(obj["r"], "r"),
+                      None if l is None else _number(l, "l"))
 
 
 def _event_from_json(obj: Mapping):
-    t = float(obj["t"])
+    t = _number(obj["t"], "t")
     kind = str(obj["type"])
     if kind == PlugIn.kind:
         return PlugIn(t, _id(obj, "dgu"), _params_from_json(obj["params"]),
@@ -118,7 +137,7 @@ def _event_from_json(obj: Mapping):
     if kind == LoadStep.kind:
         return LoadStep(t, _id(obj, "dgu"), _load_from_json(obj["load"]))
     if kind == RefStep.kind:
-        return RefStep(t, _id(obj, "dgu"), float(obj["v_ref"]))
+        return RefStep(t, _id(obj, "dgu"), _number(obj["v_ref"], "v_ref"))
     raise ValueError(f"unknown event type {kind!r}")
 
 
@@ -132,16 +151,18 @@ def parse_scenario(payload: Mapping) -> Scenario:
             dgus[dgu_id] = _params_from_json(entry)
         lines = tuple(_line_from_json(entry) for entry in payload["lines"])
         alphas = payload.get("alphas")
-        knobs = {name: cast(payload[name]) for name, cast in
-                 (("dt", float), ("record_dt", float), ("line_model", str))
-                 if name in payload}
+        knobs = {name: _number(payload[name], name)
+                 for name in ("dt", "record_dt") if name in payload}
+        if "line_model" in payload:
+            knobs["line_model"] = str(payload["line_model"])
         return Scenario(
             initial_topology=MicrogridTopology(dgus, lines),
-            sigma_bar=float(payload["sigma_bar"]),
+            sigma_bar=_number(payload["sigma_bar"], "sigma_bar"),
             events=tuple(_event_from_json(ev)
                          for ev in payload.get("events", [])),
-            t_end=float(payload["t_end"]),
-            alphas=None if alphas is None else tuple(map(float, alphas)),
+            t_end=_number(payload["t_end"], "t_end"),
+            alphas=None if alphas is None else tuple(
+                _number(alphas, "alphas", (5,), "five finite numbers")),
             **knobs,
         )
     except KeyError as exc:
@@ -189,17 +210,6 @@ def bundle_to_json(controllers: Mapping[int, LocalController],
     }
 
 
-def _finite(dgu_id, name: str, value, shape: Tuple[int, ...],
-            what: str) -> np.ndarray:
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape != shape or not np.isfinite(a).all():
-        raise ValueError(f"DGU {dgu_id}: controller {name} must be {what}")
-    return a
-
-
 def controller_from_json(entry: Mapping) -> Tuple[np.ndarray,
                                                   Optional[dict]]:
     """(gain row, certificate fields or None) of one bundle entry.
@@ -210,27 +220,32 @@ def controller_from_json(entry: Mapping) -> Tuple[np.ndarray,
     all entries at once.  Entries carrying only a gain (hand written, or
     exported from the baseline designs) have no certificate; those can
     be simulated and their closed loop inspected, but not certified.
-    K must be three finite numbers, P a finite, symmetric 3x3 array, and
-    eta and delta finite numbers; anything else is refused with the
-    entry's DGU id.
+    K must be three finite numbers, P a finite, symmetric 3x3 array, eta
+    and delta finite numbers, and so must the diagnostics' gamma (three),
+    beta and zeta, each read by _number; anything else is refused with
+    the entry's DGU id.
     """
     dgu_id = entry["dgu_id"]
-    k = _finite(dgu_id, "gain K", entry["K"], (3,), "three finite numbers")
+
+    def number(value, name, shape=(), what="a finite number"):
+        return _number(value, f"DGU {dgu_id}: controller {name}", shape,
+                       what)
+
+    k = np.array(number(entry["K"], "gain K", (3,), "three finite numbers"))
     if "P" not in entry:
         return k, None
-    p = _finite(dgu_id, "P", entry["P"], (3, 3), "a finite 3x3 array")
+    p = np.array(number(entry["P"], "P", (3, 3), "a finite 3x3 array"))
     if (p != p.T).any():
         raise ValueError(f"DGU {dgu_id}: controller P is not symmetric")
     diag = entry.get("diagnostics", {})
-    raw = {"gamma": np.asarray(diag.get("gamma", [0.0, 0.0, 0.0])),
-           "beta": float(diag.get("beta", 0.0)),
-           "zeta": float(diag.get("zeta", 0.0))}
+    raw = {"gamma": np.array(number(diag.get("gamma", [0.0, 0.0, 0.0]),
+                                    "gamma", (3,), "three finite numbers")),
+           **{name: number(diag.get(name, 0.0), name)
+              for name in ("beta", "zeta")}}
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
         raw["solver"] = dict(diag["solver"])
-    scalars = {name: float(_finite(dgu_id, name, entry[name], (),
-                                   "a finite number"))
-               for name in ("eta", "delta")}
+    scalars = {name: number(entry[name], name) for name in ("eta", "delta")}
     return k, {"p": p, "raw": raw, **scalars}
 
 
@@ -242,7 +257,7 @@ def load_bundle(path, topology: MicrogridTopology
     stacked product, and the bare gain row for the others."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    sigma_bar = float(payload["sigma_bar"])
+    sigma_bar = _number(payload["sigma_bar"], "sigma_bar")
     controllers = {}
     certified = {}
     for entry in payload["controllers"]:

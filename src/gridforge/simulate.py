@@ -10,7 +10,8 @@ event off the dt grid one short step returns to it, so later samples stay
 on the record grid.  Recording keeps the state rows only and tests them
 for divergence a stretch at a time; the trajectory is then assembled as
 one read-only table in the CSV's layout, with u = k x_hat per unit.
-Writing that table is mostly float formatting, which holds the GIL, so
+Writing that table is mostly float formatting, done by orjson with the
+bytes repr() gives (see _write_rows).  It holds the GIL, so
 trajectory_to_csv formats contiguous row ranges in up to one forked
 process per available CPU (the _forks helper, which synthesis shares)
 and joins them in order; the bytes are those of a single pass.
@@ -26,6 +27,7 @@ from typing import (IO, ClassVar, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
+import orjson
 
 from . import _forks
 from .model import (DguParams, Gain, LineParams, LoadModel,
@@ -568,23 +570,56 @@ def _range_count(rows: int) -> int:
     return _forks.range_count(-(-rows // CSV_CHUNK))
 
 
+def _repr_lines(rows: np.ndarray) -> bytes:
+    return "".join([",".join(map(repr, row)) + "\r\n"
+                    for row in rows.tolist()]).encode()
+
+
+def _orjson_lines(rows: np.ndarray) -> bytes:
+    # b"[[a,b],[c,d]]" -> b"a,b\r\nc,d\r\n"
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    return text.replace(b"],[", b"\r\n").replace(b"null", b"nan") + b"\r\n"
+
+
 def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
     """csv.writer's lines (repr() cells, CRLF ends) of rows, as bytes, a
-    chunk at a time: tolist() of every row would hold every cell at once."""
+    CSV_CHUNK-row chunk at a time, so no more than a chunk's text is held.
+
+    orjson (Ryu) and repr() (Gay's dtoa) both write the shortest digits
+    that read back to the same double, the closest such where there is a
+    choice, so they give the same digits.  They also place them the same
+    way, positionally with a ".0" on whole numbers, for every double in
+    [1e-4, 1e16), for 0.0 and -0.0, and for NaN once orjson's null reads
+    nan.  Outside that range the notations differ
+    (0.00007754432846917344 for 7.754432846917344e-05, 1e16 for 1e+16,
+    null for inf).  So a row holding an odd cell, one with
+    0 < |x| < 1e-4 or |x| >= 1e16, inf included, keeps its repr() line,
+    and every run of other rows is one orjson call.  Once inf is odd,
+    NaN is the only cell orjson writes as null.
+    """
     for start in range(0, len(rows), CSV_CHUNK):
-        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row
-                          in rows[start:start + CSV_CHUNK].tolist()]).encode())
+        chunk = np.ascontiguousarray(rows[start:start + CSV_CHUNK],
+                                     dtype=float)
+        cells = np.abs(chunk)
+        odd = (((cells > 0.0) & (cells < 1e-4)) | (cells >= 1e16)).any(axis=1)
+        # the bounds of each run of odd rows and each run of other rows
+        cuts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1).tolist(),
+                len(chunk)]
+        fh.write(b"".join([(_repr_lines if odd[lo] else _orjson_lines)(
+            chunk[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,dgu<i>.V,dgu<i>.It,dgu<i>.v,dgu<i>.u,...` in id order.
 
-    Formatting the cells (one repr() each) is most of the time, and it
-    holds the GIL, so the rows are split into _range_count() contiguous
-    ranges (see _forks).  Forked children format ranges 1 and up into
-    their spools, calling no BLAS routine, while this process formats
-    range 0 straight into the file, then appends each child's spool in
-    order, 1 MiB at a time.  The bytes do not depend on the range count.
+    Each cell is written as repr() writes it, CRLF ending each row, as
+    csv.writer does (see _write_rows for how orjson gives those bytes).
+    Formatting the cells is most of the time, and it holds the GIL, so
+    the rows are split into _range_count() contiguous ranges (see
+    _forks).  Forked children format ranges 1 and up into their spools,
+    calling no BLAS routine, while this process formats range 0 straight
+    into the file, then appends each child's spool in order, 1 MiB at a
+    time.  The bytes do not depend on the range count.
     Every child is reaped before the call returns or raises; a child that
     failed raises RuntimeError.
     """

@@ -1,12 +1,15 @@
 """Command-line interface: file formats, exit codes, artifacts."""
 
+import ast
 import importlib
 import importlib.metadata
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +127,45 @@ class TestScenarioFormat:
         payload["dgus"][0]["load"] = {"type": "current", "value": 5.0}
         sc = cli.parse_scenario(payload)
         assert sc.initial_topology.dgus[1].load.kind == "current"
+
+    @pytest.mark.parametrize("value", [True, "4", float("inf")])
+    @pytest.mark.parametrize("path", [
+        ("sigma_bar",), ("t_end",), ("dt",), ("record_dt",),
+        ("dgus", 0, "r_t"), ("dgus", 0, "l_t"), ("dgus", 0, "c_t"),
+        ("dgus", 0, "v_ref"), ("dgus", 1, "load", "value"),
+        ("lines", 0, "r"), ("lines", 0, "l"), ("events", 0, "t"),
+        ("events", 0, "v_ref")], ids=lambda path: ".".join(
+            str(key) for key in path if not isinstance(key, int)))
+    def test_number_must_be_a_finite_json_number(self, tmp_path, capsys,
+                                                 path, value):
+        payload = json.loads(json.dumps(SMALL))
+        set_path(payload, path, value)
+        code = cli.main(["synth", write_json(tmp_path / "s.json", payload)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path[-1]} must be a finite number\n")
+
+    @pytest.mark.parametrize("alphas", [
+        "11111", [1e-4, 1e-4, 1e-4, 1e-6], [1e-4, 1e-4, 1e-4, 1e-6, True],
+        [1e-4, 1e-4, "1e-4", 1e-6, 1e-6]],
+        ids=["string", "four", "bool", "string-entry"])
+    def test_alphas_must_be_five_json_numbers(self, tmp_path, capsys,
+                                              alphas):
+        payload = dict(SMALL, alphas=alphas)
+        code = cli.main(["synth", write_json(tmp_path / "s.json", payload)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: alphas must be five finite numbers\n")
+
+    def test_int_numbers_read_as_floats(self):
+        payload = json.loads(json.dumps(SMALL))
+        payload.update(sigma_bar=10, t_end=1)
+        payload["dgus"][0]["v_ref"] = 48
+        sc = cli.parse_scenario(payload)
+        assert (sc.sigma_bar, sc.t_end) == (10.0, 1.0)
+        assert sc.initial_topology.dgus[1].v_ref == 48.0
+        assert all(type(x) is float for x in
+                   (sc.sigma_bar, sc.t_end, sc.initial_topology.dgus[1].v_ref))
 
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize("path", [
@@ -406,6 +448,34 @@ class TestCertify:
         assert capsys.readouterr().err == (
             f"error: dgu_id must be a whole number, not {value!r}\n")
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("sigma_bar",), "10", "sigma_bar must be a finite number"),
+        (("sigma_bar",), True, "sigma_bar must be a finite number"),
+        (("controllers", 1, "K"), ["-11.5", "-0.89", "0.061"],
+         "DGU 2: controller gain K must be three finite numbers"),
+        (("controllers", 1, "P", 1), [0.0, "1", 0.0],
+         "DGU 2: controller P must be a finite 3x3 array"),
+        (("controllers", 0, "eta"), True,
+         "DGU 1: controller eta must be a finite number"),
+        (("controllers", 0, "delta"), "1",
+         "DGU 1: controller delta must be a finite number"),
+        (("controllers", 0, "diagnostics", "gamma"), "000",
+         "DGU 1: controller gamma must be three finite numbers"),
+        (("controllers", 0, "diagnostics", "beta"), True,
+         "DGU 1: controller beta must be a finite number"),
+        (("controllers", 0, "diagnostics", "zeta"), "1",
+         "DGU 1: controller zeta must be a finite number"),
+    ], ids=["sigma_bar-string", "sigma_bar-bool", "K", "P", "eta", "delta",
+            "gamma", "beta", "zeta"])
+    def test_bundle_number_must_be_a_finite_json_number(
+            self, bundle_file, tmp_path, capsys, path, value, message):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        set_path(payload, path, value)
+        path = write_json(tmp_path / "numbers.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_indefinite_p_is_refused_by_name(self, bundle_file, tmp_path,
                                              capsys):
         scenario, bundle = bundle_file
@@ -612,3 +682,24 @@ class TestEntryPoint:
         out = capsys.readouterr().out
         for name in SUBCOMMANDS:
             assert name in out
+
+    def test_third_party_imports_are_declared(self):
+        # parsed, not grepped: docstrings hold lines that start with "from"
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            declared = {re.match(r"[A-Za-z0-9._-]+", dep)[0].lower()
+                        .replace("_", "-")
+                        for dep in tomllib.load(fh)["project"]["dependencies"]}
+        imported = set()
+        for path in (root / "src" / "gridforge").glob("*.py"):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module)
+        third_party = {name.split(".")[0] for name in imported} - set(
+            sys.stdlib_module_names) - {"gridforge"}
+        assert "numpy" in third_party
+        assert {name.lower().replace("_", "-")
+                for name in third_party} <= declared

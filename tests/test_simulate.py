@@ -5,9 +5,12 @@ import json
 import math
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from gridforge.model import (DguParams, LineParams, LoadModel,
@@ -398,6 +401,41 @@ def csv_writer_reference(traj, path):
             writer.writerow(row)
 
 
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(
+        lambda m: -m[0] if m[1] else m[0])
+
+
+# cells _write_rows hands to orjson: NaN, signed zeros, [1e-4, 1e16)
+ORDINARY = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, 1e-4, 1e15,
+                     math.nextafter(1e16, 0.0)]),
+    signed(st.floats(1e-4, 1e16, exclude_max=True)),
+    st.integers(-10**15, 10**15).map(float))
+# any double: the above and the odd cells, which keep their repr() line
+CELLS = st.one_of(
+    st.floats(),  # the whole double range, NaN, inf and subnormals included
+    ORDINARY,
+    st.sampled_from([math.inf, -math.inf, 5e-324, 1e16, 1e-5]),
+    signed(st.floats(1e-5, 1e-4, exclude_max=True)),
+    signed(st.floats(1e16, allow_infinity=False)),
+    st.integers(-2**63, 2**63).map(float))
+
+
+def table_trajectory(rows):
+    """A Trajectory of one DGU around a given five-column sample table."""
+    return Trajectory(np.array(rows, dtype=float).reshape(-1, 5), (1,), (),
+                      MicrogridTopology({}, ()), np.zeros(0))
+
+
+def assert_csv_matches_csv_writer(traj, tmp_path):
+    trajectory_to_csv(traj, tmp_path / "run.csv")
+    csv_writer_reference(traj, tmp_path / "reference.csv")
+    written = (tmp_path / "run.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    return written
+
+
 def run_with_plug_in(pair, t_end, line_model=QSL, t_plug=0.05):
     top, ctrls = pair
     newcomer = dgu(0.3, 2.0e-3, 2.2e-3, 47.95, 4.0)
@@ -527,6 +565,50 @@ class TestArtifacts:
         assert simulate_module._range_count(len(tr.table)) == 1
         trajectory_to_csv(tr, tmp_path / "run.csv")
         assert (tmp_path / "run.csv").read_bytes() == reference
+
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.one_of(st.lists(ORDINARY, min_size=5,
+                                            max_size=5),
+                                   st.lists(CELLS, min_size=5, max_size=5)),
+                         max_size=12),
+           chunk=st.integers(1, 4))
+    def test_any_doubles_match_csv_writer(self, tmp_path_factory, ranges,
+                                          rows, chunk):
+        # odd and ordinary rows interleave inside chunks and across their
+        # boundaries, in every row range
+        with mock.patch.object(simulate_module, "CSV_CHUNK", chunk), \
+                mock.patch.object(simulate_module, "_range_count",
+                                  lambda rows: ranges):
+            assert_csv_matches_csv_writer(
+                table_trajectory(rows), tmp_path_factory.mktemp("csv"))
+        self.assert_no_child_left()
+
+    def test_odd_rows_across_a_chunk_boundary(self, tmp_path):
+        chunk = simulate_module.CSV_CHUNK
+        rows = np.tile([1.0, 48.0, -0.0, math.nan, 0.25], (chunk + 4, 1))
+        odd = {0: 1e-5, 2: math.inf, 3: 1e16, chunk - 1: -5e-324,
+               chunk: 7.754432846917344e-05, chunk + 2: -math.inf}
+        for k, cell in odd.items():
+            rows[k, 1 + k % 4] = cell
+        rows[:, 0] = np.arange(chunk + 4) * 0.5
+        written = assert_csv_matches_csv_writer(
+            table_trajectory(rows), tmp_path)
+        lines = written.split(b"\r\n")[1 + chunk:]
+        assert lines[:2] == [b"2048.0,7.754432846917344e-05,-0.0,nan,0.25",
+                             b"2048.5,48.0,-0.0,nan,0.25"]
+
+    @pytest.mark.parametrize("rows, line", [
+        ([], None),
+        ([[0.0, 1.0, math.nan, -0.0, 1e15]],
+         b"0.0,1.0,nan,-0.0,1000000000000000.0"),
+        ([[0.0, 1.0, math.nan, -0.0, 1e-7]], b"0.0,1.0,nan,-0.0,1e-07"),
+    ], ids=["no-row", "ordinary-row", "odd-row"])
+    def test_short_tables(self, tmp_path, rows, line):
+        written = assert_csv_matches_csv_writer(table_trajectory(rows),
+                                                tmp_path)
+        header = b"t,dgu1.V,dgu1.It,dgu1.v,dgu1.u\r\n"
+        assert written == header + (b"" if line is None else line + b"\r\n")
 
     def test_event_log_is_json_lines(self, pair):
         top, ctrls = pair
