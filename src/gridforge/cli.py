@@ -296,20 +296,38 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _synthesize_for(scenario: Scenario
+def _newcomers(scenario: Scenario) -> Dict[int, DguParams]:
+    """Each plug-in id absent from the initial grid, with the params of
+    its first plug-in event."""
+    roster: Dict[int, DguParams] = {}
+    for ev in scenario.events:
+        if (isinstance(ev, PlugIn)
+                and ev.dgu_id not in scenario.initial_topology.dgus):
+            roster.setdefault(ev.dgu_id, ev.params)
+    return roster
+
+
+def _synthesize_for(scenario: Scenario,
+                    newcomers: Optional[Mapping[int, DguParams]] = None,
                     ) -> Optional[Tuple[SynthesisConfig, dict]]:
-    """(config, granted controllers) of a scenario's units, or None, with
-    every refusal printed to stderr, when any unit is denied."""
+    """(config, verdict per id) of a scenario's units and the given
+    newcomers, designed in one synthesize_all call, or None, with every
+    refusal printed to stderr, when any initial unit is denied.  The
+    initial units' verdicts are then all granted controllers; a
+    newcomer's may be a Denied, which its plug-in event reports.
+    Synthesis reads only each unit's own parameters, so the roster needs
+    no lines.  A breakdown of any unit raises its NumericalFailure."""
     cfg = scenario.synthesis_config()
-    results = synthesize_all(scenario.initial_topology, cfg)
-    denied = sorted(i for i, r in results.items() if isinstance(r, Denied))
+    initial = scenario.initial_topology.dgus
+    results = synthesize_all(
+        MicrogridTopology({**initial, **(newcomers or {})}, ()), cfg)
+    denied = sorted(i for i in initial if isinstance(results[i], Denied))
     for dgu_id in denied:
         print(f"denied: dgu {dgu_id}: {results[dgu_id].reason}",
               file=sys.stderr)
     if denied:
         return None
-    return cfg, {i: r for i, r in results.items()
-                 if isinstance(r, LocalController)}
+    return cfg, results
 
 
 def cmd_synth(args) -> int:
@@ -403,13 +421,17 @@ def cmd_simulate(args) -> int:
         overrides["line_model"] = args.line_model
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
+    newcomers = _newcomers(scenario)
     stages: Dict[str, float] = {}
     with _timed(stages, "synthesis"):
-        designed = _synthesize_for(scenario)
+        designed = _synthesize_for(scenario, newcomers)
     if designed is None:
         return EXIT_DENIED
+    verdicts = designed[1]
+    initial = {i: verdicts[i] for i in scenario.initial_topology.ids}
     with _timed(stages, "simulate"):
-        traj = simulate(scenario, controllers=designed[1])
+        traj = simulate(scenario, controllers=initial, designs={
+            params: verdicts[i] for i, params in newcomers.items()})
     out_dir = pathlib.Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     with _timed(stages, "CSV write"):

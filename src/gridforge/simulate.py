@@ -4,12 +4,16 @@ Between events the closed loop is linear time-invariant, so a fixed-step
 RK4 update collapses to an affine map x -> Rx + w with R and w assembled
 once per segment from the fourth-order Taylor truncation of exp(hA).
 Steps between recorded samples are composed into a single affine map,
-which keeps long runs cheap.  Event timestamps never drift: the step
-straddling an event is split so the boundary is hit exactly, and after an
-event off the dt grid one short step returns to it, so later samples stay
-on the record grid.  Recording keeps the state rows only and tests them
-for divergence a stretch at a time; the trajectory is then assembled as
-one read-only table in the CSV's layout, with u = k x_hat per unit.
+which keeps long runs cheap.  The record slots are taken a stretch at a
+time: numpy works out the stretch's schedule, and each run of slots with
+one step count is then a tight loop of `state = R.dot(state) + w`, which
+gives the bits `@` gives, for less (see _Segment).  Event
+timestamps never drift: the step straddling an event is split so the
+boundary is hit exactly, and after an event off the dt grid one short
+step returns to it, so later samples stay on the record grid.  Recording
+keeps the state rows only and tests them for divergence a stretch at a
+time; the trajectory is then assembled as one read-only table in the
+CSV's layout, with u = k x_hat per unit.
 Writing that table is mostly float formatting, done by orjson with the
 bytes repr() gives (see _write_rows).  It holds the GIL, so
 trajectory_to_csv formats contiguous row ranges in up to one forked
@@ -84,6 +88,7 @@ class RefStep:
 
 
 Event = Union[PlugIn, Unplug, LoadStep, RefStep]
+Design = Union[LocalController, Denied]  # a newcomer's verdict
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,8 @@ class Scenario:
     whole multiple of the other (within 1e-9 relative), so the recorded
     rows fall on the record grid.  alphas, when given, override the
     synthesis objective weights in synthesis_config(), which designs the
-    plug-in newcomers during the run and, in the CLI, the initial units.
+    plug-in newcomers (before the run in the CLI, else at their events)
+    and, in the CLI, the initial units.
     """
 
     initial_topology: MicrogridTopology
@@ -269,7 +275,20 @@ def _repeat(step: Tuple[np.ndarray, np.ndarray], count: int) -> Tuple[np.ndarray
 
 
 class _Segment:
-    """One constant-topology stretch: reusable step maps and its samples."""
+    """One constant-topology stretch: reusable step maps and its samples.
+
+    run() takes the record slots CHECK_ROWS at a time.  For each such
+    stretch it first works out the schedule with numpy: the slot targets,
+    the step count of each slot and which slots record, in the float
+    arithmetic of a slot-by-slot loop, so every sample keeps its time bit
+    for bit.  It then takes each run of slots with one step count through
+    that count's composed map in a tight `state = dot(state) + w` loop.
+    For a C-contiguous float64 matrix and vector, ndarray.dot makes the
+    same BLAS gemv call as `@` and so gives the same bits, with less call
+    overhead than the matmul ufunc; at these sizes call overhead is most
+    of a step's cost.  record() then checks the stretch and keeps its
+    times and states as arrays.
+    """
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
                  line_model: str, dt: float):
@@ -279,86 +298,127 @@ class _Segment:
         self.step = _step_map(self.a, self.c, dt)
         self._chunks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {1: self.step}
         self.gains = np.vstack([gain_row(controllers[i]) for i in self.ids])
-        self.times: List[float] = []
-        self.rows: List[np.ndarray] = []  # unit columns check() passed
-        self.pending: List[np.ndarray] = []
+        self.times: List[np.ndarray] = []  # each stretch record() passed
+        self.rows: List[np.ndarray] = []  # and its unit columns
 
-    def advance(self, state: np.ndarray, steps: int) -> np.ndarray:
+    def chunk(self, steps: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The affine map of `steps` consecutive steps, composed once."""
         chunk = self._chunks.get(steps)
         if chunk is None:
             chunk = self._chunks[steps] = _repeat(self.step, steps)
-        return chunk[0] @ state + chunk[1]
+        return chunk
 
-    def add(self, t: float, state: np.ndarray):
-        """Record one sample; every CHECK_ROWS samples, return check()."""
-        self.times.append(t)
-        self.pending.append(state)
-        return self.check() if len(self.pending) >= CHECK_ROWS else None
-
-    def check(self) -> Optional[Tuple[np.ndarray, DivergedAt]]:
-        """Pass the pending rows, or cut at the first one out of range and
-        return its state and DivergedAt.  A row over DIVERGENCE_LIMIT is
-        kept, a non-finite row is dropped and reported as max_abs = inf."""
-        if not self.pending:
+    def record(self, times: np.ndarray, states: np.ndarray
+               ) -> Optional[Tuple[np.ndarray, DivergedAt]]:
+        """Keep a stretch of samples, or cut it at the first row out of
+        range and return that row's state and DivergedAt.  A row over
+        DIVERGENCE_LIMIT is kept, a non-finite row is dropped and reported
+        as max_abs = inf."""
+        if not len(times):
             return None
-        stretch = np.array(self.pending)
-        self.pending = []
-        peak = np.abs(stretch).max(axis=1)  # NaN where a row holds one
+        peak = np.abs(states).max(axis=1)  # NaN where a row holds one
         bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
-        keep = len(stretch)
+        keep = len(states)
         cut = None
         if bad.size:
             k = int(bad[0])
-            start = len(self.times) - len(stretch)
-            t, max_abs, keep = self.times[start + k], float(peak[k]), k + 1
+            t, max_abs, keep = float(times[k]), float(peak[k]), k + 1
             if not math.isfinite(max_abs):
                 max_abs, keep = math.inf, k
-            del self.times[start + keep:]
-            cut = stretch[k], DivergedAt(t, max_abs)
+            cut = states[k], DivergedAt(t, max_abs)
+        self.times.append(times[:keep])
         # only the unit columns are recorded; RL line currents are not
         self.rows.append(
-            np.ascontiguousarray(stretch[:keep, :3 * len(self.ids)]))
+            np.ascontiguousarray(states[:keep, :3 * len(self.ids)]))
         return cut
 
     def short_step(self, state: np.ndarray, h: float) -> np.ndarray:
         r, w = _step_map(self.a, self.c, h)
         return r @ state + w
 
+    def _stretch(self, state, t0, k, target, last_t, final):
+        """Take the slots with the given targets from step count k, at
+        t_cur = t0 + k * dt.  A slot takes
+        steps = floor((target - t_cur) / dt + 1e-6) steps when that is
+        positive, and records t_cur when it took any, or when t_cur is
+        not the last recorded time last_t; a final slot records nothing.
+        Returns (state, k, sample times, sample states)."""
+        dt = self.dt
+        ks = np.empty(len(target) + 1, dtype=np.int64)  # k at slot starts
+        ks[0] = k
+        # a guess that is exact but for rounding, iterated to the
+        # recurrence's one fixed point: each pass fixes one more slot at
+        # least, and one or two passes fix them all
+        ks[1:] = np.maximum.accumulate(
+            np.maximum(np.floor((target - t0) / dt + 1e-6), k))
+        while True:
+            steps = np.maximum(np.floor((target - (t0 + ks[:-1] * dt)) / dt
+                                        + 1e-6), 0.0).astype(np.int64)
+            if np.array_equal(ks[:-1] + steps, ks[1:]):
+                break
+            ks[1:] = ks[:-1] + steps
+        t_cur = t0 + ks * dt
+        records = steps > 0
+        # after the first slot, a slot without steps is at last_t
+        records[0] |= last_t is None or last_t != t_cur[0]
+        records[-1] &= not final
+        states = []
+        append = states.append
+        bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(),
+                  len(steps)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            count = int(steps[lo])
+            if count:
+                r, w = self.chunk(count)
+                dot = r.dot
+                for _ in range(hi - lo):
+                    state = dot(state) + w
+                    append(state)
+            elif records[lo]:
+                append(state)
+        if final and steps[-1]:
+            states.pop()  # the final slot's state is no sample
+        return state, int(ks[-1]), t_cur[1:][records], np.array(states)
+
     def run(self, state, t0, t1, record_dt):
         """Integrate [t0, t1), recording interior record-grid samples; the
         t1 sample is left to the caller (it may follow an event), and the
         t0 sample, taken already, fills any record slot t0 lands on.
         Returns (state, t_reached, diverged_or_none), the cut row's state
-        and time on divergence."""
-        tiny = 1e-9 * max(1.0, t1)
+        and time on divergence.
+
+        Slot n targets n * record_dt; the first slot at or past t1 is the
+        final one, which targets t1 instead.  The slots go through
+        _stretch CHECK_ROWS at a time, each stretch checked by record()
+        before the next is stepped.
+        """
+        dt = self.dt
+        end = t1 - 1e-9 * max(1.0, t1)
         n_rec = int(math.floor(t0 / record_dt + 1e-6))  # slots filled
-        cut = None
+        last_t = self.times[-1][-1] if self.times else None
         # a runaway may overflow between two checks; the cut drops it
         with np.errstate(over="ignore", invalid="ignore"):
             # t0 off the dt grid (an event time): one short step back onto
             # it, so the samples after t0 fall on the record grid
-            grid = math.ceil(t0 / self.dt - 1e-6) * self.dt
-            if grid - t0 > 1e-6 * self.dt and grid < t1 - tiny:
+            grid = math.ceil(t0 / dt - 1e-6) * dt
+            if grid - t0 > 1e-6 * dt and grid < end:
                 state, t0 = self.short_step(state, grid - t0), grid
-            k, t_cur = 0, t0
-            while cut is None:
-                target = (n_rec + 1) * record_dt
-                last = target >= t1 - tiny
-                steps = int(math.floor(((t1 if last else target) - t_cur)
-                                       / self.dt + 1e-6))
-                if steps > 0:
-                    state = self.advance(state, steps)
-                    k += steps
-                    t_cur = t0 + k * self.dt
-                if last:
-                    break
-                n_rec += 1
-                if steps > 0 or not self.times or self.times[-1] != t_cur:
-                    cut = self.add(t_cur, state)
-            cut = cut or self.check()
-            if cut is not None:
-                return cut[0], cut[1].t, cut[1]
-            if t1 - t_cur > 1e-9 * self.dt:
+            k, final = 0, False
+            while not final:
+                target = (n_rec + 1 + np.arange(CHECK_ROWS)) * record_dt
+                n_rec += CHECK_ROWS
+                final = target[-1] >= end
+                if final:
+                    target = np.append(target[target < end], t1)
+                state, k, times, states = self._stretch(state, t0, k, target,
+                                                        last_t, final)
+                cut = self.record(times, states)
+                if cut is not None:
+                    return cut[0], cut[1].t, cut[1]
+                if len(times):
+                    last_t = times[-1]
+            t_cur = t0 + k * dt
+            if t1 - t_cur > 1e-9 * dt:
                 state = self.short_step(state, t1 - t_cur)
         return state, t1, None
 
@@ -385,12 +445,16 @@ def _isolated_steady(params: DguParams, controller: Gain) -> np.ndarray:
 
 def attempt_plug_in(topology: MicrogridTopology, dgu_id: int,
                     params: DguParams, lines: Sequence[LineParams],
-                    cfg: SynthesisConfig) -> Union[LocalController, Denied]:
+                    cfg: SynthesisConfig,
+                    designs: Optional[Mapping[DguParams, Design]] = None,
+                    ) -> Design:
     """Plug-in protocol: synthesize the newcomer, touch nothing else.
 
     Neighbours keep their controllers; the caller extends the topology on
     acceptance.  Structural mistakes (duplicate id, dangling line) raise,
-    an infeasible or degenerate design returns Denied.
+    an infeasible or degenerate design returns Denied.  The design is the
+    verdict designs holds for params, made beforehand at cfg, or else one
+    synthesized here.
     """
     if dgu_id in topology.dgus:
         raise TopologyError(f"DGU {dgu_id} already present")
@@ -403,6 +467,8 @@ def attempt_plug_in(topology: MicrogridTopology, dgu_id: int,
         if ln.other(dgu_id) not in topology.dgus:
             raise TopologyError(
                 f"line {ln.key} references unknown DGU {ln.other(dgu_id)}")
+    if designs is not None and params in designs:
+        return designs[params]
     return synthesize(augmented_dgu(params), params, cfg)
 
 
@@ -442,13 +508,14 @@ def _remap_state(state, old_top, new_top, line_model, fresh=None):
     return np.concatenate(parts)
 
 
-def _apply_event(ev, top, controllers, state, line_model, cfg):
+def _apply_event(ev, top, controllers, state, line_model, cfg, designs):
     """Apply one event: returns (state, topology, outcome).  An accepted
     plug-in adds the newcomer's controller to controllers and an accepted
     unplug drops the unit's; no other controller is touched."""
     if isinstance(ev, PlugIn):
         snapshot = {i: gain_row(c).copy() for i, c in controllers.items()}
-        result = attempt_plug_in(top, ev.dgu_id, ev.params, ev.lines, cfg)
+        result = attempt_plug_in(top, ev.dgu_id, ev.params, ev.lines, cfg,
+                                 designs)
         if isinstance(result, Denied):
             return state, top, f"denied: {result.reason}"
         for i, gain in snapshot.items():
@@ -476,11 +543,16 @@ def _apply_event(ev, top, controllers, state, line_model, cfg):
 
 
 def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
-             initial_state: Optional[np.ndarray] = None) -> Trajectory:
+             initial_state: Optional[np.ndarray] = None,
+             designs: Optional[Mapping[DguParams, Design]] = None,
+             ) -> Trajectory:
     """Integrate the scenario, enforcing the plug protocol at each event.
 
-    controllers holds one controller per initial DGU; plug-in newcomers
-    are synthesized from the scenario's sigma_bar and weights.  By default
+    controllers holds one controller per initial DGU.  A plug-in newcomer
+    takes the verdict designs holds for its params, which must have been
+    made with scenario.synthesis_config(); one designs does not hold is
+    synthesized at its event from the scenario's sigma_bar and weights.
+    Either way the newcomer's own parameters alone decide it.  By default
     each DGU starts at its isolated operating point (line currents at zero
     in RL mode); pass initial_state to override.  Divergence does not
     raise: the returned trajectory is truncated and carries a DivergedAt
@@ -515,7 +587,7 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
     segments = [seg]
     while True:
         # the sample at t = 0, or after a stretch and its events
-        cut = seg.add(t_cursor, state) or seg.check()
+        cut = seg.record(np.array([t_cursor]), np.array([state]))
         if cut is not None:
             state, diverged = cut
         if diverged is not None or t_cursor >= scenario.t_end:
@@ -530,7 +602,8 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
         while pending and pending[0].t <= boundary:
             ev = pending.pop(0)
             state, top, outcome = _apply_event(
-                ev, top, controllers, state, scenario.line_model, cfg)
+                ev, top, controllers, state, scenario.line_model, cfg,
+                designs)
             records.append(EventRecord(t_cursor, f"{ev.kind} dgu={ev.dgu_id}",
                                        outcome))
             changed = changed or outcome in (ACCEPTED, APPLIED)
@@ -546,15 +619,15 @@ def _assemble(segments, records, top, state, diverged) -> Trajectory:
     into the table; RL line currents are not sampled."""
     ids = sorted({i for seg in segments for i in seg.ids})
     slot = {i: k for k, i in enumerate(ids)}
-    total = sum(len(seg.times) for seg in segments)
+    total = sum(len(times) for seg in segments for times in seg.times)
     table = np.full((total, 1 + 4 * len(ids)), np.nan)
     units = table[:, 1:].reshape(total, len(ids), 4)  # a view of the table
     pos = 0
     for seg in segments:
-        table[pos:pos + len(seg.times), 0] = seg.times
         cols, n = [slot[i] for i in seg.ids], len(seg.ids)
-        for stretch in seg.rows:
+        for times, stretch in zip(seg.times, seg.rows):
             m = len(stretch)
+            table[pos:pos + m, 0] = times
             x = stretch.reshape(m, n, 3)
             units[pos:pos + m, cols, :3] = x
             units[pos:pos + m, cols, 3] = np.einsum("ij,tij->ti", seg.gains, x)

@@ -591,6 +591,120 @@ class TestSimulate:
         assert "denied: dgu 2" in capsys.readouterr().err
 
 
+def with_plug_in(tmp_path, params, t=0.02, dgu=3, unplug=None):
+    """SMALL with a plug-in of `dgu` wired to unit 1 at t, after an
+    unplug of that unit at `unplug` when given."""
+    payload = json.loads(json.dumps(SMALL))
+    payload["events"] = [] if unplug is None else [
+        {"t": unplug, "type": "unplug", "dgu": dgu}]
+    payload["events"].append(
+        {"t": t, "type": "plug_in", "dgu": dgu, "params": params,
+         "lines": [{"i": dgu, "j": 1, "r": 0.05, "l": 2e-6}]})
+    return write_json(tmp_path / "plug.json", payload)
+
+
+NEWCOMER = {"r_t": 0.3, "l_t": 2e-3, "c_t": 2.2e-3,
+            "load": {"type": "resistance", "value": 4.0}, "v_ref": 47.95}
+
+
+class TestSimulateDesigns:
+    """simulate designs the initial units and every plug-in newcomer in
+    one synthesis batch, before it integrates."""
+
+    @pytest.fixture(scope="class")
+    def packaged_run(self, tmp_path_factory):
+        from gridforge import synthesis
+        # the package re-exports the function under the module's name
+        simulate_module = importlib.import_module("gridforge.simulate")
+        calls, received = [], []
+        solve_batch, simulate = synthesis.solve_batch, cli.simulate
+
+        def counted(programs):
+            calls.append(1)
+            return solve_batch(programs)
+
+        def kept(*args, **kwargs):
+            received.append(kwargs)
+            return simulate(*args, **kwargs)
+
+        def forbidden(*args):
+            raise AssertionError("a plug-in was designed at its event")
+
+        out = tmp_path_factory.mktemp("packaged")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "solve_batch", counted)
+            mp.setattr(cli, "simulate", kept)
+            mp.setattr(simulate_module, "synthesize", forbidden)
+            code = cli.main(["simulate", str(cli.packaged_scenario_path()),
+                             "--out", str(out)])
+        return code, out, calls, received
+
+    def test_one_batch_and_no_design_at_the_event(self, packaged_run):
+        code, out, calls, received = packaged_run
+        assert code == 0
+        assert len(calls) == 1
+        assert [json.loads(line)["outcome"] for line in
+                (out / "events.log").read_text().splitlines()] == [
+            "accepted", "applied", "accepted"]
+        # simulate gets exactly the initial units' controllers
+        assert sorted(received[0]["controllers"]) == [1, 2, 3, 4, 5]
+
+    def test_newcomer_is_its_own_design(self, packaged_run):
+        from gridforge.model import augmented_dgu
+        from gridforge.synthesis import synthesize
+        received = packaged_run[3]
+        scenario = cli.load_scenario(cli.packaged_scenario_path())
+        (event,) = [ev for ev in scenario.events if isinstance(ev, PlugIn)]
+        p = event.params
+        (design,) = received[0]["designs"].values()
+        alone = synthesize(augmented_dgu(p), p, scenario.synthesis_config())
+        for name in ("k", "p", "q_local"):
+            assert (getattr(design, name).tobytes()
+                    == getattr(alone, name).tobytes())
+        assert (design.eta, design.delta) == (alone.eta, alone.delta)
+        assert design.raw["solver"] == alone.raw["solver"]
+
+    def test_refused_newcomer_is_an_event_outcome(self, tmp_path, capsys):
+        path = with_plug_in(tmp_path, dict(NEWCOMER, c_t=1e6))
+        assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            "t=0.02 plug_in dgu=3: denied: local LMI infeasible")
+        assert json.loads((tmp_path / "events.log").read_text()) == {
+            "t": 0.02, "event": "plug_in dgu=3",
+            "outcome": "denied: local LMI infeasible"}
+
+    def test_replug_of_an_initial_unit_is_accepted(self, tmp_path, capsys):
+        own = {k: v for k, v in SMALL["dgus"][1].items() if k != "id"}
+        path = with_plug_in(tmp_path, own, dgu=2, unplug=0.01)
+        assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "t=0.01 unplug dgu=2: accepted",
+            "t=0.02 plug_in dgu=2: accepted"]
+
+    def test_newcomer_breakdown_stops_before_integration(
+            self, tmp_path, monkeypatch, capsys):
+        from gridforge import synthesis
+        decide, newcomer = synthesis._decide, cli._params_from_json(NEWCOMER)
+
+        def newcomer_breaks_down(sol, dgu, params, cfg):
+            if params == newcomer:
+                return synthesis.NumericalFailure("LMI solver did not"
+                                                  " converge")
+            return decide(sol, dgu, params, cfg)
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(synthesis, "_decide", newcomer_breaks_down)
+        monkeypatch.setattr(cli, "simulate", integrate)
+        path = with_plug_in(tmp_path, NEWCOMER)
+        assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: LMI solver did not converge\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+
 class TestReports:
     def test_appendix_a_reproduces_everything(self, capsys):
         assert cli.main(["appendix-a"]) == 0

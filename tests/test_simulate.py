@@ -4,12 +4,13 @@ import importlib
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -703,3 +704,201 @@ class TestStateRemap:
         shrunk = _remap_state(out, grown, grown.without_dgu(1), RL)
         np.testing.assert_array_equal(shrunk, [4.0, 5.0, 6.0, 7.0, 8.0,
                                                9.0, 0.5])
+
+
+def scalar_run_reference(seg, state, t0, t1, record_dt):
+    """_Segment.run as a slot-by-slot loop: each slot's steps go through
+    their composed map with `@`, and the samples reach seg.record
+    CHECK_ROWS at a time."""
+    dt = seg.dt
+    chunks = {}
+    times, pending = [], []
+    last_t = seg.times[-1][-1] if seg.times else None
+
+    def check():
+        cut = seg.record(np.array(times), np.array(pending))
+        times.clear()
+        pending.clear()
+        return cut
+
+    def add(t, state):
+        nonlocal last_t
+        times.append(t)
+        pending.append(state)
+        last_t = t
+        if len(pending) >= simulate_module.CHECK_ROWS:
+            return check()
+        return None
+
+    tiny = 1e-9 * max(1.0, t1)
+    n_rec = int(math.floor(t0 / record_dt + 1e-6))
+    cut = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = math.ceil(t0 / dt - 1e-6) * dt
+        if grid - t0 > 1e-6 * dt and grid < t1 - tiny:
+            state, t0 = seg.short_step(state, grid - t0), grid
+        k, t_cur = 0, t0
+        while cut is None:
+            target = (n_rec + 1) * record_dt
+            last = target >= t1 - tiny
+            steps = int(math.floor(((t1 if last else target) - t_cur) / dt
+                                   + 1e-6))
+            if steps > 0:
+                if steps not in chunks:
+                    chunks[steps] = simulate_module._repeat(seg.step, steps)
+                r, w = chunks[steps]
+                state = r @ state + w
+                k += steps
+                t_cur = t0 + k * dt
+            if last:
+                break
+            n_rec += 1
+            if steps > 0 or last_t is None or last_t != t_cur:
+                cut = add(t_cur, state)
+        cut = cut or check()
+        if cut is not None:
+            return cut[0], cut[1].t, cut[1]
+        if t1 - t_cur > 1e-9 * dt:
+            state = seg.short_step(state, t1 - t_cur)
+    return state, t1, None
+
+
+NEWCOMER = dgu(0.3, 2.0e-3, 2.2e-3, 47.95, 4.0)
+# where the runaway gains of TestIntegratorQuality start
+RUNAWAY_START = np.array([47.9, 4.8, 0.0, 48.06, 8.0, 0.0])
+
+
+@pytest.fixture(scope="module")
+def newcomer_design():
+    top = MicrogridTopology({3: NEWCOMER}, ())
+    return {NEWCOMER: synthesize_all(top, FAST)[3]}
+
+
+def assert_runs_match_the_reference(scenario, controllers, designs=None,
+                                    initial_state=None):
+    runs = []
+    for run in (simulate_module._Segment.run, scalar_run_reference):
+        with mock.patch.object(simulate_module._Segment, "run", run):
+            runs.append(simulate(scenario, controllers, initial_state,
+                                 designs))
+    got, want = runs
+    assert got.table.tobytes() == want.table.tobytes()
+    assert got.ids == want.ids and got.events == want.events
+    assert got.final_state.tobytes() == want.final_state.tobytes()
+    assert got.diverged == want.diverged
+    return got
+
+
+class TestStepping:
+    @settings(max_examples=40, deadline=None)
+    @given(ratio=st.sampled_from([1.0, 0.1, 4.0]),
+           record_dt=st.sampled_from([2.5e-5, 1e-4]),
+           t_end=st.floats(0.004, 0.02),
+           marks=st.lists(st.tuples(st.floats(0.05, 0.95), st.booleans()),
+                          min_size=2, max_size=2),
+           plug_in=st.booleans(), line_model=st.sampled_from([QSL, RL]),
+           check_rows=st.sampled_from([1, 3, 1024]))
+    # a plug-in off the dt grid, then an unplug on it, under RL lines
+    @example(ratio=0.1, record_dt=1e-4, t_end=0.01,
+             marks=[(0.31234567, False), (0.6, True)], plug_in=True,
+             line_model=RL, check_rows=3)
+    def test_matches_the_scalar_loop(self, pair, newcomer_design, ratio,
+                                     record_dt, t_end, marks, plug_in,
+                                     line_model, check_rows):
+        top, ctrls = pair
+        dt = ratio * record_dt
+        # two event times, each on the dt grid or off it
+        times = sorted(round(f * t_end / dt) * dt if on_grid else f * t_end
+                       for f, on_grid in marks)
+        times = [min(max(t, dt / 3), t_end - dt / 3) for t in times]
+        if plug_in:
+            events = (PlugIn(times[0], 3, NEWCOMER,
+                             (LineParams(3, 2, 0.06, 2.3e-6),)),
+                      Unplug(times[1], 3))
+        else:
+            events = (RefStep(times[0], 1, 48.3),
+                      LoadStep(times[1], 2, LoadModel.resistive(3.0)))
+        scenario = Scenario(top, 10.0, events=events, t_end=t_end, dt=dt,
+                            record_dt=record_dt, line_model=line_model)
+        with mock.patch.object(simulate_module, "CHECK_ROWS", check_rows):
+            assert_runs_match_the_reference(scenario, ctrls,
+                                            newcomer_design)
+
+    @pytest.mark.parametrize("gain, t_end, check_rows", [
+        ((1.2, 0.0, 1.0), 0.5, 1024),  # cut past the first stretch
+        ((1.2, 0.0, 1.0), 0.5, 7),
+        ((1e30, 0.0, 1.0), 0.5, 1024),  # non-finite first slot
+        ((5000.0, 50.0, 1.0), 0.5, 2)])
+    def test_divergent_runs_match_the_scalar_loop(self, pair, gain, t_end,
+                                                  check_rows):
+        top, _ = pair
+        gains = {1: np.array(gain), 2: np.array(gain)}
+        with mock.patch.object(simulate_module, "CHECK_ROWS", check_rows):
+            tr = assert_runs_match_the_reference(
+                Scenario(top, 10.0, t_end=t_end), gains,
+                initial_state=RUNAWAY_START)
+        assert tr.diverged is not None
+
+    @staticmethod
+    def assert_dot_is_matmul(r, w, x):
+        dot = r.dot
+        for _ in range(1000):
+            x, y = dot(x) + w, r @ x + w
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_dot_is_matmul_on_the_packaged_maps(self, line_model):
+        # the stepping loop uses ndarray.dot for its speed; a numpy that
+        # routed it apart from `@` would move every trajectory
+        from gridforge import cli
+        scenario = dataclasses.replace(
+            cli.load_scenario(cli.packaged_scenario_path()),
+            line_model=line_model)
+        segments = []
+
+        class Kept(simulate_module._Segment):
+            def __init__(self, *args):
+                super().__init__(*args)
+                segments.append(self)
+
+        ctrls = synthesize_all(scenario.initial_topology,
+                               scenario.synthesis_config())
+        with mock.patch.object(simulate_module, "_Segment", Kept):
+            tr = simulate(scenario, ctrls)
+        assert len(segments) == 4
+        rng = np.random.default_rng(7)
+        for seg in segments:
+            assert set(seg._chunks) >= {1, 10}
+            for r, w in seg._chunks.values():
+                self.assert_dot_is_matmul(r, w, rng.normal(48.0, 5.0,
+                                                           len(w)))
+        assert tr.diverged is None
+
+    @pytest.mark.parametrize("units", range(1, 9))
+    def test_dot_is_matmul_on_random_maps(self, units):
+        rng = np.random.default_rng(units)
+        n = 3 * units
+        r = rng.normal(size=(n, n))
+        r *= 0.999 / np.max(np.abs(np.linalg.eigvals(r)))
+        self.assert_dot_is_matmul(r, rng.normal(size=n),
+                                  rng.normal(size=n))
+
+
+class TestMemory:
+    # tracemalloc peak of this call before sample times were held as
+    # arrays, one stretch each: a list of 160,001 floats took 5 MB
+    PEAK_BEFORE = 58_506_061
+
+    def test_packaged_run_peak(self):
+        from gridforge import cli
+        scenario = cli.load_scenario(cli.packaged_scenario_path())
+        ctrls = synthesize_all(scenario.initial_topology,
+                               scenario.synthesis_config())
+        tracemalloc.start()
+        try:
+            tr = simulate(scenario, ctrls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tr.times) == 160001
+        assert peak <= self.PEAK_BEFORE
