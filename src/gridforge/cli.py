@@ -330,8 +330,7 @@ def _synthesize_for(scenario: Scenario,
     return cfg, results
 
 
-def cmd_synth(args) -> int:
-    stages: Dict[str, float] = {}
+def cmd_synth(args, stages: Dict[str, float]) -> int:
     with _timed(stages, "load scenario"):
         scenario = load_scenario(args.scenario)
     if args.sigma_bar is not None:
@@ -344,8 +343,6 @@ def cmd_synth(args) -> int:
     with _timed(stages, "write"):
         _write_or_print(json.dumps(bundle_to_json(granted, cfg), indent=2,
                                    allow_nan=False), args.out)
-    if args.timings:
-        _print_timings(stages)
     return EXIT_OK
 
 
@@ -356,11 +353,6 @@ def _timed(stages: Dict[str, float], name: str):
     stages[name] = time.perf_counter() - start
 
 
-def _print_timings(stages: Mapping[str, float]) -> None:
-    for stage, seconds in stages.items():
-        print(f"timing: {stage}: {seconds:.6f} s", file=sys.stderr)
-
-
 def _print_fail(abscissa: Optional[float]) -> None:
     if abscissa is None:
         print("theorem1: fail")
@@ -368,8 +360,7 @@ def _print_fail(abscissa: Optional[float]) -> None:
         print(f"theorem1: fail, abscissa ≈ {abscissa:.3g}")
 
 
-def cmd_certify(args) -> int:
-    stages: Dict[str, float] = {}
+def cmd_certify(args, stages: Dict[str, float]) -> int:
     with _timed(stages, "load scenario"):
         topology = load_scenario(args.scenario).initial_topology
     with _timed(stages, "load bundle"):
@@ -395,8 +386,6 @@ def cmd_certify(args) -> int:
         # compact: with an indent, json runs its pure-Python encoder
         _write_or_print(json.dumps(certificate_to_json(cert, verdict, kernel),
                                    allow_nan=False), args.out)
-    if args.timings:
-        _print_timings(stages)
     if verdict.verdict == PASS:
         print("theorem1: pass")
         return EXIT_OK
@@ -410,7 +399,7 @@ def cmd_certify(args) -> int:
     return EXIT_DENIED
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, stages: Dict[str, float]) -> int:
     scenario = load_scenario(args.scenario)
     overrides = {}
     if args.dt is not None:
@@ -422,7 +411,6 @@ def cmd_simulate(args) -> int:
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     newcomers = _newcomers(scenario)
-    stages: Dict[str, float] = {}
     with _timed(stages, "synthesis"):
         designed = _synthesize_for(scenario, newcomers)
     if designed is None:
@@ -438,8 +426,6 @@ def cmd_simulate(args) -> int:
         trajectory_to_csv(traj, out_dir / "trajectory.csv")
     with _timed(stages, "event log"):
         write_event_log(traj, out_dir / "events.log")
-    if args.timings:
-        _print_timings(stages)
     for record in traj.events:
         print(f"t={record.t:g} {record.event}: {record.outcome}")
     if traj.diverged is not None:
@@ -462,7 +448,7 @@ def _format_spectrum(eigs: np.ndarray) -> str:
     return "  ".join(parts)
 
 
-def cmd_appendix_a(args) -> int:
+def cmd_appendix_a(args, stages: Dict[str, float]) -> int:
     ok = True
     for method in (baselines.LQR, baselines.POLE_PLACEMENT):
         report = baselines.destabilization_demo(method)
@@ -490,7 +476,7 @@ def cmd_appendix_a(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, stages: Dict[str, float]) -> int:
     grid_kwargs = {"points": args.points}
     if args.r_t is not None:
         grid_kwargs["r_t"] = tuple(args.r_t)
@@ -498,7 +484,6 @@ def cmd_sweep(args) -> int:
         grid_kwargs["l_t"] = tuple(args.l_t)
     if args.c_t is not None:
         grid_kwargs["c_t"] = tuple(args.c_t)
-    stages: Dict[str, float] = {}
     with _timed(stages, "sweep"):
         result = run_sweep(SweepGrid(**grid_kwargs),
                            sigma_bar=args.sigma_bar)
@@ -510,8 +495,6 @@ def cmd_sweep(args) -> int:
             with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
                 fh.write(summary_json(result))
         print(summary_json(result), end="")
-    if args.timings:
-        _print_timings(stages)
     return EXIT_OK
 
 
@@ -524,6 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plug-and-play voltage control for DC microgrids: "
                     "design, certify, and replay.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # appendix-a has no --timings
+    parser.set_defaults(timings=False)
     timed = argparse.ArgumentParser(add_help=False)
     timed.add_argument("--timings", action="store_true",
                        help="print the wall time of each stage to stderr")
@@ -575,13 +560,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  With --timings, each stage the command completed
+    is printed to stderr last, whatever the exit code."""
     args = build_parser().parse_args(argv)
+    stages: Dict[str, float] = {}
     try:
-        return args.func(args)
+        return args.func(args, stages)
     except (OSError, json.JSONDecodeError, ValueError, KeyError,
             NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if args.timings:
+            for stage, seconds in stages.items():
+                print(f"timing: {stage}: {seconds:.6f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ The solve is batched.  `solve_batch` groups its programs by barrier shape
 rows) and runs each group's phase I, then its phase II, in lockstep: one
 Newton step, line-search probe or merit evaluation is one numpy call on
 (B, k, k) stacks.  Every program keeps its own barrier parameter, budget,
-step length, stall count, iteration log and outcome, and a breakdown ends
+step length, stall count, step trace and outcome, and a breakdown ends
 only the program it occurs in.  Each stacked call does, member by member,
 the arithmetic of an unstacked one, so a program's iterates do not depend
 on what it is batched with: a batch of one, `solve`, is the single solve.
@@ -40,8 +40,7 @@ strict block).  Numerical conventions, fixed across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -147,45 +146,25 @@ class Iteration:
     step: float
 
 
-class IterationLog(Sequence):
-    """The accepted Newton steps of one solve, in order, as Iterations.
-
-    Held as one float row (t, merit, decrement, step) per step, the
-    `phase1` phase-I steps first, and built into Iteration records as they
-    are read: a batch of solutions keeps no Python object per step.
-    """
-
-    def __init__(self, rows: np.ndarray, phase1: int):
-        self._rows = rows
-        self.phase1 = phase1
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(len(self))[k])
-        k = range(len(self))[k]
-        return Iteration(1 if k < self.phase1 else 2,
-                         *self._rows[k].tolist())
-
-    def __iter__(self):
-        for k, row in enumerate(self._rows.tolist()):
-            yield Iteration(1 if k < self.phase1 else 2, *row)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    __hash__ = None
-
-
 @dataclass(frozen=True)
 class LmiSolution:
+    """A solve's outcome.  trace is the read-only (steps, 4) array of its
+    accepted Newton steps in order, one row (t, merit, decrement, step
+    length) each, the first phase1 of them phase I; `iterations` builds
+    the Iteration records from it on each read, so a batch of solutions
+    keeps no Python object per step."""
+
     status: str
     x: Optional[np.ndarray]
     objective_value: Optional[float]
     margins: Optional[np.ndarray]
-    iterations: Sequence[Iteration] = ()
+    trace: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+    phase1: int = 0
+
+    @property
+    def iterations(self) -> Tuple[Iteration, ...]:
+        return tuple(Iteration(1 if k < self.phase1 else 2, *row)
+                     for k, row in enumerate(self.trace.tolist()))
 
 
 def sym_eig(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -574,11 +553,12 @@ class _Run:
 
     def finish(self, status: str, x: Optional[np.ndarray]) -> None:
         """Settle the run's solution, of the given status at x."""
-        log = IterationLog(self.trace[:self.steps()],
-                           self.steps() if self.phase1 is None
-                           else self.phase1)
+        trace = self.trace[:self.steps()]
+        trace.setflags(write=False)
+        phase1 = self.steps() if self.phase1 is None else self.phase1
         if x is None:
-            self.solution = LmiSolution(status, None, None, None, log)
+            self.solution = LmiSolution(status, None, None, None, trace,
+                                        phase1)
             return
         margins = np.array([sym_eig(c + np.tensordot(x, f, axes=1))[0][0]
                             for c, f, _ in self.cones])
@@ -588,7 +568,7 @@ class _Run:
         if status in (OPTIMAL, FEASIBLE) and np.any(margins < floors - 1e-12):
             status = NUMERICAL_FAILURE
         self.solution = LmiSolution(status, x, float(self.objective @ x),
-                                    margins, log)
+                                    margins, trace, phase1)
 
     def after(self, phase: int, t: float, x: np.ndarray,
               outcome) -> Optional[float]:

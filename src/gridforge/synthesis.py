@@ -316,10 +316,9 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
     problem = _verify_invariants(k, p, q, delta, raw, eta)
     if problem is not None:
         return NumericalFailure(f"extracted controller invalid: {problem}")
-    phase1 = sol.iterations.phase1
     raw["solver"] = {"status": sol.status,
-                     "iterations_phase1": phase1,
-                     "iterations_phase2": len(sol.iterations) - phase1}
+                     "iterations_phase1": sol.phase1,
+                     "iterations_phase2": len(sol.trace) - sol.phase1}
     return LocalController(k, p, eta, raw, float(delta), q)
 
 

@@ -58,6 +58,14 @@ def timing_stages(err):
     return [line.split(": ")[1] for line in err.splitlines()]
 
 
+def strict_json(text):
+    """text read as JSON with no NaN or Infinity token, which JSON itself
+    does not have."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def small_file(tmp_path):
     return write_json(tmp_path / "small.json", SMALL)
@@ -250,6 +258,14 @@ class TestSynth:
         assert timing_stages(err) == ["load scenario", "synthesis", "write"]
         assert timed.read_bytes() == pathlib.Path(bundle).read_bytes()
 
+    def test_without_out_the_bundle_goes_to_stdout(self, bundle_file,
+                                                   capsys):
+        scenario, bundle = bundle_file
+        assert cli.main(["synth", scenario]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (pathlib.Path(bundle).read_text(), "")
+        strict_json(out)
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert cli.main(["synth", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -322,6 +338,28 @@ class TestCertify:
         assert cli.main(["certify", scenario, path]) == 1
         assert ("error: bundle names DGU 2 twice"
                 in capsys.readouterr().err)
+
+    def test_entry_for_an_absent_dgu_is_hard_error(self, bundle_file,
+                                                   tmp_path, capsys):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        payload["controllers"].append(dict(payload["controllers"][1],
+                                           dgu_id=9))
+        path = write_json(tmp_path / "stranger.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr().err == (
+            "error: bundle names DGU 9, absent from the scenario\n")
+
+    def test_without_out_the_certificate_goes_to_stdout(
+            self, bundle_file, tmp_path, capsys):
+        scenario, bundle = bundle_file
+        cert = tmp_path / "cert.json"
+        assert cli.main(["certify", scenario, bundle, "--out", str(cert)]) == 0
+        assert capsys.readouterr().out == "theorem1: pass\n"
+        assert cli.main(["certify", scenario, bundle]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (cert.read_text() + "theorem1: pass\n", "")
+        strict_json(out.splitlines()[0])
 
     def test_large_gain_only_bundle_skips_the_spectrum(self, tmp_path,
                                                       capsys, monkeypatch):
@@ -583,6 +621,19 @@ class TestSimulate:
         log = (tmp_path / "events.log").read_text().splitlines()
         assert json.loads(log[-1])["event"] == "divergence"
 
+    def test_divergence_at_a_plug_in_exits_one(self, tmp_path, capsys):
+        # the newcomer's own operating point is past the divergence limit,
+        # so the run ends on the sample recorded at its event
+        path = with_plug_in(tmp_path, dict(NEWCOMER, v_ref=1e10), t=0.005)
+        assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "t=0.005 plug_in dgu=3: accepted\n"
+        assert err.startswith("diverged at t=0.005 (|x| = ")
+        log = (tmp_path / "events.log").read_text().splitlines()
+        assert [json.loads(line)["event"] for line in log] == [
+            "plug_in dgu=3", "divergence"]
+        assert json.loads(log[-1])["t"] == 0.005
+
     def test_denied_grid_exits_two(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SMALL))
         payload["dgus"][1]["c_t"] = 1e6
@@ -746,6 +797,28 @@ class TestReports:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["infeasible"] == 1
+
+
+class TestTimings:
+    def test_stages_print_last_on_a_refusal_and_an_error(
+            self, bundle_file, tmp_path, capsys):
+        payload = json.loads(json.dumps(SMALL))
+        payload["dgus"][1]["c_t"] = 1e6
+        denied = write_json(tmp_path / "d.json", payload)
+        assert cli.main(["synth", denied, "--timings"]) == 2
+        out, err = capsys.readouterr()
+        first, *rest = err.splitlines()
+        assert out == "" and first.startswith("denied: dgu 2: ")
+        assert timing_stages("\n".join(rest)) == ["load scenario",
+                                                  "synthesis"]
+
+        scenario, _ = bundle_file
+        absent = str(tmp_path / "absent.json")
+        assert cli.main(["certify", scenario, absent, "--timings"]) == 1
+        out, err = capsys.readouterr()
+        first, *rest = err.splitlines()
+        assert out == "" and first.startswith("error: ")
+        assert timing_stages("\n".join(rest)) == ["load scenario"]
 
 
 def _distribution_installed(name):

@@ -7,6 +7,7 @@ from gridforge.lmi import (
     PSD,
     LmiBlock,
     LmiProgram,
+    LmiSolution,
     _Barrier,
     _Run,
     _cone,
@@ -111,6 +112,20 @@ class TestProgramValidation:
     def test_coeff_shapes(self, coeffs, where):
         with pytest.raises(ValueError, match=f"^{where}$"):
             LmiBlock(np.eye(2), coeffs)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LmiBlock(np.ones((2, 3)), ()),
+         "constant must be a square matrix"),
+        (lambda: LmiProgram(1, [np.inf], (scalar_block(0.0, 1.0),)),
+         "objective has non-finite entries"),
+        (lambda: LmiProgram(1, [1.0], ()), "program needs at least one block"),
+        (lambda: general_eig(np.array([[1.0, np.nan], [0.0, 1.0]])),
+         "matrix has non-finite entries"),
+    ], ids=["non-square-constant", "non-finite-objective", "no-blocks",
+            "non-finite-eig-input"])
+    def test_input_refused(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_coeffs_become_one_read_only_stack(self):
         f = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
@@ -237,6 +252,48 @@ class TestStatuses:
         assert run.solution.status == "NumericalFailure"
         assert run.solution.x is None and run.phase1 is None
 
+    def test_phase1_breakdown_is_a_failure(self):
+        run = _Run(synthesis_program(0.05, 1e-3, 1e-3))
+        run.budget = lmi.MAX_ITER - 7
+        x = np.concatenate([np.zeros(run.n), [0.5]])
+        assert run.after(1, 1.0, x, FloatingPointError("line search failed")
+                         ) is None
+        assert run.solution.status == "NumericalFailure"
+        assert run.solution.x is None and run.solution.margins is None
+
+    @pytest.mark.parametrize("s, outcome, status", [
+        (-1e-11, "converged", None),
+        (0.0, "stalled", None),
+        (1e-12, "converged", "Infeasible"),
+        (1e-12, "stalled", "NumericalFailure"),
+    ])
+    def test_phase1_small_gap_rule(self, s, outcome, status):
+        # at t = 2e10 * m_ext the gap bound m_ext / t is 5e-11, below 1e-10
+        # and above s: s <= 0 starts phase II there, s > 0 ends the solve
+        run = _Run(synthesis_program(0.05, 1e-3, 1e-3))
+        run.budget = lmi.MAX_ITER - 7
+        m_ext = run.m + 1 + 2 * run.n
+        x = np.concatenate([np.arange(1.0, run.n + 1.0), [s]])
+        assert run.after(1, 2e10 * m_ext, x, outcome) is None
+        if status is None:
+            assert run.solution is None and run.phase1 == 7
+            np.testing.assert_array_equal(run.start, x[:run.n])
+        else:
+            assert run.solution.status == status
+            assert run.solution.x is None and run.phase1 is None
+
+    @pytest.mark.parametrize("status", ["Optimal", "Feasible"])
+    def test_claim_below_the_margin_floor_is_a_failure(self, status):
+        # x >= 0 relaxed by eps_psd = 1e-9: -1e-10 honours the margin
+        # contract, -1e-6 does not
+        run = _Run(LmiProgram(1, [1.0], (scalar_block(0.0, 1.0),)))
+        run.finish(status, np.array([-1e-10]))
+        assert run.solution.status == status
+        run.finish(status, np.array([-1e-6]))
+        assert run.solution.status == "NumericalFailure"
+        np.testing.assert_array_equal(run.solution.x, [-1e-6])
+        assert run.solution.margins[0] == pytest.approx(-1e-6)
+
     def test_strict_margin(self):
         sol = solve(LmiProgram(1, [1.0], (scalar_block(0.0, 1.0, strict=True),)))
         assert sol.status == "Optimal"
@@ -283,6 +340,21 @@ class TestSolverInvariants:
             if key in last:
                 assert it.merit <= last[key] + 1e-9 * (1.0 + abs(last[key]))
             last[key] = it.merit
+
+    def test_iterations_are_the_trace_rows(self):
+        sol = solve(synthesis_program(0.05, 1e-3, 1e-3))
+        steps = len(sol.trace)
+        assert not sol.trace.flags.writeable
+        assert 0 < sol.phase1 < steps == len(sol.iterations)
+        assert [it.phase for it in sol.iterations] == (
+            [1] * sol.phase1 + [2] * (steps - sol.phase1))
+        assert [[it.t, it.merit, it.decrement, it.step]
+                for it in sol.iterations] == sol.trace.tolist()
+
+    def test_default_solution_has_no_steps(self):
+        sol = LmiSolution("Optimal", np.zeros(1), 0.0, np.ones(1))
+        assert sol.iterations == ()
+        assert sol.trace.shape == (0, 4) and sol.phase1 == 0
 
     def test_solution_is_immutable_enough(self):
         prog = self.prog()

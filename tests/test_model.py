@@ -61,6 +61,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown load kind"):
             LoadModel("impedance", 1.0)
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: LoadModel.constant_current(float("inf")), ValueError,
+         "i_l must be finite"),
+        (lambda: dgu(v_ref=-1.0), ValueError, "v_ref must be nonnegative"),
+        (lambda: two_dgu_topology().replace_params(3, dgu()), TopologyError,
+         "unknown DGU 3"),
+    ], ids=["non-finite-current", "negative-v-ref", "replace-unknown-dgu"])
+    def test_input_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
+
     def test_topology_rejects_dangling_and_duplicate_lines(self):
         dgus = {1: dgu(), 2: dgu()}
         with pytest.raises(TopologyError, match="missing DGU"):

@@ -101,6 +101,15 @@ class TestScenarioValidation:
             simulate(Scenario(top, 10.0, t_end=0.01), controllers=ctrls,
                      initial_state=state)
 
+    @pytest.mark.parametrize("ids", [[1], [1, 2, 3]],
+                             ids=["missing", "extra"])
+    def test_controllers_must_cover_the_initial_grid(self, pair, ids):
+        top, ctrls = pair
+        gains = {i: ctrls[1] for i in ids}
+        with pytest.raises(ValueError, match="^controllers must cover "
+                           "exactly the initial topology$"):
+            simulate(Scenario(top, 10.0, t_end=0.01), gains)
+
     def test_disconnected_initial_topology(self):
         top = MicrogridTopology({1: dgu(), 2: dgu()}, ())
         with pytest.raises(TopologyError, match="connected"):
@@ -275,6 +284,12 @@ class TestProtocolOps:
         with pytest.raises(TopologyError, match="unknown DGU"):
             attempt_plug_in(top, 3, dgu(), (LineParams(3, 7, 0.05),), CFG)
 
+    def test_plug_line_must_touch_the_newcomer(self, pair):
+        top, _ = pair
+        with pytest.raises(TopologyError,
+                           match=r"^line \(1, 2\) does not touch DGU 3$"):
+            attempt_plug_in(top, 3, dgu(), (LineParams(1, 2, 0.05),), CFG)
+
     def test_plug_no_lines_denied(self, pair):
         top, _ = pair
         result = attempt_plug_in(top, 3, dgu(), (), CFG)
@@ -361,6 +376,23 @@ class TestIntegratorQuality:
         assert event_log_lines(tr)[-1] == json.dumps(
             {"t": 0.0001, "event": "divergence",
              "outcome": "|state| reached inf"})
+
+    def test_divergence_on_the_sample_at_an_event(self, pair):
+        # the newcomer's own operating point is past DIVERGENCE_LIMIT, so
+        # the sample recorded at its plug-in ends the run and is kept
+        top, ctrls = pair
+        params = dgu(0.3, 2.0e-3, 2.2e-3, 1e10, 4.0)
+        design = synthesize_all(MicrogridTopology({3: params}, ()), FAST)[3]
+        ev = PlugIn(0.005, 3, params, (LineParams(3, 2, 0.06, 2.3e-6),))
+        tr = simulate(Scenario(top, 10.0, events=(ev,), t_end=0.01), ctrls,
+                      designs={params: design})
+        fresh = simulate_module._isolated_steady(params, design)
+        assert tr.diverged == DivergedAt(0.005, np.abs(fresh).max())
+        assert tr.diverged.max_abs > simulate_module.DIVERGENCE_LIMIT
+        assert [r.outcome for r in tr.events] == ["accepted"]
+        assert len(tr.times) == 51 and tr.times[-1] == 0.005
+        assert tr.final_state[-3:].tobytes() == fresh.tobytes()
+        np.testing.assert_array_equal(tr.series[3][-1, :3], fresh)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_gain_rejected(self, pair, bad):
@@ -838,6 +870,17 @@ class TestStepping:
                 Scenario(top, 10.0, t_end=t_end), gains,
                 initial_state=RUNAWAY_START)
         assert tr.diverged is not None
+
+    def test_near_grid_event_takes_the_fixed_point_pass(self):
+        # an event 1e-11 s past a dt grid point is on the grid for run()
+        # (within 1e-6 dt), so no short step is taken; _stretch's numpy
+        # guess of the slot recurrence is then one step off about 21 slots
+        # later, and only its correction pass gets the schedule right
+        p = DguParams(0.1, 1.8e-3, 2.2e-3, LoadModel.resistive(10.0), 48.0)
+        top = MicrogridTopology({1: p, 2: p}, (LineParams(1, 2, 0.05, 2e-6),))
+        scenario = Scenario(top, 10.0, t_end=0.01, events=(
+            RefStep(0.00010000000999999968, 1, 47.0),))
+        assert_runs_match_the_reference(scenario, synthesize_all(top, CFG))
 
     @staticmethod
     def assert_dot_is_matmul(r, w, x):
