@@ -371,9 +371,10 @@ def cmd_certify(args, stages: Dict[str, float]) -> int:
         # gain-only bundle: the closed-loop spectrum is still decisive
         # in one direction (an eigenvalue in the right half plane refutes
         # stability), but no certificate can be granted without P.
-        system = assemble_global(topology)
-        spectrum, _ = closed_loop_spectrum(
-            system, closed_loop_blocks(system, controllers))
+        with _timed(stages, "spectrum"):
+            system = assemble_global(topology)
+            spectrum, _ = closed_loop_spectrum(
+                system, closed_loop_blocks(system, controllers))
         _print_fail(None if spectrum is None
                     else float(np.max(spectrum.real)))
         return EXIT_DENIED
@@ -400,7 +401,8 @@ def cmd_certify(args, stages: Dict[str, float]) -> int:
 
 
 def cmd_simulate(args, stages: Dict[str, float]) -> int:
-    scenario = load_scenario(args.scenario)
+    with _timed(stages, "load scenario"):
+        scenario = load_scenario(args.scenario)
     overrides = {}
     if args.dt is not None:
         overrides["dt"] = args.dt

@@ -6,25 +6,32 @@ once per segment from the fourth-order Taylor truncation of exp(hA).
 Steps between recorded samples are composed into a single affine map,
 which keeps long runs cheap.  The record slots are taken a stretch at a
 time: numpy works out the stretch's schedule, and each run of slots with
-one step count is then a tight loop of `state = R.dot(state) + w`, which
-gives the bits `@` gives, for less (see _Segment).  Event
-timestamps never drift: the step straddling an event is split so the
-boundary is hit exactly, and after an event off the dt grid one short
-step returns to it, so later samples stay on the record grid.  Recording
+one step count is then a tight loop that writes R.dot(state) straight
+into the next row of the stretch's preallocated block and adds w in
+place, which gives the bits `state = R @ state + w` gives, for less
+(see _Segment).  Event timestamps never drift: the step straddling an
+event is split so the boundary is hit exactly, and after an event off
+the dt grid one short step returns to it, so later samples stay on the
+record grid.  Recording
 keeps the state rows only and tests them for divergence a stretch at a
 time; the trajectory is then assembled as one read-only table in the
 CSV's layout, with u = k x_hat per unit.
 Writing that table is mostly float formatting, done by orjson with the
-bytes repr() gives (see _write_rows).  It holds the GIL, so
+bytes repr() gives, and a few in-place edits of each chunk's bytes turn
+its JSON into CSV lines (see _write_rows).  Formatting holds the GIL, so
 trajectory_to_csv formats contiguous row ranges in up to one forked
 process per available CPU (the _forks helper, which synthesis shares)
-and joins them in order; the bytes are those of a single pass.
+and joins them in order; the bytes are those of a single pass.  Both
+writers replace the file at their path rather than truncate it (see
+_create).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import shutil
 from dataclasses import dataclass, replace
 from typing import (IO, ClassVar, Dict, List, Mapping, Optional, Sequence,
@@ -282,12 +289,14 @@ class _Segment:
     the step count of each slot and which slots record, in the float
     arithmetic of a slot-by-slot loop, so every sample keeps its time bit
     for bit.  It then takes each run of slots with one step count through
-    that count's composed map in a tight `state = dot(state) + w` loop.
-    For a C-contiguous float64 matrix and vector, ndarray.dot makes the
-    same BLAS gemv call as `@` and so gives the same bits, with less call
-    overhead than the matmul ufunc; at these sizes call overhead is most
-    of a step's cost.  record() then checks the stretch and keeps its
-    times and states as arrays.
+    that count's composed map in a tight loop over the rows of one block
+    allocated for the stretch: `dot(state, row)`, `row += w`, and the row
+    is the next state.  For a C-contiguous float64 matrix and vector,
+    ndarray.dot makes the same BLAS gemv call as `@`, into `out` or not,
+    and `+=` is the same add as `+`, so the bits are those of
+    `state = R @ state + w`; at these sizes call overhead and allocation
+    are most of a step's cost.  record() then checks the stretch and
+    keeps its times and states as arrays.
     """
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -325,7 +334,7 @@ class _Segment:
             t, max_abs, keep = float(times[k]), float(peak[k]), k + 1
             if not math.isfinite(max_abs):
                 max_abs, keep = math.inf, k
-            cut = states[k], DivergedAt(t, max_abs)
+            cut = states[k].copy(), DivergedAt(t, max_abs)
         self.times.append(times[:keep])
         # only the unit columns are recorded; RL line currents are not
         self.rows.append(
@@ -342,6 +351,8 @@ class _Segment:
         steps = floor((target - t_cur) / dt + 1e-6) steps when that is
         positive, and records t_cur when it took any, or when t_cur is
         not the last recorded time last_t; a final slot records nothing.
+        The samples are rows of one block, with a spare row for a final
+        slot's steps; the state returned is a copy, not a sample's row.
         Returns (state, k, sample times, sample states)."""
         dt = self.dt
         ks = np.empty(len(target) + 1, dtype=np.int64)  # k at slot starts
@@ -362,8 +373,9 @@ class _Segment:
         # after the first slot, a slot without steps is at last_t
         records[0] |= last_t is None or last_t != t_cur[0]
         records[-1] &= not final
-        states = []
-        append = states.append
+        kept = int(records.sum())
+        states = np.empty((kept + 1, len(state)))
+        pos = 0
         bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(),
                   len(steps)]
         for lo, hi in zip(bounds, bounds[1:]):
@@ -371,14 +383,16 @@ class _Segment:
             if count:
                 r, w = self.chunk(count)
                 dot = r.dot
-                for _ in range(hi - lo):
-                    state = dot(state) + w
-                    append(state)
+                for row in states[pos:pos + hi - lo]:
+                    dot(state, row)
+                    row += w
+                    state = row
+                pos += hi - lo
             elif records[lo]:
-                append(state)
-        if final and steps[-1]:
-            states.pop()  # the final slot's state is no sample
-        return state, int(ks[-1]), t_cur[1:][records], np.array(states)
+                states[pos] = state
+                pos += 1
+        # the spare row holds a final slot's state, which is no sample
+        return state.copy(), int(ks[-1]), t_cur[1:][records], states[:kept]
 
     def run(self, state, t0, t1, record_dt):
         """Integrate [t0, t1), recording interior record-grid samples; the
@@ -648,10 +662,17 @@ def _repr_lines(rows: np.ndarray) -> bytes:
                     for row in rows.tolist()]).encode()
 
 
-def _orjson_lines(rows: np.ndarray) -> bytes:
-    # b"[[a,b],[c,d]]" -> b"a,b\r\nc,d\r\n"
-    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-    return text.replace(b"],[", b"\r\n").replace(b"null", b"nan") + b"\r\n"
+def _orjson_lines(rows: np.ndarray) -> bytearray:
+    # b"[[a,null],[c,d]]" -> b"a,nan\r\nc,d\r\n" (see _write_rows)
+    text = bytearray(orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY))
+    buf = np.frombuffer(text, dtype=np.uint8)  # edits text in place
+    ends = np.flatnonzero(buf == ord("]"))[:-1]  # each row's "]"
+    buf[ends] = ord("\r")
+    buf[ends + 1] = ord("\n")  # the "," after a row, or the outer "]"
+    nulls = np.flatnonzero(buf == ord("u"))
+    buf[nulls + 1] = ord("a")
+    buf[nulls + 2] = ord("n")
+    return text.translate(None, b"[u")
 
 
 def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
@@ -669,6 +690,12 @@ def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
     0 < |x| < 1e-4 or |x| >= 1e16, inf included, keeps its repr() line,
     and every run of other rows is one orjson call.  Once inf is odd,
     NaN is the only cell orjson writes as null.
+
+    orjson writes such a run with digits, ".", "-", ",", "[", "]" and
+    "null" only, so _orjson_lines edits a copy of its bytes in place with
+    numpy: each row's "]" becomes CR and the "," or outer "]" after it
+    LF, and each "null" reads "nuan"; one bytearray.translate then drops
+    every "[" and "u".
     """
     for start in range(0, len(rows), CSV_CHUNK):
         chunk = np.ascontiguousarray(rows[start:start + CSV_CHUNK],
@@ -678,8 +705,9 @@ def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
         # the bounds of each run of odd rows and each run of other rows
         cuts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1).tolist(),
                 len(chunk)]
-        fh.write(b"".join([(_repr_lines if odd[lo] else _orjson_lines)(
-            chunk[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]))
+        for lo, hi in zip(cuts, cuts[1:]):
+            fh.write((_repr_lines if odd[lo] else _orjson_lines)(
+                chunk[lo:hi]))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
@@ -694,7 +722,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     into the file, then appends each child's spool in order, 1 MiB at a
     time.  The bytes do not depend on the range count.
     Every child is reaped before the call returns or raises; a child that
-    failed raises RuntimeError.
+    failed raises RuntimeError.  The file is replaced, not truncated (see
+    _create).
     """
     table = traj.table
 
@@ -703,7 +732,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 
     with _forks.forked_ranges(len(table), _range_count(len(table)),
                               format_range, "CSV writer") as (end, spools):
-        with open(path, "wb") as fh:
+        with _create(path, "wb") as fh:
             fh.write((",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
                                         for col in Trajectory.COLUMNS])
                       + "\r\n").encode())
@@ -722,7 +751,22 @@ def event_log_lines(traj: Trajectory) -> List[str]:
     return lines
 
 
+def _create(path, mode: str) -> IO:
+    """open(path, mode) on a new file: whatever is at path is unlinked
+    first.  On ext4 with auto_da_alloc (the default), closing a file
+    that was truncated and rewritten starts its writeback at once, and
+    after the 67 MB trajectory that held up the next small write by
+    about 25 ms; an unlinked file's blocks are just freed.  So a symlink
+    at path is replaced by a regular file, and a hard link to the old
+    file keeps the old bytes."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, mode)
+
+
 def write_event_log(traj: Trajectory, path) -> None:
-    with open(path, "w") as fh:
+    """One JSON object per event, then one for a divergence, per line;
+    the file is replaced, not truncated (see _create)."""
+    with _create(path, "w") as fh:
         for line in event_log_lines(traj):
             fh.write(line + "\n")

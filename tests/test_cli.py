@@ -303,6 +303,20 @@ class TestCertify:
         assert line.startswith("theorem1: fail, abscissa ≈ ")
         assert float(line.rsplit(" ", 1)[-1]) == pytest.approx(17.5, abs=0.1)
 
+    def test_gain_only_timings_list_the_spectrum(self, bundle_file,
+                                                  tmp_path, capsys):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        payload["controllers"] = [{"dgu_id": entry["dgu_id"],
+                                   "K": entry["K"]}
+                                  for entry in payload["controllers"]]
+        path = write_json(tmp_path / "gains.json", payload)
+        assert cli.main(["certify", scenario, path, "--timings"]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("theorem1: fail, abscissa ≈ -")
+        assert timing_stages(err) == ["load scenario", "load bundle",
+                                      "spectrum"]
+
     def test_bundle_with_or_without_solver_diagnostics(self, bundle_file,
                                                         tmp_path, capsys):
         scenario, bundle = bundle_file
@@ -571,7 +585,8 @@ class TestSimulate:
         assert out.replace(str(timed), str(plain)) == plain_out
         assert plain_err == ""
         assert timing_stages(err) == [
-            "synthesis", "simulate", "CSV write", "event log"]
+            "load scenario", "synthesis", "simulate", "CSV write",
+            "event log"]
         for name in ("trajectory.csv", "events.log"):
             assert ((timed / name).read_bytes()
                     == (plain / name).read_bytes())

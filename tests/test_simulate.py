@@ -20,7 +20,8 @@ from gridforge.simulate import (QSL, RL, DivergedAt, LoadStep, PlugIn,
                                 RefStep, Scenario, Trajectory, Unplug,
                                 _build_ode, _remap_state, attempt_plug_in,
                                 attempt_unplug, event_log_lines, simulate,
-                                steady_state, trajectory_to_csv)
+                                steady_state, trajectory_to_csv,
+                                write_event_log)
 from gridforge.synthesis import Denied, SynthesisConfig, synthesize_all
 
 # the package re-exports the function `simulate` under the module's name
@@ -643,6 +644,57 @@ class TestArtifacts:
         header = b"t,dgu1.V,dgu1.It,dgu1.v,dgu1.u\r\n"
         assert written == header + (b"" if line is None else line + b"\r\n")
 
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 48.0, 1.5, -2.0, 0.25]],
+        [[0.0, math.nan, 1.0, 2.0, 3.0], [1e-4, 2.0, 3.0, 4.0, math.nan]],
+        [[0.5, math.nan, math.nan, math.nan, math.nan]] * 3,
+        [[0.0, -0.0, 0.0, -0.0, -1.5], [-0.0, 0.0, -0.0, 0.0, 1e15]],
+    ], ids=["one-row", "nan-first-and-last", "nan-but-t", "signed-zeros"])
+    def test_orjson_lines_are_csv_writer_lines(self, tmp_path, rows):
+        # the NaN cases end on "null]]", the outer "]" after a null
+        rows = np.array(rows)
+        written = assert_csv_matches_csv_writer(table_trajectory(rows),
+                                                tmp_path)
+        body = written.split(b"\r\n", 1)[1]
+        assert simulate_module._orjson_lines(rows) == body
+
+    def test_odd_rows_cut_a_chunk_into_runs_of_one(self, tmp_path):
+        rows = np.tile([0.0, 48.0, -0.0, math.nan, 0.25], (9, 1))
+        rows[:, 0] = np.arange(9) * 0.5
+        rows[1::2, 2] = 1e-7  # every other row is odd
+        rows[8, 4] = math.nan
+        with mock.patch.object(simulate_module, "_range_count",
+                               lambda rows: 1):
+            written = assert_csv_matches_csv_writer(table_trajectory(rows),
+                                                    tmp_path)
+        assert written.split(b"\r\n")[1:4] == [
+            b"0.0,48.0,-0.0,nan,0.25", b"0.5,48.0,1e-07,nan,0.25",
+            b"1.0,48.0,-0.0,nan,0.25"]
+
+    @pytest.mark.parametrize("link", ["hard", "symbolic"])
+    def test_writers_replace_the_file(self, pair, tmp_path, link):
+        top, ctrls = pair
+        tr = simulate(Scenario(top, 10.0, t_end=0.01, events=(
+            RefStep(0.005, 1, 48.3),)), controllers=ctrls)
+        writers = {"run.csv": trajectory_to_csv, "events.log": write_event_log}
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for name, write in writers.items():
+            write(tr, fresh / name)
+        old = b"x" * (2 * len((fresh / "run.csv").read_bytes()))
+        for name, write in writers.items():
+            path, other = tmp_path / name, tmp_path / f"old-{name}"
+            other.write_bytes(old)
+            if link == "hard":
+                os.link(other, path)
+            else:
+                path.symlink_to(other)
+            write(tr, path)
+            # the old file keeps its bytes; the path holds the new ones only
+            assert other.read_bytes() == old
+            assert not path.is_symlink()
+            assert path.read_bytes() == (fresh / name).read_bytes()
+
     def test_event_log_is_json_lines(self, pair):
         top, ctrls = pair
         ev = (LoadStep(0.05, 2, LoadModel.resistive(3.0)),)
@@ -925,6 +977,40 @@ class TestStepping:
         r *= 0.999 / np.max(np.abs(np.linalg.eigvals(r)))
         self.assert_dot_is_matmul(r, rng.normal(size=n),
                                   rng.normal(size=n))
+
+    @pytest.mark.parametrize("gain, t1", [
+        (None, 0.0123),  # ends on a final slot's steps
+        (None, 0.01234567),  # and a short step
+        ((1.2, 0.0, 1.0), 0.5)])  # cut at a kept row over the limit
+    def test_returned_state_is_no_recorded_row(self, pair, gain, t1):
+        top, ctrls = pair
+        state = RUNAWAY_START.copy()
+        if gain is not None:
+            ctrls = {1: np.array(gain), 2: np.array(gain)}
+        seg = simulate_module._Segment(top, ctrls, QSL, 1e-5)
+        seg.record(np.array([0.0]), np.array([state]))
+        state, _, cut = seg.run(state, 0.0, t1, 1e-4)
+        assert (cut is None) == (gain is None)
+        rows = [stretch.copy() for stretch in seg.rows]
+        state[:] = 7.0
+        for kept, stretch in zip(rows, seg.rows):
+            assert kept.tobytes() == stretch.tobytes()
+
+    def test_dot_into_a_row_is_matmul(self):
+        # the stepping loop's dot(state, row); row += w
+        rng = np.random.default_rng(3)
+        r = rng.normal(size=(18, 18))
+        r *= 0.999 / np.max(np.abs(np.linalg.eigvals(r)))
+        w, x = rng.normal(size=18), rng.normal(size=18)
+        block = np.empty((1000, 18))
+        state = x
+        for row in block:
+            r.dot(state, row)
+            row += w
+            state = row
+        for row in block:
+            x = r @ x + w
+            assert row.tobytes() == x.tobytes()
 
 
 class TestMemory:
