@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class GlobalCertificate:
     q_dropped: np.ndarray
     line_weights: np.ndarray
     laplacian: np.ndarray
-    eta_tilde: Mapping[Tuple[int, int], float]
     spectra: Mapping[str, Optional[np.ndarray]]
     kernel_voltage: np.ndarray
     kernel_units: np.ndarray
@@ -171,15 +170,6 @@ def build_laplacian(topology: MicrogridTopology,
     return np.diag(-np.sum(g, axis=1)) + g
 
 
-def eta_tilde_map(topology: MicrogridTopology, sigma_bar: float,
-                  ) -> Dict[Tuple[int, int], float]:
-    out = {}
-    for ln in topology.lines:
-        out[(ln.i, ln.j)] = sigma_bar / ln.r
-        out[(ln.j, ln.i)] = sigma_bar / ln.r
-    return out
-
-
 def _voltage_block(diagonal: np.ndarray, system: GlobalSystem,
                    line_weights: np.ndarray) -> np.ndarray:
     n = len(diagonal)
@@ -188,18 +178,6 @@ def _voltage_block(diagonal: np.ndarray, system: GlobalSystem,
     out[system.line_i, system.line_j] = line_weights
     out[system.line_j, system.line_i] = line_weights
     return out
-
-
-def closed_loop_spectrum(system: GlobalSystem, f_blocks: np.ndarray,
-                         ) -> Tuple[Optional[np.ndarray], float]:
-    """(spectrum, Frobenius norm) of the closed loop F with these diagonal
-    blocks.  The spectrum, an O(N^3) eigensolve of the dense F, is None
-    above SPECTRUM_MAX_UNITS units; the norm is then read off the blocks
-    and the line conductances."""
-    if len(f_blocks) > SPECTRUM_MAX_UNITS:
-        return None, _frobenius(f_blocks, system.g_i, system.g_j)
-    f_global = system.expand(f_blocks)
-    return general_eig(f_global), float(np.linalg.norm(f_global))
 
 
 def check_global(controllers: Mapping[int, LocalController],
@@ -341,8 +319,15 @@ def check_global(controllers: Mapping[int, LocalController],
     seconds["Q pieces"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    spectrum, checks["closed_loop_norm"] = closed_loop_spectrum(system,
-                                                                f_blocks)
+    if len(f_blocks) > SPECTRUM_MAX_UNITS:
+        # no dense F: its norm is read off the blocks and the conductances
+        spectrum = None
+        checks["closed_loop_norm"] = _frobenius(f_blocks, system.g_i,
+                                                system.g_j)
+    else:
+        f_global = system.expand(f_blocks)
+        spectrum = general_eig(f_global)
+        checks["closed_loop_norm"] = float(np.linalg.norm(f_global))
     seconds["spectrum"] = time.perf_counter() - start
     return GlobalCertificate(
         q_voltage=q_voltage,
@@ -350,7 +335,6 @@ def check_global(controllers: Mapping[int, LocalController],
         q_dropped=q_dropped,
         line_weights=line_weights,
         laplacian=laplacian,
-        eta_tilde=eta_tilde_map(topology, sigma_bar),
         spectra={"q_global": w_q, "closed_loop": spectrum},
         kernel_voltage=kernel_voltage,
         kernel_units=kernel_units,
@@ -471,7 +455,6 @@ def certificate_to_json(cert: GlobalCertificate,
             [z.real, z.imag] for z in spectrum
         ],
         "laplacian": cert.laplacian.tolist(),
-        "eta_tilde": {f"{i}-{j}": v for (i, j), v in cert.eta_tilde.items()},
         "kernel_dimension": cert.kernel_dimension,
     }
     if theorem1 is not None:

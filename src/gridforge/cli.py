@@ -11,7 +11,8 @@ never written.  Every id (a unit's, a line end's, an event's unit, a
 bundle entry's) is a whole number, and a scenario or bundle names each
 unit once.  Every other number in either file is a finite JSON number, an
 int or a float; a bool, a string or a non-finite value is refused naming
-its field (_number).
+its field (_number), and so is a list or object that is not a JSON array
+or object (_json), or a missing field.
 """
 
 from __future__ import annotations
@@ -24,28 +25,25 @@ import json
 import pathlib
 import sys
 import time
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import baselines
 from .certify import (
     FAIL,
-    HYPOTHESIS_UNMET,
     PASS,
     certificate_to_json,
     check_global,
     check_lasalle_kernel,
     check_theorem1,
-    closed_loop_spectrum,
 )
 from .model import (
     DguParams,
     LineParams,
     LoadModel,
     MicrogridTopology,
-    assemble_global,
-    closed_loop_blocks,
+    assemble_global,  # noqa: F401  perfbench/spans.py wraps it here
     unit_blocks,
 )
 from .simulate import (
@@ -64,6 +62,7 @@ from .synthesis import (
     LocalController,
     NumericalFailure,
     SynthesisConfig,
+    local_certificate,
     local_dissipation,
     synthesize_all,
 )
@@ -109,11 +108,28 @@ def _number(value, field: str, shape: Tuple[int, ...] = (),
     return read(value, shape)
 
 
-def _load_from_json(obj: Mapping) -> LoadModel:
+def _json(value, kind: type, field: str):
+    """value, read from a JSON array (kind list) or object (kind dict);
+    anything else raises ValueError naming field."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be a JSON "
+                         f"{'array' if kind is list else 'object'}")
+    return value
+
+
+def _entries(value, field: str) -> list:
+    """value read as a JSON array of JSON objects (_json)."""
+    return [_json(entry, dict, f"each entry of {field}")
+            for entry in _json(value, list, field)]
+
+
+def _load_from_json(value) -> LoadModel:
+    obj = _json(value, dict, "load")
     return LoadModel(str(obj["type"]), _number(obj["value"], "value"))
 
 
-def _params_from_json(obj: Mapping) -> DguParams:
+def _params_from_json(value) -> DguParams:
+    obj = _json(value, dict, "params")
     r_t, l_t, c_t, v_ref = (_number(obj[name], name)
                             for name in ("r_t", "l_t", "c_t", "v_ref"))
     return DguParams(r_t=r_t, l_t=l_t, c_t=c_t,
@@ -131,7 +147,8 @@ def _event_from_json(obj: Mapping):
     kind = str(obj["type"])
     if kind == PlugIn.kind:
         return PlugIn(t, _id(obj, "dgu"), _params_from_json(obj["params"]),
-                      tuple(_line_from_json(ln) for ln in obj["lines"]))
+                      tuple(_line_from_json(ln)
+                            for ln in _entries(obj["lines"], "lines")))
     if kind == Unplug.kind:
         return Unplug(t, _id(obj, "dgu"))
     if kind == LoadStep.kind:
@@ -143,13 +160,15 @@ def _event_from_json(obj: Mapping):
 
 def parse_scenario(payload: Mapping) -> Scenario:
     try:
+        _json(payload, dict, "scenario file")
         dgus = {}
-        for entry in payload["dgus"]:
+        for entry in _entries(payload["dgus"], "dgus"):
             dgu_id = _id(entry, "id")
             if dgu_id in dgus:
                 raise ValueError(f"scenario names DGU {dgu_id} twice")
             dgus[dgu_id] = _params_from_json(entry)
-        lines = tuple(_line_from_json(entry) for entry in payload["lines"])
+        lines = tuple(_line_from_json(entry)
+                      for entry in _entries(payload["lines"], "lines"))
         alphas = payload.get("alphas")
         knobs = {name: _number(payload[name], name)
                  for name in ("dt", "record_dt") if name in payload}
@@ -158,8 +177,8 @@ def parse_scenario(payload: Mapping) -> Scenario:
         return Scenario(
             initial_topology=MicrogridTopology(dgus, lines),
             sigma_bar=_number(payload["sigma_bar"], "sigma_bar"),
-            events=tuple(_event_from_json(ev)
-                         for ev in payload.get("events", [])),
+            events=tuple(_event_from_json(ev) for ev in
+                         _entries(payload.get("events", []), "events")),
             t_end=_number(payload["t_end"], "t_end"),
             alphas=None if alphas is None else tuple(
                 _number(alphas, "alphas", (5,), "five finite numbers")),
@@ -177,15 +196,13 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # controller bundles
 
-def controller_to_json(dgu_id: int, ctrl: LocalController,
-                       cfg: SynthesisConfig) -> dict:
+def controller_to_json(dgu_id: int, ctrl: LocalController) -> dict:
     """One unit's bundle entry; controller_from_json reads it back."""
     doc = {
         "dgu_id": dgu_id,
         "K": ctrl.k.tolist(),
         "P": ctrl.p.tolist(),
         "eta": ctrl.eta,
-        "sigma_bar": cfg.sigma_bar,
         "delta": ctrl.delta,
         "diagnostics": {
             "gamma": np.asarray(ctrl.raw["gamma"]).tolist(),
@@ -205,84 +222,92 @@ def bundle_to_json(controllers: Mapping[int, LocalController],
     return {
         "sigma_bar": cfg.sigma_bar,
         "alphas": list(cfg.alphas),
-        "controllers": [controller_to_json(dgu_id, controllers[dgu_id], cfg)
+        "controllers": [controller_to_json(dgu_id, controllers[dgu_id])
                         for dgu_id in sorted(controllers)],
     }
 
 
-def controller_from_json(entry: Mapping) -> Tuple[np.ndarray,
-                                                  Optional[dict]]:
-    """(gain row, certificate fields or None) of one bundle entry.
+def controller_from_json(entry: Mapping, params: DguParams,
+                         sigma_bar: float) -> dict:
+    """The LocalController keyword arguments but q_local of one bundle
+    entry, for a unit with these params and a bundle of this sigma_bar.
 
-    Entries written by `synth` carry the full structured certificate:
-    P, eta, delta and the diagnostics, returned as the keyword arguments
-    of LocalController except q_local, which load_bundle computes for
-    all entries at once.  Entries carrying only a gain (hand written, or
-    exported from the baseline designs) have no certificate; those can
-    be simulated and their closed loop inspected, but not certified.
+    `synth` writes K with P, eta, delta and the diagnostics.  An entry of
+    K alone gets local_certificate's P and delta and eta = sigma_bar C_t,
+    what `synth` writes for that gain; a gain outside the local design set
+    is refused, naming its bound.  Missing diagnostics read as zeros.
     K must be three finite numbers, P a finite, symmetric 3x3 array, eta
     and delta finite numbers, and so must the diagnostics' gamma (three),
     beta and zeta, each read by _number; anything else is refused with
     the entry's DGU id.
     """
-    dgu_id = entry["dgu_id"]
+    where = f"DGU {_id(entry, 'dgu_id')}:"
 
     def number(value, name, shape=(), what="a finite number"):
-        return _number(value, f"DGU {dgu_id}: controller {name}", shape,
-                       what)
+        return _number(value, f"{where} controller {name}", shape, what)
 
     k = np.array(number(entry["K"], "gain K", (3,), "three finite numbers"))
-    if "P" not in entry:
-        return k, None
-    p = np.array(number(entry["P"], "P", (3, 3), "a finite 3x3 array"))
-    if (p != p.T).any():
-        raise ValueError(f"DGU {dgu_id}: controller P is not symmetric")
-    diag = entry.get("diagnostics", {})
+    if "P" in entry:
+        p = np.array(number(entry["P"], "P", (3, 3), "a finite 3x3 array"))
+        if (p != p.T).any():
+            raise ValueError(f"{where} controller P is not symmetric")
+        scalars = {name: number(entry[name], name)
+                   for name in ("eta", "delta")}
+    else:
+        try:
+            p, delta = local_certificate(k, params, sigma_bar)
+        except ValueError as exc:
+            raise ValueError(f"{where} controller {exc}") from None
+        scalars = {"eta": sigma_bar * params.c_t, "delta": delta}
+    diag = _json(entry.get("diagnostics", {}), dict,
+                 f"{where} controller diagnostics")
     raw = {"gamma": np.array(number(diag.get("gamma", [0.0, 0.0, 0.0]),
                                     "gamma", (3,), "three finite numbers")),
            **{name: number(diag.get(name, 0.0), name)
               for name in ("beta", "zeta")}}
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
-        raw["solver"] = dict(diag["solver"])
-    scalars = {name: number(entry[name], name) for name in ("eta", "delta")}
-    return k, {"p": p, "raw": raw, **scalars}
+        raw["solver"] = dict(_json(diag["solver"], dict,
+                                   f"{where} controller diagnostics solver"))
+    return {"k": k, "p": p, "raw": raw, **scalars}
 
 
 def load_bundle(path, topology: MicrogridTopology
-                ) -> Tuple[float, Dict[int, Union[LocalController,
-                                                  np.ndarray]]]:
-    """(sigma_bar, controller per DGU) of a bundle file: a LocalController
-    for each entry with a certificate, whose q_local all come from one
-    stacked product, and the bare gain row for the others."""
+                ) -> Tuple[float, Dict[int, LocalController]]:
+    """(sigma_bar, LocalController per DGU) of a bundle file, each entry
+    read by controller_from_json against the bundle's sigma_bar, and
+    every q_local from one stacked product."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    sigma_bar = _number(payload["sigma_bar"], "sigma_bar")
-    controllers = {}
-    certified = {}
-    for entry in payload["controllers"]:
-        dgu_id = _id(entry, "dgu_id")
-        if dgu_id not in topology.dgus:
-            raise ValueError(f"bundle names DGU {dgu_id}, "
-                             "absent from the scenario")
-        if dgu_id in controllers:
-            raise ValueError(f"bundle names DGU {dgu_id} twice")
-        controllers[dgu_id], fields = controller_from_json(entry)
-        if fields is not None:
-            certified[dgu_id] = fields
-    missing = set(topology.ids) - set(controllers)
+        payload = _json(json.load(fh), dict, "bundle file")
+    try:
+        sigma_bar = _number(payload["sigma_bar"], "sigma_bar")
+        fields = {}
+        for entry in _entries(payload["controllers"], "controllers"):
+            dgu_id = _id(entry, "dgu_id")
+            if dgu_id not in topology.dgus:
+                raise ValueError(f"bundle names DGU {dgu_id}, "
+                                 "absent from the scenario")
+            if dgu_id in fields:
+                raise ValueError(f"bundle names DGU {dgu_id} twice")
+            try:
+                fields[dgu_id] = controller_from_json(
+                    entry, topology.dgus[dgu_id], sigma_bar)
+            except KeyError as exc:
+                raise ValueError(f"DGU {dgu_id}: bundle entry is missing "
+                                 f"field {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"bundle file is missing field {exc}") from None
+    missing = set(topology.ids) - set(fields)
     if missing:
         raise ValueError(f"bundle has no controller for DGUs "
                          f"{sorted(missing)}")
-    ids = sorted(certified)
+    ids = sorted(fields)
     a, b, _ = unit_blocks([topology.dgus[dgu_id] for dgu_id in ids])
-    gains = np.array([controllers[dgu_id] for dgu_id in ids]).reshape(-1, 3)
-    p = np.array([certified[dgu_id]["p"] for dgu_id in ids]).reshape(-1, 3, 3)
+    gains = np.array([fields[dgu_id]["k"] for dgu_id in ids]).reshape(-1, 3)
+    p = np.array([fields[dgu_id]["p"] for dgu_id in ids]).reshape(-1, 3, 3)
     q = local_dissipation(a, b, gains, p)
-    for dgu_id, q_local in zip(ids, q):
-        controllers[dgu_id] = LocalController(
-            k=controllers[dgu_id], q_local=q_local, **certified[dgu_id])
-    return sigma_bar, controllers
+    return sigma_bar, {dgu_id: LocalController(q_local=q_i, **fields[dgu_id])
+                       for dgu_id, q_i in zip(ids, q)}
 
 
 # ---------------------------------------------------------------------------
@@ -353,31 +378,11 @@ def _timed(stages: Dict[str, float], name: str):
     stages[name] = time.perf_counter() - start
 
 
-def _print_fail(abscissa: Optional[float]) -> None:
-    if abscissa is None:
-        print("theorem1: fail")
-    else:
-        print(f"theorem1: fail, abscissa ≈ {abscissa:.3g}")
-
-
 def cmd_certify(args, stages: Dict[str, float]) -> int:
     with _timed(stages, "load scenario"):
         topology = load_scenario(args.scenario).initial_topology
     with _timed(stages, "load bundle"):
         sigma_bar, controllers = load_bundle(args.controllers, topology)
-    structured = all(isinstance(c, LocalController)
-                     for c in controllers.values())
-    if not structured:
-        # gain-only bundle: the closed-loop spectrum is still decisive
-        # in one direction (an eigenvalue in the right half plane refutes
-        # stability), but no certificate can be granted without P.
-        with _timed(stages, "spectrum"):
-            system = assemble_global(topology)
-            spectrum, _ = closed_loop_spectrum(
-                system, closed_loop_blocks(system, controllers))
-        _print_fail(None if spectrum is None
-                    else float(np.max(spectrum.real)))
-        return EXIT_DENIED
     cert = check_global(controllers, topology, sigma_bar)
     stages.update(cert.stage_seconds)
     with _timed(stages, "verdict and kernel"):
@@ -393,8 +398,10 @@ def cmd_certify(args, stages: Dict[str, float]) -> int:
     for name, (holds, margin) in verdict.facts.items():
         if not holds:
             print(f"unmet: {name} (margin {margin})", file=sys.stderr)
+    abscissa = verdict.spectral_abscissa
     if verdict.verdict == FAIL:
-        _print_fail(verdict.spectral_abscissa)
+        print("theorem1: fail" if abscissa is None
+              else f"theorem1: fail, abscissa ≈ {abscissa:.3g}")
     else:
         print("theorem1: hypothesis-unmet")
     return EXIT_DENIED
@@ -403,13 +410,9 @@ def cmd_certify(args, stages: Dict[str, float]) -> int:
 def cmd_simulate(args, stages: Dict[str, float]) -> int:
     with _timed(stages, "load scenario"):
         scenario = load_scenario(args.scenario)
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.sigma_bar is not None:
-        overrides["sigma_bar"] = args.sigma_bar
-    if args.line_model is not None:
-        overrides["line_model"] = args.line_model
+    overrides = {name: getattr(args, name)
+                 for name in ("dt", "sigma_bar", "line_model")
+                 if getattr(args, name) is not None}
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     newcomers = _newcomers(scenario)
@@ -479,15 +482,10 @@ def cmd_appendix_a(args, stages: Dict[str, float]) -> int:
 
 
 def cmd_sweep(args, stages: Dict[str, float]) -> int:
-    grid_kwargs = {"points": args.points}
-    if args.r_t is not None:
-        grid_kwargs["r_t"] = tuple(args.r_t)
-    if args.l_t is not None:
-        grid_kwargs["l_t"] = tuple(args.l_t)
-    if args.c_t is not None:
-        grid_kwargs["c_t"] = tuple(args.c_t)
+    boxes = {name: tuple(getattr(args, name)) for name in ("r_t", "l_t", "c_t")
+             if getattr(args, name) is not None}
     with _timed(stages, "sweep"):
-        result = run_sweep(SweepGrid(**grid_kwargs),
+        result = run_sweep(SweepGrid(points=args.points, **boxes),
                            sigma_bar=args.sigma_bar)
     with _timed(stages, "write"):
         if args.out is not None:
@@ -549,12 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="map design feasibility over a parameter box")
     swp.add_argument("--points", type=int, default=5)
     swp.add_argument("--sigma-bar", type=float, default=10.0)
-    swp.add_argument("--r-t", type=float, nargs=2, default=None,
-                     metavar=("LO", "HI"))
-    swp.add_argument("--l-t", type=float, nargs=2, default=None,
-                     metavar=("LO", "HI"))
-    swp.add_argument("--c-t", type=float, nargs=2, default=None,
-                     metavar=("LO", "HI"))
+    for name in ("--r-t", "--l-t", "--c-t"):
+        swp.add_argument(name, type=float, nargs=2, default=None,
+                         metavar=("LO", "HI"))
     swp.add_argument("--out", default=None, help="directory for "
                      "sweep.csv and summary.json")
     swp.set_defaults(func=cmd_sweep)

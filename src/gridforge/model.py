@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from .synthesis import LocalController
 
 #: A controller as the closed loop reads it: a synthesis result, or a bare
-#: gain row (baseline designs, gain-only bundles); only u = k x_hat counts.
+#: gain row (the baseline designs); only u = k x_hat counts.
 Gain = Union["LocalController", np.ndarray, Sequence[float]]
 
 

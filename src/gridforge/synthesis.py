@@ -7,10 +7,9 @@ eta = sigma_bar * C_t; the network-wide constant sigma_bar is what lets the
 local certificates compose into a global one (see certify).
 
 A solver point becomes a controller by one route (_decide): the gain from
-G Y^-1, the k3 gate, the gain's membership of the local design set, the
-one structured P that gain admits, in closed form (ROADMAP item 1 derives
-the set and P), and an eigenvalue-level recheck.  The bundle file format
-lives in cli.
+G Y^-1, the k3 gate, local_certificate (the gain's membership of the
+local design set and the one structured P it admits, in closed form), and
+an eigenvalue-level recheck.  The bundle file format lives in cli.
 
 The synthesis consumes only the DGU's own matrices, never the lines it
 happens to be attached to, which is what makes plug-in decisions local.
@@ -271,6 +270,36 @@ def _verify_invariants(k, p, q, delta, raw, eta) -> Optional[str]:
     return None
 
 
+def local_certificate(k: np.ndarray, params: DguParams,
+                      sigma_bar: float) -> Tuple[np.ndarray, float]:
+    """(P, delta) of the gain k: the one structured P, P[0,0] = eta =
+    sigma_bar C_t, with q_local = F'P + PF NSD, whose trailing block
+    annihilates [1, delta].  With b = (k1 - 1)/L_t, c = (k2 - R_t)/L_t and
+    d = k3/L_t it exists only in the local design set c < 0, d > 0,
+    d - bc < 0, that is k1 < 1, k2 < R_t and 0 < k3 < (k1 - 1)(k2 - R_t)/L_t
+    (ROADMAP item 1 derives it; tests/test_closed_form.py checks it
+    symbolically).  Outside it, ValueError names the failed bound.
+    """
+    b = (k[0] - 1.0) / params.l_t
+    c = (k[1] - params.r_t) / params.l_t
+    d = k[2] / params.l_t
+    if c < 0.0 and d > 0.0 and (d - b * c) < 0.0:
+        p23 = sigma_bar * d / (d - b * c)
+        p22 = sigma_bar * c / (d - b * c)
+        p = np.array([[sigma_bar * params.c_t, 0.0, 0.0],
+                      [0.0, p22, p23],
+                      [0.0, p23, b * p23]])
+        return p, float(-(k[1] - params.r_t) / k[2])
+    if not c < 0.0:
+        bound = f"k2 = {k[1]:g} is not below R_t = {params.r_t:g}"
+    elif not d > 0.0:
+        bound = f"k3 = {k[2]:g} is not positive"
+    else:
+        bound = (f"k3 = {k[2]:g} is not below (k1 - 1)(k2 - R_t)/L_t = "
+                 f"{(k[0] - 1.0) * (k[1] - params.r_t) / params.l_t:g}")
+    raise ValueError(f"gain outside the local design set: {bound}")
+
+
 def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
             cfg: SynthesisConfig,
             ) -> Union[LocalController, Denied, NumericalFailure]:
@@ -278,12 +307,9 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
 
     k comes from G Y^-1, with Y's trailing block solved on its own so the
     pinned zeros of Y hold exactly, and a k3 that is numerically zero is
-    denied.  With b = (k1 - 1)/L_t, c = (k2 - R_t)/L_t and d = k3/L_t, a
-    structured P with P[0,0] = eta exists only in the local design set
-    c < 0, d > 0, d - bc < 0, that is k1 < 1, k2 < R_t and
-    0 < k3 < (k1 - 1)(k2 - R_t)/L_t, and it is then unique: the closed
-    form below (derived in ROADMAP item 1).  A gain outside the set is a
-    breakdown.  The controller is rechecked by _verify_invariants.
+    denied.  P and delta are local_certificate's, so a gain outside the
+    local design set is a breakdown.  The controller is rechecked by
+    _verify_invariants.
     """
     if sol.status == INFEASIBLE:
         return Denied("local LMI infeasible")
@@ -297,21 +323,14 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
     if abs(k[2]) <= K3_FLOOR * np.linalg.norm(k):
         return Denied("k3 is numerically zero; re-weight the objective "
                       "and synthesize again")
-    b = (k[0] - 1.0) / params.l_t
-    c = (k[1] - params.r_t) / params.l_t
-    d = k[2] / params.l_t
-    if not (c < 0.0 and d > 0.0 and (d - b * c) < 0.0):
+    try:
+        p, delta = local_certificate(k, params, cfg.sigma_bar)
+    except ValueError:
         return NumericalFailure("extracted controller invalid: gain outside "
                                 "the local design set")
-    p23 = cfg.sigma_bar * d / (d - b * c)
-    p22 = cfg.sigma_bar * c / (d - b * c)
-    p = np.array([[eta, 0.0, 0.0],
-                  [0.0, p22, p23],
-                  [0.0, p23, b * p23]])
     raw = {"y": _y_matrix(eta, y22, y23, y33), "g": np.array([g1, g2, g3]),
            "gamma": sol.x[6:9].copy(), "beta": float(sol.x[9]),
            "zeta": float(sol.x[10]), "margins": sol.margins.copy()}
-    delta = -(k[1] - params.r_t) / k[2]
     q = local_dissipation(dgu.a_hat_ii, dgu.b_hat[:, 0], k, p)
     problem = _verify_invariants(k, p, q, delta, raw, eta)
     if problem is not None:
@@ -319,7 +338,7 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
     raw["solver"] = {"status": sol.status,
                      "iterations_phase1": sol.phase1,
                      "iterations_phase2": len(sol.trace) - sol.phase1}
-    return LocalController(k, p, eta, raw, float(delta), q)
+    return LocalController(k, p, eta, raw, delta, q)
 
 
 def _solve_range(units, cfg: SynthesisConfig) -> list:

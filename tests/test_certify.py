@@ -18,7 +18,6 @@ from gridforge.certify import (
     check_lasalle_kernel,
     check_local_structure,
     check_theorem1,
-    eta_tilde_map,
 )
 from gridforge.model import (
     DguParams,
@@ -205,11 +204,6 @@ class TestLaplacian:
         _, g = laplacian_parts(lap)
         for i in range(4):
             assert lap[i, i] == -np.sum(np.abs(g[i]))
-
-    def test_eta_tilde_symmetric_map(self, pair):
-        top, _ = pair
-        em = eta_tilde_map(top, 10.0)
-        assert em[(1, 2)] == em[(2, 1)] == pytest.approx(200.0)
 
 
 class TestGlobal:

@@ -193,6 +193,32 @@ class TestScenarioFormat:
         payload["lines"][0]["j"] = 2.0
         assert cli.parse_scenario(payload).initial_topology.lines[0].j == 2
 
+    @pytest.mark.parametrize("command, edit, message", [
+        ("synth", lambda d: d.update(dgus=5), "dgus must be a JSON array"),
+        ("synth", lambda d: d.update(dgus=[1]),
+         "each entry of dgus must be a JSON object"),
+        ("synth", lambda d: d.update(lines=[1]),
+         "each entry of lines must be a JSON object"),
+        ("synth", lambda d: d["dgus"][1].update(load=None),
+         "load must be a JSON object"),
+        ("synth", lambda d: d.update(events=[1]),
+         "each entry of events must be a JSON object"),
+        ("simulate", lambda d: d["events"][0].update(lines=None),
+         "lines must be a JSON array"),
+        ("simulate", lambda d: d["events"][0].update(params=5),
+         "params must be a JSON object"),
+        ("synth", lambda d: [1, 2], "scenario file must be a JSON object"),
+    ], ids=["dgus", "dgus-entry", "lines-entry", "load", "events-entry",
+            "plug-in-lines", "plug-in-params", "top-level"])
+    def test_malformed_structure_is_refused_by_name(self, tmp_path, capsys,
+                                                    command, edit, message):
+        payload = read_json(with_plug_in(tmp_path, dict(NEWCOMER)))
+        # an edit in place returns None; one that replaces the file's
+        # whole content returns it
+        path = write_json(tmp_path / "s.json", edit(payload) or payload)
+        assert cli.main([command, path, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_repeated_dgu_is_refused(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SMALL))
         payload["dgus"].append(dict(payload["dgus"][0], r_t=0.3))
@@ -291,31 +317,97 @@ class TestCertify:
 
     def test_gain_only_baseline_bundle_fails(self, bundle_file, tmp_path,
                                              capsys):
+        # the LQR gain of DGU 1 lies in the local design set, DGU 2's
+        # does not: its k3 is above (k1 - 1)(k2 - R_t)/L_t
         scenario, _ = bundle_file
-        report = baselines.destabilization_demo(baselines.LQR)
+        gains = baselines.destabilization_demo(baselines.LQR).gains
         payload = {"sigma_bar": 10.0, "controllers": [
-            {"dgu_id": 1, "K": report.gains[0].tolist()},
-            {"dgu_id": 2, "K": report.gains[1].tolist()}]}
+            {"dgu_id": 1, "K": gains[0].tolist()},
+            {"dgu_id": 2, "K": gains[1].tolist()}]}
         path = write_json(tmp_path / "lqr.json", payload)
         code = cli.main(["certify", scenario, path])
-        assert code == 2
-        line = capsys.readouterr().out.strip()
-        assert line.startswith("theorem1: fail, abscissa ≈ ")
-        assert float(line.rsplit(" ", 1)[-1]) == pytest.approx(17.5, abs=0.1)
+        assert code == 1
+        k1, k2, k3 = gains[1]
+        bound = (k1 - 1.0) * (k2 - 0.2) / 1.7e-3
+        assert 650.0 < bound < 660.0 and k3 == pytest.approx(1000.0)
+        assert capsys.readouterr() == ("", (
+            f"error: DGU 2: controller gain outside the local design set: "
+            f"k3 = {k3:g} is not below (k1 - 1)(k2 - R_t)/L_t = "
+            f"{bound:g}\n"))
+
+    def test_pole_placement_gains_are_refused_by_their_bound(
+            self, bundle_file, tmp_path, capsys):
+        scenario, _ = bundle_file
+        gains = baselines.destabilization_demo(
+            baselines.POLE_PLACEMENT).gains
+        payload = {"sigma_bar": 10.0, "controllers": [
+            {"dgu_id": 1, "K": gains[0].tolist()},
+            {"dgu_id": 2, "K": gains[1].tolist()}]}
+        path = write_json(tmp_path / "pole.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert gains[0][1] == pytest.approx(0.172, abs=1e-3)
+        assert capsys.readouterr() == ("", (
+            f"error: DGU 1: controller gain outside the local design set: "
+            f"k2 = {gains[0][1]:g} is not below R_t = 0.1\n"))
 
     def test_gain_only_timings_list_the_spectrum(self, bundle_file,
                                                   tmp_path, capsys):
+        # a gain-only bundle takes the route of a full one, stage by stage
         scenario, bundle = bundle_file
         payload = read_json(bundle)
         payload["controllers"] = [{"dgu_id": entry["dgu_id"],
                                    "K": entry["K"]}
                                   for entry in payload["controllers"]]
         path = write_json(tmp_path / "gains.json", payload)
-        assert cli.main(["certify", scenario, path, "--timings"]) == 2
+        assert cli.main(["certify", scenario, path, "--timings",
+                         "--out", str(tmp_path / "cert.json")]) == 0
         out, err = capsys.readouterr()
-        assert out.startswith("theorem1: fail, abscissa ≈ -")
-        assert timing_stages(err) == ["load scenario", "load bundle",
-                                      "spectrum"]
+        assert out == "theorem1: pass\n"
+        assert timing_stages(err) == [
+            "load scenario", "load bundle", "local checks", "Q pieces",
+            "spectrum", "verdict and kernel", "JSON write"]
+
+    def test_gain_only_packaged_bundle_gives_the_same_certificate(
+            self, tmp_path, capsys):
+        # P, eta and delta of a gain-only entry are the ones synth writes
+        scenario = str(cli.packaged_scenario_path())
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["synth", scenario, "--out", str(bundle)]) == 0
+        payload = read_json(bundle)
+        payload["controllers"] = [{"dgu_id": entry["dgu_id"],
+                                   "K": entry["K"]}
+                                  for entry in payload["controllers"]]
+        gains = write_json(tmp_path / "gains.json", payload)
+        full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+        assert cli.main(["certify", scenario, str(bundle),
+                         "--out", str(full)]) == 0
+        assert cli.main(["certify", scenario, gains, "--out", str(cut)]) == 0
+        assert capsys.readouterr().out == "theorem1: pass\n" * 2
+        assert cut.read_bytes() == full.read_bytes()
+        # the line weights are in line_weights and the laplacian only
+        assert "eta_tilde" not in read_json(full)
+        top = cli.load_scenario(scenario).initial_topology
+        _, read = cli.load_bundle(bundle, top)
+        _, derived = cli.load_bundle(gains, top)
+        for dgu_id, ctrl in read.items():
+            np.testing.assert_array_equal(derived[dgu_id].p, ctrl.p)
+            np.testing.assert_array_equal(derived[dgu_id].q_local,
+                                          ctrl.q_local)
+            assert (derived[dgu_id].eta, derived[dgu_id].delta) == (
+                ctrl.eta, ctrl.delta)
+
+    def test_mixed_bundle_passes(self, bundle_file, tmp_path, capsys):
+        # one entry with its certificate, one with its gain alone
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        entry = payload["controllers"][1]
+        payload["controllers"][1] = {"dgu_id": entry["dgu_id"],
+                                     "K": entry["K"]}
+        path = write_json(tmp_path / "mixed.json", payload)
+        cert = tmp_path / "cert.json"
+        assert cli.main(["certify", scenario, path, "--out", str(cert)]) == 0
+        assert capsys.readouterr().out == "theorem1: pass\n"
+        assert read_json(cert)["theorem1"]["verdict"] == "Pass"
 
     def test_bundle_with_or_without_solver_diagnostics(self, bundle_file,
                                                         tmp_path, capsys):
@@ -377,8 +469,9 @@ class TestCertify:
 
     def test_large_gain_only_bundle_skips_the_spectrum(self, tmp_path,
                                                       capsys, monkeypatch):
-        # above the spectrum's size cap a gain-only bundle fails at once:
-        # no dense eigensolve of the 3N x 3N closed loop
+        # above the spectrum's size cap a gain-only bundle in the design
+        # set is proved from its closed-form certificates, with no dense
+        # eigensolve of the 3N x 3N closed loop
         n = 201
         unit = {"r_t": 0.1, "l_t": 1.8e-3, "c_t": 2.2e-3,
                 "load": {"type": "resistance", "value": 10.0}, "v_ref": 48.0}
@@ -395,9 +488,10 @@ class TestCertify:
                                 lambda a, _name=name: calls.append(_name))
         code = cli.main(["certify",
                          write_json(tmp_path / "chain.json", scenario),
-                         write_json(tmp_path / "gains.json", bundle)])
-        assert code == 2
-        assert capsys.readouterr().out == "theorem1: fail\n"
+                         write_json(tmp_path / "gains.json", bundle),
+                         "--out", str(tmp_path / "cert.json")])
+        assert code == 0
+        assert capsys.readouterr().out == "theorem1: pass\n"
         assert calls == []
 
     def test_mixed_sigma_bar_is_hard_error(self, bundle_file, tmp_path,
@@ -500,6 +594,16 @@ class TestCertify:
         assert capsys.readouterr().err == (
             f"error: dgu_id must be a whole number, not {value!r}\n")
 
+    def test_whole_float_id_names_the_unit_as_an_int(self, bundle_file,
+                                                      tmp_path, capsys):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        payload["controllers"][0].update(dgu_id=1.0, delta="1")
+        path = write_json(tmp_path / "id.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr().err == (
+            "error: DGU 1: controller delta must be a finite number\n")
+
     @pytest.mark.parametrize("path, value, message", [
         (("sigma_bar",), "10", "sigma_bar must be a finite number"),
         (("sigma_bar",), True, "sigma_bar must be a finite number"),
@@ -527,6 +631,49 @@ class TestCertify:
         path = write_json(tmp_path / "numbers.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(controllers=5),
+         "controllers must be a JSON array"),
+        (lambda d: d.update(controllers=[1]),
+         "each entry of controllers must be a JSON object"),
+        (lambda d: d["controllers"][0].update(diagnostics=5),
+         "DGU 1: controller diagnostics must be a JSON object"),
+        (lambda d: d["controllers"][0].update(diagnostics={"solver": 5}),
+         "DGU 1: controller diagnostics solver must be a JSON object"),
+        (lambda d: [1, 2], "bundle file must be a JSON object"),
+    ], ids=["controllers", "controllers-entry", "diagnostics", "solver",
+            "top-level"])
+    def test_malformed_structure_is_refused_by_name(
+            self, bundle_file, tmp_path, capsys, edit, message):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        path = write_json(tmp_path / "malformed.json", edit(payload) or payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("sigma_bar"),
+         "bundle file is missing field 'sigma_bar'"),
+        (lambda d: d.pop("controllers"),
+         "bundle file is missing field 'controllers'"),
+        (lambda d: d["controllers"][1].pop("dgu_id"),
+         "bundle file is missing field 'dgu_id'"),
+        (lambda d: d["controllers"][1].pop("K"),
+         "DGU 2: bundle entry is missing field 'K'"),
+        (lambda d: d["controllers"][0].pop("eta"),
+         "DGU 1: bundle entry is missing field 'eta'"),
+        (lambda d: d["controllers"][0].pop("delta"),
+         "DGU 1: bundle entry is missing field 'delta'"),
+    ], ids=["sigma_bar", "controllers", "dgu_id", "K", "eta", "delta"])
+    def test_missing_field_is_refused_by_name(self, bundle_file, tmp_path,
+                                              capsys, edit, message):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        edit(payload)
+        path = write_json(tmp_path / "missing.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_indefinite_p_is_refused_by_name(self, bundle_file, tmp_path,
                                              capsys):
@@ -886,22 +1033,48 @@ class TestEntryPoint:
             assert name in out
 
     def test_third_party_imports_are_declared(self):
-        # parsed, not grepped: docstrings hold lines that start with "from"
-        tomllib = pytest.importorskip("tomllib")
-        root = pathlib.Path(__file__).parents[1]
-        with open(root / "pyproject.toml", "rb") as fh:
-            declared = {re.match(r"[A-Za-z0-9._-]+", dep)[0].lower()
-                        .replace("_", "-")
-                        for dep in tomllib.load(fh)["project"]["dependencies"]}
-        imported = set()
-        for path in (root / "src" / "gridforge").glob("*.py"):
-            for node in ast.parse(path.read_text(encoding="utf-8")).body:
-                if isinstance(node, ast.Import):
-                    imported.update(alias.name for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    imported.add(node.module)
-        third_party = {name.split(".")[0] for name in imported} - set(
-            sys.stdlib_module_names) - {"gridforge"}
-        assert "numpy" in third_party
-        assert {name.lower().replace("_", "-")
-                for name in third_party} <= declared
+        declared, imported = third_party_imports("src/gridforge")
+        assert "numpy" in imported
+        assert imported <= declared
+
+    def test_test_and_benchmark_imports_are_declared(self):
+        # each is in the dependencies or in the `test` extra
+        declared, imported = third_party_imports("tests", "perfbench",
+                                                 extra="test")
+        assert {"pytest", "hypothesis", "scipy", "sympy"} <= imported
+        assert imported <= declared
+
+
+def third_party_imports(*folders, extra=None):
+    """(declared, imported): the distributions that pyproject.toml
+    declares as dependencies, and in `extra` when given, and the
+    third-party modules that the .py files in folders import, by an
+    import statement anywhere or by pytest.importorskip.  Modules of
+    those folders and gridforge are not third-party."""
+    # parsed, not grepped: docstrings hold lines that start with "from"
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    requirements = project["dependencies"] + (
+        project["optional-dependencies"][extra] if extra else [])
+    declared = {re.match(r"[A-Za-z0-9._-]+", dep)[0].lower()
+                .replace("_", "-") for dep in requirements}
+    paths = [path for folder in folders
+             for path in (root / folder).glob("*.py")]
+    imported = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "importorskip"):
+                imported.add(node.args[0].value)
+    local = {path.stem for path in paths} | {"gridforge"}
+    third_party = {name.split(".")[0] for name in imported} - set(
+        sys.stdlib_module_names) - local
+    return declared, {name.lower().replace("_", "-")
+                      for name in third_party}

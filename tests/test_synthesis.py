@@ -468,9 +468,10 @@ class TestSynthesizeAll:
 class TestExport:
     def test_json_round_trip_fields(self, table_controller):
         p, ctrl = table_controller
-        doc = controller_to_json(3, ctrl, CFG)
+        doc = controller_to_json(3, ctrl)
         assert doc["dgu_id"] == 3
-        assert doc["sigma_bar"] == 10.0
+        # sigma_bar is the bundle header's, written once
+        assert "sigma_bar" not in doc
         assert len(doc["K"]) == 3 and len(doc["P"]) == 3
         assert doc["diagnostics"]["gain_norm"] < doc["diagnostics"]["gain_norm_bound"]
         assert doc["diagnostics"]["solver"] == ctrl.raw["solver"]
@@ -480,4 +481,4 @@ class TestExport:
         raw = {k: v for k, v in ctrl.raw.items() if k != "solver"}
         bare = LocalController(ctrl.k, ctrl.p, ctrl.eta, raw, ctrl.delta,
                                ctrl.q_local)
-        assert "solver" not in controller_to_json(3, bare, CFG)["diagnostics"]
+        assert "solver" not in controller_to_json(3, bare)["diagnostics"]
