@@ -43,6 +43,7 @@ from .model import (
     LineParams,
     LoadModel,
     MicrogridTopology,
+    _positive,
     assemble_global,  # noqa: F401  perfbench/spans.py wraps it here
     unit_blocks,
 )
@@ -197,13 +198,10 @@ def load_scenario(path) -> Scenario:
 # controller bundles
 
 def controller_to_json(dgu_id: int, ctrl: LocalController) -> dict:
-    """One unit's bundle entry; controller_from_json reads it back."""
+    """One unit's bundle entry: dgu_id, K and the diagnostics."""
     doc = {
         "dgu_id": dgu_id,
         "K": ctrl.k.tolist(),
-        "P": ctrl.p.tolist(),
-        "eta": ctrl.eta,
-        "delta": ctrl.delta,
         "diagnostics": {
             "gamma": np.asarray(ctrl.raw["gamma"]).tolist(),
             "beta": ctrl.raw["beta"],
@@ -232,33 +230,28 @@ def controller_from_json(entry: Mapping, params: DguParams,
     """The LocalController keyword arguments but q_local of one bundle
     entry, for a unit with these params and a bundle of this sigma_bar.
 
-    `synth` writes K with P, eta, delta and the diagnostics.  An entry of
-    K alone gets local_certificate's P and delta and eta = sigma_bar C_t,
-    what `synth` writes for that gain; a gain outside the local design set
-    is refused, naming its bound.  Missing diagnostics read as zeros.
-    K must be three finite numbers, P a finite, symmetric 3x3 array, eta
-    and delta finite numbers, and so must the diagnostics' gamma (three),
-    beta and zeta, each read by _number; anything else is refused with
-    the entry's DGU id.
+    An entry is dgu_id, the gain K and the diagnostics, as `synth` writes
+    it.  P and delta are local_certificate's for K and eta is sigma_bar
+    C_t, so a gain outside the local design set is refused, naming its
+    bound.  Any other field is refused by name rather than ignored.
+    Missing diagnostics read as zeros.  K must be three finite numbers,
+    and so must the diagnostics' gamma (three), beta and zeta, each read
+    by _number; anything else is refused with the entry's DGU id.
     """
     where = f"DGU {_id(entry, 'dgu_id')}:"
+    for name in entry:
+        if name not in ("dgu_id", "K", "diagnostics"):
+            raise ValueError(f"{where} bundle entry field {name!r} is not "
+                             "read: an entry is its gain K")
 
     def number(value, name, shape=(), what="a finite number"):
         return _number(value, f"{where} controller {name}", shape, what)
 
     k = np.array(number(entry["K"], "gain K", (3,), "three finite numbers"))
-    if "P" in entry:
-        p = np.array(number(entry["P"], "P", (3, 3), "a finite 3x3 array"))
-        if (p != p.T).any():
-            raise ValueError(f"{where} controller P is not symmetric")
-        scalars = {name: number(entry[name], name)
-                   for name in ("eta", "delta")}
-    else:
-        try:
-            p, delta = local_certificate(k, params, sigma_bar)
-        except ValueError as exc:
-            raise ValueError(f"{where} controller {exc}") from None
-        scalars = {"eta": sigma_bar * params.c_t, "delta": delta}
+    try:
+        p, delta = local_certificate(k, params, sigma_bar)
+    except ValueError as exc:
+        raise ValueError(f"{where} controller {exc}") from None
     diag = _json(entry.get("diagnostics", {}), dict,
                  f"{where} controller diagnostics")
     raw = {"gamma": np.array(number(diag.get("gamma", [0.0, 0.0, 0.0]),
@@ -269,18 +262,21 @@ def controller_from_json(entry: Mapping, params: DguParams,
     if "solver" in diag:
         raw["solver"] = dict(_json(diag["solver"], dict,
                                    f"{where} controller diagnostics solver"))
-    return {"k": k, "p": p, "raw": raw, **scalars}
+    return {"k": k, "p": p, "eta": sigma_bar * params.c_t, "delta": delta,
+            "raw": raw}
 
 
 def load_bundle(path, topology: MicrogridTopology
                 ) -> Tuple[float, Dict[int, LocalController]]:
     """(sigma_bar, LocalController per DGU) of a bundle file, each entry
     read by controller_from_json against the bundle's sigma_bar, and
-    every q_local from one stacked product."""
+    every q_local from one stacked product.  sigma_bar must be positive;
+    it is a scale, since P, Q and the Laplacian are all linear in it."""
     with open(path, encoding="utf-8") as fh:
         payload = _json(json.load(fh), dict, "bundle file")
     try:
-        sigma_bar = _number(payload["sigma_bar"], "sigma_bar")
+        sigma_bar = _positive("sigma_bar",
+                              _number(payload["sigma_bar"], "sigma_bar"))
         fields = {}
         for entry in _entries(payload["controllers"], "controllers"):
             dgu_id = _id(entry, "dgu_id")

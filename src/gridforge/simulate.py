@@ -102,14 +102,15 @@ Design = Union[LocalController, Denied]  # a newcomer's verdict
 class Scenario:
     """Experiment description: initial grid, timeline, integration knobs.
 
-    Event times must be sorted and lie strictly inside (0, t_end); ties
-    are allowed and fire in list order.  sigma_bar, t_end, dt and
-    record_dt must be positive, and of dt and record_dt one must be a
-    whole multiple of the other (within 1e-9 relative), so the recorded
-    rows fall on the record grid.  alphas, when given, override the
-    synthesis objective weights in synthesis_config(), which designs the
-    plug-in newcomers (before the run in the CLI, else at their events)
-    and, in the CLI, the initial units.
+    The initial topology holds at least one DGU.  Event times must be
+    sorted and lie strictly inside (0, t_end); ties are allowed and fire
+    in list order.  sigma_bar, t_end, dt and record_dt must be positive,
+    and of dt and record_dt one must be a whole multiple of the other
+    (within 1e-9 relative), so the recorded rows fall on the record grid.
+    alphas, when given, override the synthesis objective weights in
+    synthesis_config(), which designs the plug-in newcomers (before the
+    run in the CLI, else at their events) and, in the CLI, the initial
+    units.
     """
 
     initial_topology: MicrogridTopology
@@ -122,6 +123,8 @@ class Scenario:
     record_dt: float = 1e-4
 
     def __post_init__(self):
+        if not self.initial_topology.dgus:
+            raise ValueError("initial topology must hold at least one DGU")
         for name in ("sigma_bar", "t_end", "dt", "record_dt"):
             _positive(name, getattr(self, name))
         ratio = max(self.dt, self.record_dt) / min(self.dt, self.record_dt)

@@ -18,7 +18,7 @@ from gridforge import baselines, cli
 from gridforge.model import DguParams, LineParams, LoadModel, MicrogridTopology
 from gridforge.simulate import (LoadStep, PlugIn, RefStep, Scenario,
                                 Unplug)
-from test_certify import closed_form_controller
+from gridforge.synthesis import synthesize_all
 
 SMALL = {
     "sigma_bar": 10.0,
@@ -76,6 +76,16 @@ def bundle_file(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bundle")
     scenario = write_json(tmp / "small.json", SMALL)
     bundle = tmp / "bundle.json"
+    assert cli.main(["synth", scenario, "--out", str(bundle)]) == 0
+    return scenario, str(bundle)
+
+
+@pytest.fixture(scope="module")
+def packaged_bundle(tmp_path_factory):
+    """(scenario, bundle) paths of the packaged scenario and its synth
+    bundle."""
+    scenario = str(cli.packaged_scenario_path())
+    bundle = tmp_path_factory.mktemp("packaged") / "bundle.json"
     assert cli.main(["synth", scenario, "--out", str(bundle)]) == 0
     return scenario, str(bundle)
 
@@ -227,6 +237,21 @@ class TestScenarioFormat:
         assert capsys.readouterr().err == (
             "error: scenario names DGU 1 twice\n")
 
+    @pytest.mark.parametrize("command", ["synth", "certify", "simulate"])
+    def test_scenario_without_dgus_is_refused(self, bundle_file, tmp_path,
+                                              capsys, command):
+        # a unit that plugs in later does not make the initial grid
+        plug_in = {"t": 0.5, "type": "plug_in", "dgu": 1,
+                   "params": SMALL["dgus"][0], "lines": []}
+        payload = {"sigma_bar": 10.0, "t_end": 1.0, "dgus": [], "lines": [],
+                   "events": [plug_in]}
+        args = {"synth": [], "certify": [bundle_file[1]],
+                "simulate": ["--out", str(tmp_path / "out")]}[command]
+        scenario = write_json(tmp_path / "empty.json", payload)
+        assert cli.main([command, scenario, *args]) == 1
+        assert capsys.readouterr() == (
+            "", "error: initial topology must hold at least one DGU\n")
+
 
 class TestSynth:
     def test_bundle_written_and_structured(self, bundle_file):
@@ -234,10 +259,9 @@ class TestSynth:
         payload = read_json(bundle)
         assert payload["sigma_bar"] == 10.0
         assert len(payload["controllers"]) == 2
-        entry = payload["controllers"][0]
-        for key in ("dgu_id", "K", "P", "eta", "delta", "diagnostics"):
-            assert key in entry
-        assert len(entry["K"]) == 3 and len(entry["P"]) == 3
+        for entry in payload["controllers"]:
+            assert set(entry) == {"dgu_id", "K", "diagnostics"}
+            assert len(entry["K"]) == 3
 
     def test_bundle_carries_solver_diagnostics(self, bundle_file):
         _, bundle = bundle_file
@@ -271,8 +295,11 @@ class TestSynth:
         payload = json.loads(bundle.read_text())
         assert payload["sigma_bar"] == 100.0
         assert payload["alphas"] == SMALL["alphas"]
+        top = cli.load_scenario(small_file).initial_topology
+        sigma_bar, controllers = cli.load_bundle(bundle, top)
         c_t = SMALL["dgus"][0]["c_t"]
-        assert payload["controllers"][0]["eta"] == pytest.approx(100.0 * c_t)
+        assert sigma_bar == 100.0
+        assert controllers[1].eta == pytest.approx(100.0 * c_t)
 
     def test_timings_go_to_stderr(self, bundle_file, tmp_path, capsys):
         scenario, bundle = bundle_file
@@ -368,36 +395,37 @@ class TestCertify:
             "spectrum", "verdict and kernel", "JSON write"]
 
     def test_gain_only_packaged_bundle_gives_the_same_certificate(
-            self, tmp_path, capsys):
-        # P, eta and delta of a gain-only entry are the ones synth writes
-        scenario = str(cli.packaged_scenario_path())
-        bundle = tmp_path / "bundle.json"
-        assert cli.main(["synth", scenario, "--out", str(bundle)]) == 0
+            self, packaged_bundle, tmp_path, capsys):
+        # a bundle entry is its gain: P, eta, delta and q_local come back
+        # from K bit for bit, and the diagnostics do not reach the
+        # certificate
+        scenario, bundle = packaged_bundle
+        loaded = cli.load_scenario(scenario)
+        designed = synthesize_all(loaded.initial_topology,
+                                  loaded.synthesis_config())
+        _, read = cli.load_bundle(bundle, loaded.initial_topology)
+        assert sorted(read) == sorted(designed)
+        for dgu_id, ctrl in read.items():
+            for name in ("k", "p", "q_local"):
+                np.testing.assert_array_equal(getattr(ctrl, name),
+                                              getattr(designed[dgu_id], name))
+            assert (ctrl.eta, ctrl.delta) == (designed[dgu_id].eta,
+                                              designed[dgu_id].delta)
         payload = read_json(bundle)
         payload["controllers"] = [{"dgu_id": entry["dgu_id"],
                                    "K": entry["K"]}
                                   for entry in payload["controllers"]]
         gains = write_json(tmp_path / "gains.json", payload)
         full, cut = tmp_path / "full.json", tmp_path / "cut.json"
-        assert cli.main(["certify", scenario, str(bundle),
-                         "--out", str(full)]) == 0
+        assert cli.main(["certify", scenario, bundle, "--out", str(full)]) == 0
         assert cli.main(["certify", scenario, gains, "--out", str(cut)]) == 0
         assert capsys.readouterr().out == "theorem1: pass\n" * 2
         assert cut.read_bytes() == full.read_bytes()
         # the line weights are in line_weights and the laplacian only
         assert "eta_tilde" not in read_json(full)
-        top = cli.load_scenario(scenario).initial_topology
-        _, read = cli.load_bundle(bundle, top)
-        _, derived = cli.load_bundle(gains, top)
-        for dgu_id, ctrl in read.items():
-            np.testing.assert_array_equal(derived[dgu_id].p, ctrl.p)
-            np.testing.assert_array_equal(derived[dgu_id].q_local,
-                                          ctrl.q_local)
-            assert (derived[dgu_id].eta, derived[dgu_id].delta) == (
-                ctrl.eta, ctrl.delta)
 
     def test_mixed_bundle_passes(self, bundle_file, tmp_path, capsys):
-        # one entry with its certificate, one with its gain alone
+        # one entry with its diagnostics, one with its gain alone
         scenario, bundle = bundle_file
         payload = read_json(bundle)
         entry = payload["controllers"][1]
@@ -408,6 +436,24 @@ class TestCertify:
         assert cli.main(["certify", scenario, path, "--out", str(cert)]) == 0
         assert capsys.readouterr().out == "theorem1: pass\n"
         assert read_json(cert)["theorem1"]["verdict"] == "Pass"
+
+    @pytest.mark.parametrize("extra", [
+        {"eta": 999.0, "delta": -5.0},
+        {"delta": 2.0},
+        {"P": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        {"sigma_bar": 10.0},
+        {"gain": [0.0, 0.0, 1.0]},
+    ], ids=["eta-and-delta", "delta", "P", "sigma_bar", "unknown"])
+    def test_unread_entry_field_is_refused_by_name(
+            self, packaged_bundle, tmp_path, capsys, extra):
+        scenario, bundle = packaged_bundle
+        payload = read_json(bundle)
+        payload["controllers"][0].update(extra)
+        path = write_json(tmp_path / "extra.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: DGU 1: bundle entry field {next(iter(extra))!r} is not "
+            "read: an entry is its gain K\n"))
 
     def test_bundle_with_or_without_solver_diagnostics(self, bundle_file,
                                                         tmp_path, capsys):
@@ -494,28 +540,36 @@ class TestCertify:
         assert capsys.readouterr().out == "theorem1: pass\n"
         assert calls == []
 
-    def test_mixed_sigma_bar_is_hard_error(self, bundle_file, tmp_path,
-                                           capsys):
-        scenario, bundle = bundle_file
+    def test_header_sigma_bar_is_a_scale(self, packaged_bundle, tmp_path,
+                                          capsys):
+        # P, Q and the Laplacian are all linear in sigma_bar, so a header
+        # of 100 for gains designed at 10 scales the certificate and
+        # keeps its verdict
+        scenario, bundle = packaged_bundle
         payload = read_json(bundle)
-        payload["controllers"][0]["eta"] *= 2.0
-        path = write_json(tmp_path / "mixed.json", payload)
-        assert cli.main(["certify", scenario, path]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_header_sigma_bar_must_match_the_certificates(
-            self, bundle_file, tmp_path, capsys):
-        # every eta is 10 C_t, but the Laplacian would use the header's
-        # sigma_bar and come out 10x too large
-        scenario, bundle = bundle_file
-        payload = read_json(bundle)
+        assert payload["sigma_bar"] == 10.0
         payload["sigma_bar"] = 100.0
         path = write_json(tmp_path / "header.json", payload)
+        cert, scaled = tmp_path / "cert.json", tmp_path / "scaled.json"
+        assert cli.main(["certify", scenario, bundle, "--out", str(cert)]) == 0
+        assert cli.main(["certify", scenario, path, "--out", str(scaled)]) == 0
+        assert capsys.readouterr() == ("theorem1: pass\n" * 2, "")
+        checks, scaled_checks = (read_json(cert)["checks"],
+                                 read_json(scaled)["checks"])
+        assert scaled_checks["p_min_eig"] == pytest.approx(
+            10.0 * checks["p_min_eig"], rel=1e-12)
+        assert scaled_checks["closed_loop_norm"] == checks["closed_loop_norm"]
+
+    @pytest.mark.parametrize("sigma_bar", [0.0, -10.0])
+    def test_sigma_bar_must_be_positive(self, bundle_file, tmp_path, capsys,
+                                        sigma_bar):
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        payload["sigma_bar"] = sigma_bar
+        path = write_json(tmp_path / "sigma.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: DGU 1: eta 0.022 is not sigma_bar * "
-                              "C_t = 0.22")
+        assert capsys.readouterr() == (
+            "", "error: sigma_bar must be positive\n")
 
     def test_disconnected_grid_is_hypothesis_unmet(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "apart.json", dict(SMALL, lines=[]))
@@ -531,16 +585,12 @@ class TestCertify:
 
     def test_vanishing_k3_fails_with_its_margin(self, bundle_file, tmp_path,
                                                 capsys):
-        # gains just inside the local design set, k3 = 1e-10, each with
+        # gains just inside the local design set, k3 = 1e-10, each given
         # its closed-form P: every certificate is valid, the k3 gate fails
         scenario, bundle = bundle_file
-        top = cli.load_scenario(scenario).initial_topology
         payload = read_json(bundle)
         for entry in payload["controllers"]:
-            ctrl = closed_form_controller(top.dgus[entry["dgu_id"]],
-                                          [-1.0, 0.0, 1e-10], 10.0)
-            entry.update(K=ctrl.k.tolist(), P=ctrl.p.tolist(), eta=ctrl.eta,
-                         delta=ctrl.delta)
+            entry["K"] = [-1.0, 0.0, 1e-10]
         path = write_json(tmp_path / "k3.json", payload)
         assert cli.main(["certify", scenario, path,
                          "--out", str(tmp_path / "cert.json")]) == 2
@@ -550,12 +600,6 @@ class TestCertify:
 
 
     @pytest.mark.parametrize("field, value, message", [
-        ("P", [[1.0, 0.0], [0.0, 1.0]], "P must be a finite 3x3 array"),
-        ("P", [1.0, 2.0, 3.0], "P must be a finite 3x3 array"),
-        ("P", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.4, 1.0]],
-         "P is not symmetric"),
-        ("P", [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]],
-         "P must be a finite 3x3 array"),
         ("K", [1.0, 2.0], "gain K must be three finite numbers"),
         ("K", [1.0, float("inf"), 2.0], "gain K must be three finite numbers"),
         ("K", "k1 k2 k3", "gain K must be three finite numbers"),
@@ -569,19 +613,6 @@ class TestCertify:
         path = write_json(tmp_path / "malformed.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
         assert f"error: DGU 2: controller {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("field", ["eta", "delta"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "x"])
-    def test_non_finite_scalar_is_refused_by_name(self, bundle_file,
-                                                  tmp_path, capsys, field,
-                                                  value):
-        scenario, bundle = bundle_file
-        payload = read_json(bundle)
-        payload["controllers"][0][field] = value
-        path = write_json(tmp_path / "scalar.json", payload)
-        assert cli.main(["certify", scenario, path]) == 1
-        assert capsys.readouterr().err == (
-            f"error: DGU 1: controller {field} must be a finite number\n")
 
     @pytest.mark.parametrize("value", [1.7, True])
     def test_bundle_id_must_be_a_whole_number(self, bundle_file, tmp_path,
@@ -598,31 +629,25 @@ class TestCertify:
                                                       tmp_path, capsys):
         scenario, bundle = bundle_file
         payload = read_json(bundle)
-        payload["controllers"][0].update(dgu_id=1.0, delta="1")
+        payload["controllers"][0].update(dgu_id=1.0, K=[0.0, 0.0, "1"])
         path = write_json(tmp_path / "id.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
         assert capsys.readouterr().err == (
-            "error: DGU 1: controller delta must be a finite number\n")
+            "error: DGU 1: controller gain K must be three finite numbers\n")
 
     @pytest.mark.parametrize("path, value, message", [
         (("sigma_bar",), "10", "sigma_bar must be a finite number"),
         (("sigma_bar",), True, "sigma_bar must be a finite number"),
         (("controllers", 1, "K"), ["-11.5", "-0.89", "0.061"],
          "DGU 2: controller gain K must be three finite numbers"),
-        (("controllers", 1, "P", 1), [0.0, "1", 0.0],
-         "DGU 2: controller P must be a finite 3x3 array"),
-        (("controllers", 0, "eta"), True,
-         "DGU 1: controller eta must be a finite number"),
-        (("controllers", 0, "delta"), "1",
-         "DGU 1: controller delta must be a finite number"),
         (("controllers", 0, "diagnostics", "gamma"), "000",
          "DGU 1: controller gamma must be three finite numbers"),
         (("controllers", 0, "diagnostics", "beta"), True,
          "DGU 1: controller beta must be a finite number"),
         (("controllers", 0, "diagnostics", "zeta"), "1",
          "DGU 1: controller zeta must be a finite number"),
-    ], ids=["sigma_bar-string", "sigma_bar-bool", "K", "P", "eta", "delta",
-            "gamma", "beta", "zeta"])
+    ], ids=["sigma_bar-string", "sigma_bar-bool", "K", "gamma", "beta",
+            "zeta"])
     def test_bundle_number_must_be_a_finite_json_number(
             self, bundle_file, tmp_path, capsys, path, value, message):
         scenario, bundle = bundle_file
@@ -661,11 +686,7 @@ class TestCertify:
          "bundle file is missing field 'dgu_id'"),
         (lambda d: d["controllers"][1].pop("K"),
          "DGU 2: bundle entry is missing field 'K'"),
-        (lambda d: d["controllers"][0].pop("eta"),
-         "DGU 1: bundle entry is missing field 'eta'"),
-        (lambda d: d["controllers"][0].pop("delta"),
-         "DGU 1: bundle entry is missing field 'delta'"),
-    ], ids=["sigma_bar", "controllers", "dgu_id", "K", "eta", "delta"])
+    ], ids=["sigma_bar", "controllers", "dgu_id", "K"])
     def test_missing_field_is_refused_by_name(self, bundle_file, tmp_path,
                                               capsys, edit, message):
         scenario, bundle = bundle_file
@@ -674,18 +695,6 @@ class TestCertify:
         path = write_json(tmp_path / "missing.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
-
-    def test_indefinite_p_is_refused_by_name(self, bundle_file, tmp_path,
-                                             capsys):
-        scenario, bundle = bundle_file
-        payload = read_json(bundle)
-        p = np.array(payload["controllers"][0]["P"])
-        p[1:, 1:] *= -1.0
-        payload["controllers"][0]["P"] = p.tolist()
-        path = write_json(tmp_path / "indefinite.json", payload)
-        assert cli.main(["certify", scenario, path]) == 1
-        assert ("local certificate of DGU 1 fails structure checks"
-                in capsys.readouterr().err)
 
     def test_packaged_outputs_are_strict_json(self, tmp_path):
         # no NaN or Infinity token, which JSON itself does not have

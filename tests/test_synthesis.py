@@ -472,7 +472,9 @@ class TestExport:
         assert doc["dgu_id"] == 3
         # sigma_bar is the bundle header's, written once
         assert "sigma_bar" not in doc
-        assert len(doc["K"]) == 3 and len(doc["P"]) == 3
+        # P, eta and delta are the gain's closed form, not written
+        assert set(doc) == {"dgu_id", "K", "diagnostics"}
+        assert len(doc["K"]) == 3
         assert doc["diagnostics"]["gain_norm"] < doc["diagnostics"]["gain_norm_bound"]
         assert doc["diagnostics"]["solver"] == ctrl.raw["solver"]
 
