@@ -10,8 +10,9 @@ kernel on a connected grid.
 Every local certificate has a zero first row and column, so Q is a direct
 sum: one N x N block on the voltage coordinates, plus one 2 x 2 block on
 each unit's (I, v) pair.  Everything here works from block data: the
-(N, 3, 3) stacks of P_i, q_i and the closed-loop unit blocks, and the
-grid's line arrays.  Q's pieces come from P's stack and the lines in
+(N, 3, 3) stacks of P_i, q_i and the closed-loop unit blocks, all
+derived from the gains and the topology alone, and the grid's line
+arrays.  Q's pieces come from P's stack and the lines in
 O(N + lines), what the split drops is measured and bounded, and the local
 checks (synthesis.check_local_stacks) run as one batched eigensolve.
 
@@ -36,9 +37,10 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .lmi import general_eig, sym_eig
-from .model import (GlobalSystem, MicrogridTopology, assemble_global,
-                    closed_loop_blocks)
+from .model import (Gain, GlobalSystem, MicrogridTopology, assemble_global,
+                    closed_loop_blocks, gain_row)
 from .synthesis import (K3_FLOOR, LocalController, check_local_stacks,
+                        local_certificate, local_dissipation,
                         semidefinite_eps)
 
 PASS = "Pass"
@@ -71,7 +73,7 @@ class LocalStructureReport:
 @dataclass(frozen=True)
 class GlobalCertificate:
     """The global Lyapunov data as the pieces of Q's direct sum, plus
-    measured check margins.
+    measured check margins and the unit data the verdict reads.
 
     q_voltage is Q's N x N voltage block, q_units the (N, 2, 2) stack of
     its (I, v) blocks, and q_dropped every other entry the split leaves
@@ -81,10 +83,12 @@ class GlobalCertificate:
     null vectors, and row t of kernel_pairs is a null vector of the
     (I, v) block of the unit at position kernel_units[t].  checks maps a
     name to its measured value: q_nsd_margin reads q_global_max_eig, and
-    check_theorem1 p_min_eig, eta_tilde_asymmetry and closed_loop_norm (the
-    scale it judges the spectral abscissa against); the other six are
-    recorded diagnostics.  stage_seconds holds the wall time of each stage
-    of check_global.
+    check_theorem1 p_min_eig and closed_loop_norm (the scale it judges the
+    spectral abscissa against); the other six are recorded diagnostics.
+    gains is the (N, 3) stack of gain rows and delta each unit's kernel
+    ratio, in id order; local_certificates is whether every unit's q_i
+    and P_i pass check_local_stacks.  stage_seconds holds the wall time
+    of each stage of check_global.
     """
 
     q_voltage: np.ndarray
@@ -97,6 +101,9 @@ class GlobalCertificate:
     kernel_units: np.ndarray
     kernel_pairs: np.ndarray
     checks: Mapping[str, float]
+    gains: np.ndarray
+    delta: np.ndarray
+    local_certificates: bool
     stage_seconds: Mapping[str, float]
 
     @property
@@ -145,8 +152,8 @@ def check_local_structure(ctrl: LocalController) -> LocalStructureReport:
     q_local is negative semidefinite but never definite: its first
     diagonal entry vanishes, which forces the whole first row and column
     to vanish and guarantees a zero eigenvalue.  P is symmetric positive
-    definite.  This is check_local_stacks, run by check_global on every
-    unit and passed by every grant of synthesize*, on a stack of one.
+    definite.  This is check_local_stacks on a stack of one, passed by
+    every grant of synthesize*; check_global records it on every unit.
     """
     one = check_local_stacks(ctrl.q_local[None], ctrl.p[None])
     return LocalStructureReport(**{k: v[0].item() for k, v in one.items()})
@@ -180,10 +187,14 @@ def _voltage_block(diagonal: np.ndarray, system: GlobalSystem,
     return out
 
 
-def check_global(controllers: Mapping[int, LocalController],
+def check_global(controllers: Mapping[int, Gain],
                  topology: MicrogridTopology,
                  sigma_bar: float) -> GlobalCertificate:
     """Measure the global Lyapunov decomposition from block data.
+
+    Only the controllers' gain rows are read (model.gain_row).  P_i and
+    delta_i come from them by one stacked synthesis.local_certificate
+    against the topology's units and sigma_bar, so eta_i = sigma_bar C_i.
 
     Write F = blockdiag(F_i) + C, with C the line conductances g between
     voltage slots, and p0_i the first column of P_i.  Then Q's diagonal
@@ -194,61 +205,28 @@ def check_global(controllers: Mapping[int, LocalController],
     and the diagonal blocks xi_i (p0_i e0' + e0 p0_i'), xi_i the unit's
     QSL self term, so its (I, v) blocks are zero.
 
-    Hard errors: a local certificate failing its structure checks (P_i
-    not symmetric positive definite included), an eta that is not a
-    finite number, controllers whose eta values imply different
-    sigma_bar (the coupling weights then lose their symmetry and nothing
-    downstream holds), or a unit whose eta is not sigma_bar C_i for the
-    sigma_bar given here (Q would be built from one sigma_bar and the
-    Laplacian from another).  Semidefiniteness findings are recorded in
-    the certificate, not raised.
+    Hard errors: controllers not covering exactly the topology's units,
+    and a gain outside the local design set, which admits no P (`DGU
+    <id>: gain outside the local design set: <bound>`).  The local
+    structure and semidefiniteness findings are recorded, not raised.
     """
     start = time.perf_counter()
     ids = topology.ids
     if set(controllers) != set(ids):
         raise ValueError("controllers must cover exactly the topology's DGUs")
-    ctrls = [controllers[dgu_id] for dgu_id in ids]
-    p = np.array([c.p for c in ctrls], dtype=float)
-    q_local = np.array([c.q_local for c in ctrls], dtype=float)
+    gains = np.array([gain_row(controllers[dgu_id]) for dgu_id in ids],
+                     dtype=float).reshape(-1, 3)
+    units = [topology.dgus[dgu_id] for dgu_id in ids]
+    p, delta = local_certificate(gains, *(
+        np.array([getattr(u, name) for u in units], dtype=float)
+        for name in ("r_t", "l_t", "c_t")), sigma_bar, ids)
+    system = assemble_global(topology)
+    q_local = local_dissipation(system.unit_a, system.unit_b, gains, p)
     local = check_local_stacks(q_local, p)
-    failed = np.flatnonzero(~local["passed"])
-    if failed.size:
-        first = failed[0]
-        raise ValueError(f"local certificate of DGU {ids[first]} fails "
-                         f"structure checks (violation "
-                         f"{local['max_violation'][first]:g})")
     seconds = {"local checks": time.perf_counter() - start}
 
     start = time.perf_counter()
-    system = assemble_global(topology)
     li, lj = system.line_i, system.line_j
-    # eta symmetry across each line; breaks iff sigma_bar is not shared
-    eta = np.array([c.eta for c in ctrls], dtype=float)
-    if not np.all(np.isfinite(eta)):
-        bad = int(np.argmin(np.isfinite(eta)))
-        raise ValueError(f"DGU {ids[bad]}: eta must be a finite number")
-    fwd, bwd = eta[li] * system.g_i, eta[lj] * system.g_j
-    gap = np.abs(fwd - bwd)
-    scale = np.maximum(np.abs(fwd), np.abs(bwd))
-    if np.any(gap > 1e-9 * scale):
-        bad = int(np.argmax(gap > 1e-9 * scale))
-        raise ValueError(
-            f"eta_tilde asymmetric across line {topology.lines[bad].key}: "
-            f"{fwd[bad]:g} vs {bwd[bad]:g}; "
-            "controllers were synthesized with different sigma_bar")
-    asymmetry = np.divide(gap, scale, out=np.zeros_like(gap),
-                          where=scale > 0.0)
-    # Q is built from each unit's eta, the Laplacian from sigma_bar: they
-    # must agree, eta_i = sigma_bar C_i
-    shared = sigma_bar * np.array([topology.dgus[i].c_t for i in ids])
-    off = ~(np.abs(eta - shared) <= 1e-9 * shared)
-    if np.any(off):
-        bad = int(np.argmax(off))
-        raise ValueError(
-            f"DGU {ids[bad]}: eta {eta[bad]:g} is not sigma_bar * C_t = "
-            f"{shared[bad]:g}; the bundle's sigma_bar {sigma_bar:g} "
-            "contradicts its certificates")
-
     f_blocks = closed_loop_blocks(system, controllers)
     pf = p @ f_blocks
     q_diag = pf + np.swapaxes(pf, 1, 2)
@@ -314,7 +292,6 @@ def check_global(controllers: Mapping[int, LocalController],
         "laplacian_expansion_error": expansion_err,
         "coupling_nonvoltage_rows": offrow_err,
         "p_min_eig": float(np.min(local["p_min_eig"])),
-        "eta_tilde_asymmetry": float(np.max(asymmetry, initial=0.0)),
     }
     seconds["Q pieces"] = time.perf_counter() - start
 
@@ -340,12 +317,14 @@ def check_global(controllers: Mapping[int, LocalController],
         kernel_units=kernel_units,
         kernel_pairs=v_units[kernel_units, :, which],
         checks=checks,
+        gains=gains,
+        delta=delta,
+        local_certificates=bool(np.all(local["passed"])),
         stage_seconds=seconds,
     )
 
 
 def check_theorem1(cert: GlobalCertificate,
-                   controllers: Mapping[int, LocalController],
                    topology: MicrogridTopology,
                    kernel: Optional[KernelReport] = None) -> Theorem1Verdict:
     """Asymptotic-stability verdict for the assembled closed loop, read
@@ -353,8 +332,7 @@ def check_theorem1(cert: GlobalCertificate,
 
     Pass needs every fact below, each recorded with its margin:
     a connected grid whose lines all carry positive weight in Q; local
-    certificates that pass their checks with every P_i > 0, and one
-    common sigma_bar (check_global refuses both otherwise); Q <= 0 by the
+    certificates that pass their checks with every P_i > 0; Q <= 0 by the
     direct sum plus the Weyl term; a LaSalle kernel of the predicted
     N + 1 dimensions; every |k3| above 1e-9 |k|; and every
     |1 + delta_i b_i| above 1e-9 (1 + |delta_i b_i|), b_i = (k1_i - 1) / L_t.
@@ -366,11 +344,9 @@ def check_theorem1(cert: GlobalCertificate,
     does not, since stiff grids put integrator consensus modes there.
     """
     if kernel is None:
-        kernel = check_lasalle_kernel(cert, controllers)
-    ids = topology.ids
-    k = np.array([controllers[i].k for i in ids], dtype=float).reshape(-1, 3)
-    delta = np.array([controllers[i].delta for i in ids], dtype=float)
-    l_t = np.array([topology.dgus[i].l_t for i in ids], dtype=float)
+        kernel = check_lasalle_kernel(cert)
+    k, delta = cert.gains, cert.delta
+    l_t = np.array([topology.dgus[i].l_t for i in topology.ids], dtype=float)
     k_norm = np.linalg.norm(k, axis=1)
     k3 = np.divide(np.abs(k[:, 2]), k_norm, out=np.zeros(len(k)),
                    where=k_norm > 0.0)
@@ -382,8 +358,8 @@ def check_theorem1(cert: GlobalCertificate,
         "positive_line_weights": (
             bool(np.all(weights > 0.0)),
             float(np.min(weights)) if len(weights) else None),
-        "local_certificates": (True, cert.checks["p_min_eig"]),
-        "common_sigma_bar": (True, cert.checks["eta_tilde_asymmetry"]),
+        "local_certificates": (cert.local_certificates,
+                               cert.checks["p_min_eig"]),
         "q_negative_semidefinite": (cert.q_negative_semidefinite(),
                                     cert.q_nsd_margin()),
         "lasalle_kernel": (kernel.passed, kernel.max_principal_angle),
@@ -406,9 +382,7 @@ def check_theorem1(cert: GlobalCertificate,
     return Theorem1Verdict(verdict, abscissa, facts)
 
 
-def check_lasalle_kernel(cert: GlobalCertificate,
-                         controllers: Mapping[int, LocalController],
-                         ) -> KernelReport:
+def check_lasalle_kernel(cert: GlobalCertificate) -> KernelReport:
     """Compare Ker(Q) against its predicted generators.
 
     Prediction: one vector with every voltage slot equal and the rest
@@ -421,7 +395,7 @@ def check_lasalle_kernel(cert: GlobalCertificate,
     vector and the basis vectors on that piece, taken from the length of
     the part the projection misses (accurate near zero).
     """
-    n = len(controllers)
+    n = len(cert.delta)
     nullity = cert.kernel_dimension
     expected = n + 1
     if nullity != expected:
@@ -430,7 +404,7 @@ def check_lasalle_kernel(cert: GlobalCertificate,
     volt, units, pairs = (cert.kernel_voltage, cert.kernel_units,
                           cert.kernel_pairs)
     ones = np.full(n, 1.0 / np.sqrt(n))
-    delta = np.array([controllers[i].delta for i in sorted(controllers)])
+    delta = cert.delta
     pair = np.stack([np.ones(n), delta], axis=1) / np.hypot(1.0, delta)[:, None]
     missed_volt = ones - volt @ (ones @ volt)
     projected = np.zeros_like(pair)

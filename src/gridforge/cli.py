@@ -45,7 +45,6 @@ from .model import (
     MicrogridTopology,
     _positive,
     assemble_global,  # noqa: F401  perfbench/spans.py wraps it here
-    unit_blocks,
 )
 from .simulate import (
     LoadStep,
@@ -63,8 +62,6 @@ from .synthesis import (
     LocalController,
     NumericalFailure,
     SynthesisConfig,
-    local_certificate,
-    local_dissipation,
     synthesize_all,
 )
 
@@ -226,17 +223,18 @@ def bundle_to_json(controllers: Mapping[int, LocalController],
 
 
 def controller_from_json(entry: Mapping, params: DguParams,
-                         sigma_bar: float) -> dict:
-    """The LocalController keyword arguments but q_local of one bundle
-    entry, for a unit with these params and a bundle of this sigma_bar.
+                         sigma_bar: float) -> LocalController:
+    """The LocalController of one bundle entry, for a unit with these
+    params and a bundle of this sigma_bar.
 
     An entry is dgu_id, the gain K and the diagnostics, as `synth` writes
-    it.  P and delta are local_certificate's for K and eta is sigma_bar
-    C_t, so a gain outside the local design set is refused, naming its
-    bound.  Any other field is refused by name rather than ignored.
-    Missing diagnostics read as zeros.  K must be three finite numbers,
-    and so must the diagnostics' gamma (three), beta and zeta, each read
-    by _number; anything else is refused with the entry's DGU id.
+    it, and the controller is built from K alone: its P, eta = sigma_bar
+    C_t and delta are the closed form's (synthesis.local_certificate), so
+    a gain outside the local design set is refused, naming its bound.
+    Any other field is refused by name rather than ignored.  Missing
+    diagnostics read as zeros.  K must be three finite numbers, and so
+    must the diagnostics' gamma (three), beta and zeta, each read by
+    _number; anything else is refused with the entry's DGU id.
     """
     where = f"DGU {_id(entry, 'dgu_id')}:"
     for name in entry:
@@ -248,10 +246,6 @@ def controller_from_json(entry: Mapping, params: DguParams,
         return _number(value, f"{where} controller {name}", shape, what)
 
     k = np.array(number(entry["K"], "gain K", (3,), "three finite numbers"))
-    try:
-        p, delta = local_certificate(k, params, sigma_bar)
-    except ValueError as exc:
-        raise ValueError(f"{where} controller {exc}") from None
     diag = _json(entry.get("diagnostics", {}), dict,
                  f"{where} controller diagnostics")
     raw = {"gamma": np.array(number(diag.get("gamma", [0.0, 0.0, 0.0]),
@@ -262,48 +256,44 @@ def controller_from_json(entry: Mapping, params: DguParams,
     if "solver" in diag:
         raw["solver"] = dict(_json(diag["solver"], dict,
                                    f"{where} controller diagnostics solver"))
-    return {"k": k, "p": p, "eta": sigma_bar * params.c_t, "delta": delta,
-            "raw": raw}
+    try:
+        return LocalController(k, raw, params, sigma_bar)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
 
 
 def load_bundle(path, topology: MicrogridTopology
                 ) -> Tuple[float, Dict[int, LocalController]]:
     """(sigma_bar, LocalController per DGU) of a bundle file, each entry
-    read by controller_from_json against the bundle's sigma_bar, and
-    every q_local from one stacked product.  sigma_bar must be positive;
-    it is a scale, since P, Q and the Laplacian are all linear in it."""
+    read by controller_from_json against the bundle's sigma_bar.
+    sigma_bar must be positive; it is a scale, since P, Q and the
+    Laplacian are all linear in it."""
     with open(path, encoding="utf-8") as fh:
         payload = _json(json.load(fh), dict, "bundle file")
     try:
         sigma_bar = _positive("sigma_bar",
                               _number(payload["sigma_bar"], "sigma_bar"))
-        fields = {}
+        controllers = {}
         for entry in _entries(payload["controllers"], "controllers"):
             dgu_id = _id(entry, "dgu_id")
             if dgu_id not in topology.dgus:
                 raise ValueError(f"bundle names DGU {dgu_id}, "
                                  "absent from the scenario")
-            if dgu_id in fields:
+            if dgu_id in controllers:
                 raise ValueError(f"bundle names DGU {dgu_id} twice")
             try:
-                fields[dgu_id] = controller_from_json(
+                controllers[dgu_id] = controller_from_json(
                     entry, topology.dgus[dgu_id], sigma_bar)
             except KeyError as exc:
                 raise ValueError(f"DGU {dgu_id}: bundle entry is missing "
                                  f"field {exc}") from None
     except KeyError as exc:
         raise ValueError(f"bundle file is missing field {exc}") from None
-    missing = set(topology.ids) - set(fields)
+    missing = set(topology.ids) - set(controllers)
     if missing:
         raise ValueError(f"bundle has no controller for DGUs "
                          f"{sorted(missing)}")
-    ids = sorted(fields)
-    a, b, _ = unit_blocks([topology.dgus[dgu_id] for dgu_id in ids])
-    gains = np.array([fields[dgu_id]["k"] for dgu_id in ids]).reshape(-1, 3)
-    p = np.array([fields[dgu_id]["p"] for dgu_id in ids]).reshape(-1, 3, 3)
-    q = local_dissipation(a, b, gains, p)
-    return sigma_bar, {dgu_id: LocalController(q_local=q_i, **fields[dgu_id])
-                       for dgu_id, q_i in zip(ids, q)}
+    return sigma_bar, controllers
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +372,8 @@ def cmd_certify(args, stages: Dict[str, float]) -> int:
     cert = check_global(controllers, topology, sigma_bar)
     stages.update(cert.stage_seconds)
     with _timed(stages, "verdict and kernel"):
-        kernel = check_lasalle_kernel(cert, controllers)
-        verdict = check_theorem1(cert, controllers, topology, kernel)
+        kernel = check_lasalle_kernel(cert)
+        verdict = check_theorem1(cert, topology, kernel)
     with _timed(stages, "JSON write"):
         # compact: with an indent, json runs its pure-Python encoder
         _write_or_print(json.dumps(certificate_to_json(cert, verdict, kernel),

@@ -7,9 +7,9 @@ eta = sigma_bar * C_t; the network-wide constant sigma_bar is what lets the
 local certificates compose into a global one (see certify).
 
 A solver point becomes a controller by one route (_decide): the gain from
-G Y^-1, the k3 gate, local_certificate (the gain's membership of the
-local design set and the one structured P it admits, in closed form), and
-an eigenvalue-level recheck.  The bundle file format lives in cli.
+G Y^-1, the k3 gate, a LocalController of that gain, and an
+eigenvalue-level recheck.  local_certificate, over a stack of gains, is
+the one route from K to P and delta.  The bundle format lives in cli.
 
 The synthesis consumes only the DGU's own matrices, never the lines it
 happens to be attached to, which is what makes plug-in decisions local.
@@ -17,8 +17,9 @@ happens to be attached to, which is what makes plug-in decisions local.
 
 from __future__ import annotations
 
+import functools
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -36,8 +37,8 @@ from .lmi import (
     solve_batch,
     sym_eig,
 )
-from .model import (AugmentedDgu, DguParams, MicrogridTopology, _positive,
-                    augmented_dgu)
+from .model import (AugmentedDgu, DguParams, MicrogridTopology, _frozen,
+                    _positive, augmented_dgu, unit_blocks)
 
 DEFAULT_ALPHAS = (1e-4, 1e-4, 1e-4, 1e-2, 1e-2)
 
@@ -89,31 +90,45 @@ class Denied:
 
 @dataclass(frozen=True)
 class LocalController:
-    """Synthesized gain with its local stability certificate.
+    """A gain with its local stability certificate, built from the gain
+    row k, its solver diagnostics raw, the unit's params and sigma_bar.
 
-    p is structured: p[0,0] = eta, p[0,1] = p[0,2] = 0, trailing 2x2 block
-    positive definite.  q_local = F'P + PF for the closed loop
-    F = A_hat + B_hat k is negative semidefinite with zero first row and
-    column; its trailing block annihilates [1, delta].
+    The rest is derived, and nothing else sets it: p and delta are
+    local_certificate's (a gain outside the design set is a ValueError),
+    p[0,0] = eta = sigma_bar C_t, p[0,1] = p[0,2] = 0, trailing 2x2 block
+    positive definite.  q_local = F'P + PF for F = A_hat + B_hat k is NSD
+    with zero first row and column; its trailing block annihilates
+    [1, delta].
     """
 
     k: np.ndarray
-    p: np.ndarray
-    eta: float
     raw: Mapping[str, object]
-    delta: float
-    q_local: np.ndarray
+    params: DguParams
+    sigma_bar: float
+    p: np.ndarray = field(init=False)
+    eta: float = field(init=False)
+    delta: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("k", "p", "q_local"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        k = _frozen(self.k)
+        params = self.params
+        p, delta = local_certificate(k[None], params.r_t, params.l_t,
+                                     params.c_t, self.sigma_bar)
+        for name, value in (("k", k), ("p", _frozen(p[0])),
+                            ("eta", float(p[0, 0, 0])),
+                            ("delta", float(delta[0]))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def q_local(self) -> np.ndarray:
+        # on first read: certify derives its own, stacked
+        a, b, _ = unit_blocks([self.params])
+        return _frozen(local_dissipation(a[0], b[0], self.k, self.p))
 
     def __reduce__(self):
         # rebuilt through __init__, so unpickled arrays are read-only too
-        return (LocalController, (self.k, self.p, self.eta, self.raw,
-                                  self.delta, self.q_local))
+        return (LocalController, (self.k, self.raw, self.params,
+                                  self.sigma_bar))
 
     def norm_bound(self) -> float:
         """Lemma-style cap sqrt(beta)*zeta on the gain norm."""
@@ -241,13 +256,9 @@ def assemble_problem(dgu: AugmentedDgu, params: DguParams,
     return LmiProgram(11, objective, blocks)
 
 
-def _verify_invariants(k, p, q, delta, raw, eta) -> Optional[str]:
-    """Eigenvalue-level recheck of everything LocalController promises."""
-    norm_p = np.linalg.norm(p)
-    if abs(p[0, 0] - eta) > 1e-10 * norm_p:
-        return "p[0,0] != eta"
-    if max(abs(p[0, 1]), abs(p[0, 2])) > 1e-10 * norm_p:
-        return "p cross terms not zero"
+def _verify_invariants(k, p, q, delta, raw) -> Optional[str]:
+    """Eigenvalue-level recheck of everything LocalController promises
+    that its closed form does not make literal."""
     local = check_local_stacks(q[None], p[None])
     if local["p_min_eig"][0] <= 0.0:
         return "p not positive definite"
@@ -270,38 +281,57 @@ def _verify_invariants(k, p, q, delta, raw, eta) -> Optional[str]:
     return None
 
 
-def local_certificate(k: np.ndarray, params: DguParams,
-                      sigma_bar: float) -> Tuple[np.ndarray, float]:
-    """(P, delta) of the gain k: the one structured P, P[0,0] = eta =
-    sigma_bar C_t, with q_local = F'P + PF NSD, whose trailing block
-    annihilates [1, delta].  With b = (k1 - 1)/L_t, c = (k2 - R_t)/L_t and
-    d = k3/L_t it exists only in the local design set c < 0, d > 0,
-    d - bc < 0, that is k1 < 1, k2 < R_t and 0 < k3 < (k1 - 1)(k2 - R_t)/L_t
-    (ROADMAP item 1 derives it; tests/test_closed_form.py checks it
-    symbolically).  Outside it, ValueError names the failed bound.
+def local_certificate(k: np.ndarray, r_t: np.ndarray, l_t: np.ndarray,
+                      c_t: np.ndarray, sigma_bar: float,
+                      ids: Optional[Sequence[int]] = None,
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """(P, delta) of N stacked gains: k is (N, 3), and r_t, l_t and c_t
+    are the units' filter constants (arrays of N, or one value for all).
+    P is the (N, 3, 3) stack of each unit's one structured P, P[0,0] =
+    eta = sigma_bar C_t, with q_local = F'P + PF NSD, whose trailing block
+    annihilates [1, delta]; delta is (N,).
+
+    With b = (k1 - 1)/L_t, c = (k2 - R_t)/L_t and d = k3/L_t, the unit's
+    own closed loop F = a_hat + b_hat k has the characteristic
+    polynomial s^3 - c s^2 - (b/C_t) s + d/C_t.  By Routh-Hurwitz, F is
+    Hurwitz if and only if -c > 0, -b/C_t > 0, d/C_t > 0 and
+    (-c)(-b/C_t) > d/C_t; given c < 0 and d > 0, bc > d forces b < 0.
+    That is the local design set c < 0, d > 0, d - bc < 0, or k1 < 1,
+    k2 < R_t and 0 < k3 < (k1 - 1)(k2 - R_t)/L_t, and P exists exactly
+    there (tests/test_closed_form.py checks both symbolically).  Outside
+    it, ValueError names the first failing unit, as DGU ids[i] when ids
+    are given, and the bound it fails.
     """
-    b = (k[0] - 1.0) / params.l_t
-    c = (k[1] - params.r_t) / params.l_t
-    d = k[2] / params.l_t
-    if c < 0.0 and d > 0.0 and (d - b * c) < 0.0:
-        p23 = sigma_bar * d / (d - b * c)
-        p22 = sigma_bar * c / (d - b * c)
-        p = np.array([[sigma_bar * params.c_t, 0.0, 0.0],
-                      [0.0, p22, p23],
-                      [0.0, p23, b * p23]])
-        return p, float(-(k[1] - params.r_t) / k[2])
-    if not c < 0.0:
-        bound = f"k2 = {k[1]:g} is not below R_t = {params.r_t:g}"
-    elif not d > 0.0:
-        bound = f"k3 = {k[2]:g} is not positive"
-    else:
-        bound = (f"k3 = {k[2]:g} is not below (k1 - 1)(k2 - R_t)/L_t = "
-                 f"{(k[0] - 1.0) * (k[1] - params.r_t) / params.l_t:g}")
-    raise ValueError(f"gain outside the local design set: {bound}")
+    k = np.asarray(k, dtype=float)
+    b = (k[:, 0] - 1.0) / l_t
+    c = (k[:, 1] - r_t) / l_t
+    d = k[:, 2] / l_t
+    e = d - b * c
+    inside = (c < 0.0) & (d > 0.0) & (e < 0.0)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        k1, k2, k3 = k[i]
+        r, l = (np.broadcast_to(x, inside.shape)[i] for x in (r_t, l_t))
+        if not c[i] < 0.0:
+            bound = f"k2 = {k2:g} is not below R_t = {r:g}"
+        elif not d[i] > 0.0:
+            bound = f"k3 = {k3:g} is not positive"
+        else:
+            bound = (f"k3 = {k3:g} is not below (k1 - 1)(k2 - R_t)/L_t = "
+                     f"{(k1 - 1.0) * (k2 - r) / l:g}")
+        where = "" if ids is None else f"DGU {ids[i]}: "
+        raise ValueError(f"{where}gain outside the local design set: "
+                         f"{bound}")
+    p23 = sigma_bar * d / e
+    p = np.zeros((len(k), 3, 3))
+    p[:, 0, 0] = sigma_bar * c_t
+    p[:, 1, 1] = sigma_bar * c / e
+    p[:, 1, 2] = p[:, 2, 1] = p23
+    p[:, 2, 2] = b * p23
+    return p, -(k[:, 1] - r_t) / k[:, 2]
 
 
-def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
-            cfg: SynthesisConfig,
+def _decide(sol: LmiSolution, params: DguParams, cfg: SynthesisConfig,
             ) -> Union[LocalController, Denied, NumericalFailure]:
     """The verdict on one unit from its solver point, in one pass.
 
@@ -323,22 +353,22 @@ def _decide(sol: LmiSolution, dgu: AugmentedDgu, params: DguParams,
     if abs(k[2]) <= K3_FLOOR * np.linalg.norm(k):
         return Denied("k3 is numerically zero; re-weight the objective "
                       "and synthesize again")
+    raw = {"y": _y_matrix(eta, y22, y23, y33), "g": np.array([g1, g2, g3]),
+           "gamma": sol.x[6:9].copy(), "beta": float(sol.x[9]),
+           "zeta": float(sol.x[10]), "margins": sol.margins.copy(),
+           "solver": {"status": sol.status,
+                      "iterations_phase1": sol.phase1,
+                      "iterations_phase2": len(sol.trace) - sol.phase1}}
     try:
-        p, delta = local_certificate(k, params, cfg.sigma_bar)
+        ctrl = LocalController(k, raw, params, cfg.sigma_bar)
     except ValueError:
         return NumericalFailure("extracted controller invalid: gain outside "
                                 "the local design set")
-    raw = {"y": _y_matrix(eta, y22, y23, y33), "g": np.array([g1, g2, g3]),
-           "gamma": sol.x[6:9].copy(), "beta": float(sol.x[9]),
-           "zeta": float(sol.x[10]), "margins": sol.margins.copy()}
-    q = local_dissipation(dgu.a_hat_ii, dgu.b_hat[:, 0], k, p)
-    problem = _verify_invariants(k, p, q, delta, raw, eta)
+    problem = _verify_invariants(ctrl.k, ctrl.p, ctrl.q_local, ctrl.delta,
+                                 raw)
     if problem is not None:
         return NumericalFailure(f"extracted controller invalid: {problem}")
-    raw["solver"] = {"status": sol.status,
-                     "iterations_phase1": sol.phase1,
-                     "iterations_phase2": len(sol.trace) - sol.phase1}
-    return LocalController(k, p, eta, raw, delta, q)
+    return ctrl
 
 
 def _solve_range(units, cfg: SynthesisConfig) -> list:
@@ -350,8 +380,8 @@ def _solve_range(units, cfg: SynthesisConfig) -> list:
         # a generator: each program is let go once the solver has read it
         sols = solve_batch(assemble_problem(dgu, params, cfg)
                            for dgu, params in batch)
-        verdicts += [_decide(sol, dgu, params, cfg)
-                     for (dgu, params), sol in zip(batch, sols)]
+        verdicts += [_decide(sol, params, cfg)
+                     for (_, params), sol in zip(batch, sols)]
     return verdicts
 
 

@@ -154,8 +154,8 @@ def test_criterion_4_theorem1_property_suite():
         if any(isinstance(r, Denied) for r in results.values()):
             continue
         cert = check_global(results, top, sigma)
-        verdict = check_theorem1(cert, results, top)
-        kernel = check_lasalle_kernel(cert, results)
+        verdict = check_theorem1(cert, top)
+        kernel = check_lasalle_kernel(cert)
         rows = float(np.max(np.abs(cert.laplacian.sum(axis=1))))
         worst["qmax"] = max(worst["qmax"], cert.checks["q_global_max_eig"])
         worst["rows"] = max(worst["rows"], rows)

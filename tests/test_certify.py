@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from gridforge.model import (
 from gridforge.synthesis import (
     LocalController,
     SynthesisConfig,
+    check_local_stacks,
     local_dissipation,
     synthesize,
 )
@@ -124,7 +126,7 @@ class TestLocalStructure:
         eps = 1e-8 * (1.0 + np.linalg.norm(ctrls[1].q_local))
         assert report.smallest_abs_eig <= eps
 
-    def test_displaced_eta_flagged(self, pair):
+    def test_displaced_eta_flagged(self, pair, monkeypatch):
         top, ctrls = pair
         ctrl = ctrls[1]
         params = top.dgus[1]
@@ -134,32 +136,67 @@ class TestLocalStructure:
         hat = augmented_dgu(params)
         f = hat.a_hat_ii + np.outer(hat.b_hat[:, 0], ctrl.k)
         bad_q = f.T @ bad_p + bad_p @ f
-        bad = LocalController(ctrl.k, bad_p, ctrl.eta, ctrl.raw, ctrl.delta, bad_q)
-        report = check_local_structure(bad)
-        assert not report.passed
-        assert abs(report.q11) > 0.0 or report.first_row_max > 0.0
-        assert report.q_max_eig > 0.0
-        with pytest.raises(ValueError, match="local certificate of DGU 1 "
-                           "fails structure checks"):
-            check_global({1: bad, 2: ctrls[2]}, top, 10.0)
+        report = check_local_stacks(bad_q[None], bad_p[None])
+        assert not report["passed"][0]
+        assert abs(report["q11"][0]) > 0.0 or report["first_row_max"][0] > 0.0
+        assert report["q_max_eig"][0] > 0.0
+        # through check_global, which derives q_1 from the doctored P
 
+        def displace_eta(p):
+            p[0, 0] *= 2.0
 
-    def test_indefinite_p_flagged(self, pair):
+        doctor_p(monkeypatch, 0, displace_eta)
+        assert not local_certificates_fact(top, ctrls)[0]
+
+    def test_indefinite_p_flagged(self, pair, monkeypatch):
         # q_local as synthesized, P with its tail block negated: only the
         # P > 0 check can see it
         top, ctrls = pair
         ctrl = ctrls[1]
         bad_p = np.array(ctrl.p)
         bad_p[1:, 1:] *= -1.0
-        bad = dataclasses.replace(ctrl, p=bad_p)
-        report = check_local_structure(bad)
-        assert not report.passed
-        assert report.p_min_eig < 0.0
-        assert report.max_violation == pytest.approx(-report.p_min_eig)
+        report = check_local_stacks(ctrl.q_local[None], bad_p[None])
+        assert not report["passed"][0]
+        assert report["p_min_eig"][0] < 0.0
+        assert report["max_violation"][0] == pytest.approx(
+            -report["p_min_eig"][0])
         assert check_local_structure(ctrl).p_min_eig > 0.0
-        with pytest.raises(ValueError, match="local certificate of DGU 1 "
-                           "fails structure checks"):
-            check_global({1: bad, 2: ctrls[2]}, top, 10.0)
+
+        def negate_tail(p):
+            p[1:, 1:] *= -1.0
+
+        doctor_p(monkeypatch, 0, negate_tail, q_as_it_was=True)
+        holds, margin = local_certificates_fact(top, ctrls)
+        assert not holds and margin == report["p_min_eig"][0]
+
+
+def doctor_p(monkeypatch, unit, change, q_as_it_was=False):
+    """Make the closed form that certify calls hand back the P of the unit
+    at position `unit` changed in place by `change`.  check_global then
+    derives q_local from the doctored P, or with q_as_it_was from the
+    true one."""
+    true_form = certify.local_certificate
+    true_p = []
+
+    def closed_form(*args):
+        p, delta = true_form(*args)
+        true_p.append(p.copy())
+        change(p[unit])
+        return p, delta
+
+    monkeypatch.setattr(certify, "local_certificate", closed_form)
+    if q_as_it_was:
+        monkeypatch.setattr(certify, "local_dissipation",
+                            lambda a, b, k, p: local_dissipation(
+                                a, b, k, true_p[-1]))
+
+
+def local_certificates_fact(top, ctrls):
+    """The local_certificates fact of check_global's certificate, whose
+    verdict it fails."""
+    verdict = check_theorem1(check_global(ctrls, top, 10.0), top)
+    assert verdict.verdict == FAIL
+    return verdict.facts["local_certificates"]
 
 
 def laplacian_parts(lap):
@@ -234,32 +271,17 @@ class TestGlobal:
             np.sort(dropped[dropped != 0.0]),
             np.sort(pair_cert.q_dropped[pair_cert.q_dropped != 0.0]))
 
-    def test_mixed_sigma_bar_raises(self, pair):
+    def test_bare_gain_rows_give_the_same_certificate(self, pair):
+        # only the gain rows are read: P, delta and q come from them and
+        # the topology
         top, ctrls = pair
-        c2 = ctrls[2]
-        doubled = LocalController(c2.k, c2.p, 2.0 * c2.eta, c2.raw,
-                                  c2.delta, c2.q_local)
-        with pytest.raises(ValueError, match="asymmetric"):
-            check_global({1: ctrls[1], 2: doubled}, top, 10.0)
-
-    @pytest.mark.parametrize("sigma_bar", [100.0, 1.0])
-    def test_sigma_bar_must_match_every_eta(self, pair, sigma_bar):
-        # both units hold eta = 10 C_t, so they agree with each other and
-        # only the sigma_bar handed in is wrong
-        top, ctrls = pair
-        with pytest.raises(ValueError,
-                           match="DGU 1: eta .* is not sigma_bar \\* C_t"):
-            check_global(ctrls, top, sigma_bar)
-
-    @pytest.mark.parametrize("eta", [np.inf, np.nan])
-    def test_non_finite_eta_refused_by_id(self, pair, eta):
-        # refused before the eta symmetry check divides by it
-        top, ctrls = pair
-        c2 = ctrls[2]
-        bad = LocalController(c2.k, c2.p, eta, c2.raw, c2.delta, c2.q_local)
-        with pytest.raises(ValueError,
-                           match="^DGU 2: eta must be a finite number$"):
-            check_global({1: ctrls[1], 2: bad}, top, 10.0)
+        docs = []
+        for given in (ctrls, {i: c.k.tolist() for i, c in ctrls.items()}):
+            cert = check_global(given, top, 10.0)
+            kernel = check_lasalle_kernel(cert)
+            docs.append(json.dumps(certificate_to_json(
+                cert, check_theorem1(cert, top, kernel), kernel)))
+        assert docs[0] == docs[1]
 
     def test_wrong_controller_set_raises(self, pair):
         top, ctrls = pair
@@ -286,7 +308,8 @@ def doctored(top, ctrls, stray, monkeypatch):
     ("line", field, value) sets line 0's entry of each named GlobalSystem
     line array; ("p", unit, row) puts a small symmetric pair into unit's
     P at (row, 0) and (0, row), off its zero first column; ("eta", unit)
-    moves unit's P[0, 0] off eta.  q_local is left as it was.
+    moves unit's P[0, 0] off eta.  P is doctored in the closed form that
+    certify calls, and q_local is left as it was.
     """
     if stray[0] == "line":
         def assemble(t):
@@ -299,13 +322,15 @@ def doctored(top, ctrls, stray, monkeypatch):
 
         monkeypatch.setattr(certify, "assemble_global", assemble)
         return ctrls
-    ctrl = ctrls[stray[1]]
-    p = np.array(ctrl.p)
-    if stray[0] == "p":
-        p[stray[2], 0] = p[0, stray[2]] = 1e-3 * np.linalg.eigvalsh(p)[0]
-    else:
-        p[0, 0] *= 1.0 + 1e-3
-    return {**ctrls, stray[1]: dataclasses.replace(ctrl, p=p)}
+
+    def change(p):
+        if stray[0] == "p":
+            p[stray[2], 0] = p[0, stray[2]] = 1e-3 * np.linalg.eigvalsh(p)[0]
+        else:
+            p[0, 0] *= 1.0 + 1e-3
+
+    doctor_p(monkeypatch, top.ids.index(stray[1]), change, q_as_it_was=True)
+    return ctrls
 
 
 class TestLineSparseChecks:
@@ -365,7 +390,7 @@ class TestLineSparseChecks:
         monkeypatch.setattr(certify, "assemble_global",
                             lambda t: calls.append(t) or original(t))
         cert = check_global(ctrls, top, 10.0)
-        assert check_theorem1(cert, ctrls, top).verdict == PASS
+        assert check_theorem1(cert, top).verdict == PASS
         assert len(calls) == 1
         f = closed_loop(original(top), ctrls)
         assert cert.checks["closed_loop_norm"] == np.linalg.norm(f)
@@ -409,30 +434,13 @@ def dense_kernel_angle(basis, ctrls):
     return float(np.arcsin(min(np.max(sv), 1.0)))
 
 
-def closed_form_controller(params, k, sigma_bar):
-    """A gain k in the local design set (k1 < 1, k2 < R_t,
-    0 < k3 < (k1 - 1)(k2 - R_t)/L_t) with its unique P, the closed form
-    that synthesis uses to extract P, and the q_local they give."""
-    k = np.asarray(k, dtype=float)
-    b = (k[0] - 1.0) / params.l_t
-    c = (k[1] - params.r_t) / params.l_t
-    d = k[2] / params.l_t
-    p23 = sigma_bar * d / (d - b * c)
-    p22 = sigma_bar * c / (d - b * c)
-    eta = sigma_bar * params.c_t
-    p = np.array([[eta, 0.0, 0.0], [0.0, p22, p23], [0.0, p23, b * p23]])
-    hat = augmented_dgu(params)
-    q = local_dissipation(hat.a_hat_ii, hat.b_hat[:, 0], k, p)
-    return LocalController(k, p, eta, {}, float(-c / d), q)
-
-
 def closed_form_chain(n):
     """A chain of n units of four types, each with k = (0, 0, R_t/(2 L_t)),
     a gain in the design set for every unit."""
     types = [dgu(0.1, 1.8e-3, 2.2e-3), dgu(0.2, 1.7e-3, 2.0e-3),
              dgu(0.3, 2.5e-3, 1.9e-3), dgu(0.05, 4e-3, 3.5e-3)]
-    designs = [closed_form_controller(p, [0.0, 0.0, p.r_t / (2 * p.l_t)],
-                                      10.0) for p in types]
+    designs = [LocalController([0.0, 0.0, p.r_t / (2 * p.l_t)], {}, p, 10.0)
+               for p in types]
     lines = [LineParams(i, i + 1, 0.02 + 0.01 * (i % 9)) for i in range(1, n)]
     top = MicrogridTopology({i: types[i % 4] for i in range(1, n + 1)}, lines)
     return top, {i: designs[i % 4] for i in range(1, n + 1)}
@@ -460,8 +468,8 @@ def stiff_grid(n, seed):
              for i, j in sorted(pairs)]
     dgus = {i + 1: dgu(float(r_t[i]), float(l_t[i]), float(c_t[i]))
             for i in range(n)}
-    ctrls = {i: closed_form_controller(dgus[i], [k1[i - 1], k2[i - 1],
-                                                 k3[i - 1]], sigma_bar)
+    ctrls = {i: LocalController([k1[i - 1], k2[i - 1], k3[i - 1]], {},
+                                dgus[i], sigma_bar)
              for i in dgus}
     return MicrogridTopology(dgus, lines), ctrls, sigma_bar
 
@@ -475,8 +483,8 @@ class TestStiffGrids:
     def test_structure_certifies_and_spectrum_agrees(self, n, seed):
         top, ctrls, sigma_bar = stiff_grid(n, seed)
         cert = check_global(ctrls, top, sigma_bar)
-        kernel = check_lasalle_kernel(cert, ctrls)
-        verdict = check_theorem1(cert, ctrls, top, kernel)
+        kernel = check_lasalle_kernel(cert)
+        verdict = check_theorem1(cert, top, kernel)
         assert verdict.verdict == PASS, verdict.facts
         assert kernel.nullity == n + 1
         # the spectrum never contradicts the proof, and wherever it
@@ -510,14 +518,14 @@ class TestDirectSum:
             np.abs(w_volt) <= 1e-7 * np.max(np.abs(w_volt)))
             + np.count_nonzero(np.abs(w_units) <= 1e-7 * np.max(
                 np.abs(w_units), axis=1, keepdims=True)))
-        kernel = check_lasalle_kernel(cert, ctrls)
+        kernel = check_lasalle_kernel(cert)
         assert kernel.nullity == nullity == n + 1
         assert kernel.passed
         dense_angle = dense_kernel_angle(dense_kernel_basis(cert), ctrls)
         assert abs(kernel.max_principal_angle - dense_angle) <= 1e-9
         bc_max = np.linalg.eigvalsh(block_bc)[-1]
         assert abs(cert.checks["block_bc_max_eig"] - bc_max) <= 1e-12 * scale
-        assert check_theorem1(cert, ctrls, top).verdict == PASS
+        assert check_theorem1(cert, top).verdict == PASS
 
     def test_no_eigensolve_beyond_the_pieces(self, pool, monkeypatch):
         # the one O(N^3) step is the closed-loop spectrum; every symmetric
@@ -531,8 +539,8 @@ class TestDirectSum:
                 return _f(a, *args, **kw)
             monkeypatch.setattr(np.linalg, name, spy)
         cert = check_global(ctrls, top, 10.0)
-        assert check_theorem1(cert, ctrls, top).verdict == PASS
-        assert check_lasalle_kernel(cert, ctrls).passed
+        assert check_theorem1(cert, top).verdict == PASS
+        assert check_lasalle_kernel(cert).passed
         symmetric = shapes["eigh"] + shapes["eigvalsh"]
         assert symmetric and max(s[-1] for s in symmetric) == n
         assert shapes["eigvals"] == [(3 * n, 3 * n)]
@@ -546,7 +554,7 @@ class TestDirectSum:
             seen.clear()
         monkeypatch.setattr(certify, "SPECTRUM_MAX_UNITS", n - 1)
         cert = check_global(ctrls, top, 10.0)
-        verdict = check_theorem1(cert, ctrls, top)
+        verdict = check_theorem1(cert, top)
         assert (verdict.verdict, verdict.spectral_abscissa) == (PASS, None)
         assert shapes["eigvals"] == shapes["eig"] == []
         assert max(s[-1] for s in shapes["eigh"] + shapes["eigvalsh"]) == n
@@ -566,8 +574,8 @@ class TestDirectSum:
         tracemalloc.start()
         try:
             cert = check_global(ctrls, top, 10.0)
-            kernel = check_lasalle_kernel(cert, ctrls)
-            verdict = check_theorem1(cert, ctrls, top, kernel)
+            kernel = check_lasalle_kernel(cert)
+            verdict = check_theorem1(cert, top, kernel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -580,8 +588,8 @@ class TestDirectSum:
 
 class TestTheorem1:
     def test_pass_on_synthesized_pair(self, pair, pair_cert):
-        top, ctrls = pair
-        verdict = check_theorem1(pair_cert, ctrls, top)
+        top, _ = pair
+        verdict = check_theorem1(pair_cert, top)
         assert verdict.verdict == PASS
         assert verdict.spectral_abscissa < 0.0
 
@@ -589,17 +597,17 @@ class TestTheorem1:
         top, ctrls = pair
         cut = MicrogridTopology(dict(top.dgus), ())
         cert = check_global(ctrls, cut, 10.0)
-        verdict = check_theorem1(cert, ctrls, cut)
+        verdict = check_theorem1(cert, cut)
         assert verdict.verdict == HYPOTHESIS_UNMET
         assert verdict.spectral_abscissa is None
 
     def test_unstable_spectrum_fails(self, pair, pair_cert):
-        top, ctrls = pair
+        top, _ = pair
         spectra = dict(pair_cert.spectra)
         spectra["closed_loop"] = np.array([20.0 + 560.0j, 20.0 - 560.0j, -1.0])
         doctored = dataclasses.replace(pair_cert, spectra=spectra)
         assert isinstance(doctored, GlobalCertificate)
-        verdict = check_theorem1(doctored, ctrls, top)
+        verdict = check_theorem1(doctored, top)
         assert verdict.verdict == FAIL
         assert verdict.spectral_abscissa == pytest.approx(20.0)
 
@@ -610,22 +618,22 @@ class TestTheorem1:
             self, pair, pair_cert, factor, verdict):
         # an abscissa within 1e-12 |F| of zero cannot overrule the
         # structure; one above it contradicts the proof
-        top, ctrls = pair
+        top, _ = pair
         spectra = dict(pair_cert.spectra)
         abscissa = factor * 1e-12 * pair_cert.checks["closed_loop_norm"]
         spectra["closed_loop"] = np.array([abscissa, -1.0])
         doctored = dataclasses.replace(pair_cert, spectra=spectra)
-        result = check_theorem1(doctored, ctrls, top)
+        result = check_theorem1(doctored, top)
         assert result.verdict == verdict
         assert result.spectral_abscissa == abscissa
 
     def test_facts_are_recorded_with_margins(self, pair, pair_cert):
         top, ctrls = pair
-        verdict = check_theorem1(pair_cert, ctrls, top)
+        verdict = check_theorem1(pair_cert, top)
         assert set(verdict.facts) == {
             "connected", "positive_line_weights", "local_certificates",
-            "common_sigma_bar", "q_negative_semidefinite", "lasalle_kernel",
-            "k3_nonzero", "lasalle_invariance"}
+            "q_negative_semidefinite", "lasalle_kernel", "k3_nonzero",
+            "lasalle_invariance"}
         assert all(holds for holds, _ in verdict.facts.values())
         # 1 + delta b = (d - b c) / d, negative on every gain of the set
         for dgu_id, ctrl in ctrls.items():
@@ -647,37 +655,34 @@ class TestTheorem1:
         k = np.array(ctrls[1].k)
         delta = -params.l_t / (k[0] - 1.0)
         k[1] = params.r_t - delta * k[2]
-        ctrl = closed_form_controller(params, k, 10.0)
+        ctrl = LocalController(k, {}, params, 10.0)
         assert abs(ctrl.delta - delta) <= 1e-9 * abs(delta)
         bad = {1: ctrl, 2: ctrls[2]}
-        verdict = check_theorem1(check_global(bad, top, 10.0), bad, top)
+        verdict = check_theorem1(check_global(bad, top, 10.0), top)
         assert verdict.verdict == FAIL
         holds, margin = verdict.facts["lasalle_invariance"]
         assert not holds and margin <= 1e-9
 
 
 class TestLasalleKernel:
-    def test_pair_nullity(self, pair, pair_cert):
-        _, ctrls = pair
-        report = check_lasalle_kernel(pair_cert, ctrls)
+    def test_pair_nullity(self, pair_cert):
+        report = check_lasalle_kernel(pair_cert)
         assert report.passed
         assert report.nullity == 3
         assert report.max_principal_angle <= 1e-6
         # a kernel basis one vector short fails on its nullity alone
         short = dataclasses.replace(
             pair_cert, kernel_voltage=pair_cert.kernel_voltage[:, 1:])
-        report = check_lasalle_kernel(short, ctrls)
+        report = check_lasalle_kernel(short)
         assert not report.passed
         assert (report.nullity, report.expected_nullity) == (2, 3)
         assert report.max_principal_angle == np.pi / 2.0
 
-    def test_nan_delta_fails(self, pair, pair_cert):
+    def test_nan_delta_fails(self, pair_cert):
         # the kernel comes from Q alone; delta enters only the prediction
-        _, ctrls = pair
-        c1 = ctrls[1]
-        bad = {1: LocalController(c1.k, c1.p, c1.eta, c1.raw, np.nan,
-                                  c1.q_local), 2: ctrls[2]}
-        report = check_lasalle_kernel(pair_cert, bad)
+        bad = dataclasses.replace(pair_cert,
+                                  delta=np.array([np.nan, pair_cert.delta[1]]))
+        report = check_lasalle_kernel(bad)
         assert not report.passed
         assert np.isnan(report.max_principal_angle)
 
@@ -686,7 +691,7 @@ class TestLasalleKernel:
         top = MicrogridTopology({1: params}, ())
         ctrl = synthesize(augmented_dgu(params), params, CFG)
         cert = check_global({1: ctrl}, top, 10.0)
-        report = check_lasalle_kernel(cert, {1: ctrl})
+        report = check_lasalle_kernel(cert)
         assert report.nullity == 2
         assert report.passed
         # basis spans {e1, [0, 1, delta]}
@@ -701,14 +706,12 @@ class TestLasalleKernel:
 
 class TestExport:
     def test_json_fields(self, pair, pair_cert):
-        top, ctrls = pair
-        verdict = check_theorem1(pair_cert, ctrls, top)
-        kernel = check_lasalle_kernel(pair_cert, ctrls)
+        top, _ = pair
+        verdict = check_theorem1(pair_cert, top)
+        kernel = check_lasalle_kernel(pair_cert)
         doc = certificate_to_json(pair_cert, verdict, kernel)
         assert doc["theorem1"]["verdict"] == PASS
         assert doc["lasalle_kernel"]["nullity"] == 3
         assert doc["kernel_dimension"] == 3
         assert "q_global_max_eig" in doc["checks"]
-        import json
-
         json.dumps(doc)  # everything must be serializable

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gridforge import baselines, cli
+from gridforge.certify import check_global
 from gridforge.model import DguParams, LineParams, LoadModel, MicrogridTopology
 from gridforge.simulate import (LoadStep, PlugIn, RefStep, Scenario,
                                 Unplug)
@@ -358,7 +359,7 @@ class TestCertify:
         bound = (k1 - 1.0) * (k2 - 0.2) / 1.7e-3
         assert 650.0 < bound < 660.0 and k3 == pytest.approx(1000.0)
         assert capsys.readouterr() == ("", (
-            f"error: DGU 2: controller gain outside the local design set: "
+            f"error: DGU 2: gain outside the local design set: "
             f"k3 = {k3:g} is not below (k1 - 1)(k2 - R_t)/L_t = "
             f"{bound:g}\n"))
 
@@ -374,8 +375,24 @@ class TestCertify:
         assert cli.main(["certify", scenario, path]) == 1
         assert gains[0][1] == pytest.approx(0.172, abs=1e-3)
         assert capsys.readouterr() == ("", (
-            f"error: DGU 1: controller gain outside the local design set: "
+            f"error: DGU 1: gain outside the local design set: "
             f"k2 = {gains[0][1]:g} is not below R_t = 0.1\n"))
+
+    def test_load_bundle_and_check_global_refuse_with_one_text(
+            self, bundle_file, tmp_path):
+        scenario, _ = bundle_file
+        top = cli.load_scenario(scenario).initial_topology
+        gains = baselines.destabilization_demo(baselines.LQR).gains
+        path = write_json(tmp_path / "lqr.json", {
+            "sigma_bar": 10.0, "controllers": [
+                {"dgu_id": i, "K": k.tolist()} for i, k in enumerate(gains, 1)]})
+        with pytest.raises(ValueError) as loading:
+            cli.load_bundle(path, top)
+        with pytest.raises(ValueError) as certifying:
+            check_global(dict(enumerate(gains, 1)), top, 10.0)
+        assert str(certifying.value) == str(loading.value)
+        assert str(loading.value).startswith(
+            "DGU 2: gain outside the local design set: k3 = ")
 
     def test_gain_only_timings_list_the_spectrum(self, bundle_file,
                                                   tmp_path, capsys):
@@ -909,11 +926,11 @@ class TestSimulateDesigns:
         from gridforge import synthesis
         decide, newcomer = synthesis._decide, cli._params_from_json(NEWCOMER)
 
-        def newcomer_breaks_down(sol, dgu, params, cfg):
+        def newcomer_breaks_down(sol, params, cfg):
             if params == newcomer:
                 return synthesis.NumericalFailure("LMI solver did not"
                                                   " converge")
-            return decide(sol, dgu, params, cfg)
+            return decide(sol, params, cfg)
 
         def integrate(*args, **kwargs):
             raise AssertionError("integration started")
