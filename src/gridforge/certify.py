@@ -336,6 +336,11 @@ def check_theorem1(cert: GlobalCertificate,
     direct sum plus the Weyl term; a LaSalle kernel of the predicted
     N + 1 dimensions; every |k3| above 1e-9 |k|; and every
     |1 + delta_i b_i| above 1e-9 (1 + |delta_i b_i|), b_i = (k1_i - 1) / L_t.
+    Two of them hold by construction on every gain check_global accepts,
+    and stay only as guards against rounding: each line's weight is
+    2 sigma_bar / R_ij > 0, and with c_i = (k2_i - R_t) / L_t and
+    d_i = k3_i / L_t, 1 + delta_i b_i = (d_i - b_i c_i) / d_i, which the
+    design set's last bound d_i < b_i c_i makes negative.
 
     The closed-loop spectrum, when computed, is a cross-check.  One
     eigenvalue above the eigensolver noise floor (1e-12 times the

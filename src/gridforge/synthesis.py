@@ -42,8 +42,6 @@ from .model import (AugmentedDgu, DguParams, MicrogridTopology, _frozen,
 
 DEFAULT_ALPHAS = (1e-4, 1e-4, 1e-4, 1e-2, 1e-2)
 
-NOT_APPLICABLE = "NotApplicable"
-
 # k3 is numerically zero at |k3| <= K3_FLOOR |k|: _decide denies the design
 K3_FLOOR = 1e-9
 
@@ -458,14 +456,8 @@ def synthesize_all(topology: MicrogridTopology, cfg: SynthesisConfig,
 
 
 def verify_k1_identity(ctrl: LocalController, params: DguParams,
-                       cfg: SynthesisConfig) -> Union[float, str]:
-    """Residual of the closed-form k1 relation implied by q_local's zeros.
-
-    Returns NOT_APPLICABLE when delta = 0 (k2 = R_t exactly), where the
-    relation degenerates.
-    """
-    if ctrl.delta == 0.0:
-        return NOT_APPLICABLE
+                       cfg: SynthesisConfig) -> float:
+    """Residual of the closed-form k1 relation implied by q_local's zeros."""
     lt = params.l_t
     predicted = 1.0 - lt / ctrl.delta - cfg.sigma_bar * lt / ctrl.p[1, 1]
     return float(abs(ctrl.k[0] - predicted))

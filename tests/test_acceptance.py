@@ -192,10 +192,10 @@ def test_criterion_5_structural_identities(green_sweep):
                            LoadModel.constant_current(0.0), 48.0)
         resid_k1 = verify_k1_identity(ctrl, params,
                                       SynthesisConfig(result.sigma_bar))
-        if isinstance(resid_k1, float):
-            bound = 1e-6 * (1.0 + abs(ctrl.k[0]))
-            k1_res = max(k1_res, resid_k1)
-            soft_misses += resid_k1 > bound
+        assert isinstance(resid_k1, float)
+        bound = 1e-6 * (1.0 + abs(ctrl.k[0]))
+        k1_res = max(k1_res, resid_k1)
+        soft_misses += resid_k1 > bound
     ok = q_res <= 1e-6 and p_res <= 1e-6
     report(5, ok, f"over 125 controllers: Q22 kernel residual {q_res:.1e}, "
                   f"p22+delta*p23 residual {p_res:.1e}, k1 residual "

@@ -234,3 +234,23 @@ def test_placed_poles_give_a_gain_in_the_set(r, l, c, wn, zeta, pole):
     for target in (-zeta * wn + 1j * damped, -zeta * wn - 1j * damped,
                    -pole):
         assert np.min(np.abs(eigs - target)) <= 1e-9 * np.linalg.norm(f)
+
+
+@given(r=st.floats(-3.0, 1.0), l=st.floats(-4.0, -1.0),
+       c=st.floats(-6.0, -1.0), u1=st.floats(-2.0, 2.0),
+       u2=st.floats(-2.0, 2.0), t=st.floats(0.01, 0.99))
+@settings(max_examples=300, deadline=None)
+def test_lasalle_invariance_holds_on_the_set(r, l, c, u1, u2, t):
+    # 1 + delta b = 1 + (R_t - k2)(k1 - 1)/(k3 L_t) = (d - bc)/d, and the
+    # set's last bound, k3 = t (k1 - 1)(k2 - R_t)/L_t with t < 1, makes
+    # d - bc = (t - 1) bc negative while d > 0; equal up to the rounding
+    # of the terms summed, 1 + |delta b|
+    r, l, c = 10.0**r, 10.0**l, 10.0**c
+    k1, k2 = 1.0 - 10.0**u1, r - r * 10.0**u2
+    k = np.array([k1, k2, t * (k1 - 1.0) * (k2 - r) / l])
+    _, (delta,) = local_certificate(k[None], r, l, c, 10.0)
+    b, cc, d = (k1 - 1.0) / l, (k2 - r) / l, k[2] / l
+    invariance = 1.0 + delta * b
+    rounding = 1e-12 * (1.0 + abs(delta * b))
+    assert abs(invariance - (d - b * cc) / d) <= rounding
+    assert invariance < 0.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 
 from gridforge.model import (DguParams, LineParams, LoadModel,
                              MicrogridTopology, TopologyError)
@@ -29,6 +29,21 @@ simulate_module = importlib.import_module("gridforge.simulate")
 CFG = SynthesisConfig(10.0)
 # light beta/zeta weights buy aggressive gains, so transients die quickly
 FAST = SynthesisConfig(10.0, (1e-4, 1e-4, 1e-4, 1e-6, 1e-6))
+
+# How far the block form may move a replayed value from the scalar loop,
+# as a share of the largest magnitude in its row (or in the final state).
+# A block row fl(P_j) x + fl(W_j) and the loop's j-th step from the same x
+# each lie within about j (n + 1) u (|R|^j |x| + sum_i<j |R|^i |w|) of the
+# exact R^j x + W_j (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., sec. 3.5: each product adds gamma_n |A| |B|).  In
+# these runs j <= CHECK_ROWS = 1024, n + 1 <= 12 and u = 2^-53, so the two
+# differ by at most 2 * 1024 * 12 * u = 2.7e-12 of that magnitude, which
+# is the row's own size times the growth of |R|^j over |R^j|.  A block
+# also starts from the last row of the one before, and the map carries
+# that row's difference on: a decaying map shrinks it, a runaway one grows
+# it with the row it rides on.  The bound leaves a factor of 37 for the
+# growth; the worst row measured in these tests was 7.3e-14 of its row.
+BLOCK_FORM_TOL = 1e-10
 
 
 def dgu(r_t=0.2, l_t=2e-3, c_t=2.2e-3, v_ref=48.0, r_load=10.0):
@@ -348,7 +363,9 @@ class TestIntegratorQuality:
         # the first sample over the limit is kept and ends the run
         assert len(tr.times) == samples
         assert tr.times[-1] == tr.diverged.t == t
-        assert tr.diverged.max_abs == max_abs
+        # the stepping's power stack moves the cut row by rounding only
+        assert tr.diverged.max_abs == pytest.approx(max_abs,
+                                                    rel=BLOCK_FORM_TOL)
         np.testing.assert_array_equal(
             tr.final_state, np.concatenate([tr.series[i][-1, :3]
                                             for i in (1, 2)]))
@@ -860,16 +877,40 @@ def newcomer_design():
 
 def assert_runs_match_the_reference(scenario, controllers, designs=None,
                                     initial_state=None):
-    runs = []
-    for run in (simulate_module._Segment.run, scalar_run_reference):
+    """The replay against scalar_run_reference: bit for bit with the power
+    stack capped to one row, and under the real cap the same sample times,
+    events and cut, with values within BLOCK_FORM_TOL."""
+    def replay(run):
         with mock.patch.object(simulate_module._Segment, "run", run):
-            runs.append(simulate(scenario, controllers, initial_state,
-                                 designs))
-    got, want = runs
-    assert got.table.tobytes() == want.table.tobytes()
+            return simulate(scenario, controllers, initial_state, designs)
+
+    want = replay(scalar_run_reference)
+    with mock.patch.object(simulate_module, "_STACK_BYTES", 0):
+        one_row = replay(simulate_module._Segment.run)
+    assert one_row.table.tobytes() == want.table.tobytes()
+    assert one_row.ids == want.ids and one_row.events == want.events
+    assert one_row.final_state.tobytes() == want.final_state.tobytes()
+    assert one_row.diverged == want.diverged
+    got = replay(simulate_module._Segment.run)
+    # equal times are equal row counts, so the cut is at the same sample
+    assert got.times.tobytes() == want.times.tobytes()
     assert got.ids == want.ids and got.events == want.events
-    assert got.final_state.tobytes() == want.final_state.tobytes()
-    assert got.diverged == want.diverged
+    assert (got.diverged is None) == (want.diverged is None)
+    if want.diverged is not None:
+        assert got.diverged.t == want.diverged.t
+        assert got.diverged.max_abs == pytest.approx(
+            want.diverged.max_abs, rel=BLOCK_FORM_TOL)
+    cells, ref = got.table[:, 1:], want.table[:, 1:]
+    np.testing.assert_array_equal(np.isnan(cells), np.isnan(ref))
+    scale = np.nanmax(np.abs(ref), axis=1, initial=0.0)[:, None]
+    moved = np.abs(np.nan_to_num(cells - ref))
+    assert (moved <= BLOCK_FORM_TOL * scale).all()
+    # non-finite entries (a first slot that overflowed) in the same places
+    finite = np.isfinite(want.final_state)
+    np.testing.assert_array_equal(np.isfinite(got.final_state), finite)
+    assert not finite.any() or np.abs(
+        got.final_state - want.final_state)[finite].max() <= (
+            BLOCK_FORM_TOL * np.abs(want.final_state[finite]).max())
     return got
 
 
@@ -934,6 +975,49 @@ class TestStepping:
             RefStep(0.00010000000999999968, 1, 47.0),))
         assert_runs_match_the_reference(scenario, synthesize_all(top, CFG))
 
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_first_segment_follows_the_exact_flow(self, line_model):
+        # perfbench's check_exact_stretch on the shipped scenario, before
+        # its first event at 4 s: each row against the exact flow
+        # exp(tM) of M = [[A, c], [0, 0]] from the t = 0 sample, within
+        # four times RK4's own error there plus 1e-10 of the state's size
+        from gridforge import cli
+        scenario = dataclasses.replace(
+            cli.load_scenario(cli.packaged_scenario_path()),
+            line_model=line_model)
+        top = scenario.initial_topology
+        ctrls = synthesize_all(top, scenario.synthesis_config())
+        tr = simulate(scenario, ctrls)
+        assert scenario.events[0].t == 4.0 and tr.times[40000] == 4.0
+        a, c = stamped_ode(top, {i: ctrls[i].k for i in top.ids}, line_model)
+        n = len(c)
+        m = np.zeros((n + 1, n + 1))
+        m[:n, :n], m[:n, n] = a, c
+        # one RK4 step on a linear system is exp(dt M)'s quartic Taylor
+        # polynomial
+        taylor = np.eye(n + 1)
+        term = np.eye(n + 1)
+        for j in range(1, 5):
+            term = term @ (scenario.dt * m) / j
+            taylor = taylor + term
+        units = 3 * len(top.ids)
+
+        def unit_states(row):
+            return np.concatenate([tr.series[i][row, :3] for i in top.ids])
+
+        x0 = np.zeros(n + 1)
+        x0[:units], x0[n] = unit_states(0), 1.0
+        for row in (10, 1000, 39999):
+            t = tr.times[row]
+            steps = round(t / scenario.dt)
+            assert t == row * scenario.record_dt and steps == 10 * row
+            exact = (expm(t * m) @ x0)[:units]
+            rk4 = (np.linalg.matrix_power(taylor, steps) @ x0)[:units]
+            got = unit_states(row)
+            allowed = (4.0 * np.abs(rk4 - exact).max()
+                       + 1e-10 * np.abs(exact).max())
+            assert np.abs(got - exact).max() <= allowed
+
     @staticmethod
     def assert_dot_is_matmul(r, w, x):
         dot = r.dot
@@ -943,8 +1027,9 @@ class TestStepping:
 
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_dot_is_matmul_on_the_packaged_maps(self, line_model):
-        # the stepping loop uses ndarray.dot for its speed; a numpy that
-        # routed it apart from `@` would move every trajectory
+        # a one-deep power stack steps with ndarray.dot; a numpy that
+        # routed it apart from `@` would move the trajectories of grids
+        # too large for a deeper stack
         from gridforge import cli
         scenario = dataclasses.replace(
             cli.load_scenario(cli.packaged_scenario_path()),
@@ -997,7 +1082,7 @@ class TestStepping:
             assert kept.tobytes() == stretch.tobytes()
 
     def test_dot_into_a_row_is_matmul(self):
-        # the stepping loop's dot(state, row); row += w
+        # a one-deep power stack's step: dot(state, row); row += w
         rng = np.random.default_rng(3)
         r = rng.normal(size=(18, 18))
         r *= 0.999 / np.max(np.abs(np.linalg.eigvals(r)))

@@ -18,7 +18,6 @@ from gridforge.model import (
     augmented_dgu,
 )
 from gridforge.synthesis import (
-    NOT_APPLICABLE,
     Denied,
     LocalController,
     NumericalFailure,
@@ -461,11 +460,6 @@ class TestK1Identity:
         bad = types.SimpleNamespace(k=ctrl.k, p=bad_p, delta=ctrl.delta)
         res = verify_k1_identity(bad, p, CFG)
         assert res > 1e-3 * (1.0 + abs(ctrl.k[0]))
-
-    def test_delta_zero_not_applicable(self, table_controller):
-        p, ctrl = table_controller
-        degenerate = types.SimpleNamespace(k=ctrl.k, p=ctrl.p, delta=0.0)
-        assert verify_k1_identity(degenerate, p, CFG) == NOT_APPLICABLE
 
 
 class TestSynthesizeAll:
