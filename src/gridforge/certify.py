@@ -39,9 +39,8 @@ import numpy as np
 from .lmi import general_eig, sym_eig
 from .model import (Gain, GlobalSystem, MicrogridTopology, assemble_global,
                     closed_loop_blocks, gain_row)
-from .synthesis import (K3_FLOOR, LocalController, check_local_stacks,
-                        local_certificate, local_dissipation,
-                        semidefinite_eps)
+from .synthesis import (K3_FLOOR, check_local_stacks, local_certificate,
+                        local_dissipation, semidefinite_eps)
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -55,19 +54,6 @@ SPECTRUM_MAX_UNITS = 200
 def _frobenius(*pieces: np.ndarray) -> float:
     """Frobenius norm of a matrix given as pieces that cover its entries."""
     return float(np.sqrt(sum(np.vdot(x, x) for x in pieces)))
-
-
-@dataclass(frozen=True)
-class LocalStructureReport:
-    """Outcome of the structural checks on one local certificate."""
-
-    passed: bool
-    max_violation: float
-    q_max_eig: float
-    q11: float
-    first_row_max: float
-    smallest_abs_eig: float
-    p_min_eig: float
 
 
 @dataclass(frozen=True)
@@ -144,19 +130,6 @@ class KernelReport:
     nullity: int
     expected_nullity: int
     max_principal_angle: float
-
-
-def check_local_structure(ctrl: LocalController) -> LocalStructureReport:
-    """Structural facts every local certificate must satisfy.
-
-    q_local is negative semidefinite but never definite: its first
-    diagonal entry vanishes, which forces the whole first row and column
-    to vanish and guarantees a zero eigenvalue.  P is symmetric positive
-    definite.  This is check_local_stacks on a stack of one, passed by
-    every grant of synthesize*; check_global records it on every unit.
-    """
-    one = check_local_stacks(ctrl.q_local[None], ctrl.p[None])
-    return LocalStructureReport(**{k: v[0].item() for k, v in one.items()})
 
 
 def build_laplacian(topology: MicrogridTopology,

@@ -121,13 +121,24 @@ def _entries(value, field: str) -> list:
             for entry in _json(value, list, field)]
 
 
+def _fields(value, field: str, names: Tuple[str, ...], why: str = ""):
+    """value read as a JSON object (_json) whose every key is one of
+    names: any other key is refused by name rather than ignored, so a
+    misspelt field cannot leave its default in force."""
+    for name in _json(value, dict, field):
+        if name not in names:
+            raise ValueError(f"{field} field {name!r} is not read{why}")
+    return value
+
+
 def _load_from_json(value) -> LoadModel:
-    obj = _json(value, dict, "load")
+    obj = _fields(value, "load", ("type", "value"))
     return LoadModel(str(obj["type"]), _number(obj["value"], "value"))
 
 
-def _params_from_json(value) -> DguParams:
-    obj = _json(value, dict, "params")
+def _params_from_json(value, field: str = "params",
+                      more: Tuple[str, ...] = ()) -> DguParams:
+    obj = _fields(value, field, ("r_t", "l_t", "c_t", "load", "v_ref", *more))
     r_t, l_t, c_t, v_ref = (_number(obj[name], name)
                             for name in ("r_t", "l_t", "c_t", "v_ref"))
     return DguParams(r_t=r_t, l_t=l_t, c_t=c_t,
@@ -135,14 +146,23 @@ def _params_from_json(value) -> DguParams:
 
 
 def _line_from_json(obj: Mapping) -> LineParams:
+    _fields(obj, "lines entry", ("i", "j", "r", "l"))
     l = obj.get("l")
     return LineParams(_id(obj, "i"), _id(obj, "j"), _number(obj["r"], "r"),
                       None if l is None else _number(l, "l"))
 
 
+# the fields each event type reads besides t, type and dgu
+_EVENT_FIELDS = {PlugIn.kind: ("params", "lines"), Unplug.kind: (),
+                 LoadStep.kind: ("load",), RefStep.kind: ("v_ref",)}
+
+
 def _event_from_json(obj: Mapping):
-    t = _number(obj["t"], "t")
     kind = str(obj["type"])
+    if kind not in _EVENT_FIELDS:
+        raise ValueError(f"unknown event type {kind!r}")
+    _fields(obj, f"{kind} event", ("t", "type", "dgu", *_EVENT_FIELDS[kind]))
+    t = _number(obj["t"], "t")
     if kind == PlugIn.kind:
         return PlugIn(t, _id(obj, "dgu"), _params_from_json(obj["params"]),
                       tuple(_line_from_json(ln)
@@ -151,20 +171,20 @@ def _event_from_json(obj: Mapping):
         return Unplug(t, _id(obj, "dgu"))
     if kind == LoadStep.kind:
         return LoadStep(t, _id(obj, "dgu"), _load_from_json(obj["load"]))
-    if kind == RefStep.kind:
-        return RefStep(t, _id(obj, "dgu"), _number(obj["v_ref"], "v_ref"))
-    raise ValueError(f"unknown event type {kind!r}")
+    return RefStep(t, _id(obj, "dgu"), _number(obj["v_ref"], "v_ref"))
 
 
 def parse_scenario(payload: Mapping) -> Scenario:
     try:
-        _json(payload, dict, "scenario file")
+        _fields(payload, "scenario file", (
+            "sigma_bar", "alphas", "t_end", "dt", "record_dt", "line_model",
+            "dgus", "lines", "events"))
         dgus = {}
         for entry in _entries(payload["dgus"], "dgus"):
             dgu_id = _id(entry, "id")
             if dgu_id in dgus:
                 raise ValueError(f"scenario names DGU {dgu_id} twice")
-            dgus[dgu_id] = _params_from_json(entry)
+            dgus[dgu_id] = _params_from_json(entry, "dgus entry", ("id",))
         lines = tuple(_line_from_json(entry)
                       for entry in _entries(payload["lines"], "lines"))
         alphas = payload.get("alphas")
@@ -237,10 +257,8 @@ def controller_from_json(entry: Mapping, params: DguParams,
     _number; anything else is refused with the entry's DGU id.
     """
     where = f"DGU {_id(entry, 'dgu_id')}:"
-    for name in entry:
-        if name not in ("dgu_id", "K", "diagnostics"):
-            raise ValueError(f"{where} bundle entry field {name!r} is not "
-                             "read: an entry is its gain K")
+    _fields(entry, f"{where} bundle entry", ("dgu_id", "K", "diagnostics"),
+            ": an entry is its gain K")
 
     def number(value, name, shape=(), what="a finite number"):
         return _number(value, f"{where} controller {name}", shape, what)

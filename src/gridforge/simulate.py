@@ -1,16 +1,16 @@
 """Closed-loop time-domain simulation with plug-and-play event handling.
 
-Between events the closed loop is linear time-invariant, so a fixed-step
-RK4 update collapses to an affine map x -> Rx + w with R and w assembled
-once per segment from the fourth-order Taylor truncation of exp(hA).
-Steps between recorded samples are composed into a single affine map,
-which keeps long runs cheap.  The record slots are taken a stretch at a
-time: numpy works out the stretch's schedule, and each run of slots with
-one step count is then filled a block of rows at a time from that count's
-power stack, one matrix-vector product and one add per block (see
-_Segment).  The sample times are those of a slot-by-slot loop bit for
-bit; the states differ from its `state = R @ state + w` by rounding
-only.  Event timestamps never drift: the step straddling an
+Between events the closed loop x' = Ax + c is linear time-invariant, so
+it is one matrix M = [[A, c], [0, 0]] acting on [x; 1], and a fixed-step
+RK4 update is one matrix too: exp(hM)'s fourth-order Taylor polynomial,
+assembled once per segment.  The steps between recorded samples are
+that matrix's power, which keeps long runs cheap.  The record slots are
+taken a stretch at a time: numpy works out the stretch's schedule, and
+each run of slots with one step count is then filled a block of rows at
+a time from that count's power stack, one matrix-vector product per
+block (see _Segment).  The sample times are those of a slot-by-slot loop
+bit for bit; the states differ from its one product per slot by
+rounding only.  Event timestamps never drift: the step straddling an
 event is split so the boundary is hit exactly, and after an event off
 the dt grid one short step returns to it, so later samples stay on the
 record grid.  Recording
@@ -57,8 +57,8 @@ APPLIED = "applied"
 DIVERGENCE_LIMIT = 1e9
 CHECK_ROWS = 1024  # samples recorded between two divergence checks
 CSV_CHUNK = 4096  # trajectory rows formatted per write
-# bytes of matrices in one step count's power stack: 145 deep at n = 15,
-# 52 at n = 25 and one deep past n = 128 (see _Segment.powers)
+# bytes of matrices in one step count's power stack: 128 deep at n = 15
+# states, 48 at n = 25 and one deep from n = 128 (see _Segment.powers)
 _STACK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
@@ -217,8 +217,9 @@ class Trajectory:
 
 
 def _build_ode(top: MicrogridTopology, controllers: Mapping[int, Gain],
-               line_model: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Assemble x' = Ax + c for the closed loop over the whole grid.
+               line_model: str) -> np.ndarray:
+    """Assemble x' = Ax + c for the closed loop over the whole grid as its
+    generator M = [[A, c], [0, 0]], which acts on [x; 1].
 
     The unit blocks come from the one closed-loop assembly.  Resistive
     loads fold into the voltage diagonal; current loads and voltage
@@ -245,89 +246,64 @@ def _build_ode(top: MicrogridTopology, controllers: Mapping[int, Gain],
             disturbance[k, 0] = p.load.value
         disturbance[k, 1] = p.v_ref
     base = a.shape[0]
-    a = np.pad(a, (0, n_lines))
-    c = np.pad((system.unit_m @ disturbance[:, :, None]).ravel(),
-               (0, n_lines))
+    m = np.pad(a, (0, n_lines + 1))  # its last row stays zero
+    m[:base, -1] = (system.unit_m @ disturbance[:, :, None]).ravel()
     if line_model == RL:
         lines = zip(top.lines, 3 * system.line_i, 3 * system.line_j)
         for row, (ln, si, sj) in enumerate(lines, base):
             # line current is oriented from ln.i to ln.j
-            a[row, si] = 1.0 / ln.l
-            a[row, sj] = -1.0 / ln.l
-            a[row, row] = -ln.r / ln.l
-            a[si, row] -= 1.0 / top.dgus[ln.i].c_t
-            a[sj, row] += 1.0 / top.dgus[ln.j].c_t
-    return a, c
+            m[row, si] = 1.0 / ln.l
+            m[row, sj] = -1.0 / ln.l
+            m[row, row] = -ln.r / ln.l
+            m[si, row] -= 1.0 / top.dgus[ln.i].c_t
+            m[sj, row] += 1.0 / top.dgus[ln.j].c_t
+    return m
 
 
-def _step_map(a: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """RK4 applied to x' = Ax + c as the affine map x -> Rx + w."""
-    eye = np.eye(a.shape[0])
-    ha = h * a
-    s = eye + ha / 4.0
-    s = eye + (ha / 3.0) @ s
-    s = eye + (ha / 2.0) @ s
-    return eye + ha @ s, h * (s @ c)
-
-
-def _compose(first: Tuple[np.ndarray, np.ndarray],
-             second: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    return second[0] @ first[0], second[0] @ first[1] + second[1]
-
-
-def _repeat(step: Tuple[np.ndarray, np.ndarray], count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Affine map for `count` consecutive steps (binary composition)."""
-    result = (np.eye(step[0].shape[0]), np.zeros(step[0].shape[0]))
-    base = step
-    while count:
-        if count & 1:
-            result = _compose(result, base)
-        count >>= 1
-        if count:
-            base = _compose(base, base)
-    return result
+def _step(m: np.ndarray, h: float) -> np.ndarray:
+    """RK4 applied to [x; 1]' = M [x; 1]: exp(hM)'s quartic Taylor
+    polynomial, in Horner form."""
+    eye = np.eye(len(m))
+    hm = h * m
+    s = eye + hm / 4.0
+    s = eye + (hm / 3.0) @ s
+    s = eye + (hm / 2.0) @ s
+    return eye + hm @ s
 
 
 class _Segment:
-    """One constant-topology stretch: reusable step maps and its samples.
+    """One constant-topology stretch: its step map and its samples.
 
-    run() takes the record slots CHECK_ROWS at a time.  For each such
-    stretch it first works out the schedule with numpy: the slot targets,
-    the step count of each slot and which slots record, in the float
-    arithmetic of a slot-by-slot loop, so every sample keeps its time bit
-    for bit.  It then fills each run of slots with one step count from
-    that count's power stack (see powers): P_j = R^j and
-    W_j = sum_{i<j} R^i w stacked for j = 1..D, so the next m <= D rows
-    of the stretch's block are P[:m] x + W[:m], one gemv into the block
-    and one add, and the block's last row starts the next block.  At the
-    shipped sizes call overhead is most of a step's cost, so this takes
-    about 0.4 times the time of a gemv per slot.  Rounding differs from
-    the slot-by-slot `state = R @ state + w`: the shipped QSL and RL runs
-    moved by at most 3.9e-10, against RK4's own 2e-9 error there.  A
-    stack one deep gives that loop's bits exactly: P_1 x + W_1 is
-    R.dot(x, out=row), which makes the same BLAS gemv call as `@`, and
-    `row += w`, the same add as `+`.  The stacks are built in run() and
-    dropped when it returns.  record() then checks the stretch and keeps
-    its times and states as arrays.
+    The state run() steps is [x; 1], so one step is the matrix
+    step = _step(M, dt) and k steps are its k-th power.  run() takes the
+    record slots CHECK_ROWS at a time.  For each such stretch it first
+    works out the schedule with numpy: the slot targets, the step count
+    of each slot and which slots record, in the float arithmetic of a
+    slot-by-slot loop, so every sample keeps its time bit for bit.  It
+    then fills each run of slots with one step count k from that count's
+    power stack (see powers): S^j for S = step^k, stacked for j = 1..D,
+    so the next m <= D rows of the stretch's block are the stack's first
+    m entries times [x; 1], one gemv into the block, and the block's last
+    row starts the next block.  At the shipped sizes call overhead is
+    most of a step's cost, so this takes about 0.4 times the time of a
+    gemv per slot.  Rounding differs from the slot-by-slot
+    `state = S @ state`: the shipped QSL and RL runs moved by at most
+    3.0e-10, against RK4's own 2e-9 error there.  A stack one deep gives
+    that loop's bits exactly: S.dot(x, out=row) makes the same BLAS gemv
+    call as `@`.  The stacks are built in run() and dropped when it
+    returns.  record() then checks the stretch and keeps its times and
+    states as arrays; it sees x, never the 1.
     """
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
                  line_model: str, dt: float):
         self.ids = top.ids
         self.dt = dt
-        self.a, self.c = _build_ode(top, controllers, line_model)
-        self.step = _step_map(self.a, self.c, dt)
-        self._chunks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {1: self.step}
+        self.m = _build_ode(top, controllers, line_model)
+        self.step = _step(self.m, dt)
         self.gains = np.vstack([gain_row(controllers[i]) for i in self.ids])
         self.times: List[np.ndarray] = []  # each stretch record() passed
         self.rows: List[np.ndarray] = []  # and its unit columns
-
-    def chunk(self, steps: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The affine map of `steps` consecutive steps, composed once."""
-        chunk = self._chunks.get(steps)
-        if chunk is None:
-            chunk = self._chunks[steps] = _repeat(self.step, steps)
-        return chunk
 
     def record(self, times: np.ndarray, states: np.ndarray
                ) -> Optional[Tuple[np.ndarray, DivergedAt]]:
@@ -354,28 +330,24 @@ class _Segment:
         return cut
 
     def short_step(self, state: np.ndarray, h: float) -> np.ndarray:
-        r, w = _step_map(self.a, self.c, h)
-        return r @ state + w
+        return _step(self.m, h) @ state
 
     def powers(self, stacks, count, depth):
-        """chunk(count)'s power stack, (P, W) with P[j - 1] = R^j and
-        W[j - 1] = the sum of R^i w over i < j, in stacks by count.  It
-        is extended to `depth`, the run about to use it, as far as
-        _STACK_BYTES of matrices allows, and is at least one deep: R and
-        w themselves, not copies."""
-        r, w = self.chunk(count)
-        p, q = stacks.get(count, (r[None], w[None]))
-        depth = min(depth, max(1, _STACK_BYTES // r.nbytes))
-        if len(q) < depth:
-            have = len(q)
-            p = np.concatenate([p, np.empty((depth - have,) + r.shape)])
-            q = np.concatenate([q, np.empty((depth - have, len(w)))])
+        """The power stack of S = step^count, in stacks by count: S^j in
+        entry j - 1.  It is extended to `depth`, the run about to use it,
+        as far as _STACK_BYTES of matrices allows, and is at least one
+        deep."""
+        p = stacks.get(count)
+        if p is None:
+            p = np.linalg.matrix_power(self.step, count)[None]
+        depth = min(depth, max(1, _STACK_BYTES // p[0].nbytes))
+        if len(p) < depth:
+            have = len(p)
+            p = np.concatenate([p, np.empty((depth - have,) + p[0].shape)])
             for j in range(have, depth):
-                np.dot(r, p[j - 1], out=p[j])
-                np.dot(r, q[j - 1], out=q[j])
-                q[j] += w
-        stacks[count] = p, q
-        return p, q
+                np.dot(p[0], p[j - 1], out=p[j])
+        stacks[count] = p
+        return p
 
     def _stretch(self, state, t0, k, target, last_t, final, stacks):
         """Take the slots with the given targets from step count k, at
@@ -414,20 +386,18 @@ class _Segment:
         for lo, hi in zip(bounds, bounds[1:]):
             count = int(steps[lo])
             if count:
-                p, q = self.powers(stacks, count, hi - lo)
-                size = q.size  # of a whole block's rows, flat
-                p, q = p.reshape(size, n), q.reshape(size)
+                p = self.powers(stacks, count, hi - lo)
+                size = len(p) * n  # of a whole block's rows, flat
+                p = p.reshape(size, n)
                 flat = states[pos:hi - lo + pos].reshape(-1)
                 whole = len(flat) - len(flat) % size
                 dot = p.dot
                 for block in flat[:whole].reshape(-1, size):
                     dot(state, block)
-                    block += q
                     state = block[-n:]
                 rest = flat[whole:]
                 if len(rest):
                     np.dot(p[:len(rest)], state, out=rest)
-                    rest += q[:len(rest)]
                     state = rest[-n:]
                 pos += hi - lo
             elif records[lo]:
@@ -446,8 +416,10 @@ class _Segment:
         Slot n targets n * record_dt; the first slot at or past t1 is the
         final one, which targets t1 instead.  The slots go through
         _stretch CHECK_ROWS at a time, each stretch checked by record()
-        before the next is stepped.
+        before the next is stepped.  The steps act on [state; 1], and
+        every state that leaves run() or reaches record() is x alone.
         """
+        state = np.append(state, 1.0)
         dt = self.dt
         end = t1 - 1e-9 * max(1.0, t1)
         n_rec = int(math.floor(t0 / record_dt + 1e-6))  # slots filled
@@ -468,7 +440,7 @@ class _Segment:
                     target = np.append(target[target < end], t1)
                 state, k, times, states = self._stretch(
                     state, t0, k, target, last_t, final, stacks)
-                cut = self.record(times, states)
+                cut = self.record(times, states[:, :-1])
                 if cut is not None:
                     return cut[0], cut[1].t, cut[1]
                 if len(times):
@@ -476,7 +448,7 @@ class _Segment:
             t_cur = t0 + k * dt
             if t1 - t_cur > 1e-9 * dt:
                 state = self.short_step(state, t1 - t_cur)
-        return state, t1, None
+        return state[:-1], t1, None
 
 
 def steady_state(topology: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -486,9 +458,9 @@ def steady_state(topology: MicrogridTopology, controllers: Mapping[int, Gain],
     The integrator rows force V_i = v_ref_i at any equilibrium; the rest
     of the vector follows from the linear solve.
     """
-    a, c = _build_ode(topology, controllers, line_model)
+    m = _build_ode(topology, controllers, line_model)
     try:
-        return np.linalg.solve(a, -c)
+        return np.linalg.solve(m[:-1, :-1], -m[:-1, -1])
     except np.linalg.LinAlgError as exc:
         raise ValueError("closed-loop matrix is singular; no unique"
                          " equilibrium") from exc

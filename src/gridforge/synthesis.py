@@ -151,9 +151,15 @@ def semidefinite_eps(norm):
 
 def check_local_stacks(q: np.ndarray, p: np.ndarray) -> Dict[str, np.ndarray]:
     """Structure checks of stacked local certificates, in one batched
-    symmetric eigensolve over the (N, 3, 3) stacks of q_i and P_i: each
-    field of certify.LocalStructureReport as an array with one entry per
-    unit."""
+    symmetric eigensolve over the (N, 3, 3) stacks of q_i and P_i.
+
+    q_i is negative semidefinite but never definite: its first diagonal
+    entry vanishes, which forces the whole first row and column to vanish
+    and guarantees a zero eigenvalue.  P_i is symmetric positive
+    definite.  Returns arrays with one entry per unit: passed,
+    max_violation (0 on a pass), q_max_eig, q11, first_row_max,
+    smallest_abs_eig and p_min_eig.  Every grant of synthesize* passes
+    it, and certify.check_global records it on every unit."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = len(q)

@@ -15,7 +15,6 @@ from gridforge import baselines
 from gridforge.certify import (
     check_global,
     check_lasalle_kernel,
-    check_local_structure,
     check_theorem1,
 )
 from gridforge.cli import load_scenario, packaged_scenario_path
@@ -33,6 +32,7 @@ from gridforge.synthesis import (
     Denied,
     SynthesisConfig,
     assemble_problem,
+    check_local_stacks,
     synthesize_all,
     verify_k1_identity,
 )
@@ -110,10 +110,10 @@ def test_criterion_3_green_box_feasible(green_sweep):
     summary = result.summary()
     certified = 0
     for pt in result.feasible_points():
-        rpt = check_local_structure(pt.controller)
-        gain_ok = (np.linalg.norm(pt.controller.k)
-                   < pt.controller.norm_bound())
-        certified += rpt.passed and gain_ok and pt.controller.k[2] != 0.0
+        ctrl = pt.controller
+        passed = check_local_stacks(ctrl.q_local[None], ctrl.p[None])["passed"]
+        gain_ok = np.linalg.norm(ctrl.k) < ctrl.norm_bound()
+        certified += passed[0] and gain_ok and ctrl.k[2] != 0.0
     ok = (summary["feasible"] == 125 and summary["total"] == 125
           and certified == 125 and wall < 60.0)
     report(3, ok, f"{summary['feasible']}/125 feasible, {certified}/125 "

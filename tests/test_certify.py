@@ -17,7 +17,6 @@ from gridforge.certify import (
     certificate_to_json,
     check_global,
     check_lasalle_kernel,
-    check_local_structure,
     check_theorem1,
 )
 from gridforge.model import (
@@ -116,15 +115,15 @@ class TestLocalStructure:
     def test_synthesized_pass(self, pair):
         _, ctrls = pair
         for ctrl in ctrls.values():
-            report = check_local_structure(ctrl)
-            assert report.passed
-            assert report.max_violation == 0.0
+            report = check_local_stacks(ctrl.q_local[None], ctrl.p[None])
+            assert report["passed"][0]
+            assert report["max_violation"][0] == 0.0
 
     def test_always_singular(self, pair):
         _, ctrls = pair
-        report = check_local_structure(ctrls[1])
+        report = check_local_stacks(ctrls[1].q_local[None], ctrls[1].p[None])
         eps = 1e-8 * (1.0 + np.linalg.norm(ctrls[1].q_local))
-        assert report.smallest_abs_eig <= eps
+        assert report["smallest_abs_eig"][0] <= eps
 
     def test_displaced_eta_flagged(self, pair, monkeypatch):
         top, ctrls = pair
@@ -160,7 +159,8 @@ class TestLocalStructure:
         assert report["p_min_eig"][0] < 0.0
         assert report["max_violation"][0] == pytest.approx(
             -report["p_min_eig"][0])
-        assert check_local_structure(ctrl).p_min_eig > 0.0
+        assert check_local_stacks(ctrl.q_local[None],
+                                  ctrl.p[None])["p_min_eig"][0] > 0.0
 
         def negate_tail(p):
             p[1:, 1:] *= -1.0

@@ -230,6 +230,47 @@ class TestScenarioFormat:
         assert cli.main([command, path, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update({"record-dt": 5e-4}),
+         "scenario file field 'record-dt'"),
+        (lambda d: d["dgus"][0].update(c_T=1e-3), "dgus entry field 'c_T'"),
+        (lambda d: d["dgus"][1]["load"].update(kind="current"),
+         "load field 'kind'"),
+        (lambda d: d["lines"][0].update(L=2e-6), "lines entry field 'L'"),
+        (lambda d: d["events"][0].update(time=0.3),
+         "plug_in event field 'time'"),
+        (lambda d: d["events"][0]["params"].update(id=3),
+         "params field 'id'"),
+        (lambda d: d["events"][0]["lines"][0].update(R=0.1),
+         "lines entry field 'R'"),
+        (lambda d: d["events"][1].update(load=NEWCOMER["load"]),
+         "ref_step event field 'load'"),
+        (lambda d: d["events"][2].update(v_ref=48.0),
+         "load_step event field 'v_ref'"),
+        (lambda d: d["events"][2]["load"].update(Value=5.0),
+         "load field 'Value'"),
+        (lambda d: d["events"][3].update(lines=[]),
+         "unplug event field 'lines'"),
+    ], ids=["file", "dgus-entry", "load", "lines-entry", "plug-in",
+            "plug-in-params", "plug-in-lines", "ref-step", "load-step",
+            "load-step-load", "unplug"])
+    def test_unread_field_is_refused_by_name(self, tmp_path, capsys, edit,
+                                             message):
+        # one event of each type; each edit adds one key that no reader
+        # of its level takes, where its default would otherwise run
+        payload = json.loads(json.dumps(dict(SMALL, events=[
+            {"t": 0.01, "type": "plug_in", "dgu": 3, "params": NEWCOMER,
+             "lines": [{"i": 3, "j": 2, "r": 0.06}]},
+            {"t": 0.02, "type": "ref_step", "dgu": 1, "v_ref": 48.0},
+            {"t": 0.03, "type": "load_step", "dgu": 2,
+             "load": {"type": "resistance", "value": 5.0}},
+            {"t": 0.04, "type": "unplug", "dgu": 3}])))
+        assert len(cli.parse_scenario(payload).events) == 4
+        edit(payload)
+        code = cli.main(["synth", write_json(tmp_path / "s.json", payload)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message} is not read\n")
+
     def test_repeated_dgu_is_refused(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SMALL))
         payload["dgus"].append(dict(payload["dgus"][0], r_t=0.3))
@@ -242,8 +283,9 @@ class TestScenarioFormat:
     def test_scenario_without_dgus_is_refused(self, bundle_file, tmp_path,
                                               capsys, command):
         # a unit that plugs in later does not make the initial grid
-        plug_in = {"t": 0.5, "type": "plug_in", "dgu": 1,
-                   "params": SMALL["dgus"][0], "lines": []}
+        params = {k: v for k, v in SMALL["dgus"][0].items() if k != "id"}
+        plug_in = {"t": 0.5, "type": "plug_in", "dgu": 1, "params": params,
+                   "lines": []}
         payload = {"sigma_bar": 10.0, "t_end": 1.0, "dgus": [], "lines": [],
                    "events": [plug_in]}
         args = {"synth": [], "certify": [bundle_file[1]],

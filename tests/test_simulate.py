@@ -32,17 +32,19 @@ FAST = SynthesisConfig(10.0, (1e-4, 1e-4, 1e-4, 1e-6, 1e-6))
 
 # How far the block form may move a replayed value from the scalar loop,
 # as a share of the largest magnitude in its row (or in the final state).
-# A block row fl(P_j) x + fl(W_j) and the loop's j-th step from the same x
-# each lie within about j (n + 1) u (|R|^j |x| + sum_i<j |R|^i |w|) of the
-# exact R^j x + W_j (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., sec. 3.5: each product adds gamma_n |A| |B|).  In
-# these runs j <= CHECK_ROWS = 1024, n + 1 <= 12 and u = 2^-53, so the two
-# differ by at most 2 * 1024 * 12 * u = 2.7e-12 of that magnitude, which
-# is the row's own size times the growth of |R|^j over |R^j|.  A block
+# A block row fl(S^j) [x; 1] and the loop's j-th step from the same x,
+# for a slot map S acting on [x; 1], each lie within about j (n + 1) u
+# |S|^j |[x; 1]| of the exact S^j [x; 1] (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., sec. 3.5: each product adds
+# gamma_n |A| |B|).  In these runs j <= CHECK_ROWS = 1024, n + 1 <= 12 and
+# u = 2^-53, so the two differ by at most 2 * 1024 * 12 * u = 2.7e-12 of
+# that magnitude, which is the row's own size times the growth of |S|^j
+# over |S^j|.  A block
 # also starts from the last row of the one before, and the map carries
 # that row's difference on: a decaying map shrinks it, a runaway one grows
 # it with the row it rides on.  The bound leaves a factor of 37 for the
-# growth; the worst row measured in these tests was 7.3e-14 of its row.
+# growth; the worst row measured in one run of these tests was 9.0e-15 of
+# its row.
 BLOCK_FORM_TOL = 1e-10
 
 
@@ -780,7 +782,10 @@ class TestAssembly:
 
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_matches_stamped_circuit_equations(self, line_model):
-        a, c = _build_ode(self.RING, self.GAINS, line_model)
+        m = _build_ode(self.RING, self.GAINS, line_model)
+        # the generator [[A, c], [0, 0]] acts on [x; 1]
+        assert not m[-1].any()
+        a, c = m[:-1, :-1], m[:-1, -1]
         a_ref, c_ref = stamped_ode(self.RING, self.GAINS, line_model)
         assert a.shape == a_ref.shape and c.shape == c_ref.shape
         assert np.max(np.abs(a - a_ref)) <= 1e-12 * np.max(np.abs(a_ref))
@@ -809,8 +814,9 @@ class TestStateRemap:
 
 def scalar_run_reference(seg, state, t0, t1, record_dt):
     """_Segment.run as a slot-by-slot loop: each slot's steps go through
-    their composed map with `@`, and the samples reach seg.record
-    CHECK_ROWS at a time."""
+    the power of the step map with `@` on [state; 1], and the samples
+    reach seg.record CHECK_ROWS at a time."""
+    state = np.append(state, 1.0)
     dt = seg.dt
     chunks = {}
     times, pending = [], []
@@ -825,7 +831,7 @@ def scalar_run_reference(seg, state, t0, t1, record_dt):
     def add(t, state):
         nonlocal last_t
         times.append(t)
-        pending.append(state)
+        pending.append(state[:-1])
         last_t = t
         if len(pending) >= simulate_module.CHECK_ROWS:
             return check()
@@ -846,9 +852,8 @@ def scalar_run_reference(seg, state, t0, t1, record_dt):
                                    + 1e-6))
             if steps > 0:
                 if steps not in chunks:
-                    chunks[steps] = simulate_module._repeat(seg.step, steps)
-                r, w = chunks[steps]
-                state = r @ state + w
+                    chunks[steps] = np.linalg.matrix_power(seg.step, steps)
+                state = chunks[steps] @ state
                 k += steps
                 t_cur = t0 + k * dt
             if last:
@@ -861,7 +866,40 @@ def scalar_run_reference(seg, state, t0, t1, record_dt):
             return cut[0], cut[1].t, cut[1]
         if t1 - t_cur > 1e-9 * dt:
             state = seg.short_step(state, t1 - t_cur)
-    return state, t1, None
+    return state[:-1], t1, None
+
+
+def replay_packaged(line_model):
+    """The packaged scenario's replay under line_model; returns its
+    segments, each with the power stacks run() used by step count (the
+    deepest of each) and the length of each state run() returned."""
+    from gridforge import cli
+    scenario = dataclasses.replace(
+        cli.load_scenario(cli.packaged_scenario_path()),
+        line_model=line_model)
+    segments = []
+
+    class Kept(simulate_module._Segment):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.stacks, self.returned = {}, []
+            segments.append(self)
+
+        def powers(self, stacks, count, depth):
+            p = self.stacks[count] = super().powers(stacks, count, depth)
+            return p
+
+        def run(self, *args):
+            out = super().run(*args)
+            self.returned.append(len(out[0]))
+            return out
+
+    ctrls = synthesize_all(scenario.initial_topology,
+                           scenario.synthesis_config())
+    with mock.patch.object(simulate_module, "_Segment", Kept):
+        tr = simulate(scenario, ctrls)
+    assert tr.diverged is None
+    return segments
 
 
 NEWCOMER = dgu(0.3, 2.0e-3, 2.2e-3, 47.95, 4.0)
@@ -1019,40 +1057,47 @@ class TestStepping:
             assert np.abs(got - exact).max() <= allowed
 
     @staticmethod
-    def assert_dot_is_matmul(r, w, x):
-        dot = r.dot
+    def assert_dot_is_matmul(m, x):
+        dot = m.dot
         for _ in range(1000):
-            x, y = dot(x) + w, r @ x + w
+            x, y = dot(x), m @ x
             assert x.tobytes() == y.tobytes()
+
+    @staticmethod
+    def homogeneous(r, w):
+        m = np.zeros((len(w) + 1, len(w) + 1))
+        m[:-1, :-1], m[:-1, -1], m[-1, -1] = r, w, 1.0
+        return m
 
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_dot_is_matmul_on_the_packaged_maps(self, line_model):
         # a one-deep power stack steps with ndarray.dot; a numpy that
         # routed it apart from `@` would move the trajectories of grids
         # too large for a deeper stack
-        from gridforge import cli
-        scenario = dataclasses.replace(
-            cli.load_scenario(cli.packaged_scenario_path()),
-            line_model=line_model)
-        segments = []
-
-        class Kept(simulate_module._Segment):
-            def __init__(self, *args):
-                super().__init__(*args)
-                segments.append(self)
-
-        ctrls = synthesize_all(scenario.initial_topology,
-                               scenario.synthesis_config())
-        with mock.patch.object(simulate_module, "_Segment", Kept):
-            tr = simulate(scenario, ctrls)
+        segments = replay_packaged(line_model)
         assert len(segments) == 4
         rng = np.random.default_rng(7)
         for seg in segments:
-            assert set(seg._chunks) >= {1, 10}
-            for r, w in seg._chunks.values():
-                self.assert_dot_is_matmul(r, w, rng.normal(48.0, 5.0,
-                                                           len(w)))
-        assert tr.diverged is None
+            assert 10 in seg.stacks
+            for m in [seg.step, *(p[0] for p in seg.stacks.values())]:
+                x = np.append(rng.normal(48.0, 5.0, len(m) - 1), 1.0)
+                self.assert_dot_is_matmul(m, x)
+
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_maps_keep_the_one_and_run_drops_it(self, line_model):
+        # every map acts on [x; 1] and keeps its 1 exactly, while the
+        # state run() returns is x alone
+        segments = replay_packaged(line_model)
+        for seg in segments:
+            n = len(seg.m) - 1
+            one = np.eye(n + 1)[-1]
+            assert not seg.m[-1].any()
+            for m in [seg.step, *(e for p in seg.stacks.values() for e in p)]:
+                assert m.shape == (n + 1, n + 1)
+                assert m[-1].tobytes() == one.tobytes()
+            assert seg.returned == [n]
+            assert all(rows.shape[1] == 3 * len(seg.ids)
+                       for rows in seg.rows)
 
     @pytest.mark.parametrize("units", range(1, 9))
     def test_dot_is_matmul_on_random_maps(self, units):
@@ -1060,8 +1105,8 @@ class TestStepping:
         n = 3 * units
         r = rng.normal(size=(n, n))
         r *= 0.999 / np.max(np.abs(np.linalg.eigvals(r)))
-        self.assert_dot_is_matmul(r, rng.normal(size=n),
-                                  rng.normal(size=n))
+        self.assert_dot_is_matmul(self.homogeneous(r, rng.normal(size=n)),
+                                  np.append(rng.normal(size=n), 1.0))
 
     @pytest.mark.parametrize("gain, t1", [
         (None, 0.0123),  # ends on a final slot's steps
@@ -1082,19 +1127,19 @@ class TestStepping:
             assert kept.tobytes() == stretch.tobytes()
 
     def test_dot_into_a_row_is_matmul(self):
-        # a one-deep power stack's step: dot(state, row); row += w
+        # a one-deep power stack's step: dot(state, row)
         rng = np.random.default_rng(3)
         r = rng.normal(size=(18, 18))
         r *= 0.999 / np.max(np.abs(np.linalg.eigvals(r)))
-        w, x = rng.normal(size=18), rng.normal(size=18)
-        block = np.empty((1000, 18))
+        m = self.homogeneous(r, rng.normal(size=18))
+        x = np.append(rng.normal(size=18), 1.0)
+        block = np.empty((1000, 19))
         state = x
         for row in block:
-            r.dot(state, row)
-            row += w
+            m.dot(state, row)
             state = row
         for row in block:
-            x = r @ x + w
+            x = m @ x
             assert row.tobytes() == x.tobytes()
 
 

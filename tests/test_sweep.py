@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from gridforge import sweep as sw
-from gridforge.certify import check_local_structure
 from gridforge.sweep import GREEN_BOX, SweepGrid, run_sweep
-from gridforge.synthesis import NumericalFailure, SynthesisConfig, synthesize
+from gridforge.synthesis import (NumericalFailure, SynthesisConfig,
+                                 check_local_stacks, synthesize)
 from test_synthesis import in_design_set
 
 # 2x2x2 corners strictly inside the default box keep the suite quick
@@ -76,8 +76,9 @@ class TestRunSweep:
 
     def test_feasible_controllers_are_certified(self, small_result):
         for pt in small_result.feasible_points():
-            report = check_local_structure(pt.controller)
-            assert report.passed
+            ctrl = pt.controller
+            assert check_local_stacks(ctrl.q_local[None],
+                                      ctrl.p[None])["passed"][0]
             gain = np.linalg.norm(pt.controller.k, 2)
             assert gain < pt.controller.norm_bound()
 
