@@ -107,11 +107,11 @@ def _number(value, field: str, shape: Tuple[int, ...] = (),
 
 
 def _json(value, kind: type, field: str):
-    """value, read from a JSON array (kind list) or object (kind dict);
-    anything else raises ValueError naming field."""
+    """value, read from a JSON array (kind list), object (kind dict) or
+    string (kind str); anything else raises ValueError naming field."""
     if type(value) is not kind:
-        raise ValueError(f"{field} must be a JSON "
-                         f"{'array' if kind is list else 'object'}")
+        name = {list: "array", dict: "object", str: "string"}[kind]
+        raise ValueError(f"{field} must be a JSON {name}")
     return value
 
 
@@ -251,10 +251,12 @@ def controller_from_json(entry: Mapping, params: DguParams,
     it, and the controller is built from K alone: its P, eta = sigma_bar
     C_t and delta are the closed form's (synthesis.local_certificate), so
     a gain outside the local design set is refused, naming its bound.
-    Any other field is refused by name rather than ignored.  Missing
-    diagnostics read as zeros.  K must be three finite numbers, and so
-    must the diagnostics' gamma (three), beta and zeta, each read by
-    _number; anything else is refused with the entry's DGU id.
+    Any other field, of the entry, its diagnostics or their solver, is
+    refused by name rather than ignored.  Missing diagnostics read as
+    zeros.  K must be three finite numbers, and so must the diagnostics'
+    gamma (three), beta, zeta, gain_norm, gain_norm_bound and the
+    solver's iteration counts, each read by _number, and the solver's
+    status is a string; anything else is refused with the entry's DGU id.
     """
     where = f"DGU {_id(entry, 'dgu_id')}:"
     _fields(entry, f"{where} bundle entry", ("dgu_id", "K", "diagnostics"),
@@ -264,16 +266,26 @@ def controller_from_json(entry: Mapping, params: DguParams,
         return _number(value, f"{where} controller {name}", shape, what)
 
     k = np.array(number(entry["K"], "gain K", (3,), "three finite numbers"))
-    diag = _json(entry.get("diagnostics", {}), dict,
-                 f"{where} controller diagnostics")
+    diag = _fields(entry.get("diagnostics", {}),
+                   f"{where} controller diagnostics",
+                   ("gamma", "beta", "zeta", "gain_norm", "gain_norm_bound",
+                    "solver"))
     raw = {"gamma": np.array(number(diag.get("gamma", [0.0, 0.0, 0.0]),
                                     "gamma", (3,), "three finite numbers")),
            **{name: number(diag.get(name, 0.0), name)
               for name in ("beta", "zeta")}}
+    for name in ("gain_norm", "gain_norm_bound"):
+        number(diag.get(name, 0.0), name)  # synth records them; unused
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
-        raw["solver"] = dict(_json(diag["solver"], dict,
-                                   f"{where} controller diagnostics solver"))
+        solver = _fields(diag["solver"],
+                         f"{where} controller diagnostics solver",
+                         ("status", "iterations_phase1", "iterations_phase2"))
+        _json(solver.get("status", ""), str,
+              f"{where} controller solver status")
+        for name in ("iterations_phase1", "iterations_phase2"):
+            number(solver.get(name, 0.0), name)
+        raw["solver"] = dict(solver)
     try:
         return LocalController(k, raw, params, sigma_bar)
     except ValueError as exc:
@@ -285,12 +297,17 @@ def load_bundle(path, topology: MicrogridTopology
     """(sigma_bar, LocalController per DGU) of a bundle file, each entry
     read by controller_from_json against the bundle's sigma_bar.
     sigma_bar must be positive; it is a scale, since P, Q and the
-    Laplacian are all linear in it."""
+    Laplacian are all linear in it.  alphas, the weights synth designed
+    with, must be five finite numbers when given; any other field is
+    refused by name."""
     with open(path, encoding="utf-8") as fh:
-        payload = _json(json.load(fh), dict, "bundle file")
+        payload = _fields(json.load(fh), "bundle file",
+                          ("sigma_bar", "alphas", "controllers"))
     try:
         sigma_bar = _positive("sigma_bar",
                               _number(payload["sigma_bar"], "sigma_bar"))
+        if "alphas" in payload:
+            _number(payload["alphas"], "alphas", (5,), "five finite numbers")
         controllers = {}
         for entry in _entries(payload["controllers"], "controllers"):
             dgu_id = _id(entry, "dgu_id")

@@ -3,20 +3,17 @@
 Between events the closed loop x' = Ax + c is linear time-invariant, so
 it is one matrix M = [[A, c], [0, 0]] acting on [x; 1], and a fixed-step
 RK4 update is one matrix too: exp(hM)'s fourth-order Taylor polynomial,
-assembled once per segment.  The steps between recorded samples are
-that matrix's power, which keeps long runs cheap.  The record slots are
-taken a stretch at a time: numpy works out the stretch's schedule, and
-each run of slots with one step count is then filled a block of rows at
-a time from that count's power stack, one matrix-vector product per
-block (see _Segment).  The sample times are those of a slot-by-slot loop
-bit for bit; the states differ from its one product per slot by
+assembled once per segment.  Every record slot is a whole number of
+those steps, so its map is that matrix's power, which keeps long runs
+cheap: each run of slots with one step count is filled a block of rows
+at a time from that count's power stack, one matrix-vector product per
+block (see _Segment).  The states differ from a slot-by-slot loop's by
 rounding only.  Event timestamps never drift: the step straddling an
 event is split so the boundary is hit exactly, and after an event off
 the dt grid one short step returns to it, so later samples stay on the
-record grid.  Recording
-keeps the state rows only and tests them for divergence a stretch at a
-time; the trajectory is then assembled as one read-only table in the
-CSV's layout, with u = k x_hat per unit.
+record grid.  Recording keeps the state rows only and tests them for
+divergence a stretch at a time; the trajectory is then assembled as one
+read-only table in the CSV's layout, with u = k x_hat per unit.
 Writing that table is mostly float formatting, done by orjson with the
 bytes repr() gives, and a few in-place edits of each chunk's bytes turn
 its JSON into CSV lines (see _write_rows).  Formatting holds the GIL, so
@@ -55,7 +52,7 @@ ACCEPTED = "accepted"
 APPLIED = "applied"
 
 DIVERGENCE_LIMIT = 1e9
-CHECK_ROWS = 1024  # samples recorded between two divergence checks
+CHECK_ROWS = 1024  # samples stepped between two divergence checks
 CSV_CHUNK = 4096  # trajectory rows formatted per write
 # bytes of matrices in one step count's power stack: 128 deep at n = 15
 # states, 48 at n = 25 and one deep from n = 128 (see _Segment.powers)
@@ -275,24 +272,22 @@ class _Segment:
     """One constant-topology stretch: its step map and its samples.
 
     The state run() steps is [x; 1], so one step is the matrix
-    step = _step(M, dt) and k steps are its k-th power.  run() takes the
-    record slots CHECK_ROWS at a time.  For each such stretch it first
-    works out the schedule with numpy: the slot targets, the step count
-    of each slot and which slots record, in the float arithmetic of a
-    slot-by-slot loop, so every sample keeps its time bit for bit.  It
-    then fills each run of slots with one step count k from that count's
-    power stack (see powers): S^j for S = step^k, stacked for j = 1..D,
-    so the next m <= D rows of the stretch's block are the stack's first
-    m entries times [x; 1], one gemv into the block, and the block's last
-    row starts the next block.  At the shipped sizes call overhead is
-    most of a step's cost, so this takes about 0.4 times the time of a
-    gemv per slot.  Rounding differs from the slot-by-slot
-    `state = S @ state`: the shipped QSL and RL runs moved by at most
-    3.0e-10, against RK4's own 2e-9 error there.  A stack one deep gives
-    that loop's bits exactly: S.dot(x, out=row) makes the same BLAS gemv
-    call as `@`.  The stacks are built in run() and dropped when it
-    returns.  record() then checks the stretch and keeps its times and
-    states as arrays; it sees x, never the 1.
+    step = _step(M, dt) and k steps are its k-th power.  run() counts the
+    record slots in whole steps and hands their step counts to _fill a
+    stretch of CHECK_ROWS samples at a time.  _fill takes each run of
+    slots with one step count k from that count's power stack (see
+    powers): S^j for S = step^k, stacked for j = 1..D, so the next m <= D
+    rows of the stretch's block are the stack's first m entries times
+    [x; 1], one gemv into the block, and the block's last row starts the
+    next block.  At the shipped sizes call overhead is most of a step's
+    cost, so this takes about 0.4 times the time of a gemv per slot.
+    Rounding differs from the slot-by-slot `state = S @ state`: the
+    shipped QSL and RL runs moved by at most 3.0e-10, against RK4's own
+    2e-9 error there.  A stack one deep gives that loop's bits exactly:
+    S.dot(x, out=row) makes the same BLAS gemv call as `@`.  The stacks
+    are built in run() and dropped when it returns.  record() then checks
+    the stretch and keeps its times and states as arrays; it sees x,
+    never the 1.
     """
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -349,62 +344,33 @@ class _Segment:
         stacks[count] = p
         return p
 
-    def _stretch(self, state, t0, k, target, last_t, final, stacks):
-        """Take the slots with the given targets from step count k, at
-        t_cur = t0 + k * dt.  A slot takes
-        steps = floor((target - t_cur) / dt + 1e-6) steps when that is
-        positive, and records t_cur when it took any, or when t_cur is
-        not the last recorded time last_t; a final slot records nothing.
-        The samples are rows of one block, with a spare row for a final
-        slot's steps; the state returned is a copy, not a sample's row.
-        Returns (state, k, sample times, sample states)."""
-        dt = self.dt
-        ks = np.empty(len(target) + 1, dtype=np.int64)  # k at slot starts
-        ks[0] = k
-        # a guess that is exact but for rounding, iterated to the
-        # recurrence's one fixed point: each pass fixes one more slot at
-        # least, and one or two passes fix them all
-        ks[1:] = np.maximum.accumulate(
-            np.maximum(np.floor((target - t0) / dt + 1e-6), k))
-        while True:
-            steps = np.maximum(np.floor((target - (t0 + ks[:-1] * dt)) / dt
-                                        + 1e-6), 0.0).astype(np.int64)
-            if np.array_equal(ks[:-1] + steps, ks[1:]):
-                break
-            ks[1:] = ks[:-1] + steps
-        t_cur = t0 + ks * dt
-        records = steps > 0
-        # after the first slot, a slot without steps is at last_t
-        records[0] |= last_t is None or last_t != t_cur[0]
-        records[-1] &= not final
-        kept = int(records.sum())
+    def _fill(self, state, counts, stacks):
+        """The states after each slot of a stretch, as rows of one block:
+        row i has taken counts[:i + 1].sum() steps from [x; 1], and a slot
+        of zero steps copies the state."""
         n = len(state)
-        states = np.empty((kept + 1, n))
-        pos = 0
-        bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(),
-                  len(steps)]
+        states = np.empty((len(counts), n))
+        bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(),
+                  len(counts)]
         for lo, hi in zip(bounds, bounds[1:]):
-            count = int(steps[lo])
-            if count:
-                p = self.powers(stacks, count, hi - lo)
-                size = len(p) * n  # of a whole block's rows, flat
-                p = p.reshape(size, n)
-                flat = states[pos:hi - lo + pos].reshape(-1)
-                whole = len(flat) - len(flat) % size
-                dot = p.dot
-                for block in flat[:whole].reshape(-1, size):
-                    dot(state, block)
-                    state = block[-n:]
-                rest = flat[whole:]
-                if len(rest):
-                    np.dot(p[:len(rest)], state, out=rest)
-                    state = rest[-n:]
-                pos += hi - lo
-            elif records[lo]:
-                states[pos] = state
-                pos += 1
-        # the spare row holds a final slot's state, which is no sample
-        return state.copy(), int(ks[-1]), t_cur[1:][records], states[:kept]
+            count = int(counts[lo])
+            if not count:
+                states[lo:hi] = state
+                continue
+            p = self.powers(stacks, count, hi - lo)
+            size = len(p) * n  # of a whole block's rows, flat
+            p = p.reshape(size, n)
+            flat = states[lo:hi].reshape(-1)
+            whole = len(flat) - len(flat) % size
+            dot = p.dot
+            for block in flat[:whole].reshape(-1, size):
+                dot(state, block)
+                state = block[-n:]
+            rest = flat[whole:]
+            if len(rest):
+                np.dot(p[:len(rest)], state, out=rest)
+                state = rest[-n:]
+        return states
 
     def run(self, state, t0, t1, record_dt):
         """Integrate [t0, t1), recording interior record-grid samples; the
@@ -413,17 +379,22 @@ class _Segment:
         Returns (state, t_reached, diverged_or_none), the cut row's state
         and time on divergence.
 
-        Slot n targets n * record_dt; the first slot at or past t1 is the
-        final one, which targets t1 instead.  The slots go through
-        _stretch CHECK_ROWS at a time, each stretch checked by record()
-        before the next is stepped.  The steps act on [state; 1], and
-        every state that leaves run() or reaches record() is x alone.
+        Slot j ends at step j * per of the dt grid, per = record_dt / dt
+        rounded and at least one, so with dt > record_dt a sample is taken
+        every dt.  Each slot due after t0 and ending before t1 is a
+        sample, stamped t0 plus its steps from t0 times dt.  One more slot
+        steps to the last grid point up to t1 and records nothing, and a
+        short step then reaches t1.  The slots go through _fill
+        CHECK_ROWS samples at a time, the last stretch with that final
+        slot as a spare row, and record() checks each stretch before the
+        next is stepped.  The steps act on [state; 1], and every state
+        that leaves run() or reaches record() is x alone.
         """
         state = np.append(state, 1.0)
         dt = self.dt
+        per = max(1, round(record_dt / dt))
         end = t1 - 1e-9 * max(1.0, t1)
-        n_rec = int(math.floor(t0 / record_dt + 1e-6))  # slots filled
-        last_t = self.times[-1][-1] if self.times else None
+        slot = math.floor(t0 / (per * dt) + 1e-6) + 1  # the first slot due
         # a runaway may overflow between two checks; the cut drops it
         with np.errstate(over="ignore", invalid="ignore"):
             # t0 off the dt grid (an event time): one short step back onto
@@ -431,20 +402,24 @@ class _Segment:
             grid = math.ceil(t0 / dt - 1e-6) * dt
             if grid - t0 > 1e-6 * dt and grid < end:
                 state, t0 = self.short_step(state, grid - t0), grid
-            k, final, stacks = 0, False, {}
+            first = round(t0 / dt)  # t0's point of the dt grid
+            k, final, stacks = 0, False, {}  # k: steps taken from t0
             while not final:
-                target = (n_rec + 1 + np.arange(CHECK_ROWS)) * record_dt
-                n_rec += CHECK_ROWS
-                final = target[-1] >= end
+                ends = (slot + np.arange(CHECK_ROWS)) * per
+                ends = ends[ends * dt < end]  # the samples
+                slot += len(ends)
+                steps = ends - first  # from t0
+                final = len(steps) < CHECK_ROWS
                 if final:
-                    target = np.append(target[target < end], t1)
-                state, k, times, states = self._stretch(
-                    state, t0, k, target, last_t, final, stacks)
-                cut = self.record(times, states[:, :-1])
+                    steps = np.append(
+                        steps, math.floor((t1 - t0) / dt + 1e-6))
+                states = self._fill(state, np.diff(steps, prepend=k),
+                                    stacks)
+                k, state = int(steps[-1]), states[-1].copy()
+                cut = self.record(t0 + steps[:len(ends)] * dt,
+                                  states[:len(ends), :-1])
                 if cut is not None:
                     return cut[0], cut[1].t, cut[1]
-                if len(times):
-                    last_t = times[-1]
             t_cur = t0 + k * dt
             if t1 - t_cur > 1e-9 * dt:
                 state = self.short_step(state, t1 - t_cur)

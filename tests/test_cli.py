@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.metadata
 import json
+import math
 import os
 import pathlib
 import re
@@ -705,8 +706,25 @@ class TestCertify:
          "DGU 1: controller beta must be a finite number"),
         (("controllers", 0, "diagnostics", "zeta"), "1",
          "DGU 1: controller zeta must be a finite number"),
+        (("sigmabar",), 10.0, "bundle file field 'sigmabar' is not read"),
+        (("alphas",), [math.nan] * 5, "alphas must be five finite numbers"),
+        (("alphas",), "x", "alphas must be five finite numbers"),
+        (("controllers", 0, "diagnostics", "gamm"), [1.0, 2.0, 3.0],
+         "DGU 1: controller diagnostics field 'gamm' is not read"),
+        (("controllers", 0, "diagnostics", "gain_norm"), math.nan,
+         "DGU 1: controller gain_norm must be a finite number"),
+        (("controllers", 0, "diagnostics", "gain_norm_bound"), "1",
+         "DGU 1: controller gain_norm_bound must be a finite number"),
+        (("controllers", 0, "diagnostics", "solver", "status"), math.nan,
+         "DGU 1: controller solver status must be a JSON string"),
+        (("controllers", 0, "diagnostics", "solver", "iterations_phase1"),
+         None, "DGU 1: controller iterations_phase1 must be a finite number"),
+        (("controllers", 0, "diagnostics", "solver", "gap"), 0.0,
+         "DGU 1: controller diagnostics solver field 'gap' is not read"),
     ], ids=["sigma_bar-string", "sigma_bar-bool", "K", "gamma", "beta",
-            "zeta"])
+            "zeta", "unread-header", "alphas-nan", "alphas-string",
+            "unread-diagnostics", "gain_norm", "gain_norm_bound",
+            "solver-status", "solver-iterations", "unread-solver"])
     def test_bundle_number_must_be_a_finite_json_number(
             self, bundle_file, tmp_path, capsys, path, value, message):
         scenario, bundle = bundle_file

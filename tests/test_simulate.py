@@ -813,14 +813,16 @@ class TestStateRemap:
 
 
 def scalar_run_reference(seg, state, t0, t1, record_dt):
-    """_Segment.run as a slot-by-slot loop: each slot's steps go through
-    the power of the step map with `@` on [state; 1], and the samples
-    reach seg.record CHECK_ROWS at a time."""
+    """_Segment.run as a slot-by-slot loop: slot j ends at step j * per of
+    the dt grid, each slot's steps go through the power of the step map
+    with `@` on [state; 1], and the samples reach seg.record CHECK_ROWS
+    at a time."""
     state = np.append(state, 1.0)
     dt = seg.dt
+    per = max(1, round(record_dt / dt))
+    end = t1 - 1e-9 * max(1.0, t1)
     chunks = {}
     times, pending = [], []
-    last_t = seg.times[-1][-1] if seg.times else None
 
     def check():
         cut = seg.record(np.array(times), np.array(pending))
@@ -828,42 +830,34 @@ def scalar_run_reference(seg, state, t0, t1, record_dt):
         pending.clear()
         return cut
 
-    def add(t, state):
-        nonlocal last_t
-        times.append(t)
-        pending.append(state[:-1])
-        last_t = t
-        if len(pending) >= simulate_module.CHECK_ROWS:
-            return check()
-        return None
-
-    tiny = 1e-9 * max(1.0, t1)
-    n_rec = int(math.floor(t0 / record_dt + 1e-6))
+    slot = math.floor(t0 / (per * dt) + 1e-6) + 1
     cut = None
     with np.errstate(over="ignore", invalid="ignore"):
         grid = math.ceil(t0 / dt - 1e-6) * dt
-        if grid - t0 > 1e-6 * dt and grid < t1 - tiny:
+        if grid - t0 > 1e-6 * dt and grid < end:
             state, t0 = seg.short_step(state, grid - t0), grid
-        k, t_cur = 0, t0
+        first = round(t0 / dt)
+        k = 0  # steps taken from t0
         while cut is None:
-            target = (n_rec + 1) * record_dt
-            last = target >= t1 - tiny
-            steps = int(math.floor(((t1 if last else target) - t_cur) / dt
-                                   + 1e-6))
-            if steps > 0:
+            sample = slot * per * dt < end
+            to = (slot * per - first if sample
+                  else math.floor((t1 - t0) / dt + 1e-6))
+            steps, k = to - k, to
+            if steps:
                 if steps not in chunks:
                     chunks[steps] = np.linalg.matrix_power(seg.step, steps)
                 state = chunks[steps] @ state
-                k += steps
-                t_cur = t0 + k * dt
-            if last:
+            if not sample:
                 break
-            n_rec += 1
-            if steps > 0 or last_t is None or last_t != t_cur:
-                cut = add(t_cur, state)
+            slot += 1
+            times.append(t0 + k * dt)
+            pending.append(state[:-1])
+            if len(pending) >= simulate_module.CHECK_ROWS:
+                cut = check()
         cut = cut or check()
         if cut is not None:
             return cut[0], cut[1].t, cut[1]
+        t_cur = t0 + k * dt
         if t1 - t_cur > 1e-9 * dt:
             state = seg.short_step(state, t1 - t_cur)
     return state[:-1], t1, None
@@ -957,22 +951,25 @@ class TestStepping:
     @given(ratio=st.sampled_from([1.0, 0.1, 4.0]),
            record_dt=st.sampled_from([2.5e-5, 1e-4]),
            t_end=st.floats(0.004, 0.02),
-           marks=st.lists(st.tuples(st.floats(0.05, 0.95), st.booleans()),
-                          min_size=2, max_size=2),
+           marks=st.lists(st.tuples(st.floats(0.05, 0.95), st.sampled_from(
+               [None, 0.0, 1e-11, -1e-11, 3e-11, -3e-11])),
+               min_size=2, max_size=2),
            plug_in=st.booleans(), line_model=st.sampled_from([QSL, RL]),
            check_rows=st.sampled_from([1, 3, 1024]))
     # a plug-in off the dt grid, then an unplug on it, under RL lines
     @example(ratio=0.1, record_dt=1e-4, t_end=0.01,
-             marks=[(0.31234567, False), (0.6, True)], plug_in=True,
+             marks=[(0.31234567, None), (0.6, 0.0)], plug_in=True,
              line_model=RL, check_rows=3)
     def test_matches_the_scalar_loop(self, pair, newcomer_design, ratio,
                                      record_dt, t_end, marks, plug_in,
                                      line_model, check_rows):
         top, ctrls = pair
         dt = ratio * record_dt
-        # two event times, each on the dt grid or off it
-        times = sorted(round(f * t_end / dt) * dt if on_grid else f * t_end
-                       for f, on_grid in marks)
+        # two event times, each off the dt grid (None) or at that offset
+        # from its nearest point; within 1e-6 dt, run() takes it as on it
+        times = sorted(f * t_end if off is None
+                       else round(f * t_end / dt) * dt + off
+                       for f, off in marks)
         times = [min(max(t, dt / 3), t_end - dt / 3) for t in times]
         if plug_in:
             events = (PlugIn(times[0], 3, NEWCOMER,
@@ -1002,16 +999,26 @@ class TestStepping:
                 initial_state=RUNAWAY_START)
         assert tr.diverged is not None
 
-    def test_near_grid_event_takes_the_fixed_point_pass(self):
-        # an event 1e-11 s past a dt grid point is on the grid for run()
-        # (within 1e-6 dt), so no short step is taken; _stretch's numpy
-        # guess of the slot recurrence is then one step off about 21 slots
-        # later, and only its correction pass gets the schedule right
+    @pytest.mark.parametrize("ratio", [0.1, 4.0])
+    @pytest.mark.parametrize("offset", [1e-11, -1e-11, 3e-11, -3e-11])
+    def test_near_grid_events_keep_the_record_grid(self, ratio, offset):
+        # events within 3e-11 s of a dt grid point (10 dt, a record point,
+        # and 537 dt, not one when dt < record_dt) are taken as on it or
+        # short-stepped onto it by run(); either way every later sample
+        # stays within about 1e-6 dt of the record grid
         p = DguParams(0.1, 1.8e-3, 2.2e-3, LoadModel.resistive(10.0), 48.0)
         top = MicrogridTopology({1: p, 2: p}, (LineParams(1, 2, 0.05, 2e-6),))
-        scenario = Scenario(top, 10.0, t_end=0.01, events=(
-            RefStep(0.00010000000999999968, 1, 47.0),))
-        assert_runs_match_the_reference(scenario, synthesize_all(top, CFG))
+        dt = 1e-5
+        record_dt = dt / ratio
+        events = (RefStep(10 * dt + offset, 1, 47.0),
+                  RefStep(537 * dt + offset, 2, 48.5))
+        scenario = Scenario(top, 10.0, t_end=0.01, dt=dt, events=events,
+                            record_dt=record_dt)
+        tr = assert_runs_match_the_reference(scenario,
+                                             synthesize_all(top, CFG))
+        times = tr.times[~np.isin(tr.times, [0.01, *(e.t for e in events)])]
+        off = np.abs(times - np.round(times / record_dt) * record_dt)
+        assert len(times) > 40 and off.max() <= 2e-6 * dt
 
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_first_segment_follows_the_exact_flow(self, line_model):
