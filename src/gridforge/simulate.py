@@ -11,9 +11,9 @@ block (see _Segment).  The states differ from a slot-by-slot loop's by
 rounding only.  Event timestamps never drift: the step straddling an
 event is split so the boundary is hit exactly, and after an event off
 the dt grid one short step returns to it, so later samples stay on the
-record grid.  Recording keeps the state rows only and tests them for
-divergence a stretch at a time; the trajectory is then assembled as one
-read-only table in the CSV's layout, with u = k x_hat per unit.
+record grid.  Recording tests the state rows for divergence a stretch at
+a time and writes them, with u = k x_hat per unit, straight into one
+table in the CSV's layout, allocated before the first step.
 Writing that table is mostly float formatting, done by orjson with the
 bytes repr() gives, and a few in-place edits of each chunk's bytes turn
 its JSON into CSV lines (see _write_rows).  Formatting holds the GIL, so
@@ -286,42 +286,48 @@ class _Segment:
     2e-9 error there.  A stack one deep gives that loop's bits exactly:
     S.dot(x, out=row) makes the same BLAS gemv call as `@`.  The stacks
     are built in run() and dropped when it returns.  record() then checks
-    the stretch and keeps its times and states as arrays; it sees x,
-    never the 1.
+    the stretch and writes the rows it keeps into the table's next rows,
+    from pos on, in its units' column blocks; it sees x, never the 1.
     """
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
-                 line_model: str, dt: float):
+                 line_model: str, dt: float, table: np.ndarray,
+                 ids: Sequence[int], pos: int):
         self.ids = top.ids
         self.dt = dt
         self.m = _build_ode(top, controllers, line_model)
         self.step = _step(self.m, dt)
         self.gains = np.vstack([gain_row(controllers[i]) for i in self.ids])
-        self.times: List[np.ndarray] = []  # each stretch record() passed
-        self.rows: List[np.ndarray] = []  # and its unit columns
+        self.table, self.pos = table, pos  # pos: the next row to write
+        self.units = table[:, 1:].reshape(len(table), len(ids), 4)  # a view
+        self.cols = np.searchsorted(ids, self.ids)  # the table's ids, sorted
 
     def record(self, times: np.ndarray, states: np.ndarray
                ) -> Optional[Tuple[np.ndarray, DivergedAt]]:
-        """Keep a stretch of samples, or cut it at the first row out of
-        range and return that row's state and DivergedAt.  A row over
+        """Write a stretch of samples into the table's next rows, with
+        u = k x_hat per unit, or cut it at the first row out of range and
+        return that row's state and DivergedAt.  A row over
         DIVERGENCE_LIMIT is kept, a non-finite row is dropped and reported
-        as max_abs = inf."""
+        as max_abs = inf.  RL line currents are not recorded."""
         if not len(times):
             return None
         peak = np.abs(states).max(axis=1)  # NaN where a row holds one
         bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
-        keep = len(states)
-        cut = None
+        keep, cut = len(states), None
         if bad.size:
             k = int(bad[0])
             t, max_abs, keep = float(times[k]), float(peak[k]), k + 1
             if not math.isfinite(max_abs):
                 max_abs, keep = math.inf, k
             cut = states[k].copy(), DivergedAt(t, max_abs)
-        self.times.append(times[:keep])
-        # only the unit columns are recorded; RL line currents are not
-        self.rows.append(
-            np.ascontiguousarray(states[:keep, :3 * len(self.ids)]))
+        lo, hi = self.pos, self.pos + keep
+        assert hi <= len(self.table), "more samples than simulate() bounds"
+        self.table[lo:hi, 0] = times[:keep]
+        x = states[:keep, :self.gains.size].reshape(keep, *self.gains.shape)
+        block = self.units[lo:hi]  # a view of the table
+        block[:, self.cols, :3] = x
+        block[:, self.cols, 3] = np.einsum("ij,tij->ti", self.gains, x)
+        self.pos = hi
         return cut
 
     def short_step(self, state: np.ndarray, h: float) -> np.ndarray:
@@ -559,12 +565,14 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
     each DGU starts at its isolated operating point (line currents at zero
     in RL mode); pass initial_state to override.  Divergence does not
     raise: the returned trajectory is truncated and carries a DivergedAt
-    marker.
+    marker.  The run writes each sample once, straight into the table,
+    and the trajectory holds a read-only view of the rows used.
     """
     top = scenario.initial_topology
     if not top.is_connected():
         raise TopologyError("initial topology must be connected")
     cfg = scenario.synthesis_config()
+    model, dt = scenario.line_model, scenario.dt
     controllers = dict(controllers)
     if set(controllers) != set(top.ids):
         raise ValueError("controllers must cover exactly the initial topology")
@@ -573,9 +581,7 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
         state = _default_state(scenario, top, controllers)
     else:
         state = np.asarray(initial_state, dtype=float).copy()
-        expected = 3 * len(top.ids)
-        if scenario.line_model == RL:
-            expected += len(top.lines)
+        expected = 3 * len(top.ids) + (len(top.lines) if model == RL else 0)
         if state.shape != (expected,):
             raise ValueError(f"initial state must have length {expected}")
         if not np.all(np.isfinite(state)):
@@ -586,8 +592,19 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
     pending = list(scenario.events)
     t_cursor = 0.0
 
-    seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
-    segments = [seg]
+    # Only the initial units and plug-in ids can join.  The samples: one
+    # at t = 0, one after each run() (len(events) + 1 runs at most, each
+    # ending at an event or t_end), and run()'s slots.  Slot j ends at
+    # j * per * dt; a run() takes those after its t0 ending before its t1
+    # less 1e-9 relative (far above rounding), and the next starts past
+    # them, so no slot repeats and 1 <= j < t_end / (per * dt).
+    ids = sorted({*top.ids, *(ev.dgu_id for ev in pending
+                              if isinstance(ev, PlugIn))})
+    per = max(1, round(scenario.record_dt / dt))
+    rows = math.ceil(scenario.t_end / (per * dt)) + len(pending) + 1
+    table = np.full((rows, 1 + 4 * len(ids)), np.nan)
+    joined = set(top.ids)
+    seg = _Segment(top, controllers, model, dt, table, ids, 0)
     while True:
         # the sample at t = 0, or after a stretch and its events
         cut = seg.record(np.array([t_cursor]), np.array([state]))
@@ -605,39 +622,22 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
         while pending and pending[0].t <= boundary:
             ev = pending.pop(0)
             state, top, outcome = _apply_event(
-                ev, top, controllers, state, scenario.line_model, cfg,
-                designs)
+                ev, top, controllers, state, model, cfg, designs)
             records.append(EventRecord(t_cursor, f"{ev.kind} dgu={ev.dgu_id}",
                                        outcome))
             changed = changed or outcome in (ACCEPTED, APPLIED)
         if changed:
-            seg = _Segment(top, controllers, scenario.line_model, scenario.dt)
-            segments.append(seg)
+            seg = _Segment(top, controllers, model, dt, table, ids, seg.pos)
+            joined.update(top.ids)
 
-    return _assemble(segments, records, top, state, diverged)
-
-
-def _assemble(segments, records, top, state, diverged) -> Trajectory:
-    """Write each segment's checked stretches, with u = k x_hat, straight
-    into the table; RL line currents are not sampled."""
-    ids = sorted({i for seg in segments for i in seg.ids})
-    slot = {i: k for k, i in enumerate(ids)}
-    total = sum(len(times) for seg in segments for times in seg.times)
-    table = np.full((total, 1 + 4 * len(ids)), np.nan)
-    units = table[:, 1:].reshape(total, len(ids), 4)  # a view of the table
-    pos = 0
-    for seg in segments:
-        cols, n = [slot[i] for i in seg.ids], len(seg.ids)
-        for times, stretch in zip(seg.times, seg.rows):
-            m = len(stretch)
-            table[pos:pos + m, 0] = times
-            x = stretch.reshape(m, n, 3)
-            units[pos:pos + m, cols, :3] = x
-            units[pos:pos + m, cols, 3] = np.einsum("ij,tij->ti", seg.gains, x)
-            pos += m
+    table = table[:seg.pos]
+    if len(joined) < len(ids) or 2 * seg.pos < rows:
+        # a copy without denied newcomers' columns or the rows left unused
+        joins = np.repeat(np.isin(ids, [*joined]), 4)
+        table = table.compress(np.r_[True, joins], axis=1)
     table.setflags(write=False)
-    return Trajectory(table, tuple(ids), tuple(records), top, state.copy(),
-                      diverged)
+    return Trajectory(table, tuple(sorted(joined)), tuple(records), top,
+                      state.copy(), diverged)
 
 
 def _range_count(rows: int) -> int:

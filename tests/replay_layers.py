@@ -9,13 +9,16 @@ Run from the repository root, optionally with the number of repeats
 For the QSL and the RL line model, the script prints the best and the
 median in-process wall time over the repeats of each replay layer of
 this checkout's code (src/gridforge is put first on the import path),
-with one BLAS thread:
+with one BLAS thread, and for the first three layers the tracemalloc
+peak of one more call, untimed:
 
 - simulate: simulate() on the designed controllers, mostly stepping;
+  its peak holds the trajectory table it returns;
 - rows, one range: _write_rows over the whole table into an in-memory
-  buffer, in this process, with no fork;
+  buffer, in this process, with no fork; its peak holds that buffer;
 - CSV write: trajectory_to_csv, forked ranges included, over the file
-  the repeat before wrote;
+  the repeat before wrote; its peak is this process's only, as
+  tracemalloc does not see the forked children;
 - event log, over a file: write_event_log over an existing events.log,
   right after trajectory_to_csv rewrote the trajectory next to it, as
   the command does on a rerun;
@@ -46,6 +49,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -65,18 +69,30 @@ def timed(repeats: int, call) -> list:
     return times
 
 
-def layers(scenario, out: pathlib.Path, repeats: int) -> dict:
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def layers(scenario, out: pathlib.Path, repeats: int) -> tuple:
+    """The wall times of each layer, and the peaks of the first three."""
     newcomers = cli._newcomers(scenario)
     _, verdicts = cli._synthesize_for(scenario, newcomers)
     initial = {i: verdicts[i] for i in scenario.initial_topology.ids}
     designs = {params: verdicts[i] for i, params in newcomers.items()}
-    times = {"simulate": timed(repeats, lambda: sim.simulate(
-        scenario, initial, designs=designs))}
-    traj = sim.simulate(scenario, initial, designs=designs)
-    times["rows, one range"] = timed(
-        repeats, lambda: sim._write_rows(io.BytesIO(), traj.table))
-    times["CSV write"] = timed(
-        repeats, lambda: sim.trajectory_to_csv(traj, out / "trajectory.csv"))
+    calls = {
+        "simulate": lambda: sim.simulate(scenario, initial, designs=designs),
+        "rows, one range": lambda: sim._write_rows(io.BytesIO(), traj.table),
+        "CSV write": lambda: sim.trajectory_to_csv(
+            traj, out / "trajectory.csv")}
+    traj = calls["simulate"]()
+    times = {name: timed(repeats, call) for name, call in calls.items()}
+    peaks = {name: traced_peak(call) for name, call in calls.items()}
     sim.write_event_log(traj, out / "events.log")
 
     def timed_log(directory: pathlib.Path) -> float:
@@ -92,7 +108,7 @@ def layers(scenario, out: pathlib.Path, repeats: int) -> dict:
         (out / f"fresh{k}").mkdir()
         fresh.append(timed_log(out / f"fresh{k}"))
     times["event log, fresh"] = fresh
-    return times
+    return times, peaks
 
 
 def main(argv: list) -> int:
@@ -106,9 +122,12 @@ def main(argv: list) -> int:
             out = pathlib.Path(tmp) / model
             out.mkdir()
             scenario = dataclasses.replace(base, line_model=model)
-            for name, times in layers(scenario, out, repeats).items():
-                print(f"{model} {name}: best {min(times):.4f} s, "
-                      f"median {statistics.median(times):.4f} s")
+            times, peaks = layers(scenario, out, repeats)
+            for name, wall in times.items():
+                peak = (f", peak {peaks[name] / 1e6:.2f} MB"
+                        if name in peaks else "")
+                print(f"{model} {name}: best {min(wall):.4f} s, "
+                      f"median {statistics.median(wall):.4f} s{peak}")
     return 0
 
 

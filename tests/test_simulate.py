@@ -866,7 +866,8 @@ def scalar_run_reference(seg, state, t0, t1, record_dt):
 def replay_packaged(line_model):
     """The packaged scenario's replay under line_model; returns its
     segments, each with the power stacks run() used by step count (the
-    deepest of each) and the length of each state run() returned."""
+    deepest of each), the length of each state run() returned and the
+    widths of the states record() was given."""
     from gridforge import cli
     scenario = dataclasses.replace(
         cli.load_scenario(cli.packaged_scenario_path()),
@@ -876,8 +877,12 @@ def replay_packaged(line_model):
     class Kept(simulate_module._Segment):
         def __init__(self, *args):
             super().__init__(*args)
-            self.stacks, self.returned = {}, []
+            self.stacks, self.returned, self.widths = {}, [], set()
             segments.append(self)
+
+        def record(self, times, states):
+            self.widths.add(states.shape[1])
+            return super().record(times, states)
 
         def powers(self, stacks, count, depth):
             p = self.stacks[count] = super().powers(stacks, count, depth)
@@ -1093,7 +1098,7 @@ class TestStepping:
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_maps_keep_the_one_and_run_drops_it(self, line_model):
         # every map acts on [x; 1] and keeps its 1 exactly, while the
-        # state run() returns is x alone
+        # state run() returns and the states record() sees are x alone
         segments = replay_packaged(line_model)
         for seg in segments:
             n = len(seg.m) - 1
@@ -1103,8 +1108,7 @@ class TestStepping:
                 assert m.shape == (n + 1, n + 1)
                 assert m[-1].tobytes() == one.tobytes()
             assert seg.returned == [n]
-            assert all(rows.shape[1] == 3 * len(seg.ids)
-                       for rows in seg.rows)
+            assert seg.widths == {n}
 
     @pytest.mark.parametrize("units", range(1, 9))
     def test_dot_is_matmul_on_random_maps(self, units):
@@ -1124,14 +1128,16 @@ class TestStepping:
         state = RUNAWAY_START.copy()
         if gain is not None:
             ctrls = {1: np.array(gain), 2: np.array(gain)}
-        seg = simulate_module._Segment(top, ctrls, QSL, 1e-5)
+        table = np.full((5002, 9), np.nan)
+        seg = simulate_module._Segment(top, ctrls, QSL, 1e-5, table, (1, 2),
+                                       0)
         seg.record(np.array([0.0]), np.array([state]))
         state, _, cut = seg.run(state, 0.0, t1, 1e-4)
         assert (cut is None) == (gain is None)
-        rows = [stretch.copy() for stretch in seg.rows]
+        assert np.isfinite(table[:seg.pos]).all()
+        kept = table.copy()
         state[:] = 7.0
-        for kept, stretch in zip(rows, seg.rows):
-            assert kept.tobytes() == stretch.tobytes()
+        assert kept.tobytes() == table.tobytes()
 
     def test_dot_into_a_row_is_matmul(self):
         # a one-deep power stack's step: dot(state, row)
@@ -1148,6 +1154,105 @@ class TestStepping:
         for row in block:
             x = m @ x
             assert row.tobytes() == x.tobytes()
+
+
+def table_owner(table):
+    """The array that owns the buffer table is a view of."""
+    while table.base is not None:
+        table = table.base
+    return table
+
+
+class TestRecording:
+    """simulate() allocates the table once and each sample is written
+    into it once; a copy is made only to drop columns or unused rows."""
+
+    def test_cut_on_the_first_row_keeps_none_of_the_stretch(self, pair):
+        top, ctrls = pair
+        table = np.full((6, 9), np.nan)
+        seg = simulate_module._Segment(top, ctrls, QSL, 1e-5, table, (1, 2),
+                                       0)
+        state = RUNAWAY_START
+        assert seg.record(np.array([0.0]), np.array([state])) is None
+        assert seg.record(np.zeros(0), np.zeros((0, 6))) is None
+        assert seg.pos == 1
+        rows = np.array([state, state, state])
+        rows[0, 4] = math.nan
+        cut, at = seg.record(np.array([1e-4, 2e-4, 3e-4]), rows)
+        assert at == DivergedAt(1e-4, math.inf) and np.isnan(cut[4])
+        assert seg.pos == 1 and np.isnan(table[1:]).all()
+        # a first row over the limit is kept, and only it
+        rows[0, 4] = 2 * simulate_module.DIVERGENCE_LIMIT
+        cut, at = seg.record(np.array([1e-4, 2e-4, 3e-4]), rows)
+        assert at == DivergedAt(1e-4, 2 * simulate_module.DIVERGENCE_LIMIT)
+        assert seg.pos == 2 and np.isnan(table[2:]).all()
+        np.testing.assert_array_equal(table[1, [0, 5, 6, 7]],
+                                      [1e-4, *rows[0, 3:]])
+
+    @pytest.mark.parametrize("t_end, copied", [(0.5, True), (0.2, False)])
+    def test_early_divergence_holds_only_its_rows(self, pair, t_end,
+                                                  copied):
+        # the runaway of TestIntegratorQuality is cut at its 1,103rd
+        # sample, of 5,002 rows allocated at t_end 0.5 and 2,002 at 0.2
+        top, _ = pair
+        gain = np.array((1.2, 0.0, 1.0))
+        tr = simulate(Scenario(top, 10.0, t_end=t_end), {1: gain, 2: gain},
+                      initial_state=RUNAWAY_START)
+        assert len(tr.times) == 1103 and tr.diverged is not None
+        owner = table_owner(tr.table)
+        assert (owner is tr.table) == copied
+        assert owner.nbytes <= 2 * tr.table.nbytes
+        assert tr.table.flags.c_contiguous and not tr.table.flags.writeable
+
+    def test_denied_plug_in_gets_no_columns(self, pair, tmp_path):
+        # a denial changes no segment, so the run is the one with a no-op
+        # reference step at the same instant, and the newcomer's columns
+        # are dropped from the table allocated with them
+        top, ctrls = pair
+        monster = DguParams(0.2, 2e-3, 1e6, LoadModel.resistive(10.0), 48.0)
+        denied, same = (
+            simulate(Scenario(top, 10.0, events=(ev,), t_end=0.1), ctrls)
+            for ev in (PlugIn(0.05, 3, monster,
+                              (LineParams(3, 1, 0.05, 2e-6),)),
+                       RefStep(0.05, 1, top.dgus[1].v_ref)))
+        assert denied.events[0].outcome.startswith("denied")
+        assert denied.ids == same.ids == (1, 2)
+        assert denied.table.tobytes() == same.table.tobytes()
+        assert denied.table.flags.c_contiguous
+        assert not denied.table.flags.writeable
+        written = assert_csv_matches_csv_writer(denied, tmp_path)
+        assert written.startswith(b"t,dgu1.V,dgu1.It,dgu1.v,dgu1.u,dgu2.V,"
+                                  b"dgu2.It,dgu2.v,dgu2.u\r\n")
+        trajectory_to_csv(same, tmp_path / "same.csv")
+        assert written == (tmp_path / "same.csv").read_bytes()
+
+    @pytest.mark.parametrize("t_end", [0.01, 0.0123456])
+    @pytest.mark.parametrize("ratio", [0.1, 4.0])
+    @pytest.mark.parametrize("offset", [None, 0.0, 1e-11, -1e-11])
+    def test_samples_fit_the_allocation(self, pair, t_end, ratio, offset):
+        # events off the record grid (None), on it, or 1e-11 s off a
+        # record point, a tie among them, the first one record step in
+        # and the last one record step before t_end
+        top, ctrls = pair
+        dt = 1e-5
+        record_dt = dt / ratio
+        marks = (1, 21, 21, 57, round(t_end / record_dt) - 1)
+        times = [k * record_dt + (offset if offset is not None
+                                  else 0.37 * record_dt) for k in marks]
+        events = tuple(RefStep(t, 1 + k % 2, 48.0 + k / 100)
+                       for k, t in enumerate(times))
+        tr = simulate(Scenario(top, 10.0, events=events, t_end=t_end, dt=dt,
+                               record_dt=record_dt), ctrls)
+        assert tr.diverged is None
+        # simulate()'s bound: ceil(t_end / (per dt)) - 1 slots, one sample
+        # after each of at most len(events) + 1 runs and the one at t = 0;
+        # it is tight, as each event time and t_end takes at most one
+        # slot's place and only ties take fewer runs
+        per = max(1, round(record_dt / dt))
+        bound = math.ceil(t_end / (per * dt)) + len(events) + 1
+        assert bound - len(events) - 1 <= len(tr.times) <= bound
+        owner = table_owner(tr.table)
+        assert owner.shape == (bound, 9) and owner is not tr.table
 
 
 class TestMemory:
@@ -1168,3 +1273,23 @@ class TestMemory:
             tracemalloc.stop()
         assert len(tr.times) == 160001
         assert peak <= self.PEAK_BEFORE
+
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_packaged_run_holds_one_table(self, line_model):
+        # each sample is written once, straight into the table: the peak
+        # is the table and the stepping's blocks and stacks, 0.7-0.8 MB,
+        # where keeping each checked stretch too took 22.5 MB more
+        from gridforge import cli
+        scenario = dataclasses.replace(
+            cli.load_scenario(cli.packaged_scenario_path()),
+            line_model=line_model)
+        ctrls = synthesize_all(scenario.initial_topology,
+                               scenario.synthesis_config())
+        tracemalloc.start()
+        try:
+            tr = simulate(scenario, ctrls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.table.shape == (160001, 25)
+        assert peak <= tr.table.nbytes + 2 * 2**20
