@@ -8,13 +8,14 @@ N x N weighted graph Laplacian, negative semidefinite with the all-ones
 kernel on a connected grid.
 
 Every local certificate has a zero first row and column, so Q is a direct
-sum: one N x N block on the voltage coordinates, plus one 2 x 2 block on
-each unit's (I, v) pair.  Everything here works from block data: the
-(N, 3, 3) stacks of P_i, q_i and the closed-loop unit blocks, all
-derived from the gains and the topology alone, and the grid's line
-arrays.  Q's pieces come from P's stack and the lines in
-O(N + lines), what the split drops is measured and bounded, and the local
-checks (synthesis.check_local_stacks) run as one batched eigensolve.
+sum: one N x N block on the voltage coordinates, which is that Laplacian
+up to rounding, plus one 2 x 2 block on each unit's (I, v) pair.
+Everything here works from block data: the (N, 3, 3) stacks of P_i, q_i
+and the closed-loop unit blocks, all derived from the gains and the
+topology alone, and the grid's line arrays.  Q's pieces are built once,
+from P's stack and the lines in O(N + lines), what the split drops is
+measured and bounded, and the local checks
+(synthesis.check_local_stacks) run as one batched eigensolve.
 
 Theorem 1's verdict is read from that structure (check_theorem1).  Take
 x = alpha 1_V + sum_i beta_i (0, 1, delta_i) in ker Q.  Fx has voltage
@@ -37,7 +38,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .lmi import general_eig, sym_eig
-from .model import (Gain, GlobalSystem, MicrogridTopology, assemble_global,
+from .model import (Gain, MicrogridTopology, assemble_global,
                     closed_loop_blocks, gain_row)
 from .synthesis import (K3_FLOOR, check_local_stacks, local_certificate,
                         local_dissipation, semidefinite_eps)
@@ -70,7 +71,8 @@ class GlobalCertificate:
     (I, v) block of the unit at position kernel_units[t].  checks maps a
     name to its measured value: q_nsd_margin reads q_global_max_eig, and
     check_theorem1 p_min_eig and closed_loop_norm (the scale it judges the
-    spectral abscissa against); the other six are recorded diagnostics.
+    spectral abscissa against); block_a_max_eig and direct_sum_residual
+    (the largest entry of q_dropped) are recorded diagnostics.
     gains is the (N, 3) stack of gain rows and delta each unit's kernel
     ratio, in id order; local_certificates is whether every unit's q_i
     and P_i pass check_local_stacks.  stage_seconds holds the wall time
@@ -150,16 +152,6 @@ def build_laplacian(topology: MicrogridTopology,
     return np.diag(-np.sum(g, axis=1)) + g
 
 
-def _voltage_block(diagonal: np.ndarray, system: GlobalSystem,
-                   line_weights: np.ndarray) -> np.ndarray:
-    n = len(diagonal)
-    out = np.zeros((n, n))
-    out[np.arange(n), np.arange(n)] = diagonal
-    out[system.line_i, system.line_j] = line_weights
-    out[system.line_j, system.line_i] = line_weights
-    return out
-
-
 def check_global(controllers: Mapping[int, Gain],
                  topology: MicrogridTopology,
                  sigma_bar: float) -> GlobalCertificate:
@@ -172,11 +164,12 @@ def check_global(controllers: Mapping[int, Gain],
     Write F = blockdiag(F_i) + C, with C the line conductances g between
     voltage slots, and p0_i the first column of P_i.  Then Q's diagonal
     blocks are P_i F_i + (P_i F_i)', and the off-diagonal block of a line
-    (i, j) is g_ij p0_i e0' + g_ji e0 p0_j': its voltage entry
-    g_ij eta_i + g_ji eta_j goes to the voltage block, the rest is
-    dropped.  The line part PC + (PC)' has the same off-diagonal blocks
-    and the diagonal blocks xi_i (p0_i e0' + e0 p0_i'), xi_i the unit's
-    QSL self term, so its (I, v) blocks are zero.
+    (i, j) is g_ij p0_i e0' + g_ji e0 p0_j'.  The closed form makes
+    p0_i = eta_i e0, so that block is its voltage entry
+    g_ij eta_i + g_ji eta_j = 2 sigma_bar / R_ij alone, and the split
+    drops only each unit's voltage entries against its own (I, v) pair.
+    The voltage block is then the sigma_bar-weighted line Laplacian of
+    build_laplacian, up to rounding.
 
     Hard errors: controllers not covering exactly the topology's units,
     and a gain outside the local design set, which admits no P (`DGU
@@ -203,38 +196,15 @@ def check_global(controllers: Mapping[int, Gain],
     f_blocks = closed_loop_blocks(system, controllers)
     pf = p @ f_blocks
     q_diag = pf + np.swapaxes(pf, 1, 2)
-    p0 = p[:, :, 0]
-    line_weights = p0[li, 0] * system.g_i + p0[lj, 0] * system.g_j
-    # V x (I, v) entries of each line's off-diagonal block; each sits at
-    # two positions of Q and of the line part, (i, j) and (j, i)
-    line_dropped = np.concatenate([system.g_i[:, None] * p0[li, 1:],
-                                   system.g_j[:, None] * p0[lj, 1:]]).ravel()
-    q_voltage = _voltage_block(q_diag[:, 0, 0], system, line_weights)
+    eta = p[:, 0, 0]
+    line_weights = eta[li] * system.g_i + eta[lj] * system.g_j
+    q_voltage = np.diag(q_diag[:, 0, 0])
+    q_voltage[li, lj] = line_weights
+    q_voltage[lj, li] = line_weights
     q_units = q_diag[:, 1:, 1:]
     q_dropped = np.concatenate([q_diag[:, 0, 1:].ravel(),
-                                q_diag[:, 1:, 0].ravel(),
-                                line_dropped, line_dropped])
-
-    # the line part: xi_i P_i e0 e0' plus its transpose on the diagonal
-    own = p0 * system.self_terms[:, None]
-    bc_diag = np.zeros_like(p)
-    bc_diag[:, :, 0] += own
-    bc_diag[:, 0, :] += own
-    # its (I, v) blocks are zero, so its spectrum is its voltage block's
-    # and zero
-    bc_max_eig = max(np.linalg.eigvalsh(_voltage_block(
-        bc_diag[:, 0, 0], system, line_weights))[-1], 0.0)
-
+                                q_diag[:, 1:, 0].ravel()])
     laplacian = build_laplacian(topology, sigma_bar)
-    # the coupling quadratic form lives on the voltage rows alone; its
-    # restriction there must be the Laplacian entrywise (both vanish off
-    # the diagonal and the lines; both are symmetric, so one triangle of
-    # the lines will do)
-    expansion_err = float(np.max(np.abs(np.concatenate([
-        bc_diag[:, 0, 0] - np.diagonal(laplacian),
-        line_weights - laplacian[li, lj]]))))
-    offrow_err = float(np.max(np.abs(np.concatenate(
-        [own[:, 1:].ravel(), line_dropped])), initial=0.0))
 
     w_volt, v_volt = sym_eig(q_voltage)
     w_units, v_units = sym_eig(q_units)
@@ -253,17 +223,8 @@ def check_global(controllers: Mapping[int, Gain],
         # the block diagonal of the q_local: its spectrum is theirs,
         # measured by the local checks
         "block_a_max_eig": float(np.max(local["q_max_eig"])),
-        # the largest entry the two splits drop is direct_sum_residual;
-        # the line part's are coupling_nonvoltage_rows
-        "block_bc_max_eig": float(bc_max_eig),
         "q_global_max_eig": float(w_q[-1]),
-        "direct_sum_residual": float(max(np.max(np.abs(q_dropped)),
-                                         offrow_err)),
-        # Q and the line part share their off-diagonal blocks, so Q minus
-        # the two parts can differ from zero only on the diagonal blocks
-        "split_residual": float(np.max(np.abs(q_diag - q_local - bc_diag))),
-        "laplacian_expansion_error": expansion_err,
-        "coupling_nonvoltage_rows": offrow_err,
+        "direct_sum_residual": float(np.max(np.abs(q_dropped))),
         "p_min_eig": float(np.min(local["p_min_eig"])),
     }
     seconds["Q pieces"] = time.perf_counter() - start

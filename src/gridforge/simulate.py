@@ -13,7 +13,7 @@ event is split so the boundary is hit exactly, and after an event off
 the dt grid one short step returns to it, so later samples stay on the
 record grid.  Recording tests the state rows for divergence a stretch at
 a time and writes them, with u = k x_hat per unit, straight into one
-table in the CSV's layout, allocated before the first step.
+table in the CSV's layout, allocated unfilled before the first step.
 Writing that table is mostly float formatting, done by orjson with the
 bytes repr() gives, and a few in-place edits of each chunk's bytes turn
 its JSON into CSV lines (see _write_rows).  Formatting holds the GIL, so
@@ -287,7 +287,8 @@ class _Segment:
     S.dot(x, out=row) makes the same BLAS gemv call as `@`.  The stacks
     are built in run() and dropped when it returns.  record() then checks
     the stretch and writes the rows it keeps into the table's next rows,
-    from pos on, in its units' column blocks; it sees x, never the 1.
+    from pos on: x in its units' column blocks, NaN in the other ids'
+    (the table is allocated unfilled); it sees x, never the 1.
     """
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -301,6 +302,7 @@ class _Segment:
         self.table, self.pos = table, pos  # pos: the next row to write
         self.units = table[:, 1:].reshape(len(table), len(ids), 4)  # a view
         self.cols = np.searchsorted(ids, self.ids)  # the table's ids, sorted
+        self.absent = np.delete(np.arange(len(ids)), self.cols)
 
     def record(self, times: np.ndarray, states: np.ndarray
                ) -> Optional[Tuple[np.ndarray, DivergedAt]]:
@@ -327,6 +329,7 @@ class _Segment:
         block = self.units[lo:hi]  # a view of the table
         block[:, self.cols, :3] = x
         block[:, self.cols, 3] = np.einsum("ij,tij->ti", self.gains, x)
+        block[:, self.absent] = np.nan
         self.pos = hi
         return cut
 
@@ -565,8 +568,9 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
     each DGU starts at its isolated operating point (line currents at zero
     in RL mode); pass initial_state to override.  Divergence does not
     raise: the returned trajectory is truncated and carries a DivergedAt
-    marker.  The run writes each sample once, straight into the table,
-    and the trajectory holds a read-only view of the rows used.
+    marker.  The run writes each sample once, straight into a table
+    allocated unfilled (a run cut early touches only the rows it
+    wrote), and the trajectory holds a read-only view of those rows.
     """
     top = scenario.initial_topology
     if not top.is_connected():
@@ -602,7 +606,7 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
                               if isinstance(ev, PlugIn))})
     per = max(1, round(scenario.record_dt / dt))
     rows = math.ceil(scenario.t_end / (per * dt)) + len(pending) + 1
-    table = np.full((rows, 1 + 4 * len(ids)), np.nan)
+    table = np.empty((rows, 1 + 4 * len(ids)))
     joined = set(top.ids)
     seg = _Segment(top, controllers, model, dt, table, ids, 0)
     while True:

@@ -199,6 +199,18 @@ def local_certificates_fact(top, ctrls):
     return verdict.facts["local_certificates"]
 
 
+def laplacian_expansion_error(cert):
+    """The largest gap between Q's voltage block and the sigma_bar-weighted
+    line Laplacian: with p0_i = eta_i e0 they agree up to the rounding of
+    each 2 sigma_bar / R_ij."""
+    return float(np.max(np.abs(cert.q_voltage - cert.laplacian)))
+
+
+def assert_voltage_block_is_the_laplacian(cert):
+    scale = 1.0 + np.linalg.norm(cert.laplacian)
+    assert laplacian_expansion_error(cert) <= 1e-12 * scale
+
+
 def laplacian_parts(lap):
     """(M, G): the diagonal and off-diagonal parts of L."""
     m = np.diag(np.diagonal(lap))
@@ -249,18 +261,23 @@ class TestGlobal:
         eps = 1e-8 * (1.0 + np.linalg.norm(dense_reference(*pair)[0]))
         assert cert.checks["q_global_max_eig"] <= eps
         assert cert.checks["block_a_max_eig"] <= eps
-        assert cert.checks["block_bc_max_eig"] <= eps
         assert cert.q_negative_semidefinite()
 
     def test_decomposition_is_exact(self, pair, pair_cert):
-        assert pair_cert.checks["split_residual"] <= 1e-12 * (
-            1.0 + np.linalg.norm(dense_reference(*pair)[0])
-        )
+        # Q is the local part plus the line part, densely: the certificate
+        # stores neither part, only Q's pieces
+        q, line_part, block_a = dense_reference(*pair)
+        assert np.max(np.abs(q - block_a - line_part)) <= 1e-12 * (
+            1.0 + np.linalg.norm(q))
 
-    def test_coupling_expands_laplacian(self, pair_cert):
-        scale = 1.0 + np.linalg.norm(pair_cert.laplacian)
-        assert pair_cert.checks["laplacian_expansion_error"] <= 1e-9 * scale
-        assert pair_cert.checks["coupling_nonvoltage_rows"] == 0.0
+    def test_coupling_expands_laplacian(self, pair, pair_cert):
+        # the line part lives on the voltage rows alone, and its voltage
+        # block is Q's: the sigma_bar-weighted line Laplacian
+        line_part = dense_reference(*pair)[1]
+        assert np.count_nonzero(np.delete(line_part, np.s_[::3], 0)) == 0
+        np.testing.assert_array_equal(line_part[::3, ::3],
+                                      pair_cert.q_voltage)
+        assert_voltage_block_is_the_laplacian(pair_cert)
 
     def test_q_definition(self, pair, pair_cert):
         # the pieces are those of the dense F'P + PF, entry for entry
@@ -338,24 +355,29 @@ class TestLineSparseChecks:
         # line 0 joins units 1 and 2; rewired, it couples units 1 and 5,
         # which share no line (units 2 and 5 have the same C_t)
         (("line", {"line_j": lambda j: 4}), "laplacian_expansion_error"),
-        (("p", 1, 1), "coupling_nonvoltage_rows"),
-        (("p", 3, 2), "coupling_nonvoltage_rows"),
+        (("p", 1, 1), "laplacian_expansion_error"),
+        (("p", 3, 2), "laplacian_expansion_error"),
         (("line", {"g_i": lambda g: 2.0 * g, "g_j": lambda g: 2.0 * g}),
          "laplacian_expansion_error"),
-        (("p", 2, 1), "coupling_nonvoltage_rows"),
+        (("p", 2, 1), "laplacian_expansion_error"),
         (("p", 2, 1), "direct_sum_residual"),
         (("eta", 4), "laplacian_expansion_error"),
-        (("p", 5, 2), "split_residual"),
+        (("p", 5, 2), "laplacian_expansion_error"),
     ])
     def test_off_line_blocks_covered_entrywise(self, mesh, stray, check,
                                                monkeypatch):
-        # each doctored piece of block data shows in its check: a line off
-        # the topology or with the wrong conductance, P's first column off
-        # zero, or P's (1,1) entry off eta
+        # each doctored piece of block data shows in the certificate's
+        # direct_sum_residual or in its voltage block's gap to the
+        # Laplacian: a line off the topology or with the wrong
+        # conductance, P's first column off zero (through F's voltage
+        # column, with q_local from the true P), or P's (1,1) entry off eta
         top, ctrls = mesh
         cert = check_global(doctored(top, ctrls, stray, monkeypatch), top,
                             10.0)
-        assert cert.checks[check] > 1e-6
+        seen = (laplacian_expansion_error(cert)
+                if check == "laplacian_expansion_error"
+                else cert.checks[check])
+        assert seen > 1e-6
 
     def test_block_a_max_eig_matches_dense_reference(self, mesh):
         top, ctrls = mesh
@@ -502,7 +524,7 @@ class TestDirectSum:
     def test_matches_dense_references(self, pool, n, seed):
         top, ctrls = random_mesh(pool, n, seed)
         cert = check_global(ctrls, top, 10.0)
-        q_global, block_bc, _ = dense_reference(top, ctrls)
+        q_global = dense_reference(top, ctrls)[0]
         scale = 1.0 + np.linalg.norm(q_global)
         dense = np.linalg.eigvalsh(q_global)
         np.testing.assert_allclose(cert.spectra["q_global"], dense,
@@ -523,8 +545,7 @@ class TestDirectSum:
         assert kernel.passed
         dense_angle = dense_kernel_angle(dense_kernel_basis(cert), ctrls)
         assert abs(kernel.max_principal_angle - dense_angle) <= 1e-9
-        bc_max = np.linalg.eigvalsh(block_bc)[-1]
-        assert abs(cert.checks["block_bc_max_eig"] - bc_max) <= 1e-12 * scale
+        assert_voltage_block_is_the_laplacian(cert)
         assert check_theorem1(cert, top).verdict == PASS
 
     def test_no_eigensolve_beyond_the_pieces(self, pool, monkeypatch):
@@ -543,6 +564,8 @@ class TestDirectSum:
         assert check_lasalle_kernel(cert).passed
         symmetric = shapes["eigh"] + shapes["eigvalsh"]
         assert symmetric and max(s[-1] for s in symmetric) == n
+        # Q's voltage block is solved once, and no copy of it is
+        assert symmetric.count((n, n)) == 1
         assert shapes["eigvals"] == [(3 * n, 3 * n)]
         assert shapes["eig"] == []
         # the local checks are one batched eigensolve over the stacked
@@ -557,7 +580,9 @@ class TestDirectSum:
         verdict = check_theorem1(cert, top)
         assert (verdict.verdict, verdict.spectral_abscissa) == (PASS, None)
         assert shapes["eigvals"] == shapes["eig"] == []
-        assert max(s[-1] for s in shapes["eigh"] + shapes["eigvalsh"]) == n
+        symmetric = shapes["eigh"] + shapes["eigvalsh"]
+        assert max(s[-1] for s in symmetric) == n
+        assert symmetric.count((n, n)) == 1
         doc = certificate_to_json(cert, verdict)
         assert doc["closed_loop_eigenvalues"] is None
 

@@ -4,6 +4,9 @@ import importlib
 import json
 import math
 import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -1203,6 +1206,39 @@ class TestRecording:
         assert (owner is tr.table) == copied
         assert owner.nbytes <= 2 * tr.table.nbytes
         assert tr.table.flags.c_contiguous and not tr.table.flags.writeable
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_early_divergence_touches_only_its_rows(self, pair):
+        # the same runaway at t_end 160 s: its table of 1,600,002 rows
+        # (115 MB) is allocated, and only the 1,103 rows written may reach
+        # the resident set.  The run gets a fresh process, whose VmHWM is
+        # its own peak; its ru_maxrss would start at this process's peak,
+        # which it keeps across exec
+        top, _ = pair
+        gain = np.array((1.2, 0.0, 1.0))
+        args = (Scenario(top, 10.0, t_end=160.0), {1: gain, 2: gain},
+                RUNAWAY_START)
+        child = (
+            "import pickle, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from gridforge.simulate import simulate\n"
+            "args = pickle.load(sys.stdin.buffer)\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "before = peak_kib()\n"
+            "tr = simulate(*args)\n"
+            "print(len(tr.times), peak_kib() - before)\n")
+        src = os.path.dirname(os.path.dirname(simulate_module.__file__))
+        done = subprocess.run([sys.executable, "-c", child, src],
+                              input=pickle.dumps(args), capture_output=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        samples, grown_kib = map(int, done.stdout.split())
+        assert samples == 1103
+        assert grown_kib < 16 * 1024
 
     def test_denied_plug_in_gets_no_columns(self, pair, tmp_path):
         # a denial changes no segment, so the run is the one with a no-op
