@@ -358,8 +358,7 @@ def check_lasalle_kernel(cert: GlobalCertificate) -> KernelReport:
 
 
 def certificate_to_json(cert: GlobalCertificate,
-                        theorem1: Optional[Theorem1Verdict] = None,
-                        kernel: Optional[KernelReport] = None) -> dict:
+                        theorem1: Optional[Theorem1Verdict] = None) -> dict:
     spectrum = cert.spectra["closed_loop"]
     doc = {
         "checks": dict(cert.checks),
@@ -376,12 +375,5 @@ def certificate_to_json(cert: GlobalCertificate,
             "spectral_abscissa": theorem1.spectral_abscissa,
             "facts": {name: {"holds": bool(holds), "margin": margin}
                       for name, (holds, margin) in theorem1.facts.items()},
-        }
-    if kernel is not None:
-        doc["lasalle_kernel"] = {
-            "passed": kernel.passed,
-            "nullity": kernel.nullity,
-            "expected_nullity": kernel.expected_nullity,
-            "max_principal_angle": kernel.max_principal_angle,
         }
     return doc

@@ -10,9 +10,9 @@ second), no unit strings, so fixtures diff cleanly.  They are read,
 never written.  Every id (a unit's, a line end's, an event's unit, a
 bundle entry's) is a whole number, and a scenario or bundle names each
 unit once.  Every other number in either file is a finite JSON number, an
-int or a float; a bool, a string or a non-finite value is refused naming
-its field (_number), and so is a list or object that is not a JSON array
-or object (_json), or a missing field.
+int or a float; a bool, a string, null or a non-finite value is refused
+naming its field (_number), and so is a list or object that is not a JSON
+array or object (_json), or a missing field.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .model import (
     LineParams,
     LoadModel,
     MicrogridTopology,
+    _frozen,
     _positive,
     assemble_global,  # noqa: F401  perfbench/spans.py wraps it here
 )
@@ -147,9 +148,8 @@ def _params_from_json(value, field: str = "params",
 
 def _line_from_json(obj: Mapping) -> LineParams:
     _fields(obj, "lines entry", ("i", "j", "r", "l"))
-    l = obj.get("l")
     return LineParams(_id(obj, "i"), _id(obj, "j"), _number(obj["r"], "r"),
-                      None if l is None else _number(l, "l"))
+                      _number(obj["l"], "l") if "l" in obj else None)
 
 
 # the fields each event type reads besides t, type and dgu
@@ -187,9 +187,11 @@ def parse_scenario(payload: Mapping) -> Scenario:
             dgus[dgu_id] = _params_from_json(entry, "dgus entry", ("id",))
         lines = tuple(_line_from_json(entry)
                       for entry in _entries(payload["lines"], "lines"))
-        alphas = payload.get("alphas")
         knobs = {name: _number(payload[name], name)
                  for name in ("dt", "record_dt") if name in payload}
+        if "alphas" in payload:
+            knobs["alphas"] = tuple(_number(
+                payload["alphas"], "alphas", (5,), "five finite numbers"))
         if "line_model" in payload:
             knobs["line_model"] = str(payload["line_model"])
         return Scenario(
@@ -198,8 +200,6 @@ def parse_scenario(payload: Mapping) -> Scenario:
             events=tuple(_event_from_json(ev) for ev in
                          _entries(payload.get("events", []), "events")),
             t_end=_number(payload["t_end"], "t_end"),
-            alphas=None if alphas is None else tuple(
-                _number(alphas, "alphas", (5,), "five finite numbers")),
             **knobs,
         )
     except KeyError as exc:
@@ -242,21 +242,17 @@ def bundle_to_json(controllers: Mapping[int, LocalController],
     }
 
 
-def controller_from_json(entry: Mapping, params: DguParams,
-                         sigma_bar: float) -> LocalController:
-    """The LocalController of one bundle entry, for a unit with these
-    params and a bundle of this sigma_bar.
+def _gain_from_json(entry: Mapping) -> np.ndarray:
+    """The gain row K of one bundle entry, as a read-only (3,) float array:
+    a unit's gain alone fixes its certificate (certify.check_global).
 
-    An entry is dgu_id, the gain K and the diagnostics, as `synth` writes
-    it, and the controller is built from K alone: its P, eta = sigma_bar
-    C_t and delta are the closed form's (synthesis.local_certificate), so
-    a gain outside the local design set is refused, naming its bound.
-    Any other field, of the entry, its diagnostics or their solver, is
-    refused by name rather than ignored.  Missing diagnostics read as
-    zeros.  K must be three finite numbers, and so must the diagnostics'
-    gamma (three), beta, zeta, gain_norm, gain_norm_bound and the
-    solver's iteration counts, each read by _number, and the solver's
-    status is a string; anything else is refused with the entry's DGU id.
+    An entry is dgu_id, K and the diagnostics, as `synth` writes it.  Any
+    other field, of the entry, its diagnostics or their solver, is refused
+    by name rather than ignored.  K must be three finite numbers, and so
+    must the diagnostics' gamma (three), beta, zeta, gain_norm,
+    gain_norm_bound and the solver's iteration counts, each read by
+    _number, and the solver's status is a string; anything else is
+    refused with the entry's DGU id.
     """
     where = f"DGU {_id(entry, 'dgu_id')}:"
     _fields(entry, f"{where} bundle entry", ("dgu_id", "K", "diagnostics"),
@@ -265,17 +261,15 @@ def controller_from_json(entry: Mapping, params: DguParams,
     def number(value, name, shape=(), what="a finite number"):
         return _number(value, f"{where} controller {name}", shape, what)
 
-    k = np.array(number(entry["K"], "gain K", (3,), "three finite numbers"))
+    k = _frozen(number(entry["K"], "gain K", (3,), "three finite numbers"))
     diag = _fields(entry.get("diagnostics", {}),
                    f"{where} controller diagnostics",
                    ("gamma", "beta", "zeta", "gain_norm", "gain_norm_bound",
                     "solver"))
-    raw = {"gamma": np.array(number(diag.get("gamma", [0.0, 0.0, 0.0]),
-                                    "gamma", (3,), "three finite numbers")),
-           **{name: number(diag.get(name, 0.0), name)
-              for name in ("beta", "zeta")}}
-    for name in ("gain_norm", "gain_norm_bound"):
-        number(diag.get(name, 0.0), name)  # synth records them; unused
+    number(diag.get("gamma", [0.0, 0.0, 0.0]), "gamma", (3,),
+           "three finite numbers")
+    for name in ("beta", "zeta", "gain_norm", "gain_norm_bound"):
+        number(diag.get(name, 0.0), name)
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
         solver = _fields(diag["solver"],
@@ -285,17 +279,14 @@ def controller_from_json(entry: Mapping, params: DguParams,
               f"{where} controller solver status")
         for name in ("iterations_phase1", "iterations_phase2"):
             number(solver.get(name, 0.0), name)
-        raw["solver"] = dict(solver)
-    try:
-        return LocalController(k, raw, params, sigma_bar)
-    except ValueError as exc:
-        raise ValueError(f"{where} {exc}") from None
+    return k
 
 
 def load_bundle(path, topology: MicrogridTopology
-                ) -> Tuple[float, Dict[int, LocalController]]:
-    """(sigma_bar, LocalController per DGU) of a bundle file, each entry
-    read by controller_from_json against the bundle's sigma_bar.
+                ) -> Tuple[float, Dict[int, np.ndarray]]:
+    """(sigma_bar, gain row per DGU) of a bundle file, each entry read by
+    _gain_from_json.  Every entry's fields are read here; whether each
+    gain lies in the local design set is certify.check_global's decision.
     sigma_bar must be positive; it is a scale, since P, Q and the
     Laplacian are all linear in it.  alphas, the weights synth designed
     with, must be five finite numbers when given; any other field is
@@ -308,27 +299,26 @@ def load_bundle(path, topology: MicrogridTopology
                               _number(payload["sigma_bar"], "sigma_bar"))
         if "alphas" in payload:
             _number(payload["alphas"], "alphas", (5,), "five finite numbers")
-        controllers = {}
+        gains = {}
         for entry in _entries(payload["controllers"], "controllers"):
             dgu_id = _id(entry, "dgu_id")
             if dgu_id not in topology.dgus:
                 raise ValueError(f"bundle names DGU {dgu_id}, "
                                  "absent from the scenario")
-            if dgu_id in controllers:
+            if dgu_id in gains:
                 raise ValueError(f"bundle names DGU {dgu_id} twice")
             try:
-                controllers[dgu_id] = controller_from_json(
-                    entry, topology.dgus[dgu_id], sigma_bar)
+                gains[dgu_id] = _gain_from_json(entry)
             except KeyError as exc:
                 raise ValueError(f"DGU {dgu_id}: bundle entry is missing "
                                  f"field {exc}") from None
     except KeyError as exc:
         raise ValueError(f"bundle file is missing field {exc}") from None
-    missing = set(topology.ids) - set(controllers)
+    missing = set(topology.ids) - set(gains)
     if missing:
         raise ValueError(f"bundle has no controller for DGUs "
                          f"{sorted(missing)}")
-    return sigma_bar, controllers
+    return sigma_bar, gains
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +393,15 @@ def cmd_certify(args, stages: Dict[str, float]) -> int:
     with _timed(stages, "load scenario"):
         topology = load_scenario(args.scenario).initial_topology
     with _timed(stages, "load bundle"):
-        sigma_bar, controllers = load_bundle(args.controllers, topology)
-    cert = check_global(controllers, topology, sigma_bar)
+        sigma_bar, gains = load_bundle(args.controllers, topology)
+    cert = check_global(gains, topology, sigma_bar)
     stages.update(cert.stage_seconds)
     with _timed(stages, "verdict and kernel"):
         kernel = check_lasalle_kernel(cert)
         verdict = check_theorem1(cert, topology, kernel)
     with _timed(stages, "JSON write"):
         # compact: with an indent, json runs its pure-Python encoder
-        _write_or_print(json.dumps(certificate_to_json(cert, verdict, kernel),
+        _write_or_print(json.dumps(certificate_to_json(cert, verdict),
                                    allow_nan=False), args.out)
     if verdict.verdict == PASS:
         print("theorem1: pass")

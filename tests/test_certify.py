@@ -297,7 +297,7 @@ class TestGlobal:
             cert = check_global(given, top, 10.0)
             kernel = check_lasalle_kernel(cert)
             docs.append(json.dumps(certificate_to_json(
-                cert, check_theorem1(cert, top, kernel), kernel)))
+                cert, check_theorem1(cert, top, kernel))))
         assert docs[0] == docs[1]
 
     def test_wrong_controller_set_raises(self, pair):
@@ -732,11 +732,14 @@ class TestLasalleKernel:
 class TestExport:
     def test_json_fields(self, pair, pair_cert):
         top, _ = pair
-        verdict = check_theorem1(pair_cert, top)
         kernel = check_lasalle_kernel(pair_cert)
-        doc = certificate_to_json(pair_cert, verdict, kernel)
+        doc = certificate_to_json(pair_cert, check_theorem1(pair_cert, top,
+                                                            kernel))
         assert doc["theorem1"]["verdict"] == PASS
-        assert doc["lasalle_kernel"]["nullity"] == 3
-        assert doc["kernel_dimension"] == 3
+        # the kernel check is recorded once, as a fact and a dimension
+        assert "lasalle_kernel" not in doc
+        assert doc["theorem1"]["facts"]["lasalle_kernel"] == {
+            "holds": kernel.passed, "margin": kernel.max_principal_angle}
+        assert doc["kernel_dimension"] == kernel.expected_nullity == 3
         assert "q_global_max_eig" in doc["checks"]
         json.dumps(doc)  # everything must be serializable

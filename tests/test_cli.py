@@ -15,12 +15,14 @@ import sys
 import numpy as np
 import pytest
 
-from gridforge import baselines, cli
+from gridforge import baselines, certify, cli, synthesis
 from gridforge.certify import check_global
-from gridforge.model import DguParams, LineParams, LoadModel, MicrogridTopology
+from gridforge.model import (DguParams, LineParams, LoadModel,
+                             MicrogridTopology, unit_blocks)
 from gridforge.simulate import (LoadStep, PlugIn, RefStep, Scenario,
                                 Unplug)
-from gridforge.synthesis import synthesize_all
+from gridforge.synthesis import (local_certificate, local_dissipation,
+                                 synthesize_all)
 
 SMALL = {
     "sigma_bar": 10.0,
@@ -148,7 +150,7 @@ class TestScenarioFormat:
         sc = cli.parse_scenario(payload)
         assert sc.initial_topology.dgus[1].load.kind == "current"
 
-    @pytest.mark.parametrize("value", [True, "4", float("inf")])
+    @pytest.mark.parametrize("value", [True, "4", float("inf"), None])
     @pytest.mark.parametrize("path", [
         ("sigma_bar",), ("t_end",), ("dt",), ("record_dt",),
         ("dgus", 0, "r_t"), ("dgus", 0, "l_t"), ("dgus", 0, "c_t"),
@@ -167,8 +169,8 @@ class TestScenarioFormat:
 
     @pytest.mark.parametrize("alphas", [
         "11111", [1e-4, 1e-4, 1e-4, 1e-6], [1e-4, 1e-4, 1e-4, 1e-6, True],
-        [1e-4, 1e-4, "1e-4", 1e-6, 1e-6]],
-        ids=["string", "four", "bool", "string-entry"])
+        [1e-4, 1e-4, "1e-4", 1e-6, 1e-6], None],
+        ids=["string", "four", "bool", "string-entry", "null"])
     def test_alphas_must_be_five_json_numbers(self, tmp_path, capsys,
                                               alphas):
         payload = dict(SMALL, alphas=alphas)
@@ -340,10 +342,13 @@ class TestSynth:
         assert payload["sigma_bar"] == 100.0
         assert payload["alphas"] == SMALL["alphas"]
         top = cli.load_scenario(small_file).initial_topology
-        sigma_bar, controllers = cli.load_bundle(bundle, top)
+        sigma_bar, gains = cli.load_bundle(bundle, top)
+        unit = top.dgus[1]
+        p, _ = local_certificate(gains[1][None], unit.r_t, unit.l_t,
+                                 unit.c_t, sigma_bar)
         c_t = SMALL["dgus"][0]["c_t"]
         assert sigma_bar == 100.0
-        assert controllers[1].eta == pytest.approx(100.0 * c_t)
+        assert p[0, 0, 0] == pytest.approx(100.0 * c_t)
 
     def test_timings_go_to_stderr(self, bundle_file, tmp_path, capsys):
         scenario, bundle = bundle_file
@@ -383,7 +388,7 @@ class TestCertify:
         assert capsys.readouterr().out.strip() == "theorem1: pass"
         cert = json.loads(cert_path.read_text())
         assert cert["theorem1"]["verdict"] == "Pass"
-        assert cert["lasalle_kernel"]["nullity"] == 3
+        assert cert["kernel_dimension"] == 3
         assert cert["checks"]["q_global_max_eig"] <= 1e-6
 
     def test_gain_only_baseline_bundle_fails(self, bundle_file, tmp_path,
@@ -422,20 +427,65 @@ class TestCertify:
             f"k2 = {gains[0][1]:g} is not below R_t = 0.1\n"))
 
     def test_load_bundle_and_check_global_refuse_with_one_text(
-            self, bundle_file, tmp_path):
+            self, bundle_file, tmp_path, capsys):
+        # the bundle reads as its gains; check_global alone judges them,
+        # and the CLI prints its text
         scenario, _ = bundle_file
         top = cli.load_scenario(scenario).initial_topology
         gains = baselines.destabilization_demo(baselines.LQR).gains
         path = write_json(tmp_path / "lqr.json", {
             "sigma_bar": 10.0, "controllers": [
                 {"dgu_id": i, "K": k.tolist()} for i, k in enumerate(gains, 1)]})
-        with pytest.raises(ValueError) as loading:
-            cli.load_bundle(path, top)
+        sigma_bar, read = cli.load_bundle(path, top)
+        assert sigma_bar == 10.0 and sorted(read) == [1, 2]
+        for dgu_id, k in enumerate(gains, 1):
+            np.testing.assert_array_equal(read[dgu_id], k)
+        with pytest.raises(ValueError) as loaded:
+            check_global(read, top, sigma_bar)
         with pytest.raises(ValueError) as certifying:
             check_global(dict(enumerate(gains, 1)), top, 10.0)
-        assert str(certifying.value) == str(loading.value)
-        assert str(loading.value).startswith(
+        assert str(certifying.value) == str(loaded.value)
+        assert str(loaded.value).startswith(
             "DGU 2: gain outside the local design set: k3 = ")
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr() == ("", f"error: {loaded.value}\n")
+
+    def test_field_fault_is_reported_before_an_out_of_set_gain(
+            self, bundle_file, tmp_path, capsys):
+        # every entry is read before any gain is judged
+        scenario, _ = bundle_file
+        gains = baselines.destabilization_demo(baselines.LQR).gains
+        path = write_json(tmp_path / "lqr.json", {
+            "sigma_bar": 10.0, "controllers": [
+                {"dgu_id": 2, "K": gains[1].tolist()},
+                {"dgu_id": 1, "K": gains[0].tolist(), "P": 1.0}]})
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: DGU 1: bundle entry field 'P' is not read: an entry "
+            "is its gain K\n"))
+
+    def test_certify_derives_every_certificate_in_one_call(
+            self, packaged_bundle, tmp_path, monkeypatch, capsys):
+        # one stacked local_certificate in check_global, and no
+        # LocalController built along the way
+        scenario, bundle = packaged_bundle
+        calls, builds = [], []
+        spy = synthesis.local_certificate
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return spy(*args, **kwargs)
+
+        build = synthesis.LocalController.__post_init__
+        monkeypatch.setattr(synthesis, "local_certificate", counted)
+        monkeypatch.setattr(certify, "local_certificate", counted)
+        monkeypatch.setattr(synthesis.LocalController, "__post_init__",
+                            lambda self: builds.append(1) or build(self))
+        assert cli.main(["certify", scenario, bundle,
+                         "--out", str(tmp_path / "cert.json")]) == 0
+        assert capsys.readouterr().out == "theorem1: pass\n"
+        units = len(cli.load_scenario(scenario).initial_topology.dgus)
+        assert (calls, builds) == ([units], [])
 
     def test_gain_only_timings_list_the_spectrum(self, bundle_file,
                                                   tmp_path, capsys):
@@ -456,21 +506,30 @@ class TestCertify:
 
     def test_gain_only_packaged_bundle_gives_the_same_certificate(
             self, packaged_bundle, tmp_path, capsys):
-        # a bundle entry is its gain: P, eta, delta and q_local come back
-        # from K bit for bit, and the diagnostics do not reach the
+        # a bundle entry is its gain: K loads read-only and bit for bit,
+        # the closed form gives back the designed P, eta, delta and
+        # q_local from it, and the diagnostics do not reach the
         # certificate
         scenario, bundle = packaged_bundle
         loaded = cli.load_scenario(scenario)
         designed = synthesize_all(loaded.initial_topology,
                                   loaded.synthesis_config())
-        _, read = cli.load_bundle(bundle, loaded.initial_topology)
+        sigma_bar, read = cli.load_bundle(bundle, loaded.initial_topology)
+        assert sigma_bar == loaded.sigma_bar
         assert sorted(read) == sorted(designed)
-        for dgu_id, ctrl in read.items():
-            for name in ("k", "p", "q_local"):
-                np.testing.assert_array_equal(getattr(ctrl, name),
-                                              getattr(designed[dgu_id], name))
-            assert (ctrl.eta, ctrl.delta) == (designed[dgu_id].eta,
-                                              designed[dgu_id].delta)
+        for dgu_id, k in read.items():
+            assert (k.dtype, k.shape, k.flags.writeable) == (
+                np.float64, (3,), False)
+            unit = loaded.initial_topology.dgus[dgu_id]
+            p, delta = local_certificate(k[None], unit.r_t, unit.l_t,
+                                         unit.c_t, sigma_bar)
+            a, b, _ = unit_blocks([unit])
+            ctrl = designed[dgu_id]
+            np.testing.assert_array_equal(k, ctrl.k)
+            np.testing.assert_array_equal(p[0], ctrl.p)
+            np.testing.assert_array_equal(
+                local_dissipation(a[0], b[0], k, p[0]), ctrl.q_local)
+            assert (p[0, 0, 0], delta[0]) == (ctrl.eta, ctrl.delta)
         payload = read_json(bundle)
         payload["controllers"] = [{"dgu_id": entry["dgu_id"],
                                    "K": entry["K"]}
@@ -525,12 +584,13 @@ class TestCertify:
             del entry["diagnostics"]["solver"]
         path = write_json(tmp_path / "older.json", payload)
         _, without = cli.load_bundle(path, top)
-        for dgu_id, ctrl in with_solver.items():
-            assert "solver" in ctrl.raw and "solver" not in without[dgu_id].raw
-            assert (ctrl.k == without[dgu_id].k).all()
-        assert cli.main(["certify", scenario, path,
-                         "--out", str(tmp_path / "cert.json")]) == 0
-        assert capsys.readouterr().out.strip() == "theorem1: pass"
+        assert sorted(with_solver) == sorted(without) == [1, 2]
+        for dgu_id, k in with_solver.items():
+            np.testing.assert_array_equal(k, without[dgu_id])
+        for given in (bundle, path):
+            assert cli.main(["certify", scenario, given,
+                             "--out", str(tmp_path / "cert.json")]) == 0
+        assert capsys.readouterr().out == "theorem1: pass\n" * 2
 
     def test_incomplete_bundle_is_hard_error(self, bundle_file, tmp_path,
                                              capsys):
