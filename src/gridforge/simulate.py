@@ -12,21 +12,23 @@ rounding only.  Event timestamps never drift: the step straddling an
 event is split so the boundary is hit exactly, and after an event off
 the dt grid one short step returns to it, so later samples stay on the
 record grid.  Recording tests the state rows for divergence a stretch at
-a time and writes them, with u = k x_hat per unit, straight into one
-table in the CSV's layout, allocated unfilled before the first step.
-Writing that table is mostly float formatting, done by orjson with the
-bytes repr() gives, and a few in-place edits of each chunk's bytes turn
-its JSON into CSV lines (see _write_rows).  Formatting holds the GIL, so
-trajectory_to_csv formats contiguous row ranges in up to one forked
-process per available CPU (the _forks helper, which synthesis shares)
-and joins them in order; the bytes are those of a single pass.  Both
-writers replace the file at their path rather than truncate it (see
-_create).
+a time and writes them straight into one table, allocated unfilled
+before the first step: the time and each unit's (V, It, v).  The control
+u = k x_hat is not stored; it is derived where it is read, from each
+segment's gain rows (see Trajectory).  Writing the CSV is mostly float
+formatting, done by orjson with the bytes repr() gives, and a few
+in-place edits of each chunk's bytes turn its JSON into CSV lines (see
+_write_rows).  Formatting holds the GIL, so trajectory_to_csv formats
+contiguous row ranges in up to one forked process per available CPU (the
+_forks helper, which synthesis shares) and joins them in order; the
+bytes are those of a single pass.  Both writers replace the file at
+their path rather than truncate it (see _create).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -40,7 +42,7 @@ import orjson
 
 from . import _forks
 from .model import (DguParams, Gain, LineParams, LoadModel,
-                    MicrogridTopology, TopologyError, _positive,
+                    MicrogridTopology, TopologyError, _frozen, _positive,
                     assemble_global, augmented_dgu, block_diagonal,
                     closed_loop_blocks, gain_row)
 from .synthesis import Denied, LocalController, SynthesisConfig, synthesize
@@ -53,7 +55,8 @@ APPLIED = "applied"
 
 DIVERGENCE_LIMIT = 1e9
 CHECK_ROWS = 1024  # samples stepped between two divergence checks
-CSV_CHUNK = 4096  # trajectory rows formatted per write
+CSV_CHUNK = 1024  # trajectory rows formatted per write
+CSV_RANGE = 4096  # one CSV row range per this many rows, up to one a CPU
 # bytes of matrices in one step count's power stack: 128 deep at n = 15
 # states, 48 at n = 25 and one deep from n = 128 (see _Segment.powers)
 _STACK_BYTES = 1 << 18
@@ -180,17 +183,24 @@ class DivergedAt:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: one read-only sample table and the event log.
+    """Recorded run: one read-only sample table, the gain rows each stretch
+    of it ran under, and the event log.
 
-    table is the CSV's table: one row per sample, the time, then V, It, v
-    and u of each DGU in id order, NaN while the DGU is not part of the
-    grid.  times, series[i] (columns V, It, v, u) and column() are views
-    of it.  The exact final state vector (layout of final_topology, RL
-    line currents included) is kept so runs can be chained without
-    re-simulation.
+    table holds what the integrator produced: one row per sample, the
+    time, then V, It and v of each DGU in id order, NaN while the DGU is
+    not part of the grid.  segments holds, for each constant-topology
+    stretch in order, its first row and its read-only (len(ids), 3) stack
+    of gain rows in id order (NaN rows for the ids it lacks); a stretch
+    ends where the next begins.  The control u = k x_hat is not stored:
+    rows() derives it from those gain rows, and series[i] (columns V, It,
+    v, u) and column(i, "u") are new arrays holding it.  times and the
+    other columns are views of table.  The exact final state vector
+    (layout of final_topology, RL line currents included) is kept so
+    runs can be chained without re-simulation.
     """
 
     table: np.ndarray
+    segments: Tuple[Tuple[int, np.ndarray], ...]
     ids: Tuple[int, ...]
     events: Tuple[EventRecord, ...]
     final_topology: MicrogridTopology
@@ -205,12 +215,35 @@ class Trajectory:
 
     @property
     def series(self) -> Dict[int, np.ndarray]:
-        return {i: self.table[:, 1 + 4 * k:5 + 4 * k]
+        rows = self.rows(0, len(self.table))
+        return {i: rows[:, 1 + 4 * k:5 + 4 * k]
                 for k, i in enumerate(self.ids)}
 
     def column(self, dgu_id: int, name: str) -> np.ndarray:
         k = self.ids.index(dgu_id)
-        return self.table[:, 1 + 4 * k + self.COLUMNS.index(name)]
+        if name == "u":
+            return self.rows(0, len(self.table))[:, 4 + 4 * k]
+        return self.table[:, 1 + 3 * k + self.COLUMNS.index(name)]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The CSV's rows lo..hi-1 as a new array: the time, then V, It, v
+        and u of each DGU.  u = k x_hat is each row's states times its
+        segment's gain rows, one einsum per segment, NaN where the DGU is
+        absent."""
+        n = len(self.ids)
+        out = np.empty((hi - lo, 1 + 4 * n))
+        out[:, 0] = self.table[lo:hi, 0]
+        units = out[:, 1:].reshape(hi - lo, n, 4)  # a view
+        x = units[:, :, :3]
+        x[...] = self.table[lo:hi, 1:].reshape(hi - lo, n, 3)
+        ends = [first for first, _ in self.segments[1:]] + [len(self.table)]
+        # a runaway's kept rows may overflow, as its states did
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (first, gains), end in zip(self.segments, ends):
+                a, b = max(first, lo) - lo, min(end, hi) - lo
+                if a < b:
+                    units[a:b, :, 3] = np.einsum("ij,tij->ti", gains, x[a:b])
+        return out
 
 
 def _build_ode(top: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -288,7 +321,9 @@ class _Segment:
     are built in run() and dropped when it returns.  record() then checks
     the stretch and writes the rows it keeps into the table's next rows,
     from pos on: x in its units' column blocks, NaN in the other ids'
-    (the table is allocated unfilled); it sees x, never the 1.
+    (the table is allocated unfilled); it sees x, never the 1.  gains is
+    the segment's stack of gain rows over the table's ids, NaN rows for
+    the ids it lacks, which the Trajectory keeps to derive u.
     """
 
     def __init__(self, top: MicrogridTopology, controllers: Mapping[int, Gain],
@@ -298,19 +333,21 @@ class _Segment:
         self.dt = dt
         self.m = _build_ode(top, controllers, line_model)
         self.step = _step(self.m, dt)
-        self.gains = np.vstack([gain_row(controllers[i]) for i in self.ids])
         self.table, self.pos = table, pos  # pos: the next row to write
-        self.units = table[:, 1:].reshape(len(table), len(ids), 4)  # a view
+        self.units = table[:, 1:].reshape(len(table), len(ids), 3)  # a view
         self.cols = np.searchsorted(ids, self.ids)  # the table's ids, sorted
         self.absent = np.delete(np.arange(len(ids)), self.cols)
+        self.gains = np.full((len(ids), 3), np.nan)
+        self.gains[self.cols] = [gain_row(controllers[i]) for i in self.ids]
+        self.gains.setflags(write=False)
 
     def record(self, times: np.ndarray, states: np.ndarray
                ) -> Optional[Tuple[np.ndarray, DivergedAt]]:
-        """Write a stretch of samples into the table's next rows, with
-        u = k x_hat per unit, or cut it at the first row out of range and
-        return that row's state and DivergedAt.  A row over
-        DIVERGENCE_LIMIT is kept, a non-finite row is dropped and reported
-        as max_abs = inf.  RL line currents are not recorded."""
+        """Write a stretch of samples into the table's next rows, or cut
+        it at the first row out of range and return that row's state and
+        DivergedAt.  A row over DIVERGENCE_LIMIT is kept, a non-finite row
+        is dropped and reported as max_abs = inf.  RL line currents are
+        not recorded."""
         if not len(times):
             return None
         peak = np.abs(states).max(axis=1)  # NaN where a row holds one
@@ -325,10 +362,9 @@ class _Segment:
         lo, hi = self.pos, self.pos + keep
         assert hi <= len(self.table), "more samples than simulate() bounds"
         self.table[lo:hi, 0] = times[:keep]
-        x = states[:keep, :self.gains.size].reshape(keep, *self.gains.shape)
+        n = len(self.cols)
         block = self.units[lo:hi]  # a view of the table
-        block[:, self.cols, :3] = x
-        block[:, self.cols, 3] = np.einsum("ij,tij->ti", self.gains, x)
+        block[:, self.cols] = states[:keep, :3 * n].reshape(keep, n, 3)
         block[:, self.absent] = np.nan
         self.pos = hi
         return cut
@@ -568,9 +604,10 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
     each DGU starts at its isolated operating point (line currents at zero
     in RL mode); pass initial_state to override.  Divergence does not
     raise: the returned trajectory is truncated and carries a DivergedAt
-    marker.  The run writes each sample once, straight into a table
-    allocated unfilled (a run cut early touches only the rows it
-    wrote), and the trajectory holds a read-only view of those rows.
+    marker.  The run writes each sample's time and unit states once,
+    straight into a table allocated unfilled (a run cut early touches
+    only the rows it wrote), and the trajectory holds a read-only view of
+    those rows and each segment's gain rows, from which it derives u.
     """
     top = scenario.initial_topology
     if not top.is_connected():
@@ -606,9 +643,10 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
                               if isinstance(ev, PlugIn))})
     per = max(1, round(scenario.record_dt / dt))
     rows = math.ceil(scenario.t_end / (per * dt)) + len(pending) + 1
-    table = np.empty((rows, 1 + 4 * len(ids)))
+    table = np.empty((rows, 1 + 3 * len(ids)))
     joined = set(top.ids)
     seg = _Segment(top, controllers, model, dt, table, ids, 0)
+    segments = [(0, seg.gains)]
     while True:
         # the sample at t = 0, or after a stretch and its events
         cut = seg.record(np.array([t_cursor]), np.array([state]))
@@ -632,22 +670,27 @@ def simulate(scenario: Scenario, controllers: Mapping[int, Gain],
             changed = changed or outcome in (ACCEPTED, APPLIED)
         if changed:
             seg = _Segment(top, controllers, model, dt, table, ids, seg.pos)
+            segments.append((seg.pos, seg.gains))
             joined.update(top.ids)
 
     table = table[:seg.pos]
-    if len(joined) < len(ids) or 2 * seg.pos < rows:
-        # a copy without denied newcomers' columns or the rows left unused
-        joins = np.repeat(np.isin(ids, [*joined]), 4)
-        table = table.compress(np.r_[True, joins], axis=1)
+    joins = np.isin(ids, [*joined])
+    if not joins.all() or 2 * seg.pos < rows:
+        # a copy without denied newcomers' columns or the rows left
+        # unused, and their gain rows
+        table = table.compress(np.r_[True, np.repeat(joins, 3)], axis=1)
+        segments = [(first, _frozen(gains[joins]))
+                    for first, gains in segments]
     table.setflags(write=False)
-    return Trajectory(table, tuple(sorted(joined)), tuple(records), top,
-                      state.copy(), diverged)
+    return Trajectory(table, tuple(segments), tuple(sorted(joined)),
+                      tuple(records), top, state.copy(), diverged)
 
 
 def _range_count(rows: int) -> int:
-    """Row ranges trajectory_to_csv formats at once: one per CSV_CHUNK-row
-    chunk, capped by _forks.range_count."""
-    return _forks.range_count(-(-rows // CSV_CHUNK))
+    """Row ranges trajectory_to_csv formats at once: one per CSV_RANGE
+    rows or part, capped by _forks.range_count, so a table of at most
+    CSV_RANGE rows forks nothing."""
+    return _forks.range_count(-(-rows // CSV_RANGE))
 
 
 def _repr_lines(rows: np.ndarray) -> bytes:
@@ -703,33 +746,39 @@ def _write_rows(fh: IO[bytes], rows: np.ndarray) -> None:
                 chunk[lo:hi]))
 
 
+def _write_range(traj: Trajectory, lo: int, hi: int, fh: IO[bytes]) -> None:
+    """The CSV lines of traj's rows lo..hi-1, CSV_CHUNK rows at a time."""
+    for start in range(lo, hi, CSV_CHUNK):
+        _write_rows(fh, traj.rows(start, min(start + CSV_CHUNK, hi)))
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,dgu<i>.V,dgu<i>.It,dgu<i>.v,dgu<i>.u,...` in id order.
 
     Each cell is written as repr() writes it, CRLF ending each row, as
     csv.writer does (see _write_rows for how orjson gives those bytes).
-    Formatting the cells is most of the time, and it holds the GIL, so
-    the rows are split into _range_count() contiguous ranges (see
-    _forks).  Forked children format ranges 1 and up into their spools,
-    calling no BLAS routine, while this process formats range 0 straight
-    into the file, then appends each child's spool in order, 1 MiB at a
-    time.  The bytes do not depend on the range count.
+    The rows are assembled CSV_CHUNK at a time from the table, u derived
+    by Trajectory.rows, and each chunk goes to _write_rows, so no more
+    than a chunk's rows and text is held at once.  Formatting the cells
+    is most of the time, and it holds the GIL, so the rows are split
+    into _range_count() contiguous ranges (see _forks).  Forked children
+    format ranges 1 and up into their spools, calling no BLAS routine
+    (u is an einsum, numpy's own loop), while this process formats range
+    0 straight into the file, then appends each child's spool in order,
+    1 MiB at a time.  The bytes do not depend on the range count.
     Every child is reaped before the call returns or raises; a child that
     failed raises RuntimeError.  The file is replaced, not truncated (see
     _create).
     """
-    table = traj.table
-
-    def format_range(lo, hi, spool):
-        _write_rows(spool, table[lo:hi])
-
-    with _forks.forked_ranges(len(table), _range_count(len(table)),
-                              format_range, "CSV writer") as (end, spools):
+    rows = len(traj.table)
+    with _forks.forked_ranges(rows, _range_count(rows),
+                              functools.partial(_write_range, traj),
+                              "CSV writer") as (end, spools):
         with _create(path, "wb") as fh:
             fh.write((",".join(["t"] + [f"dgu{i}.{col}" for i in traj.ids
                                         for col in Trajectory.COLUMNS])
                       + "\r\n").encode())
-            _write_rows(fh, table[:end])
+            _write_range(traj, 0, end, fh)
             for spool in spools:
                 shutil.copyfileobj(spool, fh, 1 << 20)
 

@@ -389,26 +389,9 @@ def _solve_range(units, cfg: SynthesisConfig) -> list:
     return verdicts
 
 
-def synthesize_batch(units: Sequence[Tuple[AugmentedDgu, DguParams]],
-                     cfg: SynthesisConfig,
-                     ) -> List[Union[LocalController, Denied,
-                                     NumericalFailure]]:
-    """Solve the local programs of many units at once, one verdict each.
-
-    The units are split into contiguous ranges, one per available CPU but
-    no more than there are batches of _LOCKSTEP_UNITS.  Forked processes
-    solve ranges 1 and up while this one solves range 0 (see _forks);
-    a call of one batch or fewer forks nothing.  Each range goes to the
-    solver in batches of up to _LOCKSTEP_UNITS units, each run in
-    lockstep and decided before the next is assembled.  The verdicts come
-    back in unit order, and each is the one `synthesize` gives that unit
-    alone, bit for bit.  A breakdown is returned as its NumericalFailure,
-    not raised, and does not touch the other units; an exception raised
-    while solving a forked range is raised here, with its type and
-    message.
-    """
-    units = list(units)
-
+def _solve_forked(units, cfg: SynthesisConfig) -> list:
+    """Verdicts of units, their contiguous ranges solved in forked
+    processes as synthesize_batch describes."""
     def solve_range(lo, hi, spool):
         try:
             outcome = _solve_range(units[lo:hi], cfg)
@@ -426,6 +409,47 @@ def synthesize_batch(units: Sequence[Tuple[AugmentedDgu, DguParams]],
             if isinstance(outcome, Exception):
                 raise outcome
             verdicts += outcome
+    return verdicts
+
+
+def synthesize_batch(units: Sequence[Tuple[AugmentedDgu, DguParams]],
+                     cfg: SynthesisConfig,
+                     ) -> List[Union[LocalController, Denied,
+                                     NumericalFailure]]:
+    """Solve the local programs of many units at once, one verdict each.
+
+    A unit's program and verdict read only its blocks and its R_t, L_t
+    and C_t, so units that share them are solved once, as the first of
+    them, and share its verdict: a grant is rebuilt as a LocalController
+    of the same gain and diagnostics with the unit's own params.  The
+    distinct units are split into contiguous ranges, one per available
+    CPU but no more than there are batches of _LOCKSTEP_UNITS.  Forked
+    processes solve ranges 1 and up while this one solves range 0 (see
+    _forks); a call of one batch or fewer forks nothing.  Each range goes
+    to the solver in batches of up to _LOCKSTEP_UNITS units, each run in
+    lockstep and decided before the next is assembled.  The verdicts come
+    back in unit order, and each is the one `synthesize` gives that unit
+    alone, bit for bit.  A breakdown is returned as its NumericalFailure,
+    not raised, and does not touch the other units; an exception raised
+    while solving a forked range is raised here, with its type and
+    message.
+    """
+    units = list(units)
+    first: Dict[tuple, int] = {}  # each distinct program's first unit
+    of = [first.setdefault((params.r_t, params.l_t, params.c_t,
+                            dgu.a_hat_ii.tobytes(), dgu.b_hat.tobytes()), k)
+          for k, (dgu, params) in enumerate(units)]
+    solved = dict(zip(first.values(),
+                      _solve_forked([units[k] for k in first.values()],
+                                    cfg)))
+    verdicts = []
+    for (_, params), k in zip(units, of):
+        verdict = solved[k]
+        if (isinstance(verdict, LocalController)
+                and verdict.params is not params):
+            verdict = LocalController(verdict.k, verdict.raw, params,
+                                      verdict.sigma_bar)
+        verdicts.append(verdict)
     return verdicts
 
 

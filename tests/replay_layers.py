@@ -10,11 +10,13 @@ For the QSL and the RL line model, the script prints the best and the
 median in-process wall time over the repeats of each replay layer of
 this checkout's code (src/gridforge is put first on the import path),
 with one BLAS thread, and for the first three layers the tracemalloc
-peak of one more call, untimed:
+peak of one more call, untimed, beside the bytes of the trajectory's
+table (t and each unit's V, It and v):
 
 - simulate: simulate() on the designed controllers, mostly stepping;
   its peak holds the trajectory table it returns;
-- rows, one range: _write_rows over the whole table into an in-memory
+- rows, one range: every row of the CSV, u derived and formatted a
+  CSV_CHUNK-row chunk at a time by _write_rows, into an in-memory
   buffer, in this process, with no fork; its peak holds that buffer;
 - CSV write: trajectory_to_csv, forked ranges included, over the file
   the repeat before wrote; its peak is this process's only, as
@@ -80,14 +82,16 @@ def traced_peak(call) -> int:
 
 
 def layers(scenario, out: pathlib.Path, repeats: int) -> tuple:
-    """The wall times of each layer, and the peaks of the first three."""
+    """The wall times of each layer, the peaks of the first three, and
+    the bytes of the trajectory's table."""
     newcomers = cli._newcomers(scenario)
     _, verdicts = cli._synthesize_for(scenario, newcomers)
     initial = {i: verdicts[i] for i in scenario.initial_topology.ids}
     designs = {params: verdicts[i] for i, params in newcomers.items()}
     calls = {
         "simulate": lambda: sim.simulate(scenario, initial, designs=designs),
-        "rows, one range": lambda: sim._write_rows(io.BytesIO(), traj.table),
+        "rows, one range": lambda: sim._write_range(
+            traj, 0, len(traj.table), io.BytesIO()),
         "CSV write": lambda: sim.trajectory_to_csv(
             traj, out / "trajectory.csv")}
     traj = calls["simulate"]()
@@ -108,7 +112,7 @@ def layers(scenario, out: pathlib.Path, repeats: int) -> tuple:
         (out / f"fresh{k}").mkdir()
         fresh.append(timed_log(out / f"fresh{k}"))
     times["event log, fresh"] = fresh
-    return times, peaks
+    return times, peaks, traj.table.nbytes
 
 
 def main(argv: list) -> int:
@@ -122,10 +126,10 @@ def main(argv: list) -> int:
             out = pathlib.Path(tmp) / model
             out.mkdir()
             scenario = dataclasses.replace(base, line_model=model)
-            times, peaks = layers(scenario, out, repeats)
+            times, peaks, table = layers(scenario, out, repeats)
             for name, wall in times.items():
-                peak = (f", peak {peaks[name] / 1e6:.2f} MB"
-                        if name in peaks else "")
+                peak = (f", peak {peaks[name] / 1e6:.2f} MB (table"
+                        f" {table / 1e6:.2f} MB)" if name in peaks else "")
                 print(f"{model} {name}: best {min(wall):.4f} s, "
                       f"median {statistics.median(wall):.4f} s{peak}")
     return 0

@@ -209,7 +209,7 @@ def _window_deviation(traj, scenario, t_lo, t_hi, refs):
     for dgu_id in traj.ids:
         if dgu_id not in refs:
             continue
-        v = traj.series[dgu_id][sel, 0]
+        v = traj.column(dgu_id, "V")[sel]
         v = v[np.isfinite(v)]
         if v.size == 0:
             continue
@@ -246,9 +246,10 @@ def test_criterion_7_qsl_vs_rl(shipped_run):
     traj_rl = simulate(dataclasses.replace(scenario, line_model="rl"),
                        controllers=results)
     worst = 0.0
+    series_qsl, series_rl = traj_qsl.series, traj_rl.series
     for dgu_id in traj_qsl.ids:
-        a = traj_qsl.series[dgu_id][-1, :3]
-        b = traj_rl.series[dgu_id][-1, :3]
+        a = series_qsl[dgu_id][-1, :3]
+        b = series_rl[dgu_id][-1, :3]
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             continue
         worst = max(worst, float(np.max(np.abs(a - b)

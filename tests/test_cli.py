@@ -12,8 +12,12 @@ import shutil
 import subprocess
 import sys
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridforge import baselines, certify, cli, synthesis
 from gridforge.certify import check_global
@@ -68,6 +72,41 @@ def strict_json(text):
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")
     return json.loads(text, parse_constant=refuse)
+
+
+# where a bundle entry's fields are, and values of every JSON kind for them
+ENTRY_PATHS = [("K",), ("diagnostics",), ("diagnostics", "gamma"),
+               ("diagnostics", "beta"), ("diagnostics", "zeta"),
+               ("diagnostics", "gain_norm"),
+               ("diagnostics", "gain_norm_bound"),
+               ("diagnostics", "solver"), ("diagnostics", "solver", "status"),
+               ("diagnostics", "solver", "iterations_phase1"),
+               ("diagnostics", "solver", "iterations_phase2"), ("P",),
+               ("diagnostics", "sigma_bar"), ("diagnostics", "solver", "gap")]
+JSON_NUMBERS = st.one_of(st.floats(), st.integers(-10**400, 10**400),
+                         st.sampled_from([10**308 * 2, -(10**309)]))
+JSON_VALUES = st.one_of(
+    JSON_NUMBERS, st.booleans(), st.text(max_size=3),
+    st.lists(st.one_of(JSON_NUMBERS, st.booleans(), st.none()),
+             min_size=2, max_size=4),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+             max_size=4),
+    st.dictionaries(st.sampled_from(["status", "iterations_phase1", "gap"]),
+                    st.one_of(JSON_NUMBERS, st.text(max_size=2)),
+                    max_size=2))
+DROP = object()
+
+
+def edit_path(entry, path, value):
+    """Set, or with DROP remove, the field at path of a nested entry,
+    where the objects on the way are there."""
+    for key in path[:-1]:
+        entry = entry.get(key) if type(entry) is dict else None
+    if type(entry) is dict:
+        if value is DROP:
+            entry.pop(path[-1], None)
+        else:
+            entry[path[-1]] = value
 
 
 @pytest.fixture
@@ -832,6 +871,39 @@ class TestCertify:
         path = write_json(tmp_path / "missing.json", payload)
         assert cli.main(["certify", scenario, path]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.dictionaries(st.sampled_from(ENTRY_PATHS),
+                                 st.one_of(st.just(None), JSON_VALUES),
+                                 max_size=3),
+           drop=st.lists(st.sampled_from(ENTRY_PATHS), max_size=2))
+    @example(edits={}, drop=[("diagnostics", "solver")])
+    @example(edits={("diagnostics", "gamma"): [1.0, 2.0]}, drop=[])
+    @example(edits={("K",): [1.0, 2.0, 3.0, 4.0]}, drop=[])
+    @example(edits={("diagnostics", "beta"): 10**309}, drop=[])
+    @example(edits={("diagnostics", "solver", "status"): None}, drop=[])
+    def test_one_pass_agrees_with_the_field_checks(self, edits, drop):
+        # _gain_from_json takes an entry in one pass exactly when its field
+        # by field reading would accept it, and reads the same gain
+        entry = {"dgu_id": 1, "K": [-11.5, -0.89, 0.061], "diagnostics": {
+            "gamma": [1.0, 2, 3.5], "beta": 4.0, "zeta": 2, "gain_norm": 1.5,
+            "gain_norm_bound": 8.0, "solver": {
+                "status": "Optimal", "iterations_phase1": 12,
+                "iterations_phase2": 30.0}}}
+        for path, value in edits.items():
+            edit_path(entry, path, value)
+        for path in drop:
+            edit_path(entry, path, DROP)
+        with mock.patch.object(cli, "_plain_entry", lambda entry: False):
+            try:
+                checked = cli._gain_from_json(entry)
+            except (KeyError, ValueError):
+                checked = None
+        assert cli._plain_entry(entry) == (checked is not None)
+        if checked is not None:
+            gain = cli._gain_from_json(entry)
+            assert gain.tobytes() == checked.tobytes()
+            assert not gain.flags.writeable
 
     def test_packaged_outputs_are_strict_json(self, tmp_path):
         # no NaN or Infinity token, which JSON itself does not have

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -478,10 +479,31 @@ CELLS = st.one_of(
     st.integers(-2**63, 2**63).map(float))
 
 
-def table_trajectory(rows):
-    """A Trajectory of one DGU around a given five-column sample table."""
-    return Trajectory(np.array(rows, dtype=float).reshape(-1, 5), (1,), (),
-                      MicrogridTopology({}, ()), np.zeros(0))
+def table_trajectory(rows, gain=(-2.5, -0.75, 12.0)):
+    """A Trajectory of one DGU around a given four-column sample table
+    (t, V, It, v), run under one gain row."""
+    gains = np.array([gain], dtype=float)
+    return Trajectory(np.array(rows, dtype=float).reshape(-1, 4),
+                      ((0, gains),), (1,), (), MicrogridTopology({}, ()),
+                      np.zeros(0))
+
+
+def csv_writer_lines(rows):
+    """csv.writer's lines of rows, each cell as repr() writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow([repr(float(x)) for x in row])
+    return buf.getvalue().encode()
+
+
+def assert_rows_match_csv_writer(rows):
+    """_write_rows of five-column rows against csv.writer's lines."""
+    rows = np.array(rows, dtype=float).reshape(-1, 5)
+    buf = io.BytesIO()
+    simulate_module._write_rows(buf, rows)
+    assert buf.getvalue() == csv_writer_lines(rows)
+    return buf.getvalue()
 
 
 def assert_csv_matches_csv_writer(traj, tmp_path):
@@ -532,19 +554,27 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_table_is_the_one_sample_array(self, pair, line_model):
+        # the table holds t and each unit's (V, It, v); u is derived
         tr = run_with_plug_in(pair, 0.1, line_model)
-        assert tr.table.shape == (len(tr.times), 1 + 4 * len(tr.ids))
-        views = [tr.times, tr.column(3, "u"), *tr.series.values()]
+        assert tr.table.shape == (len(tr.times), 1 + 3 * len(tr.ids))
+        views = [tr.times, *(tr.column(3, name) for name in ("V", "It",
+                                                             "v"))]
         for view in views:
             assert np.shares_memory(view, tr.table)
         for array in (tr.table, *views):
             assert not array.flags.writeable
-        joined = np.column_stack([tr.times] + [tr.series[i] for i in tr.ids])
-        np.testing.assert_array_equal(tr.table, joined)
+        for gains in (gains for _, gains in tr.segments):
+            assert gains.shape == (3, 3) and not gains.flags.writeable
+        derived = [tr.column(3, "u"), *tr.series.values()]
+        for array in derived:
+            assert not np.shares_memory(array, tr.table)
+        joined = np.column_stack([tr.times] + [tr.series[i][:, :3]
+                                               for i in tr.ids])
+        assert tr.table.tobytes() == joined.tobytes()
         for i in tr.ids:
             for j, name in enumerate(Trajectory.COLUMNS):
-                np.testing.assert_array_equal(tr.column(i, name),
-                                              tr.series[i][:, j])
+                assert (tr.column(i, name).tobytes()
+                        == np.ascontiguousarray(tr.series[i][:, j]).tobytes())
         # RL line currents are in the final state only
         assert len(tr.final_state) == 9 + (2 if line_model == RL else 0)
 
@@ -570,7 +600,8 @@ class TestArtifacts:
         # the ranges split the rows evenly; their inner boundaries are
         bounds = [rows * k // ranges for k in range(1, ranges)]
         if ranges > 1:
-            # a boundary inside a 4,096-row chunk and one where DGU 3 is NaN
+            # a boundary inside a CSV_CHUNK-row chunk and one where DGU 3
+            # is NaN
             assert any(b % simulate_module.CSV_CHUNK for b in bounds)
             assert any(np.isnan(tr.column(3, "V")[b - 1:b + 1]).all()
                        for b in bounds)
@@ -600,19 +631,36 @@ class TestArtifacts:
             trajectory_to_csv(tr, tmp_path / "run.csv")
         self.assert_no_child_left()
 
-    def test_one_row_forks_nothing(self, late_plug_in, tmp_path,
-                                   monkeypatch):
-        tr, reference = late_plug_in
-
+    @staticmethod
+    def assert_first_rows_unforked(tr, reference, rows, path, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        trajectory_to_csv(dataclasses.replace(tr, table=tr.table[:1]),
-                          tmp_path / "run.csv")
-        header, first = reference.split(b"\r\n")[:2]
-        assert (tmp_path / "run.csv").read_bytes() == (
-            header + b"\r\n" + first + b"\r\n")
+        trajectory_to_csv(dataclasses.replace(tr, table=tr.table[:rows]),
+                          path)
+        lines = reference.split(b"\r\n")[:1 + rows]
+        assert path.read_bytes() == b"".join(line + b"\r\n"
+                                             for line in lines)
+
+    def test_one_row_forks_nothing(self, late_plug_in, tmp_path,
+                                   monkeypatch):
+        tr, reference = late_plug_in
+        self.assert_first_rows_unforked(tr, reference, 1,
+                                        tmp_path / "run.csv", monkeypatch)
+
+    def test_csv_range_rows_fork_nothing(self, late_plug_in, tmp_path,
+                                         monkeypatch):
+        # nor do CSV_RANGE rows, four CSV_CHUNK-row chunks; one more row
+        # makes two ranges where there are two CPUs
+        tr, reference = late_plug_in
+        most = simulate_module.CSV_RANGE
+        assert most == 4 * simulate_module.CSV_CHUNK
+        self.assert_first_rows_unforked(tr, reference, most,
+                                        tmp_path / "run.csv", monkeypatch)
+        assert simulate_module._range_count(most) == 1
+        assert simulate_module._range_count(
+            most + 1) == simulate_module._forks.range_count(2)
 
     def test_without_fork_one_range(self, late_plug_in, tmp_path,
                                     monkeypatch):
@@ -628,16 +676,21 @@ class TestArtifacts:
                                             max_size=5),
                                    st.lists(CELLS, min_size=5, max_size=5)),
                          max_size=12),
+           gain=st.one_of(st.lists(ORDINARY, min_size=3, max_size=3),
+                          st.lists(CELLS, min_size=3, max_size=3)),
            chunk=st.integers(1, 4))
     def test_any_doubles_match_csv_writer(self, tmp_path_factory, ranges,
-                                          rows, chunk):
+                                          rows, gain, chunk):
         # odd and ordinary rows interleave inside chunks and across their
-        # boundaries, in every row range
+        # boundaries: in _write_rows' own rows, and in every row range of
+        # a trajectory of their first four cells, whose u is derived
         with mock.patch.object(simulate_module, "CSV_CHUNK", chunk), \
                 mock.patch.object(simulate_module, "_range_count",
                                   lambda rows: ranges):
+            assert_rows_match_csv_writer(rows)
             assert_csv_matches_csv_writer(
-                table_trajectory(rows), tmp_path_factory.mktemp("csv"))
+                table_trajectory([row[:4] for row in rows], gain),
+                tmp_path_factory.mktemp("csv"))
         self.assert_no_child_left()
 
     def test_odd_rows_across_a_chunk_boundary(self, tmp_path):
@@ -648,11 +701,15 @@ class TestArtifacts:
         for k, cell in odd.items():
             rows[k, 1 + k % 4] = cell
         rows[:, 0] = np.arange(chunk + 4) * 0.5
-        written = assert_csv_matches_csv_writer(
-            table_trajectory(rows), tmp_path)
-        lines = written.split(b"\r\n")[1 + chunk:]
-        assert lines[:2] == [b"2048.0,7.754432846917344e-05,-0.0,nan,0.25",
-                             b"2048.5,48.0,-0.0,nan,0.25"]
+        written = assert_rows_match_csv_writer(rows)
+        lines = written.split(b"\r\n")[chunk:]
+        start = repr(chunk * 0.5).encode()
+        assert lines[:2] == [start + b",7.754432846917344e-05,-0.0,nan,0.25",
+                             repr(chunk * 0.5 + 0.5).encode()
+                             + b",48.0,-0.0,nan,0.25"]
+        # a trajectory of those cells, u derived, across the same boundary
+        assert_csv_matches_csv_writer(table_trajectory(rows[:, :4]),
+                                      tmp_path)
 
     @pytest.mark.parametrize("rows, line", [
         ([], None),
@@ -661,10 +718,14 @@ class TestArtifacts:
         ([[0.0, 1.0, math.nan, -0.0, 1e-7]], b"0.0,1.0,nan,-0.0,1e-07"),
     ], ids=["no-row", "ordinary-row", "odd-row"])
     def test_short_tables(self, tmp_path, rows, line):
-        written = assert_csv_matches_csv_writer(table_trajectory(rows),
-                                                tmp_path)
+        written = assert_rows_match_csv_writer(rows)
+        assert written == (b"" if line is None else line + b"\r\n")
+        # a trajectory of their first four cells: the header, then the
+        # rows with u derived
+        traj = table_trajectory(np.reshape(rows, (-1, 5))[:, :4])
+        written = assert_csv_matches_csv_writer(traj, tmp_path)
         header = b"t,dgu1.V,dgu1.It,dgu1.v,dgu1.u\r\n"
-        assert written == header + (b"" if line is None else line + b"\r\n")
+        assert written == header + csv_writer_lines(traj.rows(0, len(rows)))
 
     @pytest.mark.parametrize("rows", [
         [[0.5, 48.0, 1.5, -2.0, 0.25]],
@@ -672,24 +733,19 @@ class TestArtifacts:
         [[0.5, math.nan, math.nan, math.nan, math.nan]] * 3,
         [[0.0, -0.0, 0.0, -0.0, -1.5], [-0.0, 0.0, -0.0, 0.0, 1e15]],
     ], ids=["one-row", "nan-first-and-last", "nan-but-t", "signed-zeros"])
-    def test_orjson_lines_are_csv_writer_lines(self, tmp_path, rows):
+    def test_orjson_lines_are_csv_writer_lines(self, rows):
         # the NaN cases end on "null]]", the outer "]" after a null
         rows = np.array(rows)
-        written = assert_csv_matches_csv_writer(table_trajectory(rows),
-                                                tmp_path)
-        body = written.split(b"\r\n", 1)[1]
-        assert simulate_module._orjson_lines(rows) == body
+        written = assert_rows_match_csv_writer(rows)
+        assert simulate_module._orjson_lines(rows) == written
 
-    def test_odd_rows_cut_a_chunk_into_runs_of_one(self, tmp_path):
+    def test_odd_rows_cut_a_chunk_into_runs_of_one(self):
         rows = np.tile([0.0, 48.0, -0.0, math.nan, 0.25], (9, 1))
         rows[:, 0] = np.arange(9) * 0.5
         rows[1::2, 2] = 1e-7  # every other row is odd
         rows[8, 4] = math.nan
-        with mock.patch.object(simulate_module, "_range_count",
-                               lambda rows: 1):
-            written = assert_csv_matches_csv_writer(table_trajectory(rows),
-                                                    tmp_path)
-        assert written.split(b"\r\n")[1:4] == [
+        written = assert_rows_match_csv_writer(rows)
+        assert written.split(b"\r\n")[:3] == [
             b"0.0,48.0,-0.0,nan,0.25", b"0.5,48.0,1e-07,nan,0.25",
             b"1.0,48.0,-0.0,nan,0.25"]
 
@@ -1131,7 +1187,7 @@ class TestStepping:
         state = RUNAWAY_START.copy()
         if gain is not None:
             ctrls = {1: np.array(gain), 2: np.array(gain)}
-        table = np.full((5002, 9), np.nan)
+        table = np.full((5002, 7), np.nan)
         seg = simulate_module._Segment(top, ctrls, QSL, 1e-5, table, (1, 2),
                                        0)
         seg.record(np.array([0.0]), np.array([state]))
@@ -1172,7 +1228,7 @@ class TestRecording:
 
     def test_cut_on_the_first_row_keeps_none_of_the_stretch(self, pair):
         top, ctrls = pair
-        table = np.full((6, 9), np.nan)
+        table = np.full((6, 7), np.nan)
         seg = simulate_module._Segment(top, ctrls, QSL, 1e-5, table, (1, 2),
                                        0)
         state = RUNAWAY_START
@@ -1189,7 +1245,7 @@ class TestRecording:
         cut, at = seg.record(np.array([1e-4, 2e-4, 3e-4]), rows)
         assert at == DivergedAt(1e-4, 2 * simulate_module.DIVERGENCE_LIMIT)
         assert seg.pos == 2 and np.isnan(table[2:]).all()
-        np.testing.assert_array_equal(table[1, [0, 5, 6, 7]],
+        np.testing.assert_array_equal(table[1, [0, 4, 5, 6]],
                                       [1e-4, *rows[0, 3:]])
 
     @pytest.mark.parametrize("t_end, copied", [(0.5, True), (0.2, False)])
@@ -1254,6 +1310,7 @@ class TestRecording:
         assert denied.events[0].outcome.startswith("denied")
         assert denied.ids == same.ids == (1, 2)
         assert denied.table.tobytes() == same.table.tobytes()
+        assert [gains.shape for _, gains in denied.segments] == [(2, 3)]
         assert denied.table.flags.c_contiguous
         assert not denied.table.flags.writeable
         written = assert_csv_matches_csv_writer(denied, tmp_path)
@@ -1261,6 +1318,49 @@ class TestRecording:
                                   b"dgu2.It,dgu2.v,dgu2.u\r\n")
         trajectory_to_csv(same, tmp_path / "same.csv")
         assert written == (tmp_path / "same.csv").read_bytes()
+
+    @pytest.mark.parametrize("line_model", [QSL, RL])
+    def test_replug_with_other_parameters_derives_u_per_segment(
+            self, pair, tmp_path, line_model):
+        # DGU 2 leaves and rejoins as another unit, designed at its event:
+        # each segment keeps its own gain rows, and every u cell is that
+        # segment's einsum of them with the row's states, NaN while DGU 2
+        # is out
+        top, ctrls = pair
+        ev = (Unplug(0.05, 2),
+              PlugIn(0.1, 2, NEWCOMER, (LineParams(2, 1, 0.05, 2.1e-6),)))
+        tr = simulate(Scenario(top, 10.0, events=ev, t_end=0.2,
+                               line_model=line_model), ctrls)
+        assert [r.outcome for r in tr.events] == ["accepted", "accepted"]
+        redesign = synthesize_all(MicrogridTopology({2: NEWCOMER}, ()),
+                                  CFG)[2]
+        assert not np.array_equal(redesign.k, ctrls[2].k)
+        out = np.full(3, np.nan)
+        stacks = [[ctrls[1].k, ctrls[2].k], [ctrls[1].k, out],
+                  [ctrls[1].k, redesign.k]]
+        starts = [0, *np.searchsorted(tr.times, [0.05, 0.1]).tolist()]
+        assert [first for first, _ in tr.segments] == starts
+        for (_, gains), want in zip(tr.segments, stacks):
+            assert gains.tobytes() == np.array(want).tobytes()
+        x = tr.table[:, 1:].reshape(-1, 2, 3)
+        u = np.column_stack([tr.column(i, "u") for i in tr.ids])
+        for (first, gains), end in zip(tr.segments,
+                                       [*starts[1:], len(tr.times)]):
+            for row in range(first, end):
+                want = np.einsum("ij,tij->ti", gains, x[row:row + 1])
+                assert u[row].tobytes() == want[0].tobytes()
+        assert np.isnan(u[starts[1]:starts[2], 1]).all()
+        assert np.isfinite(np.delete(u, np.s_[starts[1]:starts[2]], 0)).all()
+        for k, i in enumerate(tr.ids):
+            assert tr.series[i][:, 3].tobytes() == u[:, k].tobytes()
+        # the CSV is _write_rows of the rows assembled from them
+        rows = np.column_stack([tr.times, x[:, 0], u[:, 0], x[:, 1],
+                                u[:, 1]])
+        body = io.BytesIO()
+        simulate_module._write_rows(body, rows)
+        trajectory_to_csv(tr, tmp_path / "run.csv")
+        written = (tmp_path / "run.csv").read_bytes().split(b"\r\n", 1)[1]
+        assert written == body.getvalue()
 
     @pytest.mark.parametrize("t_end", [0.01, 0.0123456])
     @pytest.mark.parametrize("ratio", [0.1, 4.0])
@@ -1288,7 +1388,7 @@ class TestRecording:
         bound = math.ceil(t_end / (per * dt)) + len(events) + 1
         assert bound - len(events) - 1 <= len(tr.times) <= bound
         owner = table_owner(tr.table)
-        assert owner.shape == (bound, 9) and owner is not tr.table
+        assert owner.shape == (bound, 7) and owner is not tr.table
 
 
 class TestMemory:
@@ -1312,9 +1412,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_packaged_run_holds_one_table(self, line_model):
-        # each sample is written once, straight into the table: the peak
-        # is the table and the stepping's blocks and stacks, 0.7-0.8 MB,
-        # where keeping each checked stretch too took 22.5 MB more
+        # each sample is written once, straight into the table of t and
+        # each unit's (V, It, v), u derived on reading: the peak is the
+        # table and the stepping's blocks and stacks, 0.7-0.8 MB, where
+        # keeping each checked stretch too took 22.5 MB more
         from gridforge import cli
         scenario = dataclasses.replace(
             cli.load_scenario(cli.packaged_scenario_path()),
@@ -1327,5 +1428,5 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tr.table.shape == (160001, 25)
+        assert tr.table.shape == (160001, 19)
         assert peak <= tr.table.nbytes + 2 * 2**20

@@ -480,6 +480,58 @@ class TestSynthesizeAll:
             np.testing.assert_array_equal(ctrl.q_local, single.q_local)
             assert ctrl.delta == single.delta
 
+    @staticmethod
+    def spy_on_programs(monkeypatch):
+        """A list that gets each program solve_batch is given."""
+        real, programs = synth.solve_batch, []
+
+        def spy(progs):
+            progs = list(progs)
+            programs.extend(progs)
+            return real(progs)
+
+        monkeypatch.setattr(synth, "solve_batch", spy)
+        return programs
+
+    def test_one_solve_per_distinct_unit(self, monkeypatch):
+        # 40 units of 4 types (R_t, L_t, C_t), each with its own load and
+        # reference: 4 programs are solved, and each unit's verdict is the
+        # one per-unit synthesis gives it, bit for bit, with its own params
+        types = [dgu(0.1, 1.8e-3, 2.2e-3), dgu(0.2, 1.7e-3, 2.0e-3),
+                 dgu(0.3, 2.5e-3, 1.9e-3), dgu(0.05, 4e-3, 3.5e-3)]
+        dgus = {i: dataclasses.replace(types[i % 4], v_ref=47.0 + i / 10,
+                                       load=LoadModel.resistive(5.0 + i))
+                for i in range(1, 41)}
+        top = MicrogridTopology(dgus, tuple(LineParams(i, i + 1, 0.05)
+                                            for i in range(1, 40)))
+        programs = self.spy_on_programs(monkeypatch)
+        result = synthesize_all(top, CFG)
+        assert len(programs) == 4
+        monkeypatch.undo()
+        for dgu_id, ctrl in result.items():
+            params = top.dgus[dgu_id]
+            single = synthesize(augmented_dgu(params), params, CFG)
+            assert ctrl.params is params
+            for name in ("k", "p", "q_local"):
+                assert (getattr(ctrl, name).tobytes()
+                        == getattr(single, name).tobytes())
+                assert not getattr(ctrl, name).flags.writeable
+            assert (ctrl.eta, ctrl.delta) == (single.eta, single.delta)
+            assert ctrl.raw.keys() == single.raw.keys()
+            for key in ("y", "g", "gamma", "margins"):
+                assert ctrl.raw[key].tobytes() == single.raw[key].tobytes()
+            for key in ("beta", "zeta", "solver"):
+                assert ctrl.raw[key] == single.raw[key]
+
+    def test_a_shared_denial(self, monkeypatch):
+        units = [(augmented_dgu(p), p)
+                 for p in (dgu(c_t=1e6), dgu(), dgu(c_t=1e6))]
+        programs = self.spy_on_programs(monkeypatch)
+        verdicts = synthesize_batch(units, CFG)
+        assert len(programs) == 2
+        assert verdicts[0] == verdicts[2] == Denied("local LMI infeasible")
+        assert isinstance(verdicts[1], LocalController)
+
     def test_small_grid_sequential_path(self):
         top = self.topology(2)
         result = synthesize_all(top, CFG)
