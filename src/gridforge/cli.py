@@ -25,7 +25,7 @@ import json
 import pathlib
 import sys
 import time
-from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,7 +122,7 @@ def _entries(value, field: str) -> list:
             for entry in _json(value, list, field)]
 
 
-def _fields(value, field: str, names: Collection[str], why: str = ""):
+def _fields(value, field: str, names: Tuple[str, ...], why: str = ""):
     """value read as a JSON object (_json) whose every key is one of
     names: any other key is refused by name rather than ignored, so a
     misspelt field cannot leave its default in force."""
@@ -242,35 +242,12 @@ def bundle_to_json(controllers: Mapping[int, LocalController],
     }
 
 
-_ENTRY = frozenset(("dgu_id", "K", "diagnostics"))
-_DIAGNOSTICS = frozenset(("gamma", "beta", "zeta", "gain_norm",
-                          "gain_norm_bound", "solver"))
-_SOLVER = frozenset(("status", "iterations_phase1", "iterations_phase2"))
-_DIAGNOSTIC_NUMBERS = ("beta", "zeta", "gain_norm", "gain_norm_bound")
-_SOLVER_NUMBERS = ("iterations_phase1", "iterations_phase2")
-
-
-def _plain_entry(entry: Mapping) -> bool:
-    """Whether a bundle entry passes every check of _gain_from_json past
-    its dgu_id: only read fields, a string status, and numbers that are
-    all finite JSON numbers, checked in one pass.  False sends the entry
-    through those checks one by one, which name its first fault."""
-    diag = entry.get("diagnostics", {})
-    solver = diag.get("solver", {}) if type(diag) is dict else None
-    if (type(solver) is not dict or not entry.keys() <= _ENTRY
-            or not diag.keys() <= _DIAGNOSTICS
-            or not solver.keys() <= _SOLVER
-            or type(solver.get("status", "")) is not str):
-        return False
-    k, gamma = entry.get("K"), diag.get("gamma", [0.0, 0.0, 0.0])
-    if type(k) is not list or type(gamma) is not list or not (
-            len(k) == len(gamma) == 3):
-        return False
-    numbers = [*k, *gamma, *map(diag.get, _DIAGNOSTIC_NUMBERS, (0.0,) * 4),
-               *map(solver.get, _SOLVER_NUMBERS, (0.0, 0.0))]
-    # finite: no larger than the largest double, which NaN is not
-    return ({*map(type, numbers)} <= {int, float}
-            and all(map(sys.float_info.max.__ge__, map(abs, numbers))))
+def _finite(values: list) -> bool:
+    """Whether every one of values is what _number reads as a number:
+    an int or a float, not a bool, no larger than the largest double,
+    which NaN is not."""
+    return ({*map(type, values)} <= {int, float}
+            and all(map(sys.float_info.max.__ge__, map(abs, values))))
 
 
 def _gain_from_json(entry: Mapping) -> np.ndarray:
@@ -283,35 +260,45 @@ def _gain_from_json(entry: Mapping) -> np.ndarray:
     must the diagnostics' gamma (three), beta, zeta, gain_norm,
     gain_norm_bound and the solver's iteration counts, and the solver's
     status is a string; anything else is refused with the entry's DGU id.
-    An entry that passes _plain_entry's one pass is read at once; any
-    other is read field by field, each number by _number, which raises.
+    Each group of numbers is checked at once by _finite; only a group
+    that fails it is read number by number by _number, which names the
+    fault.
     """
-    dgu_id = _id(entry, "dgu_id")
-    if _plain_entry(entry):
-        return _frozen([float(v) for v in entry["K"]])
-    where = f"DGU {dgu_id}:"
-    _fields(entry, f"{where} bundle entry", _ENTRY,
+    where = f"DGU {_id(entry, 'dgu_id')}:"
+    _fields(entry, f"{where} bundle entry", ("dgu_id", "K", "diagnostics"),
             ": an entry is its gain K")
 
     def number(value, name, shape=(), what="a finite number"):
         return _number(value, f"{where} controller {name}", shape, what)
 
-    k = _frozen(number(entry["K"], "gain K", (3,), "three finite numbers"))
+    k = entry["K"]
+    if not (type(k) is list and len(k) == 3 and _finite(k)):
+        number(k, "gain K", (3,), "three finite numbers")
     diag = _fields(entry.get("diagnostics", {}),
-                   f"{where} controller diagnostics", _DIAGNOSTICS)
-    number(diag.get("gamma", [0.0, 0.0, 0.0]), "gamma", (3,),
-           "three finite numbers")
-    for name in _DIAGNOSTIC_NUMBERS:
-        number(diag.get(name, 0.0), name)
+                   f"{where} controller diagnostics",
+                   ("gamma", "beta", "zeta", "gain_norm", "gain_norm_bound",
+                    "solver"))
+    gamma = diag.get("gamma", [0.0, 0.0, 0.0])
+    names = ("beta", "zeta", "gain_norm", "gain_norm_bound")
+    values = [diag.get(name, 0.0) for name in names]
+    if not (type(gamma) is list and len(gamma) == 3
+            and _finite(gamma + values)):
+        number(gamma, "gamma", (3,), "three finite numbers")
+        for name, value in zip(names, values):
+            number(value, name)
     # bundles written before the solver diagnostics existed have none
     if "solver" in diag:
         solver = _fields(diag["solver"],
-                         f"{where} controller diagnostics solver", _SOLVER)
+                         f"{where} controller diagnostics solver",
+                         ("status", "iterations_phase1", "iterations_phase2"))
         _json(solver.get("status", ""), str,
               f"{where} controller solver status")
-        for name in _SOLVER_NUMBERS:
-            number(solver.get(name, 0.0), name)
-    return k
+        names = ("iterations_phase1", "iterations_phase2")
+        values = [solver.get(name, 0.0) for name in names]
+        if not _finite(values):
+            for name, value in zip(names, values):
+                number(value, name)
+    return _frozen([float(v) for v in k])
 
 
 def load_bundle(path, topology: MicrogridTopology

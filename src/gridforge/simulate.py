@@ -193,8 +193,9 @@ class Trajectory:
     of gain rows in id order (NaN rows for the ids it lacks); a stretch
     ends where the next begins.  The control u = k x_hat is not stored:
     rows() derives it from those gain rows, and series[i] (columns V, It,
-    v, u) and column(i, "u") are new arrays holding it.  times and the
-    other columns are views of table.  The exact final state vector
+    v, u) and column(i, "u") are new read-only arrays holding it, computed
+    afresh on each access.  times and the other columns are read-only
+    views of table.  The exact final state vector
     (layout of final_topology, RL line currents included) is kept so
     runs can be chained without re-simulation.
     """
@@ -215,15 +216,31 @@ class Trajectory:
 
     @property
     def series(self) -> Dict[int, np.ndarray]:
-        rows = self.rows(0, len(self.table))
+        """Each DGU's columns V, It, v and u: views of one read-only
+        rows() table, which each access builds anew."""
+        rows = _frozen(self.rows(0, len(self.table)))
         return {i: rows[:, 1 + 4 * k:5 + 4 * k]
                 for k, i in enumerate(self.ids)}
 
     def column(self, dgu_id: int, name: str) -> np.ndarray:
+        """One column of one DGU: a view of table, or for u a new
+        read-only array, that DGU's einsum of rows() on its own slice."""
         k = self.ids.index(dgu_id)
-        if name == "u":
-            return self.rows(0, len(self.table))[:, 4 + 4 * k]
-        return self.table[:, 1 + 3 * k + self.COLUMNS.index(name)]
+        if name != "u":
+            return self.table[:, 1 + 3 * k + self.COLUMNS.index(name)]
+        x = self.table[:, 1 + 3 * k:4 + 3 * k].reshape(-1, 1, 3)
+        u = np.empty((len(self.table), 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, end, gains in self._stretches():
+                u[first:end] = np.einsum("ij,tij->ti", gains[k:k + 1],
+                                         x[first:end])
+        return _frozen(u[:, 0])
+
+    def _stretches(self) -> List[Tuple[int, int, np.ndarray]]:
+        """Each segment as its rows first..end-1 and its gain rows."""
+        ends = [first for first, _ in self.segments[1:]] + [len(self.table)]
+        return [(first, end, gains)
+                for (first, gains), end in zip(self.segments, ends)]
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The CSV's rows lo..hi-1 as a new array: the time, then V, It, v
@@ -236,10 +253,9 @@ class Trajectory:
         units = out[:, 1:].reshape(hi - lo, n, 4)  # a view
         x = units[:, :, :3]
         x[...] = self.table[lo:hi, 1:].reshape(hi - lo, n, 3)
-        ends = [first for first, _ in self.segments[1:]] + [len(self.table)]
         # a runaway's kept rows may overflow, as its states did
         with np.errstate(over="ignore", invalid="ignore"):
-            for (first, gains), end in zip(self.segments, ends):
+            for first, end, gains in self._stretches():
                 a, b = max(first, lo) - lo, min(end, hi) - lo
                 if a < b:
                     units[a:b, :, 3] = np.einsum("ij,tij->ti", gains, x[a:b])

@@ -12,12 +12,8 @@ import shutil
 import subprocess
 import sys
 
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from gridforge import baselines, certify, cli, synthesis
 from gridforge.certify import check_global
@@ -72,41 +68,6 @@ def strict_json(text):
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")
     return json.loads(text, parse_constant=refuse)
-
-
-# where a bundle entry's fields are, and values of every JSON kind for them
-ENTRY_PATHS = [("K",), ("diagnostics",), ("diagnostics", "gamma"),
-               ("diagnostics", "beta"), ("diagnostics", "zeta"),
-               ("diagnostics", "gain_norm"),
-               ("diagnostics", "gain_norm_bound"),
-               ("diagnostics", "solver"), ("diagnostics", "solver", "status"),
-               ("diagnostics", "solver", "iterations_phase1"),
-               ("diagnostics", "solver", "iterations_phase2"), ("P",),
-               ("diagnostics", "sigma_bar"), ("diagnostics", "solver", "gap")]
-JSON_NUMBERS = st.one_of(st.floats(), st.integers(-10**400, 10**400),
-                         st.sampled_from([10**308 * 2, -(10**309)]))
-JSON_VALUES = st.one_of(
-    JSON_NUMBERS, st.booleans(), st.text(max_size=3),
-    st.lists(st.one_of(JSON_NUMBERS, st.booleans(), st.none()),
-             min_size=2, max_size=4),
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
-             max_size=4),
-    st.dictionaries(st.sampled_from(["status", "iterations_phase1", "gap"]),
-                    st.one_of(JSON_NUMBERS, st.text(max_size=2)),
-                    max_size=2))
-DROP = object()
-
-
-def edit_path(entry, path, value):
-    """Set, or with DROP remove, the field at path of a nested entry,
-    where the objects on the way are there."""
-    for key in path[:-1]:
-        entry = entry.get(key) if type(entry) is dict else None
-    if type(entry) is dict:
-        if value is DROP:
-            entry.pop(path[-1], None)
-        else:
-            entry[path[-1]] = value
 
 
 @pytest.fixture
@@ -801,6 +762,8 @@ class TestCertify:
          "DGU 2: controller gain K must be three finite numbers"),
         (("controllers", 0, "diagnostics", "gamma"), "000",
          "DGU 1: controller gamma must be three finite numbers"),
+        (("controllers", 0, "diagnostics", "gamma"), [1.0, 2.0],
+         "DGU 1: controller gamma must be three finite numbers"),
         (("controllers", 0, "diagnostics", "beta"), True,
          "DGU 1: controller beta must be a finite number"),
         (("controllers", 0, "diagnostics", "zeta"), "1",
@@ -820,10 +783,11 @@ class TestCertify:
          None, "DGU 1: controller iterations_phase1 must be a finite number"),
         (("controllers", 0, "diagnostics", "solver", "gap"), 0.0,
          "DGU 1: controller diagnostics solver field 'gap' is not read"),
-    ], ids=["sigma_bar-string", "sigma_bar-bool", "K", "gamma", "beta",
-            "zeta", "unread-header", "alphas-nan", "alphas-string",
-            "unread-diagnostics", "gain_norm", "gain_norm_bound",
-            "solver-status", "solver-iterations", "unread-solver"])
+    ], ids=["sigma_bar-string", "sigma_bar-bool", "K", "gamma",
+            "gamma-short", "beta", "zeta", "unread-header", "alphas-nan",
+            "alphas-string", "unread-diagnostics", "gain_norm",
+            "gain_norm_bound", "solver-status", "solver-iterations",
+            "unread-solver"])
     def test_bundle_number_must_be_a_finite_json_number(
             self, bundle_file, tmp_path, capsys, path, value, message):
         scenario, bundle = bundle_file
@@ -872,38 +836,35 @@ class TestCertify:
         assert cli.main(["certify", scenario, path]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    @settings(max_examples=300, deadline=None)
-    @given(edits=st.dictionaries(st.sampled_from(ENTRY_PATHS),
-                                 st.one_of(st.just(None), JSON_VALUES),
-                                 max_size=3),
-           drop=st.lists(st.sampled_from(ENTRY_PATHS), max_size=2))
-    @example(edits={}, drop=[("diagnostics", "solver")])
-    @example(edits={("diagnostics", "gamma"): [1.0, 2.0]}, drop=[])
-    @example(edits={("K",): [1.0, 2.0, 3.0, 4.0]}, drop=[])
-    @example(edits={("diagnostics", "beta"): 10**309}, drop=[])
-    @example(edits={("diagnostics", "solver", "status"): None}, drop=[])
-    def test_one_pass_agrees_with_the_field_checks(self, edits, drop):
-        # _gain_from_json takes an entry in one pass exactly when its field
-        # by field reading would accept it, and reads the same gain
-        entry = {"dgu_id": 1, "K": [-11.5, -0.89, 0.061], "diagnostics": {
-            "gamma": [1.0, 2, 3.5], "beta": 4.0, "zeta": 2, "gain_norm": 1.5,
-            "gain_norm_bound": 8.0, "solver": {
-                "status": "Optimal", "iterations_phase1": 12,
-                "iterations_phase2": 30.0}}}
-        for path, value in edits.items():
-            edit_path(entry, path, value)
-        for path in drop:
-            edit_path(entry, path, DROP)
-        with mock.patch.object(cli, "_plain_entry", lambda entry: False):
-            try:
-                checked = cli._gain_from_json(entry)
-            except (KeyError, ValueError):
-                checked = None
-        assert cli._plain_entry(entry) == (checked is not None)
-        if checked is not None:
-            gain = cli._gain_from_json(entry)
-            assert gain.tobytes() == checked.tobytes()
-            assert not gain.flags.writeable
+    @pytest.mark.parametrize("faults, message", [
+        ({("K",): [1.0, 2.0], ("diagnostics", "gam"): 0.0},
+         "gain K must be three finite numbers"),
+        ({("diagnostics", "gamma"): [1.0, None, 2.0],
+          ("diagnostics", "solver", "gap"): 0.0},
+         "gamma must be three finite numbers"),
+        ({("diagnostics", "beta"): math.inf,
+          ("diagnostics", "gamma"): [1.0, 2.0]},
+         "gamma must be three finite numbers"),
+        ({("diagnostics", "zeta"): True,
+          ("diagnostics", "solver", "status"): 0},
+         "zeta must be a finite number"),
+        ({("diagnostics", "solver", "iterations_phase1"): "12",
+          ("diagnostics", "solver", "iterations_phase2"): math.nan},
+         "iterations_phase1 must be a finite number"),
+    ], ids=["K-then-field", "gamma-then-solver", "beta-and-gamma",
+            "zeta-then-status", "both-iterations"])
+    def test_entry_refusal_names_its_first_fault(
+            self, bundle_file, tmp_path, capsys, faults, message):
+        # an entry is read field by field, K first, then the diagnostics,
+        # then their solver; a number group found faulty is read in order
+        scenario, bundle = bundle_file
+        payload = read_json(bundle)
+        for path, value in faults.items():
+            set_path(payload, ("controllers", 0, *path), value)
+        path = write_json(tmp_path / "faults.json", payload)
+        assert cli.main(["certify", scenario, path]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: DGU 1: controller {message}\n")
 
     def test_packaged_outputs_are_strict_json(self, tmp_path):
         # no NaN or Infinity token, which JSON itself does not have

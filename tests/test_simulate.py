@@ -568,6 +568,7 @@ class TestArtifacts:
         derived = [tr.column(3, "u"), *tr.series.values()]
         for array in derived:
             assert not np.shares_memory(array, tr.table)
+            assert not array.flags.writeable
         joined = np.column_stack([tr.times] + [tr.series[i][:, :3]
                                                for i in tr.ids])
         assert tr.table.tobytes() == joined.tobytes()
