@@ -10,9 +10,11 @@ second), no unit strings, so fixtures diff cleanly.  They are read,
 never written.  Every id (a unit's, a line end's, an event's unit, a
 bundle entry's) is a whole number, and a scenario or bundle names each
 unit once.  Every other number in either file is a finite JSON number, an
-int or a float; a bool, a string, null or a non-finite value is refused
-naming its field (_number), and so is a list or object that is not a JSON
-array or object (_json), or a missing field.
+int or a float, read once by one rule: _number for a single number,
+_numbers for an array of a fixed count of them.  A bool, a string, null,
+a non-finite value or an array of the wrong length is refused naming its
+field, and so is a list or object that is not a JSON array or object
+(_json), or a missing field.
 """
 
 from __future__ import annotations
@@ -91,20 +93,22 @@ def _id(obj: Mapping, field: str) -> int:
     return int(value)
 
 
-def _number(value, field: str, shape: Tuple[int, ...] = (),
-            what: str = "a finite number"):
+def _number(value, field: str, what: str = "a finite number") -> float:
     """value as a float, read from a JSON number: an int or a float, finite,
-    not a bool, a string or null.  With a shape, value is nested lists of
-    such numbers in that shape, read as nested lists of floats.  Anything
-    else raises ValueError(f"{field} must be {what}")."""
-    def read(v, shape):
-        if not shape:
-            if type(v) in (int, float) and abs(v) <= sys.float_info.max:
-                return float(v)
-        elif type(v) is list and len(v) == shape[0]:
-            return [read(x, shape[1:]) for x in v]
+    not a bool, a string or null.  Anything else raises
+    ValueError(f"{field} must be {what}")."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{field} must be {what}")
+
+
+def _numbers(value, field: str, count: int, what: str) -> list:
+    """value as a list of floats, read from a JSON array of exactly count
+    numbers, each as _number reads it.  Anything else raises
+    ValueError(f"{field} must be {what}")."""
+    if type(value) is not list or len(value) != count:
         raise ValueError(f"{field} must be {what}")
-    return read(value, shape)
+    return [_number(v, field, what) for v in value]
 
 
 def _json(value, kind: type, field: str):
@@ -190,8 +194,8 @@ def parse_scenario(payload: Mapping) -> Scenario:
         knobs = {name: _number(payload[name], name)
                  for name in ("dt", "record_dt") if name in payload}
         if "alphas" in payload:
-            knobs["alphas"] = tuple(_number(
-                payload["alphas"], "alphas", (5,), "five finite numbers"))
+            knobs["alphas"] = tuple(_numbers(
+                payload["alphas"], "alphas", 5, "five finite numbers"))
         if "line_model" in payload:
             knobs["line_model"] = str(payload["line_model"])
         return Scenario(
@@ -242,17 +246,10 @@ def bundle_to_json(controllers: Mapping[int, LocalController],
     }
 
 
-def _finite(values: list) -> bool:
-    """Whether every one of values is what _number reads as a number:
-    an int or a float, not a bool, no larger than the largest double,
-    which NaN is not."""
-    return ({*map(type, values)} <= {int, float}
-            and all(map(sys.float_info.max.__ge__, map(abs, values))))
-
-
-def _gain_from_json(entry: Mapping) -> np.ndarray:
-    """The gain row K of one bundle entry, as a read-only (3,) float array:
-    a unit's gain alone fixes its certificate (certify.check_global).
+def _gain_from_json(entry: Mapping, dgu_id: int) -> np.ndarray:
+    """The gain row K of DGU dgu_id's bundle entry, as a read-only (3,)
+    float array: a unit's gain alone fixes its certificate
+    (certify.check_global).
 
     An entry is dgu_id, K and the diagnostics, as `synth` writes it.  Any
     other field, of the entry, its diagnostics or their solver, is refused
@@ -260,45 +257,35 @@ def _gain_from_json(entry: Mapping) -> np.ndarray:
     must the diagnostics' gamma (three), beta, zeta, gain_norm,
     gain_norm_bound and the solver's iteration counts, and the solver's
     status is a string; anything else is refused with the entry's DGU id.
-    Each group of numbers is checked at once by _finite; only a group
-    that fails it is read number by number by _number, which names the
-    fault.
+    Each field is read once, K first, then the diagnostics, then their
+    solver, so the first fault is the one named.
     """
-    where = f"DGU {_id(entry, 'dgu_id')}:"
+    where = f"DGU {dgu_id}:"
     _fields(entry, f"{where} bundle entry", ("dgu_id", "K", "diagnostics"),
             ": an entry is its gain K")
-
-    def number(value, name, shape=(), what="a finite number"):
-        return _number(value, f"{where} controller {name}", shape, what)
-
-    k = entry["K"]
-    if not (type(k) is list and len(k) == 3 and _finite(k)):
-        number(k, "gain K", (3,), "three finite numbers")
-    diag = _fields(entry.get("diagnostics", {}),
-                   f"{where} controller diagnostics",
-                   ("gamma", "beta", "zeta", "gain_norm", "gain_norm_bound",
-                    "solver"))
-    gamma = diag.get("gamma", [0.0, 0.0, 0.0])
-    names = ("beta", "zeta", "gain_norm", "gain_norm_bound")
-    values = [diag.get(name, 0.0) for name in names]
-    if not (type(gamma) is list and len(gamma) == 3
-            and _finite(gamma + values)):
-        number(gamma, "gamma", (3,), "three finite numbers")
-        for name, value in zip(names, values):
-            number(value, name)
-    # bundles written before the solver diagnostics existed have none
-    if "solver" in diag:
-        solver = _fields(diag["solver"],
-                         f"{where} controller diagnostics solver",
-                         ("status", "iterations_phase1", "iterations_phase2"))
-        _json(solver.get("status", ""), str,
-              f"{where} controller solver status")
-        names = ("iterations_phase1", "iterations_phase2")
-        values = [solver.get(name, 0.0) for name in names]
-        if not _finite(values):
-            for name, value in zip(names, values):
-                number(value, name)
-    return _frozen([float(v) for v in k])
+    try:
+        k = _numbers(entry["K"], "gain K", 3, "three finite numbers")
+        diag = _fields(entry.get("diagnostics", {}), "diagnostics",
+                       ("gamma", "beta", "zeta", "gain_norm",
+                        "gain_norm_bound", "solver"))
+        _numbers(diag.get("gamma", [0.0, 0.0, 0.0]), "gamma", 3,
+                 "three finite numbers")
+        for name in ("beta", "zeta", "gain_norm", "gain_norm_bound"):
+            _number(diag.get(name, 0.0), name)
+        # bundles written before the solver diagnostics existed have none
+        if "solver" in diag:
+            solver = _fields(diag["solver"], "diagnostics solver",
+                             ("status", "iterations_phase1",
+                              "iterations_phase2"))
+            _json(solver.get("status", ""), str, "solver status")
+            for name in ("iterations_phase1", "iterations_phase2"):
+                _number(solver.get(name, 0.0), name)
+    except KeyError as exc:
+        raise ValueError(f"{where} bundle entry is missing field {exc}"
+                         ) from None
+    except ValueError as exc:
+        raise ValueError(f"{where} controller {exc}") from None
+    return _frozen(k)
 
 
 def load_bundle(path, topology: MicrogridTopology
@@ -317,7 +304,7 @@ def load_bundle(path, topology: MicrogridTopology
         sigma_bar = _positive("sigma_bar",
                               _number(payload["sigma_bar"], "sigma_bar"))
         if "alphas" in payload:
-            _number(payload["alphas"], "alphas", (5,), "five finite numbers")
+            _numbers(payload["alphas"], "alphas", 5, "five finite numbers")
         gains = {}
         for entry in _entries(payload["controllers"], "controllers"):
             dgu_id = _id(entry, "dgu_id")
@@ -326,11 +313,7 @@ def load_bundle(path, topology: MicrogridTopology
                                  "absent from the scenario")
             if dgu_id in gains:
                 raise ValueError(f"bundle names DGU {dgu_id} twice")
-            try:
-                gains[dgu_id] = _gain_from_json(entry)
-            except KeyError as exc:
-                raise ValueError(f"DGU {dgu_id}: bundle entry is missing "
-                                 f"field {exc}") from None
+            gains[dgu_id] = _gain_from_json(entry, dgu_id)
     except KeyError as exc:
         raise ValueError(f"bundle file is missing field {exc}") from None
     missing = set(topology.ids) - set(gains)

@@ -19,6 +19,7 @@ expands those blocks itself (closed_loop, GlobalSystem.expand).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
@@ -37,7 +38,7 @@ class TopologyError(ValueError):
 
 
 def _positive(name: str, value: float) -> float:
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be positive")
     return float(value)
 
@@ -65,7 +66,7 @@ class LoadModel:
             raise ValueError(f"unknown load kind {self.kind!r}")
         if self.kind == "resistance":
             _positive("r_l", self.value)
-        elif not np.isfinite(self.value):
+        elif not math.isfinite(self.value):
             raise ValueError("i_l must be finite")
 
     @classmethod
@@ -97,7 +98,7 @@ class DguParams:
         _positive("l_t", self.l_t)
         _positive("c_t", self.c_t)
         # zero is a legitimate reference (shutdown bus), negative is not
-        if not np.isfinite(self.v_ref) or self.v_ref < 0.0:
+        if not math.isfinite(self.v_ref) or self.v_ref < 0.0:
             raise ValueError("v_ref must be nonnegative")
 
 

@@ -224,41 +224,38 @@ class Trajectory:
 
     def column(self, dgu_id: int, name: str) -> np.ndarray:
         """One column of one DGU: a view of table, or for u a new
-        read-only array, that DGU's einsum of rows() on its own slice."""
+        read-only array, _u of that DGU alone."""
         k = self.ids.index(dgu_id)
         if name != "u":
             return self.table[:, 1 + 3 * k + self.COLUMNS.index(name)]
         x = self.table[:, 1 + 3 * k:4 + 3 * k].reshape(-1, 1, 3)
-        u = np.empty((len(self.table), 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for first, end, gains in self._stretches():
-                u[first:end] = np.einsum("ij,tij->ti", gains[k:k + 1],
-                                         x[first:end])
-        return _frozen(u[:, 0])
+        return _frozen(self._u(x, 0, slice(k, k + 1))[:, 0])
 
-    def _stretches(self) -> List[Tuple[int, int, np.ndarray]]:
-        """Each segment as its rows first..end-1 and its gain rows."""
+    def _u(self, x: np.ndarray, lo: int, units: slice) -> np.ndarray:
+        """u = k x_hat of the given units over rows lo..lo+len(x)-1, from
+        their (rows, units, 3) states x: one einsum per segment on its
+        gain rows, NaN where a unit is absent."""
+        hi = lo + len(x)
+        u = np.empty(x.shape[:2])
         ends = [first for first, _ in self.segments[1:]] + [len(self.table)]
-        return [(first, end, gains)
-                for (first, gains), end in zip(self.segments, ends)]
+        # a runaway's kept rows may overflow, as its states did
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (first, gains), end in zip(self.segments, ends):
+                a, b = max(first, lo) - lo, min(end, hi) - lo
+                if a < b:
+                    u[a:b] = np.einsum("ij,tij->ti", gains[units], x[a:b])
+        return u
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The CSV's rows lo..hi-1 as a new array: the time, then V, It, v
-        and u of each DGU.  u = k x_hat is each row's states times its
-        segment's gain rows, one einsum per segment, NaN where the DGU is
-        absent."""
+        and u of each DGU, u by _u of every DGU."""
         n = len(self.ids)
         out = np.empty((hi - lo, 1 + 4 * n))
         out[:, 0] = self.table[lo:hi, 0]
         units = out[:, 1:].reshape(hi - lo, n, 4)  # a view
         x = units[:, :, :3]
         x[...] = self.table[lo:hi, 1:].reshape(hi - lo, n, 3)
-        # a runaway's kept rows may overflow, as its states did
-        with np.errstate(over="ignore", invalid="ignore"):
-            for first, end, gains in self._stretches():
-                a, b = max(first, lo) - lo, min(end, hi) - lo
-                if a < b:
-                    units[a:b, :, 3] = np.einsum("ij,tij->ti", gains, x[a:b])
+        units[:, :, 3] = self._u(x, lo, slice(None))
         return out
 
 

@@ -169,8 +169,9 @@ class TestScenarioFormat:
 
     @pytest.mark.parametrize("alphas", [
         "11111", [1e-4, 1e-4, 1e-4, 1e-6], [1e-4, 1e-4, 1e-4, 1e-6, True],
-        [1e-4, 1e-4, "1e-4", 1e-6, 1e-6], None],
-        ids=["string", "four", "bool", "string-entry", "null"])
+        [1e-4, 1e-4, "1e-4", 1e-6, 1e-6], None,
+        [[1e-4, 1e-4, 1e-4, 1e-6, 1e-6]]],
+        ids=["string", "four", "bool", "string-entry", "null", "nested"])
     def test_alphas_must_be_five_json_numbers(self, tmp_path, capsys,
                                               alphas):
         payload = dict(SMALL, alphas=alphas)
@@ -783,11 +784,19 @@ class TestCertify:
          None, "DGU 1: controller iterations_phase1 must be a finite number"),
         (("controllers", 0, "diagnostics", "solver", "gap"), 0.0,
          "DGU 1: controller diagnostics solver field 'gap' is not read"),
+        (("controllers", 0, "K"), [1.0, 2.0, 3.0, 4.0],
+         "DGU 1: controller gain K must be three finite numbers"),
+        (("controllers", 0, "K"), [[1.0], [2.0], [3.0]],
+         "DGU 1: controller gain K must be three finite numbers"),
+        (("controllers", 0, "diagnostics", "solver", "iterations_phase2"),
+         None, "DGU 1: controller iterations_phase2 must be a finite number"),
+        (("alphas",), [1e-4] * 4, "alphas must be five finite numbers"),
     ], ids=["sigma_bar-string", "sigma_bar-bool", "K", "gamma",
             "gamma-short", "beta", "zeta", "unread-header", "alphas-nan",
             "alphas-string", "unread-diagnostics", "gain_norm",
             "gain_norm_bound", "solver-status", "solver-iterations",
-            "unread-solver"])
+            "unread-solver", "K-four", "K-nested", "solver-iterations2",
+            "alphas-four"])
     def test_bundle_number_must_be_a_finite_json_number(
             self, bundle_file, tmp_path, capsys, path, value, message):
         scenario, bundle = bundle_file
@@ -856,7 +865,7 @@ class TestCertify:
     def test_entry_refusal_names_its_first_fault(
             self, bundle_file, tmp_path, capsys, faults, message):
         # an entry is read field by field, K first, then the diagnostics,
-        # then their solver; a number group found faulty is read in order
+        # then their solver
         scenario, bundle = bundle_file
         payload = read_json(bundle)
         for path, value in faults.items():

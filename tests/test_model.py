@@ -67,7 +67,14 @@ class TestValidation:
         (lambda: dgu(v_ref=-1.0), ValueError, "v_ref must be nonnegative"),
         (lambda: two_dgu_topology().replace_params(3, dgu()), TopologyError,
          "unknown DGU 3"),
-    ], ids=["non-finite-current", "negative-v-ref", "replace-unknown-dgu"])
+        # a non-number is a caller's type error, not a bad value
+        (lambda: dgu(r_t="1"), TypeError, "must be real number, not str"),
+        (lambda: LoadModel("current", "1"), TypeError,
+         "must be real number, not str"),
+        (lambda: dgu(v_ref=None), TypeError,
+         "must be real number, not NoneType"),
+    ], ids=["non-finite-current", "negative-v-ref", "replace-unknown-dgu",
+            "string-r-t", "string-current", "null-v-ref"])
     def test_input_refused(self, build, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             build()
