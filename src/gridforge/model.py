@@ -9,11 +9,13 @@ in the simulator.
 Per-DGU state is x = [V, I_t] (PCC voltage, filter current).  The augmented
 state adds the tracking integrator v, with v' = v_ref - V.
 
-The assembled grid is block data and nothing else: (N, 3, 3) stacks of
-per-unit blocks plus the line list as index and conductance arrays
-(GlobalSystem).  The closed loop is built in that form too
-(closed_loop_blocks); a dense 3N x 3N matrix exists only where a caller
-expands those blocks itself (closed_loop, GlobalSystem.expand).
+The assembled grid is block data and nothing else (GlobalSystem):
+per-unit stacks of blocks, load conductances and constant terms, and the
+line list as index, conductance, resistance and inductance arrays.
+assemble_global alone reads a topology into them.  The closed loop is
+built in that form too (closed_loop_blocks); a dense matrix exists only
+where a caller expands those blocks (closed_loop, GlobalSystem.expand),
+and as generator's M, the simulated loop with its loads and lines.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .synthesis import LocalController
+
+QSL = "qsl"
+RL = "rl"
 
 #: A controller as the closed loop reads it: a synthesis result, or a bare
 #: gain row (the baseline designs); only u = k x_hat counts.
@@ -43,8 +48,8 @@ def _positive(name: str, value: float) -> float:
     return float(value)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -53,9 +58,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class LoadModel:
     """Load at a PCC: a constant current draw or a linear resistance.
 
-    Constant-current loads enter the dynamics as disturbances; resistive
-    loads are folded into the simulated voltage dynamics as a conductance
-    (I_L = V / r_l).  Controller synthesis never sees either.
+    assemble_global reads both into the closed loop that generator
+    builds: a constant current enters the constant term (unit_c), a
+    resistance the voltage diagonal as the conductance 1/(r_l C_t)
+    (load_g, from I_L = V / r_l).  Controller synthesis never sees either.
     """
 
     kind: str
@@ -223,31 +229,35 @@ class AugmentedDgu:
 class GlobalSystem:
     """The assembled microgrid as per-unit blocks plus its line list.
 
-    In ascending id order, unit_a is the (N, 3, 3) stack of the line-free
-    a_hat_ii blocks, unit_b the (N, 3) input columns and unit_m the
-    (N, 3, 2) disturbance columns.  Line l joins the units at positions
-    line_i[l] and line_j[l]: the voltage of unit line_j[l] drives that of
-    unit line_i[l] with conductance g_i[l] = 1/(R_l C_i), and back with
-    g_j[l] = 1/(R_l C_j).  self_terms holds each unit's QSL self term,
-    -sum of its conductances, stamped in topology order.
+    In ascending id order: unit_a stacks the line-free a_hat_ii blocks,
+    unit_b the input columns, unit_c the constant terms m_hat [I_L, v_ref]
+    (I_L zero for a resistive load), and load_g is 1/(R_L C_t), zero for
+    a current load.  Line l joins units line_i[l] and line_j[l], with
+    resistance line_r[l] and inductance line_l[l] (NaN if none): the
+    voltage of unit line_j[l] drives that of unit line_i[l] with
+    conductance g_i[l] = 1/(R_l C_i), and back with g_j[l] = 1/(R_l C_j).
+    self_terms holds each unit's QSL self term, -sum of its conductances,
+    stamped in topology order.
     """
 
     ids: Tuple[int, ...]
     unit_a: np.ndarray      # N x 3 x 3
     unit_b: np.ndarray      # N x 3
-    unit_m: np.ndarray      # N x 3 x 2
+    unit_c: np.ndarray      # N x 3
+    load_g: np.ndarray      # N
     line_i: np.ndarray      # lines, int positions
     line_j: np.ndarray
     g_i: np.ndarray         # lines, 1 / (R C_i)
     g_j: np.ndarray         # lines, 1 / (R C_j)
+    line_r: np.ndarray      # lines
+    line_l: np.ndarray      # lines, NaN without an inductance
 
     def __post_init__(self):
-        for name in ("unit_a", "unit_b", "unit_m", "g_i", "g_j"):
+        for name in ("unit_a", "unit_b", "unit_c", "load_g", "g_i", "g_j",
+                     "line_r", "line_l"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         for name in ("line_i", "line_j"):
-            a = np.asarray(getattr(self, name), dtype=np.intp)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.intp))
 
     @functools.cached_property
     def self_terms(self) -> np.ndarray:
@@ -315,18 +325,27 @@ def assemble_global(topology: MicrogridTopology) -> GlobalSystem:
 
     Block order follows ascending DGU id.  Lines enter the grid here and
     nowhere else, each once, in topology order, with the conductance
-    1/(R C_t) of each end.
+    1/(R C_t) of each end; so do the loads and references.
     """
     ids = topology.ids
     pos = {dgu_id: k for k, dgu_id in enumerate(ids)}
-    a, b, m = unit_blocks([topology.dgus[dgu_id] for dgu_id in ids])
+    units = [topology.dgus[dgu_id] for dgu_id in ids]
+    a, b, m = unit_blocks(units)
+    c = np.array([p.c_t for p in units], dtype=float)
+    load = np.array([p.load.value for p in units], dtype=float)
+    resistive = np.array([p.load.kind == "resistance" for p in units], bool)
+    load_g = np.zeros(len(units))
+    load_g[resistive] = 1.0 / (load[resistive] * c[resistive])
+    disturbance = np.stack([np.where(resistive, 0.0, load),
+                            [p.v_ref for p in units]], 1)
     lines = topology.lines
     line_i = np.array([pos[ln.i] for ln in lines], dtype=np.intp)
     line_j = np.array([pos[ln.j] for ln in lines], dtype=np.intp)
     r = np.array([ln.r for ln in lines], dtype=float)
-    c = np.array([topology.dgus[dgu_id].c_t for dgu_id in ids], dtype=float)
-    return GlobalSystem(ids, a, b, m, line_i, line_j,
-                        1.0 / (r * c[line_i]), 1.0 / (r * c[line_j]))
+    l = np.array([math.nan if ln.l is None else ln.l for ln in lines], float)
+    return GlobalSystem(ids, a, b, (m @ disturbance[:, :, None])[:, :, 0],
+                        load_g, line_i, line_j, 1.0 / (r * c[line_i]),
+                        1.0 / (r * c[line_j]), r, l)
 
 
 def gain_row(controller: Gain) -> np.ndarray:
@@ -363,6 +382,38 @@ def closed_loop(system: GlobalSystem,
                 controllers: Mapping[int, Gain]) -> np.ndarray:
     """F = a_hat + b_hat K as a dense 3N x 3N array."""
     return system.expand(closed_loop_blocks(system, controllers))
+
+
+def generator(system: GlobalSystem, controllers: Mapping[int, Gain],
+              line_model: str) -> np.ndarray:
+    """The closed loop x' = Ax + c as its generator M = [[A, c], [0, 0]]
+    on [x; 1]: closed_loop_blocks less the load conductances, and unit_c.
+    QSL keeps the line conductances; RL takes the self terms back out and
+    adds one current state per line, oriented from line_i to line_j.  Each
+    stamp is one array operation on entries no other stamp touches, in
+    the order a loop over the units, then the lines, would add it, so
+    every bit is that loop's, signed zeros included.
+    """
+    rl = line_model == RL
+    if rl and np.isnan(system.line_l).any():
+        raise ValueError(f"every line needs an inductance under {RL!r}")
+    blocks = closed_loop_blocks(system, controllers)
+    if rl:
+        blocks[:, 0, 0] -= system.self_terms
+    blocks[:, 0, 0] -= system.load_g  # x - 0.0 is x, -0.0 too
+    a = block_diagonal(blocks) if rl else system.expand(blocks)
+    base, lines = len(a), len(system.line_i) if rl else 0
+    m = np.pad(a, (0, lines + 1))  # its last row stays zero
+    m[:base, -1] = system.unit_c.ravel()
+    if rl:
+        row = base + np.arange(lines)
+        si, sj = 3 * system.line_i, 3 * system.line_j
+        m[row, si] = 1.0 / system.line_l
+        m[row, sj] = -1.0 / system.line_l
+        m[row, row] = -system.line_r / system.line_l
+        m[si, row] -= system.unit_a[system.line_i, 0, 1]  # 1 / C_i
+        m[sj, row] += system.unit_a[system.line_j, 0, 1]
+    return m
 
 
 def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

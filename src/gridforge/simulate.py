@@ -1,28 +1,22 @@
 """Closed-loop time-domain simulation with plug-and-play event handling.
 
-Between events the closed loop x' = Ax + c is linear time-invariant, so
-it is one matrix M = [[A, c], [0, 0]] acting on [x; 1], and a fixed-step
-RK4 update is one matrix too: exp(hM)'s fourth-order Taylor polynomial,
-assembled once per segment.  Every record slot is a whole number of
-those steps, so its map is that matrix's power, which keeps long runs
-cheap: each run of slots with one step count is filled a block of rows
-at a time from that count's power stack, one matrix-vector product per
-block (see _Segment).  The states differ from a slot-by-slot loop's by
-rounding only.  Event timestamps never drift: the step straddling an
-event is split so the boundary is hit exactly, and after an event off
-the dt grid one short step returns to it, so later samples stay on the
-record grid.  Recording tests the state rows for divergence a stretch at
-a time and writes them straight into one table, allocated unfilled
-before the first step: the time and each unit's (V, It, v).  The control
-u = k x_hat is not stored; it is derived where it is read, from each
-segment's gain rows (see Trajectory).  Writing the CSV is mostly float
-formatting, done by orjson with the bytes repr() gives, and a few
-in-place edits of each chunk's bytes turn its JSON into CSV lines (see
-_write_rows).  Formatting holds the GIL, so trajectory_to_csv formats
-contiguous row ranges in up to one forked process per available CPU (the
-_forks helper, which synthesis shares) and joins them in order; the
-bytes are those of a single pass.  Both writers replace the file at
-their path rather than truncate it (see _create).
+Between events the closed loop x' = Ax + c is model.generator's one
+matrix M = [[A, c], [0, 0]] acting on [x; 1].  This module steps it,
+carries the state across events (_remap_state) and applies the events.
+A fixed-step RK4 update is one matrix too: exp(hM)'s fourth-order
+Taylor polynomial, assembled once per segment.  Every record slot is a
+whole number of those steps, so its map is that matrix's power, and
+each run of slots with one step count is filled a block of rows at a
+time from that count's power stack (see _Segment).  Event timestamps
+never drift: the step straddling an event is split so the boundary is
+hit exactly, and after an event off the dt grid one short step returns
+to it, so later samples stay on the record grid.  The samples are
+tested for divergence a stretch at a time and written straight into
+one table, allocated unfilled before the first step: the time and each
+unit's (V, It, v); u = k x_hat is derived where it is read (see
+Trajectory).  trajectory_to_csv writes the bytes csv.writer would, by
+orjson in forked row ranges (see _write_rows and _forks); both writers
+replace the file at their path rather than truncate it (see _create).
 """
 
 from __future__ import annotations
@@ -41,14 +35,10 @@ import numpy as np
 import orjson
 
 from . import _forks
-from .model import (DguParams, Gain, LineParams, LoadModel,
+from .model import (QSL, RL, DguParams, Gain, LineParams, LoadModel,
                     MicrogridTopology, TopologyError, _frozen, _positive,
-                    assemble_global, augmented_dgu, block_diagonal,
-                    closed_loop_blocks, gain_row)
+                    assemble_global, augmented_dgu, gain_row, generator)
 from .synthesis import Denied, LocalController, SynthesisConfig, synthesize
-
-QSL = "qsl"
-RL = "rl"
 
 ACCEPTED = "accepted"
 APPLIED = "applied"
@@ -110,11 +100,11 @@ class Scenario:
     sorted and lie strictly inside (0, t_end); ties are allowed and fire
     in list order.  sigma_bar, t_end, dt and record_dt must be positive,
     and of dt and record_dt one must be a whole multiple of the other
-    (within 1e-9 relative), so the recorded rows fall on the record grid.
-    alphas, when given, override the synthesis objective weights in
-    synthesis_config(), which designs the plug-in newcomers (before the
-    run in the CLI, else at their events) and, in the CLI, the initial
-    units.
+    (within 1e-9 relative, by a ratio a float holds), so the recorded
+    rows fall on the record grid.  alphas, when given, override the
+    synthesis objective weights in synthesis_config(), which designs the
+    plug-in newcomers (before the run in the CLI, else at their events)
+    and, in the CLI, the initial units.
     """
 
     initial_topology: MicrogridTopology
@@ -132,6 +122,9 @@ class Scenario:
         for name in ("sigma_bar", "t_end", "dt", "record_dt"):
             _positive(name, getattr(self, name))
         ratio = max(self.dt, self.record_dt) / min(self.dt, self.record_dt)
+        if math.isinf(ratio):
+            raise ValueError(f"dt {self.dt:g} and record_dt {self.record_dt:g}"
+                             " are too far apart: their ratio overflows")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(
                 f"dt {self.dt:g} and record_dt {self.record_dt:g} must be"
@@ -259,50 +252,6 @@ class Trajectory:
         return out
 
 
-def _build_ode(top: MicrogridTopology, controllers: Mapping[int, Gain],
-               line_model: str) -> np.ndarray:
-    """Assemble x' = Ax + c for the closed loop over the whole grid as its
-    generator M = [[A, c], [0, 0]], which acts on [x; 1].
-
-    The unit blocks come from the one closed-loop assembly.  Resistive
-    loads fold into the voltage diagonal; current loads and voltage
-    references enter the constant term through each unit's disturbance
-    columns.  QSL keeps the assembled line conductances, RL takes the
-    self terms back out of the blocks and adds one current state per
-    line instead.
-    """
-    system = assemble_global(top)
-    blocks = closed_loop_blocks(system, controllers)
-    n_lines = 0
-    if line_model == RL:
-        blocks[:, 0, 0] -= system.self_terms
-        a = block_diagonal(blocks)
-        n_lines = len(top.lines)
-    else:
-        a = system.expand(blocks)
-    disturbance = np.zeros((len(top.ids), 2))
-    for k, dgu_id in enumerate(top.ids):
-        p = top.dgus[dgu_id]
-        if p.load.kind == "resistance":
-            a[3 * k, 3 * k] -= 1.0 / (p.load.value * p.c_t)
-        else:
-            disturbance[k, 0] = p.load.value
-        disturbance[k, 1] = p.v_ref
-    base = a.shape[0]
-    m = np.pad(a, (0, n_lines + 1))  # its last row stays zero
-    m[:base, -1] = (system.unit_m @ disturbance[:, :, None]).ravel()
-    if line_model == RL:
-        lines = zip(top.lines, 3 * system.line_i, 3 * system.line_j)
-        for row, (ln, si, sj) in enumerate(lines, base):
-            # line current is oriented from ln.i to ln.j
-            m[row, si] = 1.0 / ln.l
-            m[row, sj] = -1.0 / ln.l
-            m[row, row] = -ln.r / ln.l
-            m[si, row] -= 1.0 / top.dgus[ln.i].c_t
-            m[sj, row] += 1.0 / top.dgus[ln.j].c_t
-    return m
-
-
 def _step(m: np.ndarray, h: float) -> np.ndarray:
     """RK4 applied to [x; 1]' = M [x; 1]: exp(hM)'s quartic Taylor
     polynomial, in Horner form."""
@@ -344,7 +293,7 @@ class _Segment:
                  ids: Sequence[int], pos: int):
         self.ids = top.ids
         self.dt = dt
-        self.m = _build_ode(top, controllers, line_model)
+        self.m = generator(assemble_global(top), controllers, line_model)
         self.step = _step(self.m, dt)
         self.table, self.pos = table, pos  # pos: the next row to write
         self.units = table[:, 1:].reshape(len(table), len(ids), 3)  # a view
@@ -491,7 +440,7 @@ def steady_state(topology: MicrogridTopology, controllers: Mapping[int, Gain],
     The integrator rows force V_i = v_ref_i at any equilibrium; the rest
     of the vector follows from the linear solve.
     """
-    m = _build_ode(topology, controllers, line_model)
+    m = generator(assemble_global(topology), controllers, line_model)
     try:
         return np.linalg.solve(m[:-1, :-1], -m[:-1, -1])
     except np.linalg.LinAlgError as exc:

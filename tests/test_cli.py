@@ -327,6 +327,18 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "denied: dgu 1" in err and "infeasible" in err
 
+    @pytest.mark.parametrize("field, message", [
+        ("dt", "dt 9.99989e-321 and record_dt 0.0001"),
+        ("record_dt", "dt 1e-05 and record_dt 9.99989e-321")])
+    def test_step_ratio_overflow_exits_one(self, tmp_path, capsys, field,
+                                           message):
+        payload = read_json(cli.packaged_scenario_path())
+        payload[field] = 1e-320
+        code = cli.main(["synth", write_json(tmp_path / "s.json", payload)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {message} are too far apart: their ratio overflows\n")
+
     def test_negative_resistance_exits_one(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SMALL))
         payload["dgus"][0]["r_t"] = -1.0

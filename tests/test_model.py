@@ -176,9 +176,11 @@ class TestGlobalAssembly:
         g = assemble_global(top)
         assert g.unit_a.shape == (2, 3, 3)
         assert g.unit_b.shape == (2, 3)
-        assert g.unit_m.shape == (2, 3, 2)
+        assert g.unit_c.shape == (2, 3)
+        assert g.load_g.shape == (2,)
         assert g.line_i.shape == g.line_j.shape == (1,)
         assert g.g_i.shape == g.g_j.shape == (1,)
+        assert g.line_r.shape == g.line_l.shape == (1,)
         assert closed_loop(g, zero_gains(g)).shape == (6, 6)
         # each unit's output is its voltage, the first slot of its block
         for params in top.dgus.values():
@@ -189,10 +191,28 @@ class TestGlobalAssembly:
         g = assemble_global(two_dgu_topology())
         with pytest.raises(ValueError):
             g.unit_a[0, 0, 0] = 1.0
-        for name in ("unit_b", "unit_m", "line_i", "line_j", "g_i", "g_j",
-                     "self_terms"):
+        for name in ("unit_b", "unit_c", "load_g", "line_i", "line_j", "g_i",
+                     "g_j", "line_r", "line_l", "self_terms"):
             with pytest.raises(ValueError):
                 getattr(g, name)[0] = 1
+
+    def test_loads_references_and_lines_are_read_once(self):
+        # a resistive load is a conductance on the voltage diagonal, a
+        # current load and the reference are the constant term; a line
+        # without an inductance holds NaN
+        top = MicrogridTopology(
+            {1: dgu(c_t=2e-3, v_ref=48.0, load=LoadModel.resistive(8.0)),
+             2: dgu(c_t=4e-3, v_ref=0.0,
+                    load=LoadModel.constant_current(3.0)),
+             3: dgu(v_ref=47.0)},
+            (LineParams(2, 1, 0.5, 2e-6), LineParams(1, 3, 0.25)))
+        g = assemble_global(top)
+        np.testing.assert_allclose(g.load_g, [62.5, 0.0, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(
+            g.unit_c, [[0.0, 0.0, 48.0], [-750.0, 0.0, 0.0],
+                       [0.0, 0.0, 47.0]], rtol=1e-15)
+        np.testing.assert_array_equal(g.line_r, [0.5, 0.25])
+        np.testing.assert_array_equal(g.line_l, [2e-6, np.nan])
 
     def test_arrays_stay_per_unit_or_per_line(self):
         # no array the system holds may grow like N^2: at most the 9N

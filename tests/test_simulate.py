@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
 from gridforge.model import (DguParams, LineParams, LoadModel,
-                             MicrogridTopology, TopologyError)
+                             MicrogridTopology, TopologyError,
+                             assemble_global, block_diagonal,
+                             closed_loop_blocks, generator, unit_blocks)
 from gridforge.simulate import (QSL, RL, DivergedAt, LoadStep, PlugIn,
                                 RefStep, Scenario, Trajectory, Unplug,
-                                _build_ode, _remap_state, attempt_plug_in,
+                                _remap_state, attempt_plug_in,
                                 attempt_unplug, event_log_lines, simulate,
                                 steady_state, trajectory_to_csv,
                                 write_event_log)
@@ -85,13 +87,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="inductance"):
             Scenario(top, 10.0, t_end=1.0, line_model=RL)
 
-    def test_dt_and_record_dt_must_be_whole_multiples(self, pair):
+    @pytest.mark.parametrize("dt, record_dt, message", [
+        (3e-5, 1e-4, "dt 3e-05 and record_dt 0.0001 must be whole multiples"
+                     " of one another"),
+        (1e-4, 3e-5, "dt 0.0001 and record_dt 3e-05 must be whole multiples"
+                     " of one another"),
+        # their ratio overflows to inf, which round() cannot take
+        (1e-320, 1e-4, "dt 9.99989e-321 and record_dt 0.0001 are too far"
+                       " apart: their ratio overflows"),
+        (1e-4, 1e-320, "dt 0.0001 and record_dt 9.99989e-321 are too far"
+                       " apart: their ratio overflows")],
+        ids=["dt", "record_dt", "tiny-dt", "tiny-record_dt"])
+    def test_dt_and_record_dt_must_be_whole_multiples(self, pair, dt,
+                                                      record_dt, message):
         top, _ = pair
-        with pytest.raises(ValueError, match="^dt 3e-05 and record_dt 0.0001"
-                           " must be whole multiples of one another$"):
-            Scenario(top, 10.0, t_end=1.0, dt=3e-5)
-        with pytest.raises(ValueError, match="dt 0.0001 and record_dt 3e-05"):
-            Scenario(top, 10.0, t_end=1.0, dt=1e-4, record_dt=3e-5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Scenario(top, 10.0, t_end=1.0, dt=dt, record_dt=record_dt)
 
     @pytest.mark.parametrize("dt", [1e-5, 2e-5, 5e-6, 2.5e-6, 1e-5 / 16,
                                     1e-4, 5e-4])
@@ -842,7 +853,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("line_model", [QSL, RL])
     def test_matches_stamped_circuit_equations(self, line_model):
-        m = _build_ode(self.RING, self.GAINS, line_model)
+        m = generator(assemble_global(self.RING), self.GAINS, line_model)
         # the generator [[A, c], [0, 0]] acts on [x; 1]
         assert not m[-1].any()
         a, c = m[:-1, :-1], m[:-1, -1]
@@ -850,6 +861,90 @@ class TestAssembly:
         assert a.shape == a_ref.shape and c.shape == c_ref.shape
         assert np.max(np.abs(a - a_ref)) <= 1e-12 * np.max(np.abs(a_ref))
         assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+
+
+def loop_generator(top, controllers, line_model):
+    """The closed loop's generator M = [[A, c], [0, 0]] as simulate built
+    it before the model took over: the unit blocks from the assembly,
+    then a loop over the units for the loads and references and one over
+    the lines for the RL stamps.  Kept here only, as the reference that
+    model.generator must match bit for bit."""
+    system = assemble_global(top)
+    unit_m = unit_blocks([top.dgus[i] for i in top.ids])[2]
+    blocks = closed_loop_blocks(system, controllers)
+    n_lines = 0
+    if line_model == RL:
+        blocks[:, 0, 0] -= system.self_terms
+        a = block_diagonal(blocks)
+        n_lines = len(top.lines)
+    else:
+        a = system.expand(blocks)
+    disturbance = np.zeros((len(top.ids), 2))
+    for k, dgu_id in enumerate(top.ids):
+        p = top.dgus[dgu_id]
+        if p.load.kind == "resistance":
+            a[3 * k, 3 * k] -= 1.0 / (p.load.value * p.c_t)
+        else:
+            disturbance[k, 0] = p.load.value
+        disturbance[k, 1] = p.v_ref
+    base = a.shape[0]
+    m = np.pad(a, (0, n_lines + 1))
+    m[:base, -1] = (unit_m @ disturbance[:, :, None]).ravel()
+    if line_model == RL:
+        lines = zip(top.lines, 3 * system.line_i, 3 * system.line_j)
+        for row, (ln, si, sj) in enumerate(lines, base):
+            m[row, si] = 1.0 / ln.l
+            m[row, sj] = -1.0 / ln.l
+            m[row, row] = -ln.r / ln.l
+            m[si, row] -= 1.0 / top.dgus[ln.i].c_t
+            m[sj, row] += 1.0 / top.dgus[ln.j].c_t
+    return m
+
+
+POSITIVE = st.floats(1e-6, 1e6)
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def random_grids(draw):
+    """A grid of 1 to 11 units with random ids, each with a resistive or
+    a current load (of +0.0, -0.0 or either sign) and a v_ref that may be
+    0.0, random lines given either way round, with an inductance each,
+    and a random gain row per unit, signed zeros included."""
+    ids = draw(st.lists(st.integers(1, 99), min_size=1, max_size=11,
+                        unique=True))
+    load = st.one_of(st.builds(LoadModel.resistive, POSITIVE),
+                     st.builds(LoadModel.constant_current, SIGNED))
+    v_ref = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    dgus = {i: DguParams(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE),
+                         draw(load), draw(v_ref)) for i in ids}
+    pairs = [(i, j) for i in ids for j in ids if i < j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
+                  if pairs else st.just([]))
+    lines = [LineParams(*(pair[::-1] if draw(st.booleans()) else pair),
+                        draw(POSITIVE), draw(POSITIVE)) for pair in chosen]
+    draw(st.randoms()).shuffle(lines)
+    gains = {i: np.array(draw(st.lists(SIGNED, min_size=3, max_size=3)))
+             for i in ids}
+    return MicrogridTopology(dgus, lines), gains
+
+
+class TestGenerator:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=random_grids(), line_model=st.sampled_from([QSL, RL]))
+    def test_matches_the_loop_bit_for_bit(self, grid, line_model):
+        top, gains = grid
+        m = generator(assemble_global(top), gains, line_model)
+        assert m.tobytes() == loop_generator(top, gains, line_model).tobytes()
+
+    def test_rl_needs_every_inductance(self):
+        top = MicrogridTopology({1: dgu(), 2: dgu()},
+                                (LineParams(1, 2, 0.05),))
+        gains = {1: np.zeros(3), 2: np.zeros(3)}
+        generator(assemble_global(top), gains, QSL)
+        with pytest.raises(ValueError, match="^every line needs an"
+                           " inductance under 'rl'$"):
+            generator(assemble_global(top), gains, RL)
 
 
 class TestStateRemap:
